@@ -25,16 +25,16 @@ from .data import (
     CsvSchema,
     SurvivalDataset,
     SyntheticSpec,
-    filter_features,
     filter_patients,
     generate_synthetic,
     kfold_split,
     load_csv,
-    standardize_apply,
-    standardize_fit,
+    prepare_fold,
     stratified_holdout,
     write_csv,
 )
+# imported only so that perfbench/tracer.py can patch them here
+from .data import filter_features, standardize_apply, standardize_fit  # noqa: F401
 from .errors import DivergenceError, RessurvError
 from .metrics import concordance_fast
 from .model import model_forward, save_checkpoint
@@ -67,8 +67,6 @@ def _resolve(args, name: str, default, cast):
         if raw is None:
             return default
         value = raw
-    if value is None:
-        return None
     try:
         return cast(value)
     except (TypeError, ValueError) as err:
@@ -134,6 +132,15 @@ def write_meta(path: str, wall_time_s: float, argv: list[str]) -> None:
     }
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(json.dumps(meta, sort_keys=True, indent=2) + "\n")
+
+
+def write_reports(out: str, fmt: str, t0: float, name: str, records: list[dict],
+                  summary: dict) -> None:
+    """A command's report files: `name`.<fmt> records, summary.json, and
+    meta.json timed from `t0`."""
+    write_records(os.path.join(out, f"{name}.{fmt}"), records, fmt)
+    write_summary(os.path.join(out, "summary.json"), summary)
+    write_meta(os.path.join(out, "meta.json"), time.perf_counter() - t0, sys.argv[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -262,12 +269,7 @@ def cmd_train(args) -> int:
 
     # leakage-free: standardization is fit on the 80% training side only
     train_idx, val_idx = stratified_holdout(ds, 0.2, seed=stable_seed(seed, 1))
-    train_raw, val_raw = ds.subset(train_idx), ds.subset(val_idx)
-    train_raw, retained = filter_features(train_raw)
-    val_raw = val_raw.select_features(retained)
-    std = standardize_fit(train_raw)
-    train_ds = standardize_apply(train_raw, std)
-    val_ds = standardize_apply(val_raw, std)
+    train_ds, val_ds, std = prepare_fold(ds.subset(train_idx), ds.subset(val_idx))
 
     report = train(train_ds, val_ds, hp, seed=seed)
 
@@ -276,22 +278,16 @@ def cmd_train(args) -> int:
                     extra={"hp": hp.to_dict(), "seed": seed})
     report.checkpoint_path = "model.ckpt"
 
-    ext = "jsonl" if fmt == "jsonl" else "tsv"
-    write_records(os.path.join(out, f"epochs.{ext}"), report.epoch_records(), fmt)
-    write_summary(
-        os.path.join(out, "summary.json"),
-        {
-            "command": "train",
-            "seed": seed,
-            "hp": hp.to_dict(),
-            "n_train": train_ds.n,
-            "n_val": val_ds.n,
-            "n_features": train_ds.p,
-            "feature_names": list(train_ds.feature_names),
-            **report.summary(),
-        },
-    )
-    write_meta(os.path.join(out, "meta.json"), time.perf_counter() - t0, sys.argv[1:])
+    write_reports(out, fmt, t0, "epochs", report.epoch_records(), {
+        "command": "train",
+        "seed": seed,
+        "hp": hp.to_dict(),
+        "n_train": train_ds.n,
+        "n_val": val_ds.n,
+        "n_features": train_ds.p,
+        "feature_names": list(train_ds.feature_names),
+        **report.summary(),
+    })
     print(
         f"trained {report.epochs_run} epochs (best {report.best_epoch}, "
         f"val C-index {report.best_val_c_index:.4f}) -> {out}"
@@ -310,13 +306,8 @@ def cmd_cv(args) -> int:
 
     result = cross_validate(ds, hp, k=k, seed=seed)
 
-    ext = "jsonl" if fmt == "jsonl" else "tsv"
-    write_records(os.path.join(out, f"folds.{ext}"), result.fold_records(), fmt)
-    write_summary(
-        os.path.join(out, "summary.json"),
-        {"command": "cv", "hp": hp.to_dict(), **result.summary()},
-    )
-    write_meta(os.path.join(out, "meta.json"), time.perf_counter() - t0, sys.argv[1:])
+    write_reports(out, fmt, t0, "folds", result.fold_records(),
+                  {"command": "cv", "hp": hp.to_dict(), **result.summary()})
     print(
         f"cv: mean C-index {result.mean_c_index:.4f} "
         f"+/- {result.std_c_index:.4f} over {result.k} folds -> {out}"
@@ -341,13 +332,8 @@ def cmd_gridsearch(args) -> int:
     result = grid_search(ds, grid, k=k, seed=seed, budget=budget,
                          workers=workers, base_hp=base_hp)
 
-    ext = "jsonl" if fmt == "jsonl" else "tsv"
-    write_records(os.path.join(out, f"points.{ext}"), result.point_records(), fmt)
-    write_summary(
-        os.path.join(out, "summary.json"),
-        {"command": "gridsearch", **result.summary()},
-    )
-    write_meta(os.path.join(out, "meta.json"), time.perf_counter() - t0, sys.argv[1:])
+    write_reports(out, fmt, t0, "points", result.point_records(),
+                  {"command": "gridsearch", **result.summary()})
     best = result.best_point
     if best is None:
         print(f"gridsearch: all {result.total_runs} points failed -> {out}")
@@ -389,13 +375,8 @@ def cmd_compare(args) -> int:
 
     cox_values = []
     for f in range(folds.k):
-        complement = canon.subset(folds.train_indices(f))
-        test_fold = canon.subset(folds.test_indices(f))
-        complement, retained = filter_features(complement)
-        test_fold = test_fold.select_features(retained)
-        std = standardize_fit(complement)
-        complement = standardize_apply(complement, std)
-        test_fold = standardize_apply(test_fold, std)
+        complement, test_fold, _ = prepare_fold(canon.subset(folds.train_indices(f)),
+                                                canon.subset(folds.test_indices(f)))
         fit = fit_linear_cox_newton(complement)
         scores = test_fold.features @ fit.beta
         c = concordance_fast(test_fold.times, test_fold.events, scores).c_index
@@ -416,20 +397,14 @@ def cmd_compare(args) -> int:
         "std_c_index": float(cox_arr.std()),
     }
 
-    ext = "jsonl" if fmt == "jsonl" else "tsv"
-    write_records(os.path.join(out, f"models.{ext}"), records, fmt)
-    write_summary(
-        os.path.join(out, "summary.json"),
-        {
-            "command": "compare",
-            "k": folds.k,
-            "seed": seed,
-            "fold_hash": folds.content_hash(),
-            "hp": hp.to_dict(),
-            "models": summaries,
-        },
-    )
-    write_meta(os.path.join(out, "meta.json"), time.perf_counter() - t0, sys.argv[1:])
+    write_reports(out, fmt, t0, "models", records, {
+        "command": "compare",
+        "k": folds.k,
+        "seed": seed,
+        "fold_hash": folds.content_hash(),
+        "hp": hp.to_dict(),
+        "models": summaries,
+    })
     line = "  ".join(
         f"{name}={summaries[name]['mean_c_index']:.4f}" for name in sorted(summaries)
     )

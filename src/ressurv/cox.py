@@ -193,8 +193,11 @@ def fit_linear_cox_newton(
 ) -> LinearCoxFit:
     """Maximize the partial likelihood over beta by damped Newton-Raphson.
 
-    Step-halving (up to 30 halvings) enforces a monotone NLL decrease; a
-    singular Hessian falls back to a diagonally damped gradient step.
+    Converged means max|gradient| <= tol. Step-halving (up to 30 halvings)
+    enforces a strict NLL decrease; when no halving decreases it, the fit
+    stops, at the full Newton step if the gradient there meets tol and
+    unconverged otherwise. A singular Hessian falls back to a diagonally
+    damped gradient step.
     Non-convergence within max_iter returns converged=False rather than
     raising. Expects standardized features; intended for p << n oracle use.
     """
@@ -226,8 +229,12 @@ def fit_linear_cox_newton(
                 break
             step *= 0.5
         else:
-            # no decrease along the Newton direction; report where we stand
-            return LinearCoxFit(beta, it, grad_norm, grad_norm <= tol)
+            # near the optimum the NLL change drowns in float64 roundoff
+            full = beta + direction
+            full_norm = float(np.abs(X.T @ nll_gradient(X @ full, idx)).max())
+            if full_norm <= tol:
+                return LinearCoxFit(full, it, full_norm, True)
+            return LinearCoxFit(beta, it, grad_norm, False)
         beta = candidate
         nll = new_nll
 

@@ -408,6 +408,18 @@ def standardize_apply(ds: SurvivalDataset, params: StandardizationParams) -> Sur
     )
 
 
+def prepare_fold(
+    train: SurvivalDataset, test: SurvivalDataset
+) -> tuple[SurvivalDataset, SurvivalDataset, StandardizationParams]:
+    """Leakage-free fold preparation: drop low-variance features and fit
+    standardization on the training side only, then apply both to each side.
+    Returns (train, test, standardization)."""
+    train, retained = filter_features(train)
+    test = test.select_features(retained)
+    std = standardize_fit(train)
+    return standardize_apply(train, std), standardize_apply(test, std), std
+
+
 def _dealt_assignment(events: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     """Round-robin deal of shuffled events then shuffled censored samples.
 

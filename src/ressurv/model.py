@@ -19,7 +19,8 @@ as rows: features (n, p), per-layer activations (n, width).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -105,22 +106,47 @@ class ResBlockParams:
 
 @dataclass
 class ResSurvParams:
-    """All learnable state of the network plus its architectural knobs."""
+    """All learnable state of the network plus its architectural knobs.
+
+    Construction packs every learnable tensor into one float64 vector,
+    `flat`, in the traversal order of `flat_layout`, and rebinds each tensor
+    as a view into it: writing through `flat` changes the tensors and vice
+    versa. Batch-norm running statistics stay outside the vector.
+    """
 
     blocks: list[ResBlockParams]
     output_head: DenseLayerParams
     activation_kind: str
     dropout_rate: float
+    flat: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        learnable = [t for t in _tensors(self) if t.learnable]
+        self.flat = np.concatenate([t.array.ravel() for t in learnable], dtype=np.float64)
+        for t, (_, where, shape) in zip(learnable, flat_layout(self)):
+            setattr(t.owner, t.attr, self.flat[where].reshape(shape))
 
     @property
     def in_dim(self) -> int:
         return self.blocks[0].in_dim
 
     def copy(self) -> "ResSurvParams":
-        """Deep copy; used to snapshot the best epoch during training."""
-        import copy
-
-        return copy.deepcopy(self)
+        """Independent snapshot: a copy of the parameter vector plus the
+        batch-norm running statistics and update counts; used to keep the
+        best epoch during training."""
+        # the new containers share this network's tensors only until
+        # construction packs them into a fresh vector
+        blocks = [
+            ResBlockParams(
+                [replace(d) for d in block.dense_layers],
+                [replace(bn, running_mean=bn.running_mean.copy(),
+                         running_var=bn.running_var.copy()) for bn in block.batch_norms],
+                None if block.shortcut is None else replace(block.shortcut),
+            )
+            for block in self.blocks
+        ]
+        return ResSurvParams(blocks, replace(self.output_head),
+                             self.activation_kind, self.dropout_rate)
 
 
 def init_params(
@@ -169,63 +195,75 @@ def init_params(
 
 
 # ---------------------------------------------------------------------------
-# Flat parameter view (learnable tensors only; running stats excluded)
+# The parameter traversal and the flat vector
 # ---------------------------------------------------------------------------
 
-def _learnable_tensors(params: ResSurvParams):
-    """Fixed traversal: per block, per layer W, b, gamma, beta; then the
-    shortcut W; finally head W, head b. Decay flag marks weight matrices."""
+class _Tensor(NamedTuple):
+    name: str
+    owner: object
+    attr: str
+    decayed: bool     # weight-matrix entries, the only ones L2 / weight decay touch
+    learnable: bool   # False for batch-norm running statistics
+
+    @property
+    def array(self) -> np.ndarray:
+        return getattr(self.owner, self.attr)
+
+
+def _tensors(params: ResSurvParams):
+    """The one fixed traversal: per block, per layer W, b, gamma, beta,
+    running mean, running var; then the shortcut W; finally head W, head b.
+    The learnable entries, in this order, make up the flat vector; all of
+    them, in this order, make up a checkpoint."""
     for bi, block in enumerate(params.blocks):
         for li, (dense, bn) in enumerate(zip(block.dense_layers, block.batch_norms)):
-            yield f"block{bi}.layer{li}.W", dense.W, True
-            yield f"block{bi}.layer{li}.b", dense.b, False
-            yield f"block{bi}.layer{li}.bn.gamma", bn.gamma, False
-            yield f"block{bi}.layer{li}.bn.beta", bn.beta_shift, False
+            prefix = f"block{bi}.layer{li}"
+            yield _Tensor(f"{prefix}.W", dense, "W", True, True)
+            yield _Tensor(f"{prefix}.b", dense, "b", False, True)
+            yield _Tensor(f"{prefix}.bn.gamma", bn, "gamma", False, True)
+            yield _Tensor(f"{prefix}.bn.beta", bn, "beta_shift", False, True)
+            yield _Tensor(f"{prefix}.bn.running_mean", bn, "running_mean", False, False)
+            yield _Tensor(f"{prefix}.bn.running_var", bn, "running_var", False, False)
         if block.shortcut is not None:
-            yield f"block{bi}.shortcut.W", block.shortcut.W, True
-    yield "head.W", params.output_head.W, True
-    yield "head.b", params.output_head.b, False
+            yield _Tensor(f"block{bi}.shortcut.W", block.shortcut, "W", True, True)
+    yield _Tensor("head.W", params.output_head, "W", True, True)
+    yield _Tensor("head.b", params.output_head, "b", False, True)
 
 
 def to_flat(params: ResSurvParams) -> np.ndarray:
-    """All learnable tensors concatenated in the documented traversal order."""
-    return np.concatenate([arr.ravel() for _, arr, _ in _learnable_tensors(params)])
+    """A copy of the parameter vector."""
+    return params.flat.copy()
 
 
 def set_flat(params: ResSurvParams, flat: np.ndarray) -> None:
-    """Write a flat vector back into the parameter tensors, in place."""
+    """Overwrite the parameter vector (and so every tensor) in place."""
     flat = np.asarray(flat, dtype=np.float64).ravel()
-    pos = 0
-    for _, arr, _ in _learnable_tensors(params):
-        size = arr.size
-        arr[...] = flat[pos : pos + size].reshape(arr.shape)
-        pos += size
-    if pos != flat.size:
-        raise ValueError(f"flat vector has {flat.size} entries, expected {pos}")
+    if flat.size != params.flat.size:
+        raise ValueError(f"flat vector has {flat.size} entries, expected {params.flat.size}")
+    params.flat[...] = flat
 
 
 def flat_layout(params: ResSurvParams) -> list[tuple[str, slice, tuple]]:
     """(name, slice into the flat vector, shape) for every learnable tensor."""
     layout = []
     pos = 0
-    for name, arr, _ in _learnable_tensors(params):
-        layout.append((name, slice(pos, pos + arr.size), arr.shape))
-        pos += arr.size
+    for t in _tensors(params):
+        if t.learnable:
+            layout.append((t.name, slice(pos, pos + t.array.size), t.array.shape))
+            pos += t.array.size
     return layout
 
 
 def decay_mask(params: ResSurvParams) -> np.ndarray:
     """True on dense-layer and shortcut weight-matrix entries; biases and
     batch-norm scale/shift are never penalized."""
-    parts = [
-        np.full(arr.size, decayed, dtype=bool)
-        for _, arr, decayed in _learnable_tensors(params)
-    ]
-    return np.concatenate(parts)
+    return np.concatenate([
+        np.full(t.array.size, t.decayed, dtype=bool) for t in _tensors(params) if t.learnable
+    ])
 
 
 def n_params(params: ResSurvParams) -> int:
-    return sum(arr.size for _, arr, _ in _learnable_tensors(params))
+    return params.flat.size
 
 
 # ---------------------------------------------------------------------------
@@ -416,29 +454,26 @@ def resblock_backward(
     block: ResBlockParams,
     cache: BlockCache,
     activation_kind: str,
-) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    put: Callable[..., None],
+) -> np.ndarray:
     """Backward through one block: the main-channel chain plus the shortcut
-    term W_s^T grad_y. Returns (grad_x, per-tensor gradients keyed like the
-    flat layout names but block-local: 'layer0.W', ..., 'shortcut.W')."""
-    grads: dict[str, np.ndarray] = {}
+    term W_s^T grad_y. Hands each tensor gradient to `put` in reverse
+    traversal order (shortcut W, then per layer from the last: beta, gamma,
+    b, W) and returns grad_x."""
+    if block.shortcut is not None:
+        put(grad_y.T @ cache.x)
     grad = grad_y
     for li in range(len(block.dense_layers) - 1, -1, -1):
-        dense = block.dense_layers[li]
         lc = cache.layers[li]
         if lc.mask is not None:
             grad = grad * lc.mask
         grad = activation_backward(grad, lc.act, activation_kind)
         grad, g_gamma, g_beta = batchnorm_backward(grad, lc.bn)
-        grads[f"layer{li}.bn.gamma"] = g_gamma
-        grads[f"layer{li}.bn.beta"] = g_beta
-        grads[f"layer{li}.W"] = grad.T @ lc.a_in
-        grads[f"layer{li}.b"] = grad.sum(axis=0)
-        grad = grad @ dense.W
-    grad_x = grad
+        put(g_beta, g_gamma, grad.sum(axis=0), grad.T @ lc.a_in)
+        grad = grad @ block.dense_layers[li].W
     if block.shortcut is not None:
-        grads["shortcut.W"] = grad_y.T @ cache.x
-        grad_x = grad_x + grad_y @ block.shortcut.W
-    return grad_x, grads
+        grad = grad + grad_y @ block.shortcut.W
+    return grad
 
 
 # ---------------------------------------------------------------------------
@@ -494,44 +529,33 @@ def model_backward(
     grad_h: np.ndarray, params: ResSurvParams, cache: ModelCache
 ) -> np.ndarray:
     """Exact chain rule from per-sample score gradients down to every
-    learnable tensor; returns the gradient in flat-view layout."""
+    learnable tensor; returns the gradient in flat-view layout.
+
+    Backpropagation meets the tensors in reverse traversal order, so each
+    gradient is written just below the previous one, from the vector's end.
+    """
     grad_h = np.asarray(grad_h, dtype=np.float64).reshape(-1, 1)
-    head = params.output_head
-    grads: dict[str, np.ndarray] = {
-        "head.W": grad_h.T @ cache.head_in,
-        "head.b": grad_h.sum(axis=0),
-    }
-    grad = grad_h @ head.W
+    grads = np.empty_like(params.flat)
+    end = grads.size
+
+    def put(*parts: np.ndarray) -> None:
+        nonlocal end
+        for g in parts:
+            grads[end - g.size : end] = g.ravel()
+            end -= g.size
+
+    put(grad_h.sum(axis=0), grad_h.T @ cache.head_in)
+    grad = grad_h @ params.output_head.W
     for bi in range(len(params.blocks) - 1, -1, -1):
-        grad, block_grads = resblock_backward(
-            grad, params.blocks[bi], cache.blocks[bi], params.activation_kind
+        grad = resblock_backward(
+            grad, params.blocks[bi], cache.blocks[bi], params.activation_kind, put
         )
-        for key, value in block_grads.items():
-            grads[f"block{bi}.{key}"] = value
-    return np.concatenate(
-        [grads[name].ravel() for name, _, _ in _learnable_tensors(params)]
-    )
+    return grads
 
 
 # ---------------------------------------------------------------------------
 # Checkpoints
 # ---------------------------------------------------------------------------
-
-def _all_named_arrays(params: ResSurvParams):
-    """Learnables plus batch-norm running statistics, in traversal order."""
-    for bi, block in enumerate(params.blocks):
-        for li, (dense, bn) in enumerate(zip(block.dense_layers, block.batch_norms)):
-            yield f"block{bi}.layer{li}.W", dense.W
-            yield f"block{bi}.layer{li}.b", dense.b
-            yield f"block{bi}.layer{li}.bn.gamma", bn.gamma
-            yield f"block{bi}.layer{li}.bn.beta", bn.beta_shift
-            yield f"block{bi}.layer{li}.bn.running_mean", bn.running_mean
-            yield f"block{bi}.layer{li}.bn.running_var", bn.running_var
-        if block.shortcut is not None:
-            yield f"block{bi}.shortcut.W", block.shortcut.W
-    yield "head.W", params.output_head.W
-    yield "head.b", params.output_head.b
-
 
 def save_checkpoint(
     path,
@@ -547,7 +571,7 @@ def save_checkpoint(
     Unlike a zip-based container it embeds no timestamps, so identical state
     produces identical bytes.
     """
-    arrays = list(_all_named_arrays(params))
+    arrays = [(t.name, t.array) for t in _tensors(params)]
     header = {
         "format": CHECKPOINT_FORMAT,
         "activation_kind": params.activation_kind,
@@ -608,7 +632,7 @@ def load_checkpoint(
             seed=0,
             with_shortcut=header["with_shortcut"],
         )
-        by_name = dict(_all_named_arrays(params))
+        by_name = {t.name: t.array for t in _tensors(params)}
         for entry in header["arrays"]:
             shape = tuple(entry["shape"])
             count = int(np.prod(shape)) if shape else 1

@@ -21,12 +21,12 @@ from . import cox
 from .data import (
     FoldAssignment,
     SurvivalDataset,
-    filter_features,
     kfold_split,
-    standardize_apply,
-    standardize_fit,
+    prepare_fold,
     stratified_holdout,
 )
+# imported only so that perfbench/tracer.py can patch them here
+from .data import filter_features, standardize_apply, standardize_fit  # noqa: F401
 from .errors import DivergenceError, UnusableDatasetError
 from .metrics import concordance_fast
 from .model import (
@@ -36,9 +36,9 @@ from .model import (
     init_params,
     model_backward,
     model_forward,
-    set_flat,
-    to_flat,
 )
+# imported only so that perfbench/tracer.py can patch them here
+from .model import set_flat, to_flat  # noqa: F401
 
 OPTIMIZER_KINDS = ("sgd", "adam", "adamw")
 HP_ACTIVATION_KINDS = ("tanh", "selu", "relu")
@@ -198,9 +198,11 @@ def sgd_step(
     return params
 
 
-def _adam_update(
-    params: np.ndarray, grads: np.ndarray, state: OptimizerState
+def adam_step(
+    params: np.ndarray, grads: np.ndarray, state: OptimizerState, hp: Hyperparameters
 ) -> np.ndarray:
+    """Bias-corrected Adam (beta1=0.9, beta2=0.999, eps=1e-8). Mutates params
+    in place and returns it."""
     state.t += 1
     state.m *= ADAM_BETA1
     state.m += (1.0 - ADAM_BETA1) * grads
@@ -210,13 +212,6 @@ def _adam_update(
     v_hat = state.v / (1.0 - ADAM_BETA2 ** state.t)
     params -= state.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     return params
-
-
-def adam_step(
-    params: np.ndarray, grads: np.ndarray, state: OptimizerState, hp: Hyperparameters
-) -> np.ndarray:
-    """Bias-corrected Adam (beta1=0.9, beta2=0.999, eps=1e-8)."""
-    return _adam_update(params, grads, state)
 
 
 def adamw_step(
@@ -234,7 +229,7 @@ def adamw_step(
             params -= state.lr * wd * params
         else:
             params[state.decay_mask] -= state.lr * wd * params[state.decay_mask]
-    return _adam_update(params, grads, state)
+    return adam_step(params, grads, state, hp)
 
 
 _STEP_FUNCTIONS = {"sgd": sgd_step, "adam": adam_step, "adamw": adamw_step}
@@ -302,20 +297,19 @@ class TrainReport:
         }
 
 
-def _stratified_batches(
-    events: np.ndarray, batch_size: int, rng: np.random.Generator
-) -> list[np.ndarray]:
-    """Deal shuffled event and censored indices round-robin across batches so
-    every batch sees events. Batch count = floor(n / batch_size)."""
-    n = events.size
-    n_batches = max(1, n // batch_size)
-    buckets: list[list[int]] = [[] for _ in range(n_batches)]
-    slot = 0
-    for pool in (np.flatnonzero(events), np.flatnonzero(~events)):
-        for i in rng.permutation(pool):
-            buckets[slot % n_batches].append(int(i))
-            slot += 1
-    return [np.sort(np.array(b, dtype=np.intp)) for b in buckets]
+def _minibatches(ds: SurvivalDataset, batch_size: int, run_seed: int, epoch: int):
+    """This epoch's mini-batches, each as (features, risk index, dropout
+    stream). Shuffled event and censored rows are dealt round-robin across
+    floor(n / batch_size) batches so every batch sees events; risk sets are
+    formed within each batch."""
+    rng = np.random.default_rng(np.random.SeedSequence([stable_seed(run_seed, 2), epoch]))
+    n_batches = max(1, ds.n // batch_size)
+    dealt = np.concatenate([rng.permutation(np.flatnonzero(ds.events)),
+                            rng.permutation(np.flatnonzero(~ds.events))])
+    for b in range(n_batches):
+        rows = np.sort(dealt[b::n_batches])
+        index = cox.build_risk_index(ds.times[rows], ds.events[rows])
+        yield ds.features[rows], index, DropoutStream(stable_seed(run_seed, 1, b))
 
 
 def train(
@@ -362,15 +356,17 @@ def train(
         seed=stable_seed(run_seed, 0),
         with_shortcut=with_shortcut,
     )
-    flat = to_flat(params)
     mask = decay_mask(params)
-    state = init_optimizer_state(hp, flat.size, mask)
+    state = init_optimizer_state(hp, params.flat.size, mask)
     step_fn = _STEP_FUNCTIONS[hp.optimizer_kind]
     # AdamW carries l2_lambda as decoupled decay; everyone else as a loss term
     loss_lambda = 0.0 if hp.optimizer_kind == "adamw" else hp.l2_lambda
 
-    batches: list[np.ndarray] | None = None
-    if batch_size is not None:
+    if batch_size is None:
+        # full batch is the one-batch case, and the same batch every epoch
+        full_index = cox.build_risk_index(train_ds.times, train_ds.events)
+        full_batch = [(train_ds.features, full_index, DropoutStream(stable_seed(run_seed, 1, 0)))]
+    else:
         if batch_size < MIN_BATCH_SIZE:
             raise ValueError(f"mini-batch mode requires batch_size >= {MIN_BATCH_SIZE}")
         n_batches = max(1, train_ds.n // batch_size)
@@ -378,9 +374,6 @@ def train(
             raise ValueError(
                 f"mini-batch mode requires >= {MIN_EVENTS_PER_BATCH} events per batch"
             )
-    else:
-        full_index = cox.build_risk_index(train_ds.times, train_ds.events)
-        stream = DropoutStream(stable_seed(run_seed, 1))
 
     val_index = cox.build_risk_index(val_ds.times, val_ds.events)
 
@@ -394,45 +387,20 @@ def train(
 
     for epoch in range(1, hp.max_epochs + 1):
         lr_used = state.lr
-        if batch_size is None:
-            h, cache = model_forward(
-                train_ds.features, params, mode="train", stream=stream, epoch=epoch
-            )
-            nll = cox.neg_log_partial_likelihood(h, full_index)
-            penalty, penalty_grad = cox.l2_penalty(flat, loss_lambda, mask)
-            train_loss = nll + penalty
-            if not np.isfinite(train_loss):
-                raise DivergenceError(epoch, "training loss")
-            grads = model_backward(cox.nll_gradient(h, full_index), params, cache)
+        batches = (full_batch if batch_size is None
+                   else _minibatches(train_ds, batch_size, run_seed, epoch))
+        train_loss = 0.0
+        for b, (X, index, stream) in enumerate(batches):
+            h, cache = model_forward(X, params, mode="train", stream=stream, epoch=epoch)
+            nll = cox.neg_log_partial_likelihood(h, index)
+            penalty, penalty_grad = cox.l2_penalty(params.flat, loss_lambda, mask)
+            batch_loss = nll + penalty
+            if not np.isfinite(batch_loss):
+                raise DivergenceError(epoch, f"training loss, batch {b}")
+            train_loss += batch_loss * (X.shape[0] / train_ds.n)
+            grads = model_backward(cox.nll_gradient(h, index), params, cache)
             grads += penalty_grad
-            flat = step_fn(flat, grads, state, hp)
-            set_flat(params, flat)
-        else:
-            deal_rng = np.random.default_rng(
-                np.random.SeedSequence([stable_seed(run_seed, 2), epoch])
-            )
-            batches = _stratified_batches(train_ds.events, batch_size, deal_rng)
-            loss_accum = 0.0
-            for b_idx, rows in enumerate(batches):
-                stream = DropoutStream(stable_seed(run_seed, 1, b_idx))
-                sub_index = cox.build_risk_index(
-                    train_ds.times[rows], train_ds.events[rows]
-                )
-                h, cache = model_forward(
-                    train_ds.features[rows], params, mode="train",
-                    stream=stream, epoch=epoch,
-                )
-                nll = cox.neg_log_partial_likelihood(h, sub_index)
-                penalty, penalty_grad = cox.l2_penalty(flat, loss_lambda, mask)
-                batch_loss = nll + penalty
-                if not np.isfinite(batch_loss):
-                    raise DivergenceError(epoch, f"batch {b_idx} loss")
-                loss_accum += batch_loss * rows.size
-                grads = model_backward(cox.nll_gradient(h, sub_index), params, cache)
-                grads += penalty_grad
-                flat = step_fn(flat, grads, state, hp)
-                set_flat(params, flat)
-            train_loss = loss_accum / train_ds.n
+            step_fn(params.flat, grads, state, hp)
         decay_learning_rate(state, hp, epoch)
 
         h_val, _ = model_forward(val_ds.features, params, mode="eval")
@@ -544,7 +512,11 @@ def cross_validate(
     model trains with a fold-specific sub-seed, and the C-index is measured
     on the untouched held-out fold.
 
-    A training abort on any fold propagates with the fold index attached.
+    Before any fold trains, every held-out fold and both sides of every
+    early-stop split are checked for at least one comparable pair (an event
+    followed by a strictly later time); a split without one raises
+    `UnusableDatasetError` naming the fold and the split. A training abort
+    on any fold propagates with the fold index attached.
     """
     canon = ds.sorted_by_id()
     if folds is None:
@@ -552,22 +524,27 @@ def cross_validate(
     elif folds.fold_of_sample.size != canon.n:
         raise ValueError("fold assignment does not match dataset size")
 
-    fold_records: list[FoldRecord] = []
+    splits = []
     for f in range(folds.k):
-        train_idx = folds.train_indices(f)
-        test_idx = folds.test_indices(f)
-        complement = canon.subset(train_idx)
-        test_fold = canon.subset(test_idx)
-
-        complement, retained = filter_features(complement)
-        test_fold = test_fold.select_features(retained)
-        std = standardize_fit(complement)
-        complement = standardize_apply(complement, std)
-        test_fold = standardize_apply(test_fold, std)
-
+        train_idx, test_idx = folds.train_indices(f), folds.test_indices(f)
         inner_train_idx, inner_val_idx = stratified_holdout(
-            complement, HOLDOUT_FRACTION, seed=stable_seed(seed, 11, f)
+            canon.subset(train_idx), HOLDOUT_FRACTION, seed=stable_seed(seed, 11, f)
         )
+        for split, rows in (("held-out", test_idx),
+                            ("early-stop training", train_idx[inner_train_idx]),
+                            ("early-stop validation", train_idx[inner_val_idx])):
+            times, events = canon.times[rows], canon.events[rows]
+            if not (events.any() and times[events].min() < times.max()):
+                raise UnusableDatasetError(
+                    f"fold {f}: the {split} split has no comparable pair "
+                    "(an event followed by a strictly later time)"
+                )
+        splits.append((train_idx, test_idx, inner_train_idx, inner_val_idx))
+
+    fold_records: list[FoldRecord] = []
+    for f, (train_idx, test_idx, inner_train_idx, inner_val_idx) in enumerate(splits):
+        complement, test_fold, _ = prepare_fold(canon.subset(train_idx),
+                                                canon.subset(test_idx))
         inner_train = complement.subset(inner_train_idx)
         inner_val = complement.subset(inner_val_idx)
 

@@ -8,7 +8,15 @@ from ressurv.cox import (
     neg_log_partial_likelihood,
     nll_gradient,
 )
-from ressurv.data import SyntheticSpec, generate_synthetic, standardize_apply, standardize_fit
+from ressurv.data import (
+    SyntheticSpec,
+    filter_patients,
+    generate_synthetic,
+    kfold_split,
+    prepare_fold,
+    standardize_apply,
+    standardize_fit,
+)
 from ressurv.errors import UnusableDatasetError
 
 from conftest import make_dataset, random_survival_arrays
@@ -206,3 +214,25 @@ def test_newton_handles_collinear_features():
                          ["a", "b", "a_copy"], times, events)
     fit = fit_linear_cox_newton(ds, max_iter=50)
     assert np.isfinite(fit.beta).all()
+
+
+def test_newton_converges_when_roundoff_blocks_the_line_search():
+    # Fold 3 of this 1000 x 120 synth: from iteration 6 a full Newton step
+    # brings max|grad| from ~1e-8 to ~1e-15 but raises the NLL by a few ulp,
+    # so no step-halving gives a strict decrease.
+    seed = 2043283354
+    coefficients = (1.0, -0.8, 0.6, -0.5, 0.4) + (0.0,) * 115
+    ds, _ = generate_synthetic(SyntheticSpec(
+        n=1000, p=120, true_coefficients=coefficients,
+        target_censor_rate=0.3, seed=seed,
+    ))
+    canon = filter_patients(ds)[0].sorted_by_id()
+    folds = kfold_split(canon, 5, seed)
+    train, _, _ = prepare_fold(canon.subset(folds.train_indices(3)),
+                               canon.subset(folds.test_indices(3)))
+    fit = fit_linear_cox_newton(train)
+    assert fit.converged
+    assert fit.iterations == 6
+    idx = build_risk_index(train.times, train.events)
+    grad_beta = train.features.T @ nll_gradient(train.features @ fit.beta, idx)
+    assert np.abs(grad_beta).max() == fit.final_gradient_norm <= 1e-8

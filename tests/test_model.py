@@ -1,5 +1,10 @@
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ressurv.data import StandardizationParams
 from ressurv.model import (
@@ -421,6 +426,91 @@ def test_no_shortcut_changes_layout():
     names = [name for name, _, _ in flat_layout(bare)]
     assert "block0.shortcut.W" not in names
     assert n_params(bare) == n_params(full) - 4 * 3
+
+
+@st.composite
+def _networks(draw):
+    """A random architecture with batch-norm running statistics that have
+    seen one train-mode batch."""
+    n_features = draw(st.integers(1, 5))
+    params = init_params(
+        n_features,
+        draw(st.lists(st.integers(1, 5), min_size=1, max_size=3)),
+        draw(st.integers(1, 3)),
+        "tanh",
+        0.0,
+        seed=draw(st.integers(0, 2**32 - 1)),
+        with_shortcut=draw(st.booleans()),
+    )
+    X = np.random.default_rng(draw(st.integers(0, 100))).normal(size=(4, n_features))
+    model_forward(X, params, mode="train")
+    return params
+
+
+def _named_tensors(params):
+    """(name, slice, shape, tensor) with the tensors walked in the documented
+    order, independently of the model's own traversal."""
+    def walk():
+        for block in params.blocks:
+            for dense, bn in zip(block.dense_layers, block.batch_norms):
+                yield from (dense.W, dense.b, bn.gamma, bn.beta_shift)
+            if block.shortcut is not None:
+                yield block.shortcut.W
+        yield from (params.output_head.W, params.output_head.b)
+
+    tensors = list(walk())
+    layout = flat_layout(params)
+    assert len(tensors) == len(layout)
+    for (name, where, shape), tensor in zip(layout, tensors):
+        yield name, where, shape, tensor
+
+
+@settings(max_examples=40, deadline=None)
+@given(_networks())
+def test_parameter_buffer_properties(params):
+    layout = flat_layout(params)
+    mask = decay_mask(params)
+    # layout, decay mask and size agree and tile the buffer in order
+    assert layout[0][1].start == 0 and layout[-1][1].stop == n_params(params)
+    assert all(a[1].stop == b[1].start for a, b in zip(layout, layout[1:]))
+    assert mask.size == n_params(params) == params.flat.size == to_flat(params).size
+    for name, where, shape, tensor in _named_tensors(params):
+        assert tensor.shape == shape and where.stop - where.start == tensor.size
+        assert np.all(mask[where] == name.endswith(".W")), name
+        # every tensor aliases its slice of the buffer
+        assert np.shares_memory(tensor, params.flat[where])
+
+    # set_flat shows through the tensors, and a tensor write through flat
+    theta = np.arange(params.flat.size, dtype=np.float64)
+    set_flat(params, theta)
+    for _, where, shape, tensor in _named_tensors(params):
+        assert np.array_equal(tensor, theta[where].reshape(shape))
+    params.output_head.b[...] = -1.0
+    assert params.flat[-1] == -1.0 and to_flat(params)[-1] == -1.0
+
+    # a copy is independent of the original, and its tensors alias its own buffer
+    snap = params.copy()
+    before = to_flat(snap)
+    bn, snap_bn = params.blocks[0].batch_norms[0], snap.blocks[0].batch_norms[0]
+    stats = (snap_bn.running_mean.copy(), snap_bn.running_var.copy(), snap_bn.n_updates)
+    params.flat += 1.0
+    bn.running_mean += 1.0
+    bn.running_var += 1.0
+    bn.n_updates += 1
+    assert np.array_equal(snap.flat, before)
+    assert np.array_equal(snap_bn.running_mean, stats[0])
+    assert np.array_equal(snap_bn.running_var, stats[1])
+    assert snap_bn.n_updates == stats[2]
+    for _, where, _, tensor in _named_tensors(snap):
+        assert np.shares_memory(tensor, snap.flat[where])
+
+    # checkpoint -> load -> checkpoint reproduces the bytes
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = os.path.join(tmp, "a.ckpt"), os.path.join(tmp, "b.ckpt")
+        save_checkpoint(first, params)
+        save_checkpoint(second, load_checkpoint(first)[0])
+        with open(first, "rb") as fa, open(second, "rb") as fb:
+            assert fa.read() == fb.read()
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import make_dataset
+from ressurv import training
 from ressurv.cox import build_risk_index, neg_log_partial_likelihood
 from ressurv.data import (
     SurvivalDataset,
@@ -301,6 +302,24 @@ def test_train_minibatch_smoke():
     assert np.isfinite(report.best_val_loss)
 
 
+def test_one_batch_equals_full_batch():
+    # with this split, (loss * n) / n != loss in float64 on epochs 3 and 4
+    ds = make_dataset(n=200, p=4, seed=1)
+    tr, va = _split(ds, frac=0.5)
+    hp = TINY.replaced(n_blocks=2, dropout_rate=0.3, max_epochs=20, patience=20)
+    full = train(tr, va, hp)
+    one = train(tr, va, hp, batch_size=tr.n)
+    assert [r.to_dict() for r in one.epochs] == [r.to_dict() for r in full.epochs]
+    assert one.summary() == full.summary()
+    assert one.best_val_c_index == full.best_val_c_index
+    assert np.array_equal(to_flat(one.params), to_flat(full.params))
+    for b1, b2 in zip(one.params.blocks, full.params.blocks):
+        for n1, n2 in zip(b1.batch_norms, b2.batch_norms):
+            assert n1.n_updates == n2.n_updates
+            assert np.array_equal(n1.running_mean, n2.running_mean)
+            assert np.array_equal(n1.running_var, n2.running_var)
+
+
 def test_train_minibatch_validation():
     ds = make_dataset(n=260, p=3, seed=9)
     tr, va = _split(ds, frac=0.2)
@@ -364,6 +383,32 @@ def test_cv_divergence_names_the_fold():
     with np.errstate(all="ignore"):
         with pytest.raises(DivergenceError, match="fold 0"):
             cross_validate(ds, DIVERGENT, k=3, seed=0)
+
+
+def _four_event_dataset():
+    # events at rows 0, 5, 10, 15 only: with k=5 the held-out fold 4 gets none
+    ds = make_dataset(n=40, p=3, seed=0)
+    events = np.zeros(ds.n, dtype=bool)
+    events[[0, 5, 10, 15]] = True
+    return SurvivalDataset(ds.sample_ids, ds.features, ds.feature_names, ds.times, events)
+
+
+def test_cv_degenerate_fold_fails_before_training(monkeypatch):
+    calls = []
+    monkeypatch.setattr(training, "train", lambda *a, **kw: calls.append(1))
+    with pytest.raises(UnusableDatasetError, match="fold 4: the held-out split"):
+        cross_validate(_four_event_dataset(), TINY, k=5, seed=0)
+    assert calls == []
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_grid_search_degenerate_fold_fails_before_training(monkeypatch, workers):
+    calls = []
+    monkeypatch.setattr(training, "train", lambda *a, **kw: calls.append(1))
+    with pytest.raises(UnusableDatasetError, match="fold 4: the held-out split"):
+        grid_search(_four_event_dataset(), {"learning_rate": [1e-2, 1e-3]}, k=5,
+                    seed=0, base_hp=TINY, workers=workers)
+    assert calls == []
 
 
 def test_cv_rejects_mismatched_folds():
