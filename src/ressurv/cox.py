@@ -92,33 +92,43 @@ def neg_log_partial_likelihood(h, idx: RiskSetIndex) -> float:
     return float((log_denom[ev] - hs[ev]).sum() / idx.n_events)
 
 
+def _event_weights(hs: np.ndarray, idx: RiskSetIndex) -> tuple[np.ndarray, np.ndarray]:
+    """Per-position event counts and log risk-set weights, in sorted order.
+
+    Returns (ev_count, log_a): ev_count[q] is the number of events whose tie
+    group ends at sorted position q (zero elsewhere), and
+
+        log A_q = log sum over events k with tie_end >= q of 1/D_k
+
+    with D_k event k's risk-set denominator. A_q is a reverse cumulative
+    log-sum-exp of the weights count/D placed at the tie-group ends (events
+    within a tie group share one denominator), so it stays finite for any
+    finite scores.
+    """
+    log_denom = np.logaddexp.accumulate(hs)[idx.tie_end]
+    ev_count = np.zeros(idx.n)
+    np.add.at(ev_count, idx.tie_end[idx.event_positions], 1.0)
+    with np.errstate(divide="ignore"):
+        log_w = np.where(ev_count > 0, np.log(ev_count) - log_denom, -np.inf)
+    log_a = np.logaddexp.accumulate(log_w[::-1])[::-1]
+    return ev_count, log_a
+
+
 def nll_gradient(h, idx: RiskSetIndex) -> np.ndarray:
     """Exact gradient of `neg_log_partial_likelihood` with respect to h.
 
         dL/dh_i = -(1/N_E) [ 1{E_i=1} - sum_{k: E_k=1, i in risk(k)} e^{h_i} / D_k ]
 
     where D_k is event k's risk-set denominator. Computed in O(n) after the
-    sort: the inner sum is a reverse cumulative log-sum-exp of the event
-    weights 1/D_k placed at their tie-group ends, so it stays finite for any
-    finite h. Gradient entries sum to zero (shift invariance).
+    sort: the inner sum is e^{h_i} A_i from `_event_weights`, so it stays
+    finite for any finite h. Gradient entries sum to zero (shift invariance).
     """
     h = _check_scores(h, idx)
-    n = idx.n
     hs = h[idx.order]
-    log_denom = np.logaddexp.accumulate(hs)[idx.tie_end]
-
-    # events within a tie group share a denominator: at each tie-group end,
-    # one weight log(count) - log(D)
-    ev_count = np.zeros(n)
-    np.add.at(ev_count, idx.tie_end[idx.event_positions], 1.0)
-    with np.errstate(divide="ignore"):
-        log_w = np.where(ev_count > 0, np.log(ev_count) - log_denom, -np.inf)
-
-    # log A_q = log sum over events k with tie_end >= q of 1/D_k
-    log_a = np.logaddexp.accumulate(log_w[::-1])[::-1]
+    _, log_a = _event_weights(hs, idx)
     grad_sorted = -(idx.sorted_events.astype(np.float64) - np.exp(hs + log_a)) / idx.n_events
 
-    grad = np.empty(n)
+    grad = np.empty(idx.n)
     grad[idx.order] = grad_sorted
     return grad
 
@@ -163,28 +173,35 @@ def _nll_beta(X: np.ndarray, beta: np.ndarray, idx: RiskSetIndex) -> float:
 
 
 def _grad_hessian(X: np.ndarray, beta: np.ndarray, idx: RiskSetIndex):
-    """Gradient and Hessian of the NLL in beta, via prefix sums over the
-    descending-time order. Uses a global max shift; fine for the moderate
-    linear predictors the oracle sees (standardized features, bounded beta).
+    """Gradient and Hessian of the NLL in beta: O(n p^2) time, O(n p + p^2) memory.
+
+    With the rows of X in descending-time order, r_j = e^{h_j}, and for each
+    tie-group end e holding c_e events, S0_e = sum_{j<=e} r_j and
+    mu_e = sum_{j<=e} r_j x_j / S0_e, the Breslow information matrix is
+
+        H = [ X^T diag(r A) X - sum_e c_e mu_e mu_e^T ] / N_E
+
+    where r_j A_j = e^{h_j + log A_j} comes from `_event_weights`. That is
+    two matrix products and no (n, p, p) tensor. The mu_e prefix sums use a
+    global max shift; once the linear predictor spans more than float64's
+    exponent range (separable data), a risk set's shifted sum underflows to
+    zero and the Hessian comes out NaN, which `fit_linear_cox_newton` treats
+    as the end of the fit.
     """
-    n, p = X.shape
     h = X @ beta
     grad = X.T @ nll_gradient(h, idx)
 
     Xs = X[idx.order]
     hs = h[idx.order]
-    shift = hs.max()
-    r = np.exp(hs - shift)
-    s0 = np.cumsum(r)
-    s1 = np.cumsum(r[:, None] * Xs, axis=0)
-    s2 = np.cumsum(r[:, None, None] * (Xs[:, :, None] * Xs[:, None, :]), axis=0)
-
-    ends, counts = np.unique(idx.tie_end[idx.event_positions], return_counts=True)
-    hess = np.zeros((p, p))
-    for e, c in zip(ends, counts):
-        mu = s1[e] / s0[e]
-        hess += c * (s2[e] / s0[e] - np.outer(mu, mu))
-    hess /= idx.n_events
+    ev_count, log_a = _event_weights(hs, idx)
+    r = np.exp(hs - hs.max())
+    ends = np.flatnonzero(ev_count)
+    s0 = np.cumsum(r)[ends]
+    s1 = np.cumsum(r[:, None] * Xs, axis=0)[ends]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mu = s1 / s0[:, None]
+    weighted = Xs * np.exp(hs + log_a)[:, None]
+    hess = (weighted.T @ Xs - mu.T @ (ev_count[ends, None] * mu)) / idx.n_events
     return grad, hess
 
 
@@ -197,9 +214,12 @@ def fit_linear_cox_newton(
     enforces a strict NLL decrease; when no halving decreases it, the fit
     stops, at the full Newton step if the gradient there meets tol and
     unconverged otherwise. A singular Hessian falls back to a diagonally
-    damped gradient step.
+    damped gradient step. When neither step is finite (separable data, whose
+    likelihood keeps rising as beta grows without bound), the fit stops at
+    the current beta with converged=False.
     Non-convergence within max_iter returns converged=False rather than
-    raising. Expects standardized features; intended for p << n oracle use.
+    raising. Each iteration costs O(n p^2) time and O(n p + p^2) memory.
+    Expects standardized features.
     """
     ds.require_trainable()
     X = ds.features
@@ -220,6 +240,9 @@ def fit_linear_cox_newton(
         except np.linalg.LinAlgError:
             damping = np.abs(np.diag(hess)).max() * 1e-8 + 1e-12
             direction = -grad / (np.diag(hess) + damping)
+            if not np.isfinite(direction).all():
+                # separable data: the likelihood has no finite optimum
+                return LinearCoxFit(beta, it, grad_norm, False)
 
         step = 1.0
         for _ in range(30):
