@@ -1,46 +1,22 @@
-"""Hot concordance-counting kernels.
+"""Concordance pair counting.
 
-Two independent routes count the same pair statistics:
+Two independent routes count the same pair statistics, with one signature
+`(times, events, ranks) -> (concordant, discordant, tied)`:
 
   * pair_counts  - the normative O(n^2) scan over all comparable pairs
-  * sweep_counts - an O(n log n) descending-time sweep over a Fenwick tree
-                   of score ranks
+  * sweep_counts - an O(n log^2 n) merge-sort-tree prefix count
 
 Both take score *ranks* (dense integers from np.unique) so equality is exact,
-and both return integer counts, so the numba and fallback builds of either
-route are bit-identical.
-
-Numba compilation is skipped when the environment variable RESSURV_NO_NUMBA
-is set to 1/true/yes (or when numba is not importable); the pure
-numpy/Python fallbacks are selected instead. `backend()` reports which path
-is live; benchmarks/bench_concordance.py compares the two.
+and both return integer counts, so the two routes agree bit for bit.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_flag = os.environ.get("RESSURV_NO_NUMBA", "").strip().lower()
-NUMBA_DISABLED = _flag in {"1", "true", "yes"}
 
-HAS_NUMBA = False
-if not NUMBA_DISABLED:
-    try:
-        from numba import njit
-
-        HAS_NUMBA = True
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        pass
-
-
-# ---------------------------------------------------------------------------
-# O(n^2) pairwise scan (normative definition)
-# ---------------------------------------------------------------------------
-
-def _pair_counts_py(times, events, ranks):
-    """Chunked-broadcast numpy version of the pairwise scan."""
+def pair_counts(times, events, ranks):
+    """Chunked-broadcast scan: every event against every strictly later time."""
     n = times.shape[0]
     conc = disc = tied = 0
     ev_idx = np.flatnonzero(events)
@@ -58,93 +34,34 @@ def _pair_counts_py(times, events, ranks):
     return conc, disc, tied
 
 
-def _pair_counts_loop(times, events, ranks):
-    n = times.shape[0]
-    conc = np.int64(0)
-    disc = np.int64(0)
-    tied = np.int64(0)
-    for i in range(n):
-        if not events[i]:
-            continue
-        ti = times[i]
-        ri = ranks[i]
-        for j in range(n):
-            if times[j] > ti:
-                rj = ranks[j]
-                if ri > rj:
-                    conc += 1
-                elif ri < rj:
-                    disc += 1
-                else:
-                    tied += 1
-    return int(conc), int(disc), int(tied)
-
-
-# ---------------------------------------------------------------------------
-# O(n log n) sweep: descending time, Fenwick tree over score ranks
-# ---------------------------------------------------------------------------
-
-def _sweep_counts_loop(times_desc, events_desc, ranks_desc, n_ranks):
-    """Walk tie groups of equal time from the latest time down. Samples
-    already inserted in the tree have strictly later times, so each event in
-    the current group is compared against exactly its comparable pairs."""
-    n = times_desc.shape[0]
-    tree = np.zeros(n_ranks + 1, dtype=np.int64)
-    conc = np.int64(0)
-    disc = np.int64(0)
-    tied = np.int64(0)
-    inserted = np.int64(0)
-
-    start = 0
-    while start < n:
-        end = start
-        while end < n and times_desc[end] == times_desc[start]:
-            end += 1
-        for i in range(start, end):
-            if events_desc[i]:
-                r = ranks_desc[i]
-                # counts among inserted (later-time) samples with rank <= r
-                upto = np.int64(0)
-                k = r + 1
-                while k > 0:
-                    upto += tree[k]
-                    k -= k & (-k)
-                below = np.int64(0)
-                k = r
-                while k > 0:
-                    below += tree[k]
-                    k -= k & (-k)
-                conc += below
-                tied += upto - below
-                disc += inserted - upto
-        for i in range(start, end):
-            k = ranks_desc[i] + 1
-            while k <= n_ranks:
-                tree[k] += 1
-                k += k & (-k)
-            inserted += 1
-        start = end
-    return int(conc), int(disc), int(tied)
-
-
-if HAS_NUMBA:
-    _pair_counts_numba = njit(
-        "UniTuple(int64, 3)(float64[::1], boolean[::1], int64[::1])",
-        cache=True,
-        nogil=True,
-    )(_pair_counts_loop)
-    _sweep_counts_numba = njit(
-        "UniTuple(int64, 3)(float64[::1], boolean[::1], int64[::1], int64)",
-        cache=True,
-        nogil=True,
-    )(_sweep_counts_loop)
-    pair_counts = _pair_counts_numba
-    sweep_counts = _sweep_counts_numba
-else:
-    pair_counts = _pair_counts_py
-    sweep_counts = _sweep_counts_loop
+def sweep_counts(times, events, ranks):
+    """With samples sorted by descending time, an event's comparable partners
+    are exactly the first g positions, g = the number of strictly later
+    times. The prefix [0, g) splits into one aligned block of 2^L positions
+    per set bit L of g; sorting `(position >> L) * R + rank` per level makes
+    every block a sorted run, so two searchsorted calls count the ranks below
+    and equal to the event's inside its block."""
+    order = np.argsort(-times, kind="stable")
+    neg_times = -times[order]
+    ranks = ranks[order]
+    ev = np.flatnonzero(events[order])
+    g = np.searchsorted(neg_times, neg_times[ev], side="left")
+    r = ranks[ev]
+    n_ranks = int(ranks.max(initial=0)) + 1
+    pos = np.arange(times.shape[0])
+    conc = tied = 0
+    for level in range(int(g.max(initial=0)).bit_length()):
+        keys = np.sort((pos >> level) * n_ranks + ranks)
+        hit = ((g >> level) & 1).astype(bool)
+        block = (g[hit] >> level) - 1
+        key = block * n_ranks + r[hit]
+        lo = np.searchsorted(keys, key, side="left")
+        hi = np.searchsorted(keys, key, side="right")
+        conc += int((lo - (block << level)).sum())
+        tied += int((hi - lo).sum())
+    return conc, int(g.sum()) - conc - tied, tied
 
 
 def backend() -> str:
-    """Which kernel build is live: 'numba' or 'numpy'."""
-    return "numba" if HAS_NUMBA else "numpy"
+    # Kept only because perfbench/run.py records it in its environment line.
+    return "numpy"

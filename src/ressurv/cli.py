@@ -19,7 +19,6 @@ import time
 
 import numpy as np
 
-from . import _kernels
 from .cox import fit_linear_cox_newton
 from .data import (
     CsvSchema,
@@ -128,7 +127,6 @@ def write_meta(path: str, wall_time_s: float, argv: list[str]) -> None:
         "created_unix": time.time(),
         "wall_time_s": wall_time_s,
         "argv": argv,
-        "concordance_backend": _kernels.backend(),
     }
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(json.dumps(meta, sort_keys=True, indent=2) + "\n")

@@ -9,7 +9,7 @@ Conventions (these decide the sign of everything downstream):
     the scores tie, and is discordant otherwise.
 
 `concordance_index` is the normative O(n^2) pairwise definition;
-`concordance_fast` is an O(n log n) sweep that produces bit-identical
+`concordance_fast` is an O(n log^2 n) sweep that produces bit-identical
 counts. Keep both: the slow one is the oracle the fast one is tested
 against.
 """
@@ -34,16 +34,17 @@ class ConcordanceResult:
 
 
 def _prepare(times, events, scores):
-    times = np.ascontiguousarray(np.asarray(times, dtype=np.float64).ravel())
-    events = np.ascontiguousarray(np.asarray(events).astype(bool).ravel())
+    times = np.asarray(times, dtype=np.float64).ravel()
+    events = np.asarray(events).astype(bool).ravel()
     scores = np.asarray(scores, dtype=np.float64).ravel()
     if not (times.shape == events.shape == scores.shape):
         raise ValueError("times, events, and scores must have equal length")
+    if not np.isfinite(times).all():
+        raise ValueError("times must be finite")
     if not np.isfinite(scores).all():
         raise ValueError("scores must be finite")
     # dense integer ranks make score equality exact inside the kernels
-    _, ranks = np.unique(scores, return_inverse=True)
-    return times, events, np.ascontiguousarray(ranks.astype(np.int64))
+    return times, events, np.unique(scores, return_inverse=True)[1]
 
 
 def _result(conc: int, disc: int, tied: int) -> ConcordanceResult:
@@ -63,20 +64,10 @@ def _result(conc: int, disc: int, tied: int) -> ConcordanceResult:
 
 def concordance_index(times, events, scores) -> ConcordanceResult:
     """Reference O(n^2) concordance index; the normative definition."""
-    times, events, ranks = _prepare(times, events, scores)
-    conc, disc, tied = _kernels.pair_counts(times, events, ranks)
-    return _result(conc, disc, tied)
+    return _result(*_kernels.pair_counts(*_prepare(times, events, scores)))
 
 
 def concordance_fast(times, events, scores) -> ConcordanceResult:
-    """O(n log n) concordance index; counts bit-identical to
+    """O(n log^2 n) concordance index; counts bit-identical to
     `concordance_index` on every input."""
-    times, events, ranks = _prepare(times, events, scores)
-    order = np.argsort(-times, kind="stable")
-    conc, disc, tied = _kernels.sweep_counts(
-        np.ascontiguousarray(times[order]),
-        np.ascontiguousarray(events[order]),
-        np.ascontiguousarray(ranks[order]),
-        int(ranks.max()) + 1,
-    )
-    return _result(conc, disc, tied)
+    return _result(*_kernels.sweep_counts(*_prepare(times, events, scores)))

@@ -65,14 +65,6 @@ def verdict(capsys, name: str, budget_s: float):
     assert elapsed < budget_s, f"{name} took {elapsed:.1f}s, budget {budget_s}s"
 
 
-@pytest.fixture(scope="module", autouse=True)
-def warm_kernels():
-    # first concordance call may JIT-compile; keep that out of timed sections
-    t, e, s = random_survival_arrays(50, 0)
-    concordance_fast(t, e, s)
-    concordance_index(t, e, s)
-
-
 def test_cox_loss_hand_value_and_shift_invariance(capsys):
     with verdict(capsys, "cox loss: hand value and shift invariance", 1.0):
         # three samples, all events, all scores zero: risk sets shrink

@@ -1,13 +1,5 @@
-"""Backend selection for the concordance counting kernels.
-
-The module-level `pair_counts` / `sweep_counts` bind to compiled kernels when
-available and to the pure-numpy/Python fallbacks when RESSURV_NO_NUMBA is set.
-Both paths must produce identical integer counts.
-"""
-
-import os
-import subprocess
-import sys
+"""The two concordance counting routes, `pair_counts` and `sweep_counts`,
+must produce identical integer counts."""
 
 import numpy as np
 
@@ -17,78 +9,15 @@ from ressurv.metrics import concordance_fast, concordance_index
 from conftest import random_survival_arrays
 
 
-def _rank_dense(scores):
-    return np.unique(scores, return_inverse=True)[1].astype(np.int64)
-
-
 def test_backend_reports_a_known_name():
-    assert _kernels.backend() in ("numba", "numpy")
-
-
-def test_fallback_pair_counts_match_python_loop():
-    times, events, scores = random_survival_arrays(250, 1, tie_frac=0.3)
-    ranks = _rank_dense(scores)
-    a = _kernels._pair_counts_py(times, events, ranks)
-    b = _kernels._pair_counts_loop(times, events, ranks)
-    assert a == b
+    assert _kernels.backend() == "numpy"
 
 
 def test_fallback_sweep_matches_pairwise():
     times, events, scores = random_survival_arrays(250, 2, tie_frac=0.3)
-    ranks = _rank_dense(scores)
-    order = np.argsort(-times, kind="stable")
-    swept = _kernels._sweep_counts_loop(
-        np.ascontiguousarray(times[order]),
-        np.ascontiguousarray(events[order]),
-        np.ascontiguousarray(ranks[order]),
-        int(ranks.max()) + 1,
-    )
-    paired = _kernels._pair_counts_py(times, events, ranks)
-    assert swept == paired
-
-
-def test_active_backend_agrees_with_fallback():
-    for seed in range(6):
-        times, events, scores = random_survival_arrays(300, seed, tie_frac=0.2)
-        ranks = _rank_dense(scores)
-        assert _kernels.pair_counts(times, events, ranks) == \
-            _kernels._pair_counts_py(times, events, ranks)
-        order = np.argsort(-times, kind="stable")
-        args = (
-            np.ascontiguousarray(times[order]),
-            np.ascontiguousarray(events[order]),
-            np.ascontiguousarray(ranks[order]),
-            int(ranks.max()) + 1,
-        )
-        assert _kernels.sweep_counts(*args) == _kernels._sweep_counts_loop(*args)
-
-
-def test_env_flag_selects_numpy_backend():
-    env = dict(os.environ, RESSURV_NO_NUMBA="1")
-    code = (
-        "from ressurv import _kernels\n"
-        "import numpy as np\n"
-        "from ressurv.metrics import concordance_fast\n"
-        "print(_kernels.backend())\n"
-        "rng = np.random.default_rng(0)\n"
-        "t = rng.exponential(5.0, size=500) + 0.01\n"
-        "e = rng.random(500) < 0.7\n"
-        "s = np.round(rng.normal(size=500), 1)\n"
-        "r = concordance_fast(t, e, s)\n"
-        "print(r.concordant, r.discordant, r.tied_score)\n"
-    )
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, check=True)
-    lines = out.stdout.strip().splitlines()
-    assert lines[0] == "numpy"
-
-    # same counts from the in-process (possibly compiled) backend
-    rng = np.random.default_rng(0)
-    t = rng.exponential(5.0, size=500) + 0.01
-    e = rng.random(500) < 0.7
-    s = np.round(rng.normal(size=500), 1)
-    r = concordance_fast(t, e, s)
-    assert lines[1] == f"{r.concordant} {r.discordant} {r.tied_score}"
+    ranks = np.unique(scores, return_inverse=True)[1]
+    assert _kernels.sweep_counts(times, events, ranks) == \
+        _kernels.pair_counts(times, events, ranks)
 
 
 def test_metric_results_backend_independent():

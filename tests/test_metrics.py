@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ressurv.errors import UndefinedMetricError
 from ressurv.metrics import concordance_fast, concordance_index
@@ -112,6 +114,16 @@ def test_non_finite_scores_rejected():
                           np.array([np.nan, 1.0]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_times_rejected(bad):
+    times = np.array([1.0, 2.0, bad, 3.0, 4.0])
+    events = np.ones(5, dtype=bool)
+    scores = np.array([0.4, 0.1, 0.3, 0.5, 0.2])
+    for fn in (concordance_index, concordance_fast):
+        with pytest.raises(ValueError, match="times must be finite"):
+            fn(times, events, scores)
+
+
 # ---------------------------------------------------------------------------
 # fast == pairwise definition, exactly
 # ---------------------------------------------------------------------------
@@ -155,3 +167,37 @@ def test_fast_equals_pairwise_heavy_ties():
     b = concordance_fast(times, events, scores)
     assert (a.concordant, a.discordant, a.tied_score, a.comparable_pairs) == \
            (b.concordant, b.discordant, b.tied_score, b.comparable_pairs)
+
+
+def _counts_or_undefined(fn, times, events, scores):
+    try:
+        r = fn(times, events, scores)
+    except UndefinedMetricError:
+        return None
+    return r.concordant, r.discordant, r.tied_score
+
+
+@st.composite
+def survival_cases(draw):
+    # n crosses the sweep's block edges 2^k - 1, 2^k, 2^k + 1; rounding to
+    # few decimals makes ties in times and in scores common
+    n = draw(st.integers(1, 70))
+    decimals = draw(st.integers(0, 2))
+    values = st.floats(0.0, 5.0).map(lambda x: round(x, decimals))
+    times = np.array(draw(st.lists(values, min_size=n, max_size=n)))
+    scores = np.array(draw(st.lists(values, min_size=n, max_size=n))) - 2.5
+    censoring = draw(st.sampled_from(["random", "all", "one_event"]))
+    if censoring == "random":
+        events = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    else:
+        events = np.zeros(n, dtype=bool)
+        if censoring == "one_event":
+            events[draw(st.integers(0, n - 1))] = True
+    return times, events, scores
+
+
+@settings(max_examples=300, deadline=None)
+@given(survival_cases())
+def test_fast_equals_pairwise_property(case):
+    assert _counts_or_undefined(concordance_fast, *case) == \
+        _counts_or_undefined(concordance_index, *case)
