@@ -12,6 +12,7 @@ divergence during training.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -36,8 +37,9 @@ from .data import (
 from .data import filter_features, standardize_apply, standardize_fit  # noqa: F401
 from .errors import DivergenceError, RessurvError
 from .metrics import concordance_fast
-from .model import model_forward, save_checkpoint
+from .model import save_checkpoint
 from .training import (
+    HOLDOUT_FRACTION,
     Hyperparameters,
     cross_validate,
     grid_search,
@@ -56,30 +58,27 @@ EXIT_DIVERGED = 3
 
 
 # ---------------------------------------------------------------------------
-# Option resolution: explicit flag > RESSURV_<NAME> env var > default
+# Options: explicit flag > RESSURV_<NAME> env var > default
 # ---------------------------------------------------------------------------
 
-def _resolve(args, name: str, default, cast):
-    value = getattr(args, name, None)
-    if value is None:
-        raw = os.environ.get(ENV_PREFIX + name.upper())
-        if raw is None:
-            return default
-        value = raw
-    try:
-        return cast(value)
-    except (TypeError, ValueError) as err:
-        raise ValueError(f"bad value for --{name.replace('_', '-')}: {value!r}") from err
+def _flag(parser, name: str, help_text: str, type=None, default=None,
+          required: bool = False) -> None:
+    """Declare --name. RESSURV_<NAME> becomes the argparse default, which
+    argparse passes through `type` only when the flag is absent, so an
+    explicit flag wins and an env value is checked like a flag."""
+    env = ENV_PREFIX + name.upper()
+    default = os.environ.get(env, default)
+    parser.add_argument(f"--{name}", type=type, default=default,
+                        required=required and default is None,
+                        help=f"{help_text} [env {env}]")
 
 
-def _opt_int(v):
-    return None if v is None else int(v)
-
-
-def _fmt(v):
-    v = str(v).lower()
+def _fmt(v: str) -> str:
+    # checked here, not with choices=: argparse never checks a default
+    # against choices, and the default may come from RESSURV_FORMAT
+    v = v.lower()
     if v not in ("jsonl", "tsv"):
-        raise ValueError(f"format must be jsonl or tsv, not {v!r}")
+        raise argparse.ArgumentTypeError(f"format must be jsonl or tsv, not {v!r}")
     return v
 
 
@@ -132,13 +131,12 @@ def write_meta(path: str, wall_time_s: float, argv: list[str]) -> None:
         fh.write(json.dumps(meta, sort_keys=True, indent=2) + "\n")
 
 
-def write_reports(out: str, fmt: str, t0: float, name: str, records: list[dict],
-                  summary: dict) -> None:
-    """A command's report files: `name`.<fmt> records, summary.json, and
-    meta.json timed from `t0`."""
-    write_records(os.path.join(out, f"{name}.{fmt}"), records, fmt)
-    write_summary(os.path.join(out, "summary.json"), summary)
-    write_meta(os.path.join(out, "meta.json"), time.perf_counter() - t0, sys.argv[1:])
+def write_reports(args, t0: float, name: str, records: list[dict], summary: dict) -> None:
+    """A command's report files in args.out: `name`.<format> records,
+    summary.json, and meta.json timed from `t0` with the argv main parsed."""
+    write_records(os.path.join(args.out, f"{name}.{args.format}"), records, args.format)
+    write_summary(os.path.join(args.out, "summary.json"), summary)
+    write_meta(os.path.join(args.out, "meta.json"), time.perf_counter() - t0, args.argv)
 
 
 # ---------------------------------------------------------------------------
@@ -183,10 +181,7 @@ def load_grid_file(path: str) -> tuple[dict, Hyperparameters]:
 
 def load_synth_spec(path: str) -> SyntheticSpec:
     raw = _read_json_file(path, "synthetic-spec")
-    known = {
-        "n", "p", "hazard_kind", "true_coefficients", "weibull_shape",
-        "baseline_scale", "target_censor_rate", "seed",
-    }
+    known = {f.name for f in dataclasses.fields(SyntheticSpec)}
     unknown = set(raw) - known
     if unknown:
         raise ValueError(f"unknown synthetic-spec keys: {sorted(unknown)}")
@@ -199,19 +194,10 @@ def load_synth_spec(path: str) -> SyntheticSpec:
 
 
 def _load_dataset(path: str) -> SurvivalDataset:
-    if path is None:
-        raise ValueError("--data is required (or set RESSURV_DATA)")
     ds = load_csv(path, CsvSchema())
     ds, _removed = filter_patients(ds)
     ds.require_trainable()
     return ds
-
-
-def _ensure_out_dir(out: str | None) -> str:
-    if out is None:
-        raise ValueError("--out is required (or set RESSURV_OUT)")
-    os.makedirs(out, exist_ok=True)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -220,29 +206,18 @@ def _ensure_out_dir(out: str | None) -> str:
 
 def cmd_synth(args) -> int:
     t0 = time.perf_counter()
-    spec_path = _resolve(args, "spec", None, str)
-    out = _resolve(args, "out", None, str)
-    if spec_path is None:
-        raise ValueError("--spec is required (or set RESSURV_SPEC)")
-    if out is None:
-        raise ValueError("--out is required (or set RESSURV_OUT)")
-    spec = load_synth_spec(spec_path)
+    out = args.out
+    spec = load_synth_spec(args.spec)
     ds, true_scores = generate_synthetic(spec)
     write_csv(ds, out)
     sidecar = {
         "schema": TRUTH_SCHEMA,
         "spec": {
-            "n": spec.n,
-            "p": spec.p,
-            "hazard_kind": spec.hazard_kind,
+            **dataclasses.asdict(spec),
             "true_coefficients": (
                 None if spec.true_coefficients is None
                 else [float(b) for b in spec.true_coefficients]
             ),
-            "weibull_shape": spec.weibull_shape,
-            "baseline_scale": spec.baseline_scale,
-            "target_censor_rate": spec.target_censor_rate,
-            "seed": spec.seed,
         },
         "sample_ids": list(ds.sample_ids),
         "true_scores": [float(s) for s in true_scores],
@@ -259,24 +234,23 @@ def cmd_synth(args) -> int:
 
 def cmd_train(args) -> int:
     t0 = time.perf_counter()
-    out = _ensure_out_dir(_resolve(args, "out", None, str))
-    fmt = _resolve(args, "format", "jsonl", _fmt)
-    seed = _resolve(args, "seed", 0, int)
-    hp = load_hyperparameters(_resolve(args, "hp", None, str))
-    ds = _load_dataset(_resolve(args, "data", None, str))
+    os.makedirs(args.out, exist_ok=True)
+    seed = args.seed
+    hp = load_hyperparameters(args.hp)
+    ds = _load_dataset(args.data)
 
-    # leakage-free: standardization is fit on the 80% training side only
-    train_idx, val_idx = stratified_holdout(ds, 0.2, seed=stable_seed(seed, 1))
+    # leakage-free: standardization is fit on the training side only
+    train_idx, val_idx = stratified_holdout(ds, HOLDOUT_FRACTION, seed=stable_seed(seed, 1))
     train_ds, val_ds, std = prepare_fold(ds.subset(train_idx), ds.subset(val_idx))
 
     report = train(train_ds, val_ds, hp, seed=seed)
 
-    ckpt_path = os.path.join(out, "model.ckpt")
+    ckpt_path = os.path.join(args.out, "model.ckpt")
     save_checkpoint(ckpt_path, report.params, standardization=std,
                     extra={"hp": hp.to_dict(), "seed": seed})
     report.checkpoint_path = "model.ckpt"
 
-    write_reports(out, fmt, t0, "epochs", report.epoch_records(), {
+    write_reports(args, t0, "epochs", report.epoch_records(), {
         "command": "train",
         "seed": seed,
         "hp": hp.to_dict(),
@@ -288,58 +262,43 @@ def cmd_train(args) -> int:
     })
     print(
         f"trained {report.epochs_run} epochs (best {report.best_epoch}, "
-        f"val C-index {report.best_val_c_index:.4f}) -> {out}"
+        f"val C-index {report.best_val_c_index:.4f}) -> {args.out}"
     )
     return EXIT_OK
 
 
 def cmd_cv(args) -> int:
     t0 = time.perf_counter()
-    out = _ensure_out_dir(_resolve(args, "out", None, str))
-    fmt = _resolve(args, "format", "jsonl", _fmt)
-    seed = _resolve(args, "seed", 0, int)
-    k = _resolve(args, "k", 5, int)
-    hp = load_hyperparameters(_resolve(args, "hp", None, str))
-    ds = _load_dataset(_resolve(args, "data", None, str))
+    os.makedirs(args.out, exist_ok=True)
+    hp = load_hyperparameters(args.hp)
+    result = cross_validate(_load_dataset(args.data), hp, k=args.k, seed=args.seed)
 
-    result = cross_validate(ds, hp, k=k, seed=seed)
-
-    write_reports(out, fmt, t0, "folds", result.fold_records(),
+    write_reports(args, t0, "folds", result.fold_records(),
                   {"command": "cv", "hp": hp.to_dict(), **result.summary()})
     print(
         f"cv: mean C-index {result.mean_c_index:.4f} "
-        f"+/- {result.std_c_index:.4f} over {result.k} folds -> {out}"
+        f"+/- {result.std_c_index:.4f} over {result.k} folds -> {args.out}"
     )
     return EXIT_OK
 
 
 def cmd_gridsearch(args) -> int:
     t0 = time.perf_counter()
-    out = _ensure_out_dir(_resolve(args, "out", None, str))
-    fmt = _resolve(args, "format", "jsonl", _fmt)
-    seed = _resolve(args, "seed", 0, int)
-    k = _resolve(args, "k", 5, int)
-    budget = _resolve(args, "budget", None, _opt_int)
-    workers = _resolve(args, "workers", 1, int)
-    grid_path = _resolve(args, "grid", None, str)
-    if grid_path is None:
-        raise ValueError("--grid is required (or set RESSURV_GRID)")
-    grid, base_hp = load_grid_file(grid_path)
-    ds = _load_dataset(_resolve(args, "data", None, str))
+    os.makedirs(args.out, exist_ok=True)
+    grid, base_hp = load_grid_file(args.grid)
+    result = grid_search(_load_dataset(args.data), grid, k=args.k, seed=args.seed,
+                         budget=args.budget, workers=args.workers, base_hp=base_hp)
 
-    result = grid_search(ds, grid, k=k, seed=seed, budget=budget,
-                         workers=workers, base_hp=base_hp)
-
-    write_reports(out, fmt, t0, "points", result.point_records(),
+    write_reports(args, t0, "points", result.point_records(),
                   {"command": "gridsearch", **result.summary()})
     best = result.best_point
     if best is None:
-        print(f"gridsearch: all {result.total_runs} points failed -> {out}")
+        print(f"gridsearch: all {result.total_runs} points failed -> {args.out}")
     else:
         print(
             f"gridsearch: best point #{best.index} "
             f"mean C-index {best.mean_c_index:.4f} "
-            f"({result.total_runs} points) -> {out}"
+            f"({result.total_runs} points) -> {args.out}"
         )
     return EXIT_OK
 
@@ -348,21 +307,17 @@ def cmd_compare(args) -> int:
     """ResSurv vs the no-shortcut ablation vs the linear Cox oracle, all
     evaluated on one shared fold assignment."""
     t0 = time.perf_counter()
-    out = _ensure_out_dir(_resolve(args, "out", None, str))
-    fmt = _resolve(args, "format", "jsonl", _fmt)
-    seed = _resolve(args, "seed", 0, int)
-    k = _resolve(args, "k", 5, int)
-    hp = load_hyperparameters(_resolve(args, "hp", None, str))
-    ds = _load_dataset(_resolve(args, "data", None, str))
-
-    canon = ds.sorted_by_id()
-    folds = kfold_split(canon, k, seed)
+    os.makedirs(args.out, exist_ok=True)
+    seed = args.seed
+    hp = load_hyperparameters(args.hp)
+    canon = _load_dataset(args.data).sorted_by_id()
+    folds = kfold_split(canon, args.k, seed)
 
     records: list[dict] = []
     summaries: dict[str, dict] = {}
 
     for model_name, with_shortcut in (("ressurv", True), ("mlp_ablation", False)):
-        cv = cross_validate(canon, hp, k=k, seed=seed,
+        cv = cross_validate(canon, hp, k=args.k, seed=seed,
                             with_shortcut=with_shortcut, folds=folds)
         for rec in cv.fold_records():
             records.append({"model": model_name, **rec})
@@ -395,7 +350,7 @@ def cmd_compare(args) -> int:
         "std_c_index": float(cox_arr.std()),
     }
 
-    write_reports(out, fmt, t0, "models", records, {
+    write_reports(args, t0, "models", records, {
         "command": "compare",
         "k": folds.k,
         "seed": seed,
@@ -406,7 +361,7 @@ def cmd_compare(args) -> int:
     line = "  ".join(
         f"{name}={summaries[name]['mean_c_index']:.4f}" for name in sorted(summaries)
     )
-    print(f"compare: {line} -> {out}")
+    print(f"compare: {line} -> {args.out}")
     return EXIT_OK
 
 
@@ -425,42 +380,44 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, help_text, *, data=False, hp=False, grid=False, spec=False,
-            k=False, budget=False, workers=False):
-        p = sub.add_parser(name, help=help_text)
+    # flag groups shared by several commands, each flag declared once
+    out = argparse.ArgumentParser(add_help=False)
+    _flag(out, "out", "output path (synth: CSV path; otherwise directory)", required=True)
+    run = argparse.ArgumentParser(add_help=False)
+    _flag(run, "data", "survival CSV (sample_id,time,event,features...)", required=True)
+    _flag(run, "seed", "run seed (default 0)", int, 0)
+    _flag(run, "format", "record format: jsonl (default) or tsv", _fmt, "jsonl")
+    hp = argparse.ArgumentParser(add_help=False)
+    _flag(hp, "hp", "hyperparameter JSON file (defaults if omitted)")
+    folds = argparse.ArgumentParser(add_help=False)
+    _flag(folds, "k", "number of folds (default 5)", int, 5)
+
+    def command(name, func, help_text, *parents):
+        p = sub.add_parser(name, help=help_text, parents=[*parents, out])
         p.set_defaults(func=func)
-        if spec:
-            p.add_argument("--spec", help="synthetic-spec JSON file")
-        if data:
-            p.add_argument("--data", help="survival CSV (sample_id,time,event,features...)")
-        if hp:
-            p.add_argument("--hp", help="hyperparameter JSON file (defaults if omitted)")
-        if grid:
-            p.add_argument("--grid", help="grid JSON file")
-        if k:
-            p.add_argument("--k", help="number of folds (default 5)")
-        p.add_argument("--seed", help="run seed (default 0)")
-        if budget:
-            p.add_argument("--budget", help="max grid points to evaluate")
-        if workers:
-            p.add_argument("--workers", help="concurrent evaluations (default 1)")
-        p.add_argument("--out", help="output path (synth: CSV path; otherwise directory)")
-        p.add_argument("--format", help="record format: jsonl (default) or tsv")
         return p
 
-    add("synth", cmd_synth, "generate a synthetic survival dataset", spec=True)
-    add("train", cmd_train, "train one model with an early-stop split", data=True, hp=True)
-    add("cv", cmd_cv, "stratified k-fold cross-validation", data=True, hp=True, k=True)
-    add("gridsearch", cmd_gridsearch, "grid search over hyperparameters",
-        data=True, grid=True, k=True, budget=True, workers=True)
-    add("compare", cmd_compare, "ResSurv vs no-shortcut ablation vs linear Cox",
-        data=True, hp=True, k=True)
+    synth = command("synth", cmd_synth, "generate a synthetic survival dataset")
+    _flag(synth, "spec", "synthetic-spec JSON file", required=True)
+    command("train", cmd_train, "train one model with an early-stop split", run, hp)
+    command("cv", cmd_cv, "stratified k-fold cross-validation", run, hp, folds)
+    grid = command("gridsearch", cmd_gridsearch, "grid search over hyperparameters",
+                   run, folds)
+    _flag(grid, "grid", "grid JSON file", required=True)
+    _flag(grid, "budget", "max grid points to evaluate", int)
+    _flag(grid, "workers", "concurrent evaluations (default 1)", int, 1)
+    command("compare", cmd_compare, "ResSurv vs no-shortcut ablation vs linear Cox",
+            run, hp, folds)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    try:
+        # argv rides along on the namespace for meta.json
+        args = build_parser().parse_args(argv, argparse.Namespace(argv=argv))
+    except SystemExit as err:  # argparse reports bad or missing flags (code 2)
+        return err.code
     try:
         return args.func(args)
     except DivergenceError as err:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from itertools import product
 
 import numpy as np
@@ -52,9 +52,6 @@ ADAM_EPS = 1e-8
 ADAMW_DECAY_SCALE = 1e-3
 
 EARLY_STOP_MIN_IMPROVEMENT = 1e-6
-
-MIN_BATCH_SIZE = 64
-MIN_EVENTS_PER_BATCH = 4
 
 
 def stable_seed(*parts: int) -> int:
@@ -151,9 +148,7 @@ class Hyperparameters:
         return cls(**raw)
 
     def to_dict(self) -> dict:
-        return {
-            name: getattr(self, name) for name in self.__dataclass_fields__
-        }
+        return asdict(self)
 
     def replaced(self, **kwargs) -> "Hyperparameters":
         return replace(self, **kwargs)
@@ -258,13 +253,7 @@ class EpochRecord:
     val_c_index: float
 
     def to_dict(self) -> dict:
-        return {
-            "epoch": self.epoch,
-            "learning_rate": self.learning_rate,
-            "train_loss": self.train_loss,
-            "val_loss": self.val_loss,
-            "val_c_index": self.val_c_index,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -297,37 +286,19 @@ class TrainReport:
         }
 
 
-def _minibatches(ds: SurvivalDataset, batch_size: int, run_seed: int, epoch: int):
-    """This epoch's mini-batches, each as (features, risk index, dropout
-    stream). Shuffled event and censored rows are dealt round-robin across
-    floor(n / batch_size) batches so every batch sees events; risk sets are
-    formed within each batch."""
-    rng = np.random.default_rng(np.random.SeedSequence([stable_seed(run_seed, 2), epoch]))
-    n_batches = max(1, ds.n // batch_size)
-    dealt = np.concatenate([rng.permutation(np.flatnonzero(ds.events)),
-                            rng.permutation(np.flatnonzero(~ds.events))])
-    for b in range(n_batches):
-        rows = np.sort(dealt[b::n_batches])
-        index = cox.build_risk_index(ds.times[rows], ds.events[rows])
-        yield ds.features[rows], index, DropoutStream(stable_seed(run_seed, 1, b))
-
-
 def train(
     train_ds: SurvivalDataset,
     val_ds: SurvivalDataset,
     hp: Hyperparameters,
     with_shortcut: bool = True,
     seed: int | None = None,
-    batch_size: int | None = None,
 ) -> TrainReport:
     """Run the epoch loop and return the report with best-epoch parameters.
 
     Both splits must be nonempty with at least one event each, and features
     must already be standardized with training-split statistics. Training is
-    full-batch by default: the Cox partial likelihood couples samples through
-    risk sets, so the full-batch gradient is the exact one. Passing
-    batch_size (>= 64, stratified so every batch holds >= 4 events) switches
-    to a documented approximation with risk sets formed within each batch.
+    full-batch: the Cox partial likelihood couples samples through risk sets,
+    so only the full-batch gradient is the exact one.
 
     Each epoch: forward in train mode, Cox NLL plus L2 penalty (penalty
     skipped for AdamW, which carries it as decoupled decay), backward,
@@ -362,19 +333,8 @@ def train(
     # AdamW carries l2_lambda as decoupled decay; everyone else as a loss term
     loss_lambda = 0.0 if hp.optimizer_kind == "adamw" else hp.l2_lambda
 
-    if batch_size is None:
-        # full batch is the one-batch case, and the same batch every epoch
-        full_index = cox.build_risk_index(train_ds.times, train_ds.events)
-        full_batch = [(train_ds.features, full_index, DropoutStream(stable_seed(run_seed, 1, 0)))]
-    else:
-        if batch_size < MIN_BATCH_SIZE:
-            raise ValueError(f"mini-batch mode requires batch_size >= {MIN_BATCH_SIZE}")
-        n_batches = max(1, train_ds.n // batch_size)
-        if train_ds.n_events < MIN_EVENTS_PER_BATCH * n_batches:
-            raise ValueError(
-                f"mini-batch mode requires >= {MIN_EVENTS_PER_BATCH} events per batch"
-            )
-
+    train_index = cox.build_risk_index(train_ds.times, train_ds.events)
+    stream = DropoutStream(stable_seed(run_seed, 1, 0))
     val_index = cox.build_risk_index(val_ds.times, val_ds.events)
 
     best_val = np.inf
@@ -387,20 +347,15 @@ def train(
 
     for epoch in range(1, hp.max_epochs + 1):
         lr_used = state.lr
-        batches = (full_batch if batch_size is None
-                   else _minibatches(train_ds, batch_size, run_seed, epoch))
-        train_loss = 0.0
-        for b, (X, index, stream) in enumerate(batches):
-            h, cache = model_forward(X, params, mode="train", stream=stream, epoch=epoch)
-            nll = cox.neg_log_partial_likelihood(h, index)
-            penalty, penalty_grad = cox.l2_penalty(params.flat, loss_lambda, mask)
-            batch_loss = nll + penalty
-            if not np.isfinite(batch_loss):
-                raise DivergenceError(epoch, f"training loss, batch {b}")
-            train_loss += batch_loss * (X.shape[0] / train_ds.n)
-            grads = model_backward(cox.nll_gradient(h, index), params, cache)
-            grads += penalty_grad
-            step_fn(params.flat, grads, state, hp)
+        h, cache = model_forward(train_ds.features, params, mode="train",
+                                 stream=stream, epoch=epoch)
+        penalty, penalty_grad = cox.l2_penalty(params.flat, loss_lambda, mask)
+        train_loss = cox.neg_log_partial_likelihood(h, train_index) + penalty
+        if not np.isfinite(train_loss):
+            raise DivergenceError(epoch, "training loss")
+        grads = model_backward(cox.nll_gradient(h, train_index), params, cache)
+        grads += penalty_grad
+        step_fn(params.flat, grads, state, hp)
         decay_learning_rate(state, hp, epoch)
 
         h_val, _ = model_forward(val_ds.features, params, mode="eval")
@@ -453,17 +408,7 @@ class FoldRecord:
     best_val_loss: float
 
     def to_dict(self) -> dict:
-        return {
-            "fold": self.fold,
-            "n_train": self.n_train,
-            "n_test": self.n_test,
-            "n_test_events": self.n_test_events,
-            "c_index": self.c_index,
-            "best_epoch": self.best_epoch,
-            "epochs_run": self.epochs_run,
-            "stopped_early": self.stopped_early,
-            "best_val_loss": self.best_val_loss,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -501,7 +446,6 @@ def cross_validate(
     seed: int = 0,
     with_shortcut: bool = True,
     folds: FoldAssignment | None = None,
-    batch_size: int | None = None,
 ) -> CVResult:
     """Stratified k-fold cross-validation of the held-out C-index.
 
@@ -549,14 +493,8 @@ def cross_validate(
         inner_val = complement.subset(inner_val_idx)
 
         try:
-            report = train(
-                inner_train,
-                inner_val,
-                hp,
-                with_shortcut=with_shortcut,
-                seed=stable_seed(hp.seed, 13, f),
-                batch_size=batch_size,
-            )
+            report = train(inner_train, inner_val, hp, with_shortcut=with_shortcut,
+                           seed=stable_seed(hp.seed, 13, f))
         except DivergenceError as err:
             raise DivergenceError(err.epoch, f"fold {f}") from err
 
@@ -602,15 +540,7 @@ class GridPointResult:
     error: str | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "hp": self.hp,
-            "mean_c_index": self.mean_c_index,
-            "std_c_index": self.std_c_index,
-            "fold_c_indexes": self.fold_c_indexes,
-            "failed": self.failed,
-            "error": self.error,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -669,7 +599,6 @@ def grid_search(
     budget: int | None = None,
     workers: int = 1,
     base_hp: Hyperparameters | None = None,
-    with_shortcut: bool = True,
 ) -> GridSearchResult:
     """Evaluate grid points by cross-validation and pick the argmax.
 
@@ -695,10 +624,7 @@ def grid_search(
     def evaluate(index: int) -> GridPointResult:
         hp = all_points[index].replaced(seed=stable_seed(seed, 17, index))
         try:
-            cv = cross_validate(
-                canon, hp, k=k, seed=seed,
-                with_shortcut=with_shortcut, folds=folds,
-            )
+            cv = cross_validate(canon, hp, k=k, seed=seed, folds=folds)
         except DivergenceError as err:
             return GridPointResult(
                 index=index, hp=hp.to_dict(), mean_c_index=None, std_c_index=None,

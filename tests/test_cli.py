@@ -1,5 +1,6 @@
 import json
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -87,6 +88,14 @@ def test_synth_zero_censoring_means_all_events(tmp_path):
 def test_synth_rejects_bad_spec(tmp_path):
     spec = _write_json(tmp_path / "spec.json", {"n": 10})  # p missing
     assert main(["synth", "--spec", spec, "--out", str(tmp_path / "x.csv")]) == 2
+
+
+@pytest.mark.parametrize("extra", [["--seed", "5"], ["--format", "tsv"]])
+def test_synth_takes_only_spec_and_out(tmp_path, extra):
+    spec = _write_json(tmp_path / "spec.json", SYNTH_SPEC)
+    out = tmp_path / "data.csv"
+    assert main(["synth", "--spec", spec, "--out", str(out), *extra]) == 2
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -193,6 +202,7 @@ def test_cv_tsv_format(tmp_path, data_csv, hp_file):
 def test_cv_bad_format_exits_2(tmp_path, data_csv, hp_file):
     assert main(["cv", "--data", data_csv, "--hp", hp_file,
                  "--out", str(tmp_path / "cv"), "--format", "xml"]) == 2
+    assert not (tmp_path / "cv").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -308,10 +318,24 @@ def test_flag_beats_env_var(tmp_path, data_csv, hp_file, monkeypatch):
     assert summary["seed"] == 3
 
 
-def test_meta_file_records_backend_and_argv(tmp_path, data_csv, hp_file):
+def test_meta_file_records_backend_and_argv(tmp_path, data_csv, hp_file, monkeypatch):
+    # the argv main was given, not the host program's sys.argv
+    monkeypatch.setattr(sys, "argv", ["host-program", "--host-flag"])
     out = tmp_path / "cv"
-    assert main(["cv", "--data", data_csv, "--hp", hp_file, "--k", "2",
-                 "--out", str(out)]) == 0
+    argv = ["cv", "--data", data_csv, "--hp", hp_file, "--k", "2", "--out", str(out)]
+    assert main(argv) == 0
     meta = json.loads((out / "meta.json").read_text())
     assert meta["schema"] == REPORT_SCHEMA
     assert "wall_time_s" in meta and "created_unix" in meta
+    assert meta["argv"] == argv
+
+
+@pytest.mark.parametrize("name, value", [("RESSURV_FORMAT", "xml"), ("RESSURV_K", "abc")])
+def test_bad_env_value_exits_2_writing_nothing(tmp_path, data_csv, hp_file, monkeypatch,
+                                               name, value):
+    # an env value is checked exactly like the flag it stands for (see
+    # test_cv_bad_format_exits_2), before any work
+    monkeypatch.setenv(name, value)
+    out = tmp_path / "cv"
+    assert main(["cv", "--data", data_csv, "--hp", hp_file, "--out", str(out)]) == 2
+    assert not out.exists()

@@ -293,46 +293,6 @@ def test_train_validates_splits():
         train(tr, narrower, TINY)
 
 
-def test_train_minibatch_smoke():
-    ds = make_dataset(n=260, p=3, seed=9)
-    tr, va = _split(ds, frac=0.2)
-    hp = TINY.replaced(max_epochs=15, patience=15)
-    report = train(tr, va, hp, batch_size=64)
-    assert report.epochs_run >= 1
-    assert np.isfinite(report.best_val_loss)
-
-
-def test_one_batch_equals_full_batch():
-    # with this split, (loss * n) / n != loss in float64 on epochs 3 and 4
-    ds = make_dataset(n=200, p=4, seed=1)
-    tr, va = _split(ds, frac=0.5)
-    hp = TINY.replaced(n_blocks=2, dropout_rate=0.3, max_epochs=20, patience=20)
-    full = train(tr, va, hp)
-    one = train(tr, va, hp, batch_size=tr.n)
-    assert [r.to_dict() for r in one.epochs] == [r.to_dict() for r in full.epochs]
-    assert one.summary() == full.summary()
-    assert one.best_val_c_index == full.best_val_c_index
-    assert np.array_equal(to_flat(one.params), to_flat(full.params))
-    for b1, b2 in zip(one.params.blocks, full.params.blocks):
-        for n1, n2 in zip(b1.batch_norms, b2.batch_norms):
-            assert n1.n_updates == n2.n_updates
-            assert np.array_equal(n1.running_mean, n2.running_mean)
-            assert np.array_equal(n1.running_var, n2.running_var)
-
-
-def test_train_minibatch_validation():
-    ds = make_dataset(n=260, p=3, seed=9)
-    tr, va = _split(ds, frac=0.2)
-    with pytest.raises(ValueError, match="batch_size"):
-        train(tr, va, TINY, batch_size=32)
-    # few events: 3 batches need >= 12 events between them
-    few = np.zeros(tr.n, dtype=bool)
-    few[:5] = True
-    sparse = SurvivalDataset(tr.sample_ids, tr.features, tr.feature_names, tr.times, few)
-    with pytest.raises(ValueError, match="events"):
-        train(sparse, va, TINY, batch_size=64)
-
-
 # ---------------------------------------------------------------------------
 # cross_validate
 # ---------------------------------------------------------------------------
