@@ -5,8 +5,8 @@ function of its inputs and seed; report files are byte-identical across
 reruns. Timestamps and wall-clock measurements live in a separate meta.json
 so they never contaminate deterministic content.
 
-Exit codes: 0 success, 2 configuration or input error, 3 numerical
-divergence during training.
+Exit codes: 0 success, 2 configuration or input error (including a file
+that cannot be read or written), 3 numerical divergence during training.
 """
 
 from __future__ import annotations
@@ -27,14 +27,18 @@ from .data import (
     SyntheticSpec,
     filter_patients,
     generate_synthetic,
-    kfold_split,
     load_csv,
     prepare_fold,
     stratified_holdout,
     write_csv,
 )
 # imported only so that perfbench/tracer.py can patch them here
-from .data import filter_features, standardize_apply, standardize_fit  # noqa: F401
+from .data import (  # noqa: F401
+    filter_features,
+    kfold_split,
+    standardize_apply,
+    standardize_fit,
+)
 from .errors import DivergenceError, RessurvError
 from .metrics import concordance_fast
 from .model import save_checkpoint
@@ -42,9 +46,12 @@ from .training import (
     HOLDOUT_FRACTION,
     Hyperparameters,
     cross_validate,
+    cross_validate_configs,
     grid_search,
+    plan_folds,
     stable_seed,
     train,
+    worker_blas_threads,
 )
 
 REPORT_SCHEMA = "ressurv-report-v1"
@@ -119,13 +126,18 @@ def write_summary(path: str, summary: dict) -> None:
         fh.write(json.dumps(summary, sort_keys=True, indent=2) + "\n")
 
 
-def write_meta(path: str, wall_time_s: float, argv: list[str]) -> None:
-    """The only report file allowed to differ between reruns."""
+def write_meta(path: str, wall_time_s: float, argv: list[str], workers: int) -> None:
+    """The only report file allowed to differ between reruns. Records the
+    parallel setup: worker processes, usable cores, and the
+    OPENBLAS_NUM_THREADS the workers started with (null without a pool)."""
     meta = {
         "schema": REPORT_SCHEMA,
         "created_unix": time.time(),
         "wall_time_s": wall_time_s,
         "argv": argv,
+        "workers": workers,
+        "usable_cores": len(os.sched_getaffinity(0)),
+        "worker_openblas_num_threads": worker_blas_threads(workers),
     }
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(json.dumps(meta, sort_keys=True, indent=2) + "\n")
@@ -136,7 +148,9 @@ def write_reports(args, t0: float, name: str, records: list[dict], summary: dict
     summary.json, and meta.json timed from `t0` with the argv main parsed."""
     write_records(os.path.join(args.out, f"{name}.{args.format}"), records, args.format)
     write_summary(os.path.join(args.out, "summary.json"), summary)
-    write_meta(os.path.join(args.out, "meta.json"), time.perf_counter() - t0, args.argv)
+    # train takes no --workers: it always runs in-process
+    write_meta(os.path.join(args.out, "meta.json"), time.perf_counter() - t0, args.argv,
+               getattr(args, "workers", 1))
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +285,8 @@ def cmd_cv(args) -> int:
     t0 = time.perf_counter()
     os.makedirs(args.out, exist_ok=True)
     hp = load_hyperparameters(args.hp)
-    result = cross_validate(_load_dataset(args.data), hp, k=args.k, seed=args.seed)
+    result = cross_validate(_load_dataset(args.data), hp, k=args.k, seed=args.seed,
+                            workers=args.workers)
 
     write_reports(args, t0, "folds", result.fold_records(),
                   {"command": "cv", "hp": hp.to_dict(), **result.summary()})
@@ -305,20 +320,22 @@ def cmd_gridsearch(args) -> int:
 
 def cmd_compare(args) -> int:
     """ResSurv vs the no-shortcut ablation vs the linear Cox oracle, all
-    evaluated on one shared fold assignment."""
+    evaluated on one shared fold assignment. The two networks' folds share
+    one --workers pool; the oracle runs in this process."""
     t0 = time.perf_counter()
     os.makedirs(args.out, exist_ok=True)
     seed = args.seed
     hp = load_hyperparameters(args.hp)
-    canon = _load_dataset(args.data).sorted_by_id()
-    folds = kfold_split(canon, args.k, seed)
+    plan = plan_folds(_load_dataset(args.data), args.k, seed)
+    canon, folds = plan.data, plan.folds
 
     records: list[dict] = []
     summaries: dict[str, dict] = {}
 
-    for model_name, with_shortcut in (("ressurv", True), ("mlp_ablation", False)):
-        cv = cross_validate(canon, hp, k=args.k, seed=seed,
-                            with_shortcut=with_shortcut, folds=folds)
+    networks = (("ressurv", True), ("mlp_ablation", False))
+    cvs = cross_validate_configs(plan, [(hp, shortcut) for _, shortcut in networks],
+                                 args.workers)
+    for (model_name, _), cv in zip(networks, cvs):
         for rec in cv.fold_records():
             records.append({"model": model_name, **rec})
         summaries[model_name] = {
@@ -391,6 +408,8 @@ def build_parser() -> argparse.ArgumentParser:
     _flag(hp, "hp", "hyperparameter JSON file (defaults if omitted)")
     folds = argparse.ArgumentParser(add_help=False)
     _flag(folds, "k", "number of folds (default 5)", int, 5)
+    _flag(folds, "workers", "worker processes training (configuration, fold) units; "
+          "1 (default) trains them in-process", int, 1)
 
     def command(name, func, help_text, *parents):
         p = sub.add_parser(name, help=help_text, parents=[*parents, out])
@@ -405,7 +424,6 @@ def build_parser() -> argparse.ArgumentParser:
                    run, folds)
     _flag(grid, "grid", "grid JSON file", required=True)
     _flag(grid, "budget", "max grid points to evaluate", int)
-    _flag(grid, "workers", "concurrent evaluations (default 1)", int, 1)
     command("compare", cmd_compare, "ResSurv vs no-shortcut ablation vs linear Cox",
             run, hp, folds)
     return parser
@@ -423,7 +441,7 @@ def main(argv: list[str] | None = None) -> int:
     except DivergenceError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_DIVERGED
-    except (RessurvError, ValueError) as err:
+    except (RessurvError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONFIG
 

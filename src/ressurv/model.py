@@ -614,13 +614,23 @@ def save_checkpoint(
 def load_checkpoint(
     path,
 ) -> tuple[ResSurvParams, StandardizationParams | None, dict | None]:
-    """Read a checkpoint written by `save_checkpoint`."""
+    """Read a checkpoint written by `save_checkpoint`.
+
+    A file that is cut short, carries bytes after the last array, or has an
+    unreadable header raises one `ValueError` naming the file (and the
+    array, where one is at fault)."""
     with open(path, "rb") as fh:
         magic = fh.read(len(CHECKPOINT_MAGIC))
         if magic != CHECKPOINT_MAGIC:
             raise ValueError(f"{path}: not a checkpoint file")
         header_len = int.from_bytes(fh.read(8), "little")
-        header = json.loads(fh.read(header_len).decode("utf-8"))
+        blob = fh.read(header_len)
+        try:
+            if len(blob) != header_len:
+                raise ValueError(f"{len(blob)} of {header_len} bytes")
+            header = json.loads(blob.decode("utf-8"))
+        except ValueError as err:   # JSONDecodeError and UnicodeDecodeError too
+            raise ValueError(f"{path}: unreadable checkpoint header: {err}") from None
         if header.get("format") != CHECKPOINT_FORMAT:
             raise ValueError(f"{path}: unsupported format {header.get('format')!r}")
         params = init_params(
@@ -634,14 +644,17 @@ def load_checkpoint(
         )
         by_name = {t.name: t.array for t in _tensors(params)}
         for entry in header["arrays"]:
-            shape = tuple(entry["shape"])
-            count = int(np.prod(shape)) if shape else 1
-            raw = fh.read(count * 8)
-            arr = np.frombuffer(raw, dtype="<f8").reshape(shape)
-            target = by_name.get(entry["name"])
-            if target is None or target.shape != arr.shape:
-                raise ValueError(f"{path}: unexpected array {entry['name']!r}")
-            target[...] = arr
+            name, shape = entry["name"], tuple(entry["shape"])
+            target = by_name.get(name)
+            if target is None or target.shape != shape:
+                raise ValueError(f"{path}: unexpected array {name!r}")
+            raw = fh.read(target.size * 8)
+            if len(raw) != target.size * 8:
+                raise ValueError(f"{path}: array {name!r} is truncated "
+                                 f"({len(raw)} of {target.size * 8} bytes)")
+            target[...] = np.frombuffer(raw, dtype="<f8").reshape(shape)
+        if fh.read(1):
+            raise ValueError(f"{path}: unexpected bytes after the last array {name!r}")
     for meta in header["batch_norm"]:
         bn = params.blocks[meta["block"]].batch_norms[meta["layer"]]
         bn.epsilon = meta["epsilon"]

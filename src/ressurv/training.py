@@ -10,10 +10,14 @@ carried separately and never enters deterministic report content.
 
 from __future__ import annotations
 
+import os
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
+from functools import partial
 from itertools import product
+from multiprocessing import get_context
 
 import numpy as np
 
@@ -438,29 +442,35 @@ class CVResult:
 
 HOLDOUT_FRACTION = 0.2
 
+# what each pool worker's OpenBLAS starts with unless the user set it: one
+# BLAS thread per process, so that workers do not oversubscribe the cores
+BLAS_THREADS_ENV = "OPENBLAS_NUM_THREADS"
+WORKER_BLAS_THREADS = "1"
 
-def cross_validate(
-    ds: SurvivalDataset,
-    hp: Hyperparameters,
-    k: int = 5,
-    seed: int = 0,
-    with_shortcut: bool = True,
-    folds: FoldAssignment | None = None,
-) -> CVResult:
-    """Stratified k-fold cross-validation of the held-out C-index.
 
-    Rows are first canonicalized by sample id, so the result is invariant to
-    the order samples arrive in. Per fold: low-variance features are dropped
-    and standardization is fit on the training complement only (no leakage),
-    an 80/20 stratified early-stop split is carved from the complement, the
-    model trains with a fold-specific sub-seed, and the C-index is measured
-    on the untouched held-out fold.
+@dataclass(frozen=True)
+class FoldPlan:
+    """Everything the folds of one run share, decided before any fold
+    trains: the dataset in canonical (id-sorted) order, the fold assignment,
+    the run seed, and per fold the row indexes (train, test) into `data` and
+    (early-stop train, early-stop validation) into the training side."""
 
-    Before any fold trains, every held-out fold and both sides of every
-    early-stop split are checked for at least one comparable pair (an event
-    followed by a strictly later time); a split without one raises
-    `UnusableDatasetError` naming the fold and the split. A training abort
-    on any fold propagates with the fold index attached.
+    data: SurvivalDataset
+    folds: FoldAssignment
+    seed: int
+    splits: tuple[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray], ...]
+
+
+def plan_folds(
+    ds: SurvivalDataset, k: int, seed: int, folds: FoldAssignment | None = None
+) -> FoldPlan:
+    """Canonicalize rows by sample id, assign folds (built from `seed` unless
+    given) and carve each fold's 80/20 stratified early-stop split.
+
+    Every held-out fold and both sides of every early-stop split are checked
+    for at least one comparable pair (an event followed by a strictly later
+    time); a split without one raises `UnusableDatasetError` naming the fold
+    and the split, before anything trains.
     """
     canon = ds.sorted_by_id()
     if folds is None:
@@ -484,45 +494,180 @@ def cross_validate(
                     "(an event followed by a strictly later time)"
                 )
         splits.append((train_idx, test_idx, inner_train_idx, inner_val_idx))
+    return FoldPlan(canon, folds, seed, tuple(splits))
 
-    fold_records: list[FoldRecord] = []
-    for f, (train_idx, test_idx, inner_train_idx, inner_val_idx) in enumerate(splits):
-        complement, test_fold, _ = prepare_fold(canon.subset(train_idx),
-                                                canon.subset(test_idx))
-        inner_train = complement.subset(inner_train_idx)
-        inner_val = complement.subset(inner_val_idx)
 
-        try:
-            report = train(inner_train, inner_val, hp, with_shortcut=with_shortcut,
-                           seed=stable_seed(hp.seed, 13, f))
-        except DivergenceError as err:
-            raise DivergenceError(err.epoch, f"fold {f}") from err
+def fold_unit(
+    plan: FoldPlan, hp: Hyperparameters, with_shortcut: bool, f: int
+) -> FoldRecord | DivergenceError:
+    """Train fold `f` of `plan` under `hp` and measure its held-out C-index.
 
-        h_test, _ = model_forward(test_fold.features, report.params, mode="eval")
-        c = concordance_fast(test_fold.times, test_fold.events, h_test).c_index
-        fold_records.append(
-            FoldRecord(
-                fold=f,
-                n_train=complement.n,
-                n_test=test_fold.n,
-                n_test_events=test_fold.n_events,
-                c_index=float(c),
-                best_epoch=report.best_epoch,
-                epochs_run=report.epochs_run,
-                stopped_early=report.stopped_early,
-                best_val_loss=report.best_val_loss,
-            )
-        )
+    Low-variance features are dropped and standardization is fit on the
+    training complement only (no leakage); the model trains on the early-stop
+    split with a fold-specific sub-seed. A diverging fold returns its
+    `DivergenceError`, naming the fold, instead of raising it, so that the
+    caller decides which fold's error to report.
+    """
+    train_idx, test_idx, inner_train_idx, inner_val_idx = plan.splits[f]
+    complement, test_fold, _ = prepare_fold(plan.data.subset(train_idx),
+                                            plan.data.subset(test_idx))
+    try:
+        report = train(complement.subset(inner_train_idx),
+                       complement.subset(inner_val_idx), hp,
+                       with_shortcut=with_shortcut, seed=stable_seed(hp.seed, 13, f))
+    except DivergenceError as err:
+        return DivergenceError(err.epoch, f"fold {f}")
 
-    values = np.array([r.c_index for r in fold_records])
-    return CVResult(
-        k=folds.k,
-        seed=seed,
-        fold_hash=folds.content_hash(),
-        folds=fold_records,
-        mean_c_index=float(values.mean()),
-        std_c_index=float(values.std()),
+    h_test, _ = model_forward(test_fold.features, report.params, mode="eval")
+    c = concordance_fast(test_fold.times, test_fold.events, h_test).c_index
+    return FoldRecord(
+        fold=f,
+        n_train=complement.n,
+        n_test=test_fold.n,
+        n_test_events=test_fold.n_events,
+        c_index=float(c),
+        best_epoch=report.best_epoch,
+        epochs_run=report.epochs_run,
+        stopped_early=report.stopped_early,
+        best_val_loss=report.best_val_loss,
     )
+
+
+# The plan of the run a pool worker serves. Set once per worker process by
+# the pool initializer, so the dataset crosses the process boundary once per
+# worker rather than once per unit; never set in the parent.
+_worker_plan: FoldPlan | None = None
+
+
+def _init_worker(plan: FoldPlan) -> None:
+    global _worker_plan
+    _worker_plan = plan
+
+
+def _pooled_fold_unit(hp: Hyperparameters, with_shortcut: bool, f: int):
+    return fold_unit(_worker_plan, hp, with_shortcut, f)
+
+
+def worker_blas_threads(workers: int) -> str | None:
+    """The OPENBLAS_NUM_THREADS value pool workers start with (a user-set
+    value wins), or None when `workers` == 1 runs every unit in-process."""
+    if workers == 1:
+        return None
+    return os.environ.get(BLAS_THREADS_ENV, WORKER_BLAS_THREADS)
+
+
+@contextmanager
+def _worker_blas_env():
+    """Keep OPENBLAS_NUM_THREADS set while a pool may start workers (spawn
+    starts them at submit), then restore the environment. It must be in the
+    environment when a worker starts: OpenBLAS reads it as numpy loads."""
+    user_set = BLAS_THREADS_ENV in os.environ
+    os.environ.setdefault(BLAS_THREADS_ENV, WORKER_BLAS_THREADS)
+    try:
+        yield
+    finally:
+        if not user_set:
+            os.environ.pop(BLAS_THREADS_ENV, None)
+
+
+def cross_validate_configs(
+    plan: FoldPlan,
+    configs: list[tuple[Hyperparameters, bool]],
+    workers: int = 1,
+    raise_divergence: bool = True,
+) -> list[CVResult | DivergenceError]:
+    """Cross-validate each (hp, with_shortcut) configuration on the plan's
+    folds; results in configuration order.
+
+    The unit of work is one (configuration, fold) pair, run by `fold_unit`
+    in enumeration order. With `workers` == 1 the units run in-process, one
+    after another; otherwise a pool of `workers` spawned processes runs
+    them, each worker with one BLAS thread unless OPENBLAS_NUM_THREADS is
+    set. Every number depends only on the unit, never on which process ran
+    it or when, so results are identical across worker counts.
+
+    A configuration with a diverging fold gets the `DivergenceError` of its
+    lowest-index diverging fold: raised at once when `raise_divergence`
+    (units not started yet are then cancelled), else returned in its place.
+    """
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
+    units = [(hp, with_shortcut, f)
+             for hp, with_shortcut in configs for f in range(plan.folds.k)]
+    if workers == 1:
+        return _merge_folds(plan, len(configs), raise_divergence,
+                            map(partial(fold_unit, plan), *zip(*units)))
+    with _worker_blas_env(), ProcessPoolExecutor(
+        max_workers=min(workers, len(units)),
+        mp_context=get_context("spawn"),
+        initializer=_init_worker,
+        initargs=(plan,),
+    ) as pool:
+        outcomes = pool.map(_pooled_fold_unit, *zip(*units))
+        try:
+            return _merge_folds(plan, len(configs), raise_divergence, outcomes)
+        finally:
+            outcomes.close()   # cancels the units not started when the merge raised
+
+
+def _merge_folds(plan, n_configs, raise_divergence, outcomes):
+    """Group unit outcomes, which arrive in (configuration, fold) order,
+    into one CVResult or DivergenceError per configuration."""
+    results = []
+    for _ in range(n_configs):
+        records, error = [], None
+        for _ in range(plan.folds.k):
+            outcome = next(outcomes)
+            if isinstance(outcome, FoldRecord):
+                records.append(outcome)
+            elif raise_divergence:
+                raise outcome
+            elif error is None:
+                error = outcome
+        if error is not None:
+            results.append(error)
+            continue
+        values = np.array([r.c_index for r in records])
+        results.append(CVResult(
+            k=plan.folds.k,
+            seed=plan.seed,
+            fold_hash=plan.folds.content_hash(),
+            folds=records,
+            mean_c_index=float(values.mean()),
+            std_c_index=float(values.std()),
+        ))
+    return results
+
+
+def cross_validate(
+    ds: SurvivalDataset,
+    hp: Hyperparameters,
+    k: int = 5,
+    seed: int = 0,
+    with_shortcut: bool = True,
+    folds: FoldAssignment | None = None,
+    workers: int = 1,
+) -> CVResult:
+    """Stratified k-fold cross-validation of the held-out C-index.
+
+    Rows are first canonicalized by sample id, so the result is invariant to
+    the order samples arrive in. Per fold: low-variance features are dropped
+    and standardization is fit on the training complement only (no leakage),
+    an 80/20 stratified early-stop split is carved from the complement, the
+    model trains with a fold-specific sub-seed, and the C-index is measured
+    on the untouched held-out fold. `workers` > 1 trains folds in that many
+    processes, with identical results.
+
+    Before any fold trains, every held-out fold and both sides of every
+    early-stop split are checked for at least one comparable pair (an event
+    followed by a strictly later time); a split without one raises
+    `UnusableDatasetError` naming the fold and the split. A training abort
+    raises the `DivergenceError` of the lowest-index diverging fold, with
+    the fold index attached.
+    """
+    plan = plan_folds(ds, k, seed, folds)
+    [result] = cross_validate_configs(plan, [(hp, with_shortcut)], workers)
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -611,39 +756,30 @@ def grid_search(
     """
     if budget is not None and budget < 1:
         raise ValueError("budget must be >= 1")
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
     base = base_hp if base_hp is not None else Hyperparameters()
     all_points = enumerate_grid(grid, base)
     if budget is not None:
         all_points = all_points[:budget]
 
-    canon = ds.sorted_by_id()
-    folds = kfold_split(canon, k, seed)
-
-    def evaluate(index: int) -> GridPointResult:
-        hp = all_points[index].replaced(seed=stable_seed(seed, 17, index))
-        try:
-            cv = cross_validate(canon, hp, k=k, seed=seed, folds=folds)
-        except DivergenceError as err:
-            return GridPointResult(
+    plan = plan_folds(ds, k, seed)
+    hps = [hp.replaced(seed=stable_seed(seed, 17, i)) for i, hp in enumerate(all_points)]
+    outcomes = cross_validate_configs(plan, [(hp, True) for hp in hps], workers,
+                                      raise_divergence=False)
+    results = []
+    for index, (hp, cv) in enumerate(zip(hps, outcomes)):
+        if isinstance(cv, DivergenceError):
+            results.append(GridPointResult(
                 index=index, hp=hp.to_dict(), mean_c_index=None, std_c_index=None,
-                fold_c_indexes=[], failed=True, error=str(err),
-            )
-        return GridPointResult(
-            index=index,
-            hp=hp.to_dict(),
-            mean_c_index=cv.mean_c_index,
-            std_c_index=cv.std_c_index,
-            fold_c_indexes=[r.c_index for r in cv.folds],
-        )
-
-    indexes = range(len(all_points))
-    if workers == 1:
-        results = [evaluate(i) for i in indexes]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(evaluate, indexes))
+                fold_c_indexes=[], failed=True, error=str(cv),
+            ))
+        else:
+            results.append(GridPointResult(
+                index=index,
+                hp=hp.to_dict(),
+                mean_c_index=cv.mean_c_index,
+                std_c_index=cv.std_c_index,
+                fold_c_indexes=[r.c_index for r in cv.folds],
+            ))
 
     best_index = None
     best_mean = -np.inf
@@ -658,5 +794,5 @@ def grid_search(
         total_runs=len(results),
         k=k,
         seed=seed,
-        fold_hash=folds.content_hash(),
+        fold_hash=plan.folds.content_hash(),
     )

@@ -205,6 +205,22 @@ def test_cv_bad_format_exits_2(tmp_path, data_csv, hp_file):
     assert not (tmp_path / "cv").exists()
 
 
+def test_cv_missing_data_file_exits_2_naming_it(tmp_path, hp_file, capsys):
+    missing = tmp_path / "nonexistent.csv"
+    assert main(["cv", "--data", str(missing), "--hp", hp_file,
+                 "--out", str(tmp_path / "cv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(missing) in err
+
+
+def test_cv_out_naming_a_file_exits_2_naming_it(tmp_path, data_csv, hp_file, capsys):
+    out = tmp_path / "taken"
+    out.write_text("not a directory")
+    assert main(["cv", "--data", data_csv, "--hp", hp_file, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(out) in err
+
+
 # ---------------------------------------------------------------------------
 # gridsearch
 # ---------------------------------------------------------------------------
@@ -295,6 +311,16 @@ def test_compare_three_models_share_folds(tmp_path, data_csv, hp_file):
         assert 0.0 <= stats["mean_c_index"] <= 1.0
 
 
+def test_compare_worker_count_does_not_change_reports(tmp_path, data_csv, hp_file):
+    outs = {}
+    for workers in ("1", "2"):
+        outs[workers] = tmp_path / f"w{workers}"
+        assert main(["compare", "--data", data_csv, "--hp", hp_file, "--k", "2",
+                     "--seed", "4", "--workers", workers, "--out", str(outs[workers])]) == 0
+    for name in ("models.jsonl", "summary.json"):
+        assert (outs["1"] / name).read_bytes() == (outs["2"] / name).read_bytes(), name
+
+
 # ---------------------------------------------------------------------------
 # environment fallback
 # ---------------------------------------------------------------------------
@@ -328,6 +354,19 @@ def test_meta_file_records_backend_and_argv(tmp_path, data_csv, hp_file, monkeyp
     assert meta["schema"] == REPORT_SCHEMA
     assert "wall_time_s" in meta and "created_unix" in meta
     assert meta["argv"] == argv
+
+
+@pytest.mark.parametrize("workers, blas", [("1", None), ("2", "1")])
+def test_meta_file_records_the_parallel_setup(tmp_path, data_csv, hp_file, monkeypatch,
+                                              workers, blas):
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    out = tmp_path / "cv"
+    assert main(["cv", "--data", data_csv, "--hp", hp_file, "--k", "2",
+                 "--workers", workers, "--out", str(out)]) == 0
+    meta = json.loads((out / "meta.json").read_text())
+    assert meta["workers"] == int(workers)
+    assert meta["usable_cores"] == len(os.sched_getaffinity(0))
+    assert meta["worker_openblas_num_threads"] == blas
 
 
 @pytest.mark.parametrize("name, value", [("RESSURV_FORMAT", "xml"), ("RESSURV_K", "abc")])

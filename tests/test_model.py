@@ -1,4 +1,5 @@
 import os
+import re
 import tempfile
 
 import numpy as np
@@ -589,6 +590,21 @@ def test_checkpoint_rejects_foreign_file(tmp_path):
     path.write_bytes(b"not a checkpoint at all")
     with pytest.raises(ValueError, match="not a checkpoint"):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("damage, message", [
+    (lambda b: b + b"\0", "unexpected bytes after the last array 'head.b'"),
+    (lambda b: b[:-4], r"array 'head.b' is truncated \(4 of 8 bytes\)"),
+    (lambda b: b[:40], "unreadable checkpoint header"),
+], ids=["trailing-bytes", "truncated-array", "cut-header"])
+def test_checkpoint_damage_fails_fast_naming_file_and_array(tmp_path, damage, message):
+    params = init_params(3, [4], 2, "tanh", 0.0, seed=0)
+    good, bad = tmp_path / "good.ckpt", tmp_path / "bad.ckpt"
+    save_checkpoint(good, params)
+    assert flat_layout(params)[-1][0] == "head.b"   # the last array stored
+    bad.write_bytes(damage(good.read_bytes()))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(bad))}: {message}"):
+        load_checkpoint(bad)
 
 
 def test_checkpoint_without_standardization(tmp_path):

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -345,6 +347,26 @@ def test_cv_divergence_names_the_fold():
             cross_validate(ds, DIVERGENT, k=3, seed=0)
 
 
+def test_cv_worker_count_is_invisible():
+    ds = make_dataset(n=90, p=3, seed=5)
+    serial = cross_validate(ds, TINY.replaced(max_epochs=10), k=3, seed=2, workers=1)
+    pooled = cross_validate(ds, TINY.replaced(max_epochs=10), k=3, seed=2, workers=2)
+    assert pooled.summary() == serial.summary()
+    assert pooled.fold_records() == serial.fold_records()
+
+
+def test_cv_divergence_message_is_the_same_under_a_pool():
+    ds = make_dataset(n=80, p=3, seed=0)
+    messages = []
+    for workers in (1, 2):
+        with np.errstate(all="ignore"):
+            with pytest.raises(DivergenceError) as info:
+                cross_validate(ds, DIVERGENT, k=3, seed=0, workers=workers)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+    assert "(fold 0)" in messages[0]
+
+
 def _four_event_dataset():
     # events at rows 0, 5, 10, 15 only: with k=5 the held-out fold 4 gets none
     ds = make_dataset(n=40, p=3, seed=0)
@@ -449,6 +471,32 @@ def test_grid_search_worker_count_is_invisible():
     b = grid_search(ds, grid, k=2, seed=4, base_hp=base, workers=4)
     assert a.best_index == b.best_index
     assert [p.to_dict() for p in a.points] == [p.to_dict() for p in b.points]
+
+
+def test_grid_search_divergent_point_error_is_the_same_under_a_pool():
+    ds = make_dataset(n=80, p=3, seed=0)
+    grid = {"learning_rate": [1e-1, 1e-3]}
+    errors = []
+    for workers in (1, 2):
+        with np.errstate(all="ignore"):
+            result = grid_search(ds, grid, k=2, seed=0, base_hp=DIVERGENT, workers=workers)
+        assert result.points[0].failed and not result.points[1].failed
+        errors.append(result.points[0].error)
+    assert errors[0] == errors[1]
+    assert "(fold 0)" in errors[0]
+
+
+def test_pool_restores_the_blas_environment(monkeypatch):
+    ds = make_dataset(n=60, p=3, seed=1)
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    assert training.worker_blas_threads(2) == "1"
+    assert training.worker_blas_threads(1) is None
+    cross_validate(ds, TINY.replaced(max_epochs=2), k=2, seed=0, workers=2)
+    assert "OPENBLAS_NUM_THREADS" not in os.environ
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")   # a user-set value wins
+    assert training.worker_blas_threads(2) == "2"
+    cross_validate(ds, TINY.replaced(max_epochs=2), k=2, seed=0, workers=2)
+    assert os.environ["OPENBLAS_NUM_THREADS"] == "2"
 
 
 def test_grid_search_budget_caps_enumeration():
