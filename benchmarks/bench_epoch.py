@@ -1,0 +1,89 @@
+"""Epoch benchmark: the network's layer kernels at the benchmark fold shapes.
+
+One epoch here is a train-mode forward pass (batch norm, activations and
+dropout masks), the backward pass to every parameter, and an eval-mode
+forward pass over the validation rows, at the shape one fold trains on in
+a `perfbench` workload:
+
+* ``cv-paper``: 1,280 training and 320 validation rows x 20 features, the
+  paper-default 5 blocks x 3 dense layers x 64 nodes, tanh, dropout 0.2;
+* ``grid-cohort``: 10,666 and 2,667 rows x 8 features, 1 x 2 x 16, tanh,
+  dropout 0.1.
+
+It prints the median milliseconds per stage and per epoch, with the usable
+cores and OpenBLAS's thread count. It uses only the public model API, so
+the same script times any checkout's ``src``:
+
+    PYTHONPATH=src python benchmarks/bench_epoch.py
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=/path/to/other/src \\
+        python benchmarks/bench_epoch.py --shapes cv-paper --repeats 40
+"""
+
+import argparse
+import os
+import statistics
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+
+from ressurv.model import DropoutStream, init_params, model_backward, model_forward
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+from run import blas_threads  # noqa: E402
+
+SHAPES = {
+    "cv-paper": dict(n_train=1280, n_val=320, p=20, widths=[64] * 5, layers=3,
+                     activation="tanh", dropout=0.2),
+    "grid-cohort": dict(n_train=10666, n_val=2667, p=8, widths=[16], layers=2,
+                        activation="tanh", dropout=0.1),
+}
+STAGES = ("forward_train", "backward", "forward_eval")
+WARMUP_EPOCHS = 3
+
+
+def time_epochs(shape: dict, repeats: int, seed: int = 0) -> dict[str, list[float]]:
+    """Seconds per stage of `repeats` epochs, after a few untimed ones."""
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(shape["n_train"], shape["p"]))
+    X_val = rng.normal(size=(shape["n_val"], shape["p"]))
+    grad_h = rng.normal(size=shape["n_train"])
+    params = init_params(shape["p"], shape["widths"], shape["layers"], shape["activation"],
+                         shape["dropout"], seed)
+    stream = DropoutStream(seed)
+    times = {stage: [] for stage in STAGES}
+    for epoch in range(1, WARMUP_EPOCHS + repeats + 1):
+        t0 = time.perf_counter()
+        _, cache = model_forward(X, params, mode="train", stream=stream, epoch=epoch)
+        t1 = time.perf_counter()
+        model_backward(grad_h, params, cache)
+        t2 = time.perf_counter()
+        model_forward(X_val, params, mode="eval")
+        t3 = time.perf_counter()
+        if epoch > WARMUP_EPOCHS:
+            for stage, seconds in zip(STAGES, (t1 - t0, t2 - t1, t3 - t2)):
+                times[stage].append(seconds)
+    return times
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--shapes", nargs="+", choices=sorted(SHAPES), default=list(SHAPES))
+    parser.add_argument("--repeats", type=int, default=20)
+    args = parser.parse_args()
+
+    print(f"usable cores {len(os.sched_getaffinity(0))}, OpenBLAS threads {blas_threads()}, "
+          f"numpy {np.__version__}; median ms over {args.repeats} epochs")
+    print(f"{'shape':<12} " + " ".join(f"{s:>14}" for s in STAGES) + f" {'epoch':>10}")
+    for name in args.shapes:
+        times = time_epochs(SHAPES[name], args.repeats)
+        epochs = [sum(parts) for parts in zip(*times.values())]
+        cells = [statistics.median(times[s]) for s in STAGES] + [statistics.median(epochs)]
+        print(f"{name:<12} " + " ".join(f"{c * 1e3:>14.2f}" for c in cells[:-1])
+              + f" {cells[-1] * 1e3:>10.2f}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -25,7 +25,6 @@ from .data import (
     CsvSchema,
     SurvivalDataset,
     SyntheticSpec,
-    filter_patients,
     generate_synthetic,
     load_csv,
     prepare_fold,
@@ -35,6 +34,7 @@ from .data import (
 # imported only so that perfbench/tracer.py can patch them here
 from .data import (  # noqa: F401
     filter_features,
+    filter_patients,
     kfold_split,
     standardize_apply,
     standardize_fit,
@@ -126,6 +126,11 @@ def write_summary(path: str, summary: dict) -> None:
         fh.write(json.dumps(summary, sort_keys=True, indent=2) + "\n")
 
 
+def usable_cores() -> int:
+    """The cores this process may run on: the default --workers."""
+    return len(os.sched_getaffinity(0))
+
+
 def write_meta(path: str, wall_time_s: float, argv: list[str], workers: int) -> None:
     """The only report file allowed to differ between reruns. Records the
     parallel setup: worker processes, usable cores, and the
@@ -136,7 +141,7 @@ def write_meta(path: str, wall_time_s: float, argv: list[str], workers: int) -> 
         "wall_time_s": wall_time_s,
         "argv": argv,
         "workers": workers,
-        "usable_cores": len(os.sched_getaffinity(0)),
+        "usable_cores": usable_cores(),
         "worker_openblas_num_threads": worker_blas_threads(workers),
     }
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -209,7 +214,6 @@ def load_synth_spec(path: str) -> SyntheticSpec:
 
 def _load_dataset(path: str) -> SurvivalDataset:
     ds = load_csv(path, CsvSchema())
-    ds, _removed = filter_patients(ds)
     ds.require_trainable()
     return ds
 
@@ -408,8 +412,9 @@ def build_parser() -> argparse.ArgumentParser:
     _flag(hp, "hp", "hyperparameter JSON file (defaults if omitted)")
     folds = argparse.ArgumentParser(add_help=False)
     _flag(folds, "k", "number of folds (default 5)", int, 5)
-    _flag(folds, "workers", "worker processes training (configuration, fold) units; "
-          "1 (default) trains them in-process", int, 1)
+    _flag(folds, "workers", "worker processes training (configuration, fold) units "
+          "(default: the usable cores, at most one per unit); 1 trains them in-process",
+          int, usable_cores())
 
     def command(name, func, help_text, *parents):
         p = sub.add_parser(name, help=help_text, parents=[*parents, out])

@@ -286,12 +286,25 @@ def activation_forward(z: np.ndarray, kind: str) -> tuple[np.ndarray, np.ndarray
 
 
 def activation_backward(grad_out: np.ndarray, cache: np.ndarray, kind: str) -> np.ndarray:
+    """grad_out times the activation's derivative at the cached values.
+    tanh and selu build it in place in one array, with the operations of
+    the plain formulas in their order (tanh: grad_out * (1 - out²); selu:
+    grad_out * (SCALE * where(z > 0, 1, ALPHA * exp(z)))), so the result is
+    bit-identical to them."""
     if kind == "tanh":
-        return grad_out * (1.0 - cache * cache)
+        d = cache * cache
+        np.subtract(1.0, d, out=d)
+        d *= grad_out
+        return d
     if kind == "relu":
         return grad_out * (cache > 0)
     if kind == "selu":
-        return grad_out * (SELU_SCALE * np.where(cache > 0, 1.0, SELU_ALPHA * np.exp(cache)))
+        d = np.exp(cache)
+        d *= SELU_ALPHA
+        np.copyto(d, 1.0, where=cache > 0)
+        d *= SELU_SCALE
+        d *= grad_out
+        return d
     if kind == "linear":
         return grad_out
     raise ValueError(f"unknown activation {kind!r}")
@@ -318,16 +331,22 @@ def batchnorm_forward(
     statistics (eval); then scale by gamma and shift by beta.
 
     Train mode uses the population (divide-by-n) batch variance and needs a
-    batch of at least 2 samples.
+    batch of at least 2 samples. The inputs are centred once; the centred
+    array gives the variance as sum((z - mean)²) / n, which is how numpy's
+    `var` computes it, and then becomes `xhat` in place. Two full-size
+    arrays are allocated (`xhat` and the output) and the result is
+    bit-identical to the unfused formulas.
     """
     if mode == "train":
         n = inputs.shape[0]
         if n < 2:
             raise ValueError("train-mode batch normalization needs a batch of >= 2")
         mean = inputs.mean(axis=0)
-        var = inputs.var(axis=0)
+        xhat = inputs - mean
+        sq = np.multiply(xhat, xhat)
+        var = sq.sum(axis=0) / n
         inv_std = 1.0 / np.sqrt(var + params.epsilon)
-        xhat = (inputs - mean) * inv_std
+        xhat *= inv_std
         if update_running:
             if params.n_updates == 0:
                 params.running_mean[...] = mean
@@ -337,11 +356,15 @@ def batchnorm_forward(
                 params.running_mean[...] = (1.0 - m) * params.running_mean + m * mean
                 params.running_var[...] = (1.0 - m) * params.running_var + m * var
             params.n_updates += 1
-        out = params.gamma * xhat + params.beta_shift
+        out = np.multiply(xhat, params.gamma, out=sq)
+        out += params.beta_shift
         return out, BatchNormCache(xhat, inv_std, params.gamma)
     if mode == "eval":
         inv_std = 1.0 / np.sqrt(params.running_var + params.epsilon)
-        out = params.gamma * (inputs - params.running_mean) * inv_std + params.beta_shift
+        out = inputs - params.running_mean
+        out *= params.gamma
+        out *= inv_std
+        out += params.beta_shift
         return out, None
     raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
 
@@ -350,16 +373,24 @@ def batchnorm_backward(
     grad_out: np.ndarray, cache: BatchNormCache
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Exact gradients through the batch statistics (mean and variance both
-    depend on the inputs). Returns (grad_inputs, grad_gamma, grad_beta)."""
+    depend on the inputs). Returns (grad_inputs, grad_gamma, grad_beta).
+
+    grad_inputs = (inv_std / n) * (n * g - sum(g) - xhat * sum(g * xhat))
+    with g = grad_out * gamma, evaluated in that order in two full-size
+    arrays, so it is bit-identical to the formula written out."""
     n = grad_out.shape[0]
-    grad_gamma = (grad_out * cache.xhat).sum(axis=0)
+    scratch = grad_out * cache.xhat
+    grad_gamma = scratch.sum(axis=0)
     grad_beta = grad_out.sum(axis=0)
-    grad_xhat = grad_out * cache.gamma
-    grad_in = (cache.inv_std / n) * (
-        n * grad_xhat
-        - grad_xhat.sum(axis=0)
-        - cache.xhat * (grad_xhat * cache.xhat).sum(axis=0)
-    )
+    grad_in = grad_out * cache.gamma
+    sum_g = grad_in.sum(axis=0)
+    np.multiply(grad_in, cache.xhat, out=scratch)
+    sum_g_xhat = scratch.sum(axis=0)
+    grad_in *= n
+    grad_in -= sum_g
+    np.multiply(cache.xhat, sum_g_xhat, out=scratch)
+    grad_in -= scratch
+    grad_in *= cache.inv_std / n
     return grad_in, grad_gamma, grad_beta
 
 
@@ -379,23 +410,35 @@ class DropoutStream:
         self.seed = int(seed)
 
     def mask(self, shape, rate: float, epoch: int, block: int, layer: int) -> np.ndarray:
+        """Boolean keep mask: True where a unit survives (probability 1 - rate)."""
         rng = np.random.default_rng(
             np.random.SeedSequence([self.seed, int(epoch), int(block), int(layer)])
         )
-        keep = rng.random(shape) >= rate
-        return keep / (1.0 - rate)
+        return rng.random(shape) >= rate
+
+
+def _apply_keep(x: np.ndarray, keep: np.ndarray, rate: float) -> np.ndarray:
+    """x * keep / (1 - rate), in one fresh array. Multiplying by the 0/1
+    mask first and by the scale second gives exactly x * m for the float
+    mask m = keep / (1 - rate), signed zeros included. (Converting the mask
+    with astype is faster than letting the multiply cast the booleans.)"""
+    out = keep.astype(np.float64)
+    out *= x
+    out *= 1.0 / (1.0 - rate)
+    return out
 
 
 def dropout_forward(
     activations: np.ndarray, rate: float, mode: str, mask: np.ndarray | None
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """Inverted dropout: zero units with probability `rate` and scale
-    survivors by 1/(1-rate) in train mode; identity in eval mode or at rate 0."""
+    """Inverted dropout: zero units where the boolean keep `mask` is False
+    and scale survivors by 1/(1-rate) in train mode; identity in eval mode
+    or at rate 0."""
     if mode == "eval" or rate == 0.0:
         return activations, None
     if mask is None:
         raise ValueError("train-mode dropout at rate > 0 requires a mask")
-    return activations * mask, mask
+    return _apply_keep(activations, mask, rate), mask
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +476,8 @@ def resblock_forward(
     layer_caches: list[LayerCache] = []
     a = x
     for li, (dense, bn) in enumerate(zip(block.dense_layers, block.batch_norms)):
-        z = a @ dense.W.T + dense.b
+        z = a @ dense.W.T
+        z += dense.b
         bn_out, bn_cache = batchnorm_forward(z, bn, mode, update_running)
         act_out, act_cache = activation_forward(bn_out, activation_kind)
         mask = None
@@ -445,7 +489,10 @@ def resblock_forward(
         if train:
             layer_caches.append(LayerCache(a, bn_cache, act_cache, mask))
         a = dropped
-    y = a if block.shortcut is None else a + x @ block.shortcut.W.T
+    y = a
+    if block.shortcut is not None:
+        y = x @ block.shortcut.W.T
+        y += a
     return y, (BlockCache(x, layer_caches) if train else None)
 
 
@@ -454,6 +501,7 @@ def resblock_backward(
     block: ResBlockParams,
     cache: BlockCache,
     activation_kind: str,
+    dropout_rate: float,
     put: Callable[..., None],
 ) -> np.ndarray:
     """Backward through one block: the main-channel chain plus the shortcut
@@ -466,13 +514,13 @@ def resblock_backward(
     for li in range(len(block.dense_layers) - 1, -1, -1):
         lc = cache.layers[li]
         if lc.mask is not None:
-            grad = grad * lc.mask
+            grad = _apply_keep(grad, lc.mask, dropout_rate)
         grad = activation_backward(grad, lc.act, activation_kind)
         grad, g_gamma, g_beta = batchnorm_backward(grad, lc.bn)
         put(g_beta, g_gamma, grad.sum(axis=0), grad.T @ lc.a_in)
         grad = grad @ block.dense_layers[li].W
     if block.shortcut is not None:
-        grad = grad + grad_y @ block.shortcut.W
+        grad += grad_y @ block.shortcut.W
     return grad
 
 
@@ -547,9 +595,8 @@ def model_backward(
     put(grad_h.sum(axis=0), grad_h.T @ cache.head_in)
     grad = grad_h @ params.output_head.W
     for bi in range(len(params.blocks) - 1, -1, -1):
-        grad = resblock_backward(
-            grad, params.blocks[bi], cache.blocks[bi], params.activation_kind, put
-        )
+        grad = resblock_backward(grad, params.blocks[bi], cache.blocks[bi],
+                                 params.activation_kind, params.dropout_rate, put)
     return grads
 
 

@@ -153,6 +153,14 @@ def test_train_corrupt_csv_exits_2_naming_the_row(tmp_path, hp_file, capsys):
     assert "row 2" in err
 
 
+def test_train_without_events_exits_2(tmp_path, hp_file, capsys):
+    censored = tmp_path / "censored.csv"
+    censored.write_text("sample_id,time,event,f0\ns1,5.0,0,0.3\ns2,2.0,0,0.1\n")
+    assert main(["train", "--data", str(censored), "--hp", hp_file,
+                 "--out", str(tmp_path / "run")]) == 2
+    assert "error: dataset contains no observed events" in capsys.readouterr().err
+
+
 def test_train_divergence_exits_3(tmp_path, data_csv):
     hp = _write_json(tmp_path / "boom.json", DIVERGENT_HP)
     with np.errstate(all="ignore"):
@@ -367,6 +375,45 @@ def test_meta_file_records_the_parallel_setup(tmp_path, data_csv, hp_file, monke
     assert meta["workers"] == int(workers)
     assert meta["usable_cores"] == len(os.sched_getaffinity(0))
     assert meta["worker_openblas_num_threads"] == blas
+
+
+def _cv_meta(tmp_path, data_csv, hp_file, name, *extra):
+    out = tmp_path / name
+    assert main(["cv", "--data", data_csv, "--hp", hp_file, "--k", "2",
+                 *extra, "--out", str(out)]) == 0
+    return out, json.loads((out / "meta.json").read_text())
+
+
+def test_default_workers_is_the_usable_cores(tmp_path, data_csv, hp_file, monkeypatch):
+    monkeypatch.delenv("RESSURV_WORKERS", raising=False)
+    pooled, meta = _cv_meta(tmp_path, data_csv, hp_file, "default")
+    assert meta["workers"] == meta["usable_cores"] == len(os.sched_getaffinity(0))
+    serial, _ = _cv_meta(tmp_path, data_csv, hp_file, "serial", "--workers", "1")
+    for name in ("folds.jsonl", "summary.json"):
+        assert (pooled / name).read_bytes() == (serial / name).read_bytes(), name
+
+
+def _no_pool(*args, **kwargs):
+    raise AssertionError("a process pool was started")
+
+
+def test_default_workers_on_one_core_run_in_process(tmp_path, data_csv, hp_file,
+                                                    monkeypatch):
+    monkeypatch.delenv("RESSURV_WORKERS", raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    monkeypatch.setattr("ressurv.training.ProcessPoolExecutor", _no_pool)
+    _, meta = _cv_meta(tmp_path, data_csv, hp_file, "cv")
+    assert meta["workers"] == meta["usable_cores"] == 1
+    assert meta["worker_openblas_num_threads"] is None
+
+
+def test_workers_env_var_beats_the_core_count(tmp_path, data_csv, hp_file, monkeypatch):
+    monkeypatch.setenv("RESSURV_WORKERS", "1")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    monkeypatch.setattr("ressurv.training.ProcessPoolExecutor", _no_pool)
+    _, meta = _cv_meta(tmp_path, data_csv, hp_file, "cv")
+    assert meta["workers"] == 1 and meta["usable_cores"] == 4
+    assert meta["worker_openblas_num_threads"] is None
 
 
 @pytest.mark.parametrize("name, value", [("RESSURV_FORMAT", "xml"), ("RESSURV_K", "abc")])

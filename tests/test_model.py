@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from ressurv.data import StandardizationParams
 from ressurv.model import (
+    ACTIVATION_KINDS,
     SELU_ALPHA,
     SELU_SCALE,
     BatchNormParams,
@@ -230,10 +231,9 @@ def test_dropout_train_requires_mask():
 def test_dropout_mask_values_and_rate():
     stream = DropoutStream(11)
     mask = stream.mask((400, 50), 0.4, epoch=1, block=0, layer=0)
-    kept = mask > 0
-    # inverted dropout: survivors are scaled by 1/(1-rate)
-    assert np.allclose(mask[kept], 1.0 / 0.6)
-    assert abs(kept.mean() - 0.6) < 0.02
+    # a boolean keep mask; the 1/(1-rate) scale is applied by dropout_forward
+    assert mask.dtype == np.bool_ and mask.shape == (400, 50)
+    assert abs(mask.mean() - 0.6) < 0.02
 
 
 def test_dropout_mask_keyed_deterministically():
@@ -250,12 +250,124 @@ def test_dropout_mask_keyed_deterministically():
 
 
 def test_dropout_applies_mask():
-    x = np.ones((4, 4))
+    x = np.ones((40, 40))
     stream = DropoutStream(0)
-    mask = stream.mask(x.shape, 0.5, 0, 0, 0)
-    out, returned = dropout_forward(x, 0.5, "train", mask)
+    mask = stream.mask(x.shape, 0.4, 0, 0, 0)
+    out, returned = dropout_forward(x, 0.4, "train", mask)
     assert returned is mask
-    assert np.array_equal(out, mask)
+    # inverted dropout: survivors are scaled by 1/(1-rate), the rest zeroed
+    assert np.all(out[mask] == 1.0 / 0.6)
+    assert np.all(out[~mask] == 0.0)
+    assert 0 < mask.sum() < mask.size
+
+
+# ---------------------------------------------------------------------------
+# Fused kernels against the unfused formulas
+# ---------------------------------------------------------------------------
+# The *_reference functions are the textbook formulas the kernels replace,
+# written out with one temporary per operation. The kernels must reproduce
+# them bit for bit, so report files do not change with the fusion.
+
+def batchnorm_forward_reference(inputs, params, mode, update_running=True):
+    if mode == "train":
+        mean = inputs.mean(axis=0)
+        var = inputs.var(axis=0)
+        inv_std = 1.0 / np.sqrt(var + params.epsilon)
+        xhat = (inputs - mean) * inv_std
+        if update_running:
+            if params.n_updates == 0:
+                params.running_mean[...] = mean
+                params.running_var[...] = var
+            else:
+                m = params.momentum
+                params.running_mean[...] = (1.0 - m) * params.running_mean + m * mean
+                params.running_var[...] = (1.0 - m) * params.running_var + m * var
+            params.n_updates += 1
+        return params.gamma * xhat + params.beta_shift, (xhat, inv_std)
+    inv_std = 1.0 / np.sqrt(params.running_var + params.epsilon)
+    return params.gamma * (inputs - params.running_mean) * inv_std + params.beta_shift, None
+
+
+def batchnorm_backward_reference(grad_out, xhat, inv_std, gamma):
+    n = grad_out.shape[0]
+    grad_gamma = (grad_out * xhat).sum(axis=0)
+    grad_beta = grad_out.sum(axis=0)
+    grad_xhat = grad_out * gamma
+    grad_in = (inv_std / n) * (
+        n * grad_xhat
+        - grad_xhat.sum(axis=0)
+        - xhat * (grad_xhat * xhat).sum(axis=0)
+    )
+    return grad_in, grad_gamma, grad_beta
+
+
+def activation_backward_reference(grad_out, cache, kind):
+    if kind == "tanh":
+        return grad_out * (1.0 - cache * cache)
+    if kind == "relu":
+        return grad_out * (cache > 0)
+    if kind == "selu":
+        return grad_out * (SELU_SCALE * np.where(cache > 0, 1.0, SELU_ALPHA * np.exp(cache)))
+    return grad_out
+
+
+def dropout_mask_reference(seed, shape, rate, epoch, block, layer):
+    # the float mask: 1/(1-rate) where kept, 0 elsewhere
+    rng = np.random.default_rng(np.random.SeedSequence([seed, epoch, block, layer]))
+    keep = rng.random(shape) >= rate
+    return keep / (1.0 - rate)
+
+
+def _same_bytes(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    n=st.integers(2, 300),
+    width=st.integers(1, 70),
+    seed=st.integers(0, 2**32 - 1),
+    loc=st.sampled_from([0.0, -3.0, 40.0]),
+    scale=st.sampled_from([1e-3, 1.0, 25.0]),
+    constant_cols=st.integers(0, 3),
+    rate=st.sampled_from([0.1, 0.2, 0.3, 0.4, 0.6]),
+)
+def test_fused_kernels_match_reference_bytes(n, width, seed, loc, scale, constant_cols, rate):
+    rng = np.random.default_rng(seed)
+    z = rng.normal(loc, scale, size=(n, width))
+    for j in rng.choice(width, size=min(constant_cols, width), replace=False):
+        z[:, j] = rng.normal(loc, scale)   # a constant column, often negative
+    bn, ref = BatchNormParams.identity(width), BatchNormParams.identity(width)
+    for p in (bn, ref):
+        p.gamma[:] = np.random.default_rng(seed + 1).normal(size=width)
+        p.beta_shift[:] = np.random.default_rng(seed + 2).normal(size=width)
+
+    # train mode twice: the first update copies, the second is the EMA
+    for batch in (z, z[::-1] * 0.5 - 1.0):
+        out, cache = batchnorm_forward(batch, bn, "train")
+        ref_out, (ref_xhat, ref_inv_std) = batchnorm_forward_reference(batch, ref, "train")
+        assert _same_bytes(out, ref_out)
+        assert _same_bytes(cache.xhat, ref_xhat) and _same_bytes(cache.inv_std, ref_inv_std)
+        assert _same_bytes(bn.running_mean, ref.running_mean)
+        assert _same_bytes(bn.running_var, ref.running_var)
+    assert _same_bytes(batchnorm_forward(z, bn, "eval")[0],
+                       batchnorm_forward_reference(z, ref, "eval")[0])
+
+    grad_out = rng.normal(size=(n, width))
+    for got, want in zip(batchnorm_backward(grad_out, cache),
+                         batchnorm_backward_reference(grad_out, ref_xhat, ref_inv_std,
+                                                      ref.gamma)):
+        assert _same_bytes(got, want)
+
+    for kind in ACTIVATION_KINDS:
+        _, act_cache = activation_forward(out, kind)
+        assert _same_bytes(activation_backward(grad_out, act_cache, kind),
+                           activation_backward_reference(grad_out, act_cache, kind))
+
+    keep = DropoutStream(seed).mask(out.shape, rate, 1, 0, 2)
+    dropped, _ = dropout_forward(out, rate, "train", keep)
+    # signed zeros included: a dropped negative unit is -0.0 in both
+    assert _same_bytes(dropped, out * dropout_mask_reference(seed, out.shape, rate, 1, 0, 2))
 
 
 # ---------------------------------------------------------------------------
