@@ -6,7 +6,8 @@ reruns. Timestamps and wall-clock measurements live in a separate meta.json
 so they never contaminate deterministic content.
 
 Exit codes: 0 success, 2 configuration or input error (including a file
-that cannot be read or written), 3 numerical divergence during training.
+that cannot be read or written, and a worker pool that broke), 3 numerical
+divergence during training.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import json
 import os
 import sys
 import time
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 
@@ -45,9 +47,12 @@ from .model import save_checkpoint
 from .training import (
     HOLDOUT_FRACTION,
     Hyperparameters,
+    UnitPool,
     cross_validate,
     cross_validate_configs,
+    enumerate_grid,
     grid_search,
+    open_pool,
     plan_folds,
     stable_seed,
     train,
@@ -131,31 +136,42 @@ def usable_cores() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def write_meta(path: str, wall_time_s: float, argv: list[str], workers: int) -> None:
+def write_meta(path: str, wall_time_s: float, argv: list[str], workers: int,
+               pool: int | UnitPool = 1) -> None:
     """The only report file allowed to differ between reruns. Records the
-    parallel setup: worker processes, usable cores, and the
-    OPENBLAS_NUM_THREADS the workers started with (null without a pool)."""
+    parallel setup: worker processes, usable cores, the OPENBLAS_NUM_THREADS
+    the workers started with, and per pool worker the seconds from the
+    command's start to the start of its first unit, ascending (both null
+    without a pool)."""
+    now = time.time()
+    worker_start_s = None
+    if isinstance(pool, UnitPool):
+        started_unix = now - wall_time_s
+        worker_start_s = sorted(t - started_unix for t in pool.first_unit_unix.values())
     meta = {
         "schema": REPORT_SCHEMA,
-        "created_unix": time.time(),
+        "created_unix": now,
         "wall_time_s": wall_time_s,
         "argv": argv,
         "workers": workers,
         "usable_cores": usable_cores(),
         "worker_openblas_num_threads": worker_blas_threads(workers),
+        "worker_start_s": worker_start_s,
     }
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(json.dumps(meta, sort_keys=True, indent=2) + "\n")
 
 
-def write_reports(args, t0: float, name: str, records: list[dict], summary: dict) -> None:
+def write_reports(args, t0: float, name: str, records: list[dict], summary: dict,
+                  pool: int | UnitPool = 1) -> None:
     """A command's report files in args.out: `name`.<format> records,
-    summary.json, and meta.json timed from `t0` with the argv main parsed."""
+    summary.json, and meta.json timed from `t0` with the argv main parsed
+    and the units' start times from `pool`."""
     write_records(os.path.join(args.out, f"{name}.{args.format}"), records, args.format)
     write_summary(os.path.join(args.out, "summary.json"), summary)
     # train takes no --workers: it always runs in-process
     write_meta(os.path.join(args.out, "meta.json"), time.perf_counter() - t0, args.argv,
-               getattr(args, "workers", 1))
+               getattr(args, "workers", 1), pool)
 
 
 # ---------------------------------------------------------------------------
@@ -289,11 +305,13 @@ def cmd_cv(args) -> int:
     t0 = time.perf_counter()
     os.makedirs(args.out, exist_ok=True)
     hp = load_hyperparameters(args.hp)
-    result = cross_validate(_load_dataset(args.data), hp, k=args.k, seed=args.seed,
-                            workers=args.workers)
+    # the pool opens first, so that its workers start while the CSV loads
+    with open_pool(args.workers, args.k) as pool:
+        result = cross_validate(_load_dataset(args.data), hp, k=args.k, seed=args.seed,
+                                workers=pool)
 
     write_reports(args, t0, "folds", result.fold_records(),
-                  {"command": "cv", "hp": hp.to_dict(), **result.summary()})
+                  {"command": "cv", "hp": hp.to_dict(), **result.summary()}, pool)
     print(
         f"cv: mean C-index {result.mean_c_index:.4f} "
         f"+/- {result.std_c_index:.4f} over {result.k} folds -> {args.out}"
@@ -305,11 +323,16 @@ def cmd_gridsearch(args) -> int:
     t0 = time.perf_counter()
     os.makedirs(args.out, exist_ok=True)
     grid, base_hp = load_grid_file(args.grid)
-    result = grid_search(_load_dataset(args.data), grid, k=args.k, seed=args.seed,
-                         budget=args.budget, workers=args.workers, base_hp=base_hp)
+    points = len(enumerate_grid(grid, base_hp))
+    if args.budget is not None:
+        points = min(points, args.budget)
+    # the pool opens first, so that its workers start while the CSV loads
+    with open_pool(args.workers, points * args.k) as pool:
+        result = grid_search(_load_dataset(args.data), grid, k=args.k, seed=args.seed,
+                             budget=args.budget, workers=pool, base_hp=base_hp)
 
     write_reports(args, t0, "points", result.point_records(),
-                  {"command": "gridsearch", **result.summary()})
+                  {"command": "gridsearch", **result.summary()}, pool)
     best = result.best_point
     if best is None:
         print(f"gridsearch: all {result.total_runs} points failed -> {args.out}")
@@ -330,15 +353,16 @@ def cmd_compare(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     seed = args.seed
     hp = load_hyperparameters(args.hp)
-    plan = plan_folds(_load_dataset(args.data), args.k, seed)
+    networks = (("ressurv", True), ("mlp_ablation", False))
+    # the pool opens first, so that its workers start while the CSV loads
+    with open_pool(args.workers, len(networks) * args.k) as pool:
+        plan = plan_folds(_load_dataset(args.data), args.k, seed)
+        cvs = cross_validate_configs(plan, [(hp, shortcut) for _, shortcut in networks],
+                                     pool)
     canon, folds = plan.data, plan.folds
 
     records: list[dict] = []
     summaries: dict[str, dict] = {}
-
-    networks = (("ressurv", True), ("mlp_ablation", False))
-    cvs = cross_validate_configs(plan, [(hp, shortcut) for _, shortcut in networks],
-                                 args.workers)
     for (model_name, _), cv in zip(networks, cvs):
         for rec in cv.fold_records():
             records.append({"model": model_name, **rec})
@@ -378,7 +402,7 @@ def cmd_compare(args) -> int:
         "fold_hash": folds.content_hash(),
         "hp": hp.to_dict(),
         "models": summaries,
-    })
+    }, pool)
     line = "  ".join(
         f"{name}={summaries[name]['mean_c_index']:.4f}" for name in sorted(summaries)
     )
@@ -448,6 +472,13 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_DIVERGED
     except (RessurvError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
+        return EXIT_CONFIG
+    except BrokenProcessPool as err:
+        print(f"error: the worker pool broke ({str(err).rstrip('.')}). A pool worker "
+              "could not start or was killed, for instance out of memory; spawned "
+              "workers re-import the main program, so a program read from standard "
+              "input cannot start them. --workers 1 trains in this process.",
+              file=sys.stderr)
         return EXIT_CONFIG
 
 

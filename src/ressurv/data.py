@@ -324,8 +324,14 @@ def write_csv(ds: SurvivalDataset, path, schema: CsvSchema = CsvSchema()) -> Non
     """Write a dataset to the same CSV format `load_csv` reads.
 
     Floats are written with shortest round-trip repr, so load(write(ds))
-    reproduces the numeric content exactly.
+    reproduces the dataset exactly. A dataset that `load_csv` would reject
+    or read back changed is refused before the file is opened: a header
+    that does not survive `load_csv` raises `SchemaError`, and an id that is
+    empty, has surrounding whitespace or repeats, a time that is not
+    positive and finite, or a non-finite feature raises `DataRowError`
+    naming the 1-based data row.
     """
+    _check_round_trip(ds, schema)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow([schema.id_col, schema.time_col, schema.event_col, *ds.feature_names])
@@ -337,6 +343,35 @@ def write_csv(ds: SurvivalDataset, path, schema: CsvSchema = CsvSchema()) -> Non
             ]
             row.extend(repr(float(v)) for v in ds.features[i])
             writer.writerow(row)
+
+
+def _check_round_trip(ds: SurvivalDataset, schema: CsvSchema) -> None:
+    if ds.n == 0:
+        raise SchemaError("no data rows to write")
+    special = [schema.id_col, schema.time_col, schema.event_col]
+    for name in (*special, *ds.feature_names):
+        if name != name.strip():
+            raise SchemaError(f"column name {name!r} has surrounding whitespace")
+    if len(set(special)) < 3 or set(special) & set(ds.feature_names):
+        raise SchemaError("the id, time, event and feature columns need distinct names")
+    seen: set[str] = set()
+    for row, sid in enumerate(ds.sample_ids, start=1):
+        if not sid or sid != sid.strip():
+            raise DataRowError(row, f"sample id {sid!r} is empty or has surrounding "
+                                    "whitespace")
+        if sid in seen:
+            raise DataRowError(row, f"duplicate sample id {sid!r}")
+        seen.add(sid)
+    bad = np.flatnonzero(~(np.isfinite(ds.times) & (ds.times > 0)))
+    if bad.size:
+        i = int(bad[0])
+        raise DataRowError(i + 1, f"time must be positive and finite, got "
+                                  f"{float(ds.times[i])!r}")
+    bad = np.argwhere(~np.isfinite(ds.features))
+    if bad.size:
+        i, j = (int(v) for v in bad[0])
+        raise DataRowError(i + 1, f"non-finite value {float(ds.features[i, j])!r} "
+                                  f"in column {ds.feature_names[j]!r}")
 
 
 def filter_patients(ds: SurvivalDataset) -> tuple[SurvivalDataset, int]:

@@ -11,12 +11,16 @@ carried separately and never enters deterministic report content.
 from __future__ import annotations
 
 import os
+import pickle
+import shutil
+import sys
+import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
-from functools import partial
-from itertools import product
+from itertools import product, repeat
 from multiprocessing import get_context
 
 import numpy as np
@@ -533,19 +537,21 @@ def fold_unit(
     )
 
 
-# The plan of the run a pool worker serves. Set once per worker process by
-# the pool initializer, so the dataset crosses the process boundary once per
-# worker rather than once per unit; never set in the parent.
-_worker_plan: FoldPlan | None = None
+# The plan a pool worker last loaded, as (file path, plan): a worker reads
+# each plan file once, on its first unit of that plan, and keeps it for the
+# rest; never set in the parent.
+_worker_plan: tuple[str, FoldPlan] | None = None
 
 
-def _init_worker(plan: FoldPlan) -> None:
+def _pooled_fold_unit(plan_path: str, hp: Hyperparameters, with_shortcut: bool, f: int):
+    """`fold_unit` in a pool worker, beside the worker's pid and the wall
+    clock (Unix seconds) at which the unit started."""
     global _worker_plan
-    _worker_plan = plan
-
-
-def _pooled_fold_unit(hp: Hyperparameters, with_shortcut: bool, f: int):
-    return fold_unit(_worker_plan, hp, with_shortcut, f)
+    started = time.time()
+    if _worker_plan is None or _worker_plan[0] != plan_path:
+        with open(plan_path, "rb") as fh:
+            _worker_plan = (plan_path, pickle.load(fh))
+    return os.getpid(), started, fold_unit(_worker_plan[1], hp, with_shortcut, f)
 
 
 def worker_blas_threads(workers: int) -> str | None:
@@ -558,9 +564,9 @@ def worker_blas_threads(workers: int) -> str | None:
 
 @contextmanager
 def _worker_blas_env():
-    """Keep OPENBLAS_NUM_THREADS set while a pool may start workers (spawn
-    starts them at submit), then restore the environment. It must be in the
-    environment when a worker starts: OpenBLAS reads it as numpy loads."""
+    """Keep OPENBLAS_NUM_THREADS set while a pool starts its workers, then
+    restore the environment. It must be in the environment when a worker
+    starts: OpenBLAS reads it as numpy loads."""
     user_set = BLAS_THREADS_ENV in os.environ
     os.environ.setdefault(BLAS_THREADS_ENV, WORKER_BLAS_THREADS)
     try:
@@ -570,10 +576,97 @@ def _worker_blas_env():
             os.environ.pop(BLAS_THREADS_ENV, None)
 
 
+def _check_spawn_can_import_main() -> None:
+    """Raise `BrokenProcessPool` before any worker starts if spawned workers
+    could not re-import the main program, as for one read from standard
+    input: each such worker would die at start with its own traceback."""
+    main = sys.modules["__main__"]
+    if getattr(main.__spec__, "name", None) is not None:
+        return   # run with -m: workers import the module by name
+    path = getattr(main, "__file__", None)
+    if path is not None and not os.path.isfile(path):
+        raise BrokenProcessPool(f"spawned workers cannot re-import the main program {path!r}")
+
+
+class UnitPool:
+    """`size` spawned worker processes for (configuration, fold) units.
+
+    Every worker starts when the pool opens, so their imports overlap
+    whatever the opener does next (reading the CSV, planning the folds).
+    Each worker starts with one BLAS thread unless OPENBLAS_NUM_THREADS is
+    set. A fold plan reaches the workers as a file: `map_units` pickles it
+    once into the pool's temporary directory (under TMPDIR, mode 0700, so
+    that no other user can replace what the workers unpickle), each unit
+    names that file, and a worker loads it on its first unit. Closing the
+    pool waits for its workers and deletes the directory.
+    """
+
+    def __init__(self, size: int):
+        _check_spawn_can_import_main()
+        # Unix time each worker (by pid) started its first unit
+        self.first_unit_unix: dict[int, float] = {}
+        self._plans = 0
+        self._dir = tempfile.mkdtemp(prefix="ressurv-pool-")
+        try:
+            with _worker_blas_env():
+                self._executor = ProcessPoolExecutor(size, mp_context=get_context("spawn"))
+                # spawn starts one worker per submit that finds none idle:
+                # these no-op calls start all of them now, at once. Their
+                # futures go unread: a worker that cannot start breaks the
+                # pool, and `map_units` raises that.
+                for _ in range(size):
+                    self._executor.submit(os.getpid)
+        except BaseException:
+            shutil.rmtree(self._dir, ignore_errors=True)
+            raise
+
+    def map_units(self, plan: FoldPlan, units):
+        """`fold_unit` outcomes of `plan` for each (hp, with_shortcut, fold)
+        of `units`, in order. Closing the generator early cancels the units
+        not yet started."""
+        path = os.path.join(self._dir, f"plan{self._plans}.pickle")
+        self._plans += 1
+        with open(path, "wb") as fh:
+            pickle.dump(plan, fh, protocol=pickle.HIGHEST_PROTOCOL)
+        outcomes = self._executor.map(_pooled_fold_unit, repeat(path), *zip(*units))
+        try:
+            for pid, started, outcome in outcomes:
+                # a worker takes its units in submission order
+                self.first_unit_unix.setdefault(pid, started)
+                yield outcome
+        finally:
+            outcomes.close()
+
+    def close(self) -> None:
+        self._executor.shutdown(cancel_futures=True)
+        shutil.rmtree(self._dir, ignore_errors=True)
+
+
+@contextmanager
+def open_pool(workers: int | UnitPool, units: int):
+    """What to run `units` units with: a `UnitPool` given as `workers` as
+    is (the caller closes it), or a count. When min(`workers`, `units`) is
+    below 2 the units run in-process and this yields 1; otherwise it opens a
+    pool of that many workers and closes it on exit."""
+    if isinstance(workers, UnitPool):
+        yield workers
+        return
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
+    if min(workers, units) < 2:
+        yield 1
+        return
+    pool = UnitPool(min(workers, units))
+    try:
+        yield pool
+    finally:
+        pool.close()
+
+
 def cross_validate_configs(
     plan: FoldPlan,
     configs: list[tuple[Hyperparameters, bool]],
-    workers: int = 1,
+    workers: int | UnitPool = 1,
     raise_divergence: bool = True,
 ) -> list[CVResult | DivergenceError]:
     """Cross-validate each (hp, with_shortcut) configuration on the plan's
@@ -581,29 +674,23 @@ def cross_validate_configs(
 
     The unit of work is one (configuration, fold) pair, run by `fold_unit`
     in enumeration order. With `workers` == 1 the units run in-process, one
-    after another; otherwise a pool of `workers` spawned processes runs
-    them, each worker with one BLAS thread unless OPENBLAS_NUM_THREADS is
-    set. Every number depends only on the unit, never on which process ran
-    it or when, so results are identical across worker counts.
+    after another; a larger count runs them in a `UnitPool` of that many
+    workers (at most one per unit) opened for this call, and an open
+    `UnitPool` runs them in its workers. Every number depends only on the
+    unit, never on which process ran it or when, so results are identical
+    across worker counts.
 
     A configuration with a diverging fold gets the `DivergenceError` of its
     lowest-index diverging fold: raised at once when `raise_divergence`
     (units not started yet are then cancelled), else returned in its place.
     """
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
     units = [(hp, with_shortcut, f)
              for hp, with_shortcut in configs for f in range(plan.folds.k)]
-    if workers == 1:
-        return _merge_folds(plan, len(configs), raise_divergence,
-                            map(partial(fold_unit, plan), *zip(*units)))
-    with _worker_blas_env(), ProcessPoolExecutor(
-        max_workers=min(workers, len(units)),
-        mp_context=get_context("spawn"),
-        initializer=_init_worker,
-        initargs=(plan,),
-    ) as pool:
-        outcomes = pool.map(_pooled_fold_unit, *zip(*units))
+    with open_pool(workers, len(units)) as pool:
+        if isinstance(pool, UnitPool):
+            outcomes = pool.map_units(plan, units)
+        else:
+            outcomes = (fold_unit(plan, *unit) for unit in units)
         try:
             return _merge_folds(plan, len(configs), raise_divergence, outcomes)
         finally:
@@ -646,7 +733,7 @@ def cross_validate(
     seed: int = 0,
     with_shortcut: bool = True,
     folds: FoldAssignment | None = None,
-    workers: int = 1,
+    workers: int | UnitPool = 1,
 ) -> CVResult:
     """Stratified k-fold cross-validation of the held-out C-index.
 
@@ -656,7 +743,7 @@ def cross_validate(
     an 80/20 stratified early-stop split is carved from the complement, the
     model trains with a fold-specific sub-seed, and the C-index is measured
     on the untouched held-out fold. `workers` > 1 trains folds in that many
-    processes, with identical results.
+    processes, and an open `UnitPool` in its workers, with identical results.
 
     Before any fold trains, every held-out fold and both sides of every
     early-stop split are checked for at least one comparable pair (an event
@@ -742,7 +829,7 @@ def grid_search(
     k: int = 5,
     seed: int = 0,
     budget: int | None = None,
-    workers: int = 1,
+    workers: int | UnitPool = 1,
     base_hp: Hyperparameters | None = None,
 ) -> GridSearchResult:
     """Evaluate grid points by cross-validation and pick the argmax.

@@ -1,12 +1,18 @@
 import json
+import multiprocessing
 import os
+import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
 
+import ressurv
+from conftest import make_dataset
+from ressurv import training
 from ressurv.cli import REPORT_SCHEMA, TRUTH_SCHEMA, main
-from ressurv.data import CsvSchema, load_csv
+from ressurv.data import CsvSchema, SurvivalDataset, load_csv, write_csv
 from ressurv.model import load_checkpoint, model_forward
 
 FAST_HP = {
@@ -375,6 +381,78 @@ def test_meta_file_records_the_parallel_setup(tmp_path, data_csv, hp_file, monke
     assert meta["workers"] == int(workers)
     assert meta["usable_cores"] == len(os.sched_getaffinity(0))
     assert meta["worker_openblas_num_threads"] == blas
+
+
+def test_meta_file_records_when_each_pool_worker_started(tmp_path, data_csv, hp_file):
+    _, serial = _cv_meta(tmp_path, data_csv, hp_file, "serial", "--workers", "1")
+    assert serial["worker_start_s"] is None
+    _, pooled = _cv_meta(tmp_path, data_csv, hp_file, "pooled", "--workers", "2")
+    starts = pooled["worker_start_s"]
+    assert 1 <= len(starts) <= 2 and starts == sorted(starts)
+    assert all(0 <= s <= pooled["wall_time_s"] for s in starts)
+
+
+def _degenerate_fold_csv(path):
+    # events at rows 0, 5, 10, 15 only: with k=5 the held-out fold 4 gets none
+    ds = make_dataset(n=40, p=3, seed=0)
+    events = np.zeros(ds.n, dtype=bool)
+    events[[0, 5, 10, 15]] = True
+    write_csv(SurvivalDataset(ds.sample_ids, ds.features, ds.feature_names, ds.times,
+                              events), path)
+
+
+@pytest.mark.parametrize("command", ["cv", "gridsearch", "compare"])
+@pytest.mark.parametrize("data, message", [
+    ("bad_row", "error: row 3: time value 'abc' is not numeric"),
+    ("degenerate_fold", "error: fold 4: the held-out split has no comparable pair"),
+])
+def test_pooled_commands_reject_bad_input_before_any_unit_trains(
+        tmp_path, data_csv, hp_file, capsys, monkeypatch, command, data, message):
+    csv_path = tmp_path / f"{data}.csv"
+    if data == "bad_row":
+        lines = open(data_csv).read().splitlines()
+        cells = lines[3].split(",")
+        cells[1] = "abc"   # the time of data row 3
+        lines[3] = ",".join(cells)
+        csv_path.write_text("\n".join(lines) + "\n")
+    else:
+        _degenerate_fold_csv(csv_path)
+    pool_tmp = tmp_path / "pool_tmp"
+    pool_tmp.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(pool_tmp))
+    opened = []
+    monkeypatch.setattr(training.UnitPool, "map_units", _no_pool)
+    real_init = training.UnitPool.__init__
+
+    def init(self, size):
+        real_init(self, size)
+        opened.append(size)
+
+    monkeypatch.setattr(training.UnitPool, "__init__", init)
+    extra = (["--grid", _write_json(tmp_path / "grid.json", {"learning_rate": [1e-2]})]
+             if command == "gridsearch" else ["--hp", hp_file])
+    assert main([command, "--data", str(csv_path), *extra, "--k", "5",
+                 "--workers", "2", "--out", str(tmp_path / "out")]) == 2
+    assert message in capsys.readouterr().err
+    assert opened == [2]
+    assert multiprocessing.active_children() == []
+    assert list(pool_tmp.iterdir()) == []
+
+
+def test_program_read_from_stdin_gets_an_error_line_not_a_traceback(tmp_path, data_csv,
+                                                                   hp_file):
+    argv = ["cv", "--data", data_csv, "--hp", hp_file, "--k", "2", "--workers", "2",
+            "--out", str(tmp_path / "cv")]
+    program = f"import sys\nfrom ressurv.cli import main\nsys.exit(main({argv!r}))\n"
+    src = os.path.dirname(os.path.dirname(ressurv.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-"], input=program, capture_output=True,
+                          text=True, env=env, cwd=tmp_path, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: the worker pool broke")
+    assert "--workers 1" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "cv" / "folds.jsonl").exists()
 
 
 def _cv_meta(tmp_path, data_csv, hp_file, name, *extra):

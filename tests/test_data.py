@@ -1,5 +1,10 @@
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ressurv.data import (
     CsvSchema,
@@ -144,6 +149,93 @@ def test_csv_round_trip_exact(tmp_path):
     np.testing.assert_array_equal(back.events, ds.events)
     assert back.sample_ids == ds.sample_ids
     assert back.feature_names == ds.feature_names
+
+
+@pytest.mark.parametrize("ids, times, features, fragment", [
+    ([" a", "b"], [1.0, 2.0], [0.0, 1.0], "row 1: sample id ' a'"),
+    (["a", "a "], [1.0, 2.0], [0.0, 1.0], "row 2: sample id 'a '"),
+    (["a", ""], [1.0, 2.0], [0.0, 1.0], "row 2: sample id ''"),
+    (["a", "b", "a"], [1.0, 2.0, 3.0], [0.0, 1.0, 2.0], "row 3: duplicate sample id 'a'"),
+    (["a", "b"], [1.0, 0.0], [0.0, 1.0], "row 2: time must be positive"),
+    (["a", "b"], [-1.0, 2.0], [0.0, 1.0], "row 1: time must be positive"),
+    (["a", "b"], [1.0, np.inf], [0.0, 1.0], "row 2: time must be positive"),
+    (["a", "b"], [np.nan, 2.0], [0.0, 1.0], "row 1: time must be positive"),
+    (["a", "b"], [1.0, 2.0], [0.0, np.nan], "row 2: non-finite value nan in column 'x'"),
+    (["a", "b"], [1.0, 2.0], [-np.inf, 1.0], "row 1: non-finite value -inf"),
+])
+def test_write_csv_refuses_rows_load_csv_would_reject_or_change(tmp_path, ids, times,
+                                                                features, fragment):
+    ds = SurvivalDataset(ids, np.array(features)[:, None], ["x"], times,
+                         np.ones(len(ids), dtype=bool))
+    path = tmp_path / "bad.csv"
+    with pytest.raises(DataRowError) as err:
+        write_csv(ds, path)
+    assert fragment in str(err.value)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("names", [[" x"], ["x\t"], ["time"], ["sample_id", "x"]])
+def test_write_csv_refuses_header_names_load_csv_would_change(tmp_path, names):
+    ds = SurvivalDataset(["a"], np.zeros((1, len(names))), names, [1.0], [True])
+    with pytest.raises(SchemaError):
+        write_csv(ds, tmp_path / "bad.csv")
+    with pytest.raises(SchemaError):
+        write_csv(ds.subset([]), tmp_path / "empty.csv")
+
+
+def _assert_reads_back(ds, back):
+    assert back.sample_ids == ds.sample_ids
+    assert back.feature_names == ds.feature_names
+    assert back.events.tolist() == ds.events.tolist()
+    assert back.times.tobytes() == ds.times.tobytes()
+    assert back.features.tobytes() == ds.features.tobytes()
+
+
+@st.composite
+def _csv_datasets(draw, valid: bool):
+    """Datasets with any text ids and feature names and any floats, or
+    (`valid`) only those `load_csv` accepts unchanged."""
+    n, p = draw(st.integers(1, 6)), draw(st.integers(0, 3))
+    text = st.text(max_size=4)
+    floats = st.floats(allow_nan=not valid, allow_infinity=not valid)
+    if valid:
+        text = text.filter(lambda s: s and s == s.strip())
+        times = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+    else:
+        times = floats
+    ids = draw(st.lists(text, min_size=n, max_size=n, unique=valid))
+    if valid:
+        text = text.filter(lambda s: s not in ("sample_id", "time", "event"))
+    names = draw(st.lists(text, min_size=p, max_size=p))
+    return SurvivalDataset(
+        ids,
+        np.array(draw(st.lists(floats, min_size=n * p, max_size=n * p))).reshape(n, p),
+        names,
+        draw(st.lists(times, min_size=n, max_size=n)),
+        draw(st.lists(st.booleans(), min_size=n, max_size=n)),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(_csv_datasets(valid=True))
+def test_write_csv_load_csv_round_trip_is_exact(ds):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "rt.csv")
+        write_csv(ds, path)
+        _assert_reads_back(ds, load_csv(path))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_csv_datasets(valid=False))
+def test_write_csv_refuses_or_reads_back_identical(ds):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "any.csv")
+        try:
+            write_csv(ds, path)
+        except (DataRowError, SchemaError):
+            assert not os.path.exists(path)
+            return
+        _assert_reads_back(ds, load_csv(path))
 
 
 # ---------------------------------------------------------------------------

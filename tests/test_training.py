@@ -1,4 +1,6 @@
+import multiprocessing
 import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -497,6 +499,54 @@ def test_pool_restores_the_blas_environment(monkeypatch):
     assert training.worker_blas_threads(2) == "2"
     cross_validate(ds, TINY.replaced(max_epochs=2), k=2, seed=0, workers=2)
     assert os.environ["OPENBLAS_NUM_THREADS"] == "2"
+
+
+SPAWN_PIPE_BYTES = 64 * 1024
+
+
+def test_spawned_workers_start_without_the_dataset(monkeypatch):
+    # all a spawned worker receives at start goes through a 64 KiB pipe that
+    # the parent fills before the child reads it; with the fold plan in it,
+    # each start waited on the previous child's imports
+    from multiprocessing import popen_spawn_posix, reduction
+
+    payloads = []
+    real_launch, real_dump = popen_spawn_posix.Popen._launch, reduction.dump
+
+    def launch(self, process_obj):
+        payloads.append(0)
+        return real_launch(self, process_obj)
+
+    def dump(obj, file, protocol=None):
+        start = file.tell()
+        real_dump(obj, file, protocol)
+        payloads[-1] += file.tell() - start
+
+    monkeypatch.setattr(popen_spawn_posix.Popen, "_launch", launch)
+    monkeypatch.setattr(reduction, "dump", dump)
+    ds = make_dataset(n=3000, p=5, seed=4)
+    result = cross_validate(ds, TINY.replaced(max_epochs=1), k=2, seed=0, workers=2)
+    assert len(result.folds) == 2
+    assert len(payloads) == 2
+    assert all(0 < size < SPAWN_PIPE_BYTES for size in payloads), payloads
+
+
+def test_an_open_pool_serves_several_plans(tmp_path, monkeypatch):
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    ds_a, ds_b = make_dataset(n=60, p=3, seed=1), make_dataset(n=50, p=4, seed=2)
+    hp = TINY.replaced(max_epochs=3)
+    with training.open_pool(2, 4) as pool:
+        assert isinstance(pool, training.UnitPool)
+        with training.open_pool(pool, 4) as same:   # an open pool is used as is
+            assert same is pool
+        a = cross_validate(ds_a, hp, k=2, seed=0, workers=pool)
+        b = cross_validate(ds_b, hp, k=2, seed=0, workers=pool)
+        assert 1 <= len(pool.first_unit_unix) <= 2
+        assert [d.stat().st_mode & 0o777 for d in tmp_path.iterdir()] == [0o700]
+    assert list(tmp_path.iterdir()) == []
+    assert multiprocessing.active_children() == []
+    assert a == cross_validate(ds_a, hp, k=2, seed=0)
+    assert b == cross_validate(ds_b, hp, k=2, seed=0)
 
 
 def test_grid_search_budget_caps_enumeration():
