@@ -279,13 +279,12 @@ def cmd_train(args) -> int:
 
     report = train(train_ds, val_ds, hp, seed=seed)
 
-    ckpt_path = os.path.join(args.out, "model.ckpt")
-    save_checkpoint(ckpt_path, report.params, standardization=std,
-                    extra={"hp": hp.to_dict(), "seed": seed})
-    report.checkpoint_path = "model.ckpt"
+    save_checkpoint(os.path.join(args.out, "model.ckpt"), report.params,
+                    standardization=std, extra={"hp": hp.to_dict(), "seed": seed})
 
     write_reports(args, t0, "epochs", report.epoch_records(), {
         "command": "train",
+        "checkpoint": "model.ckpt",
         "seed": seed,
         "hp": hp.to_dict(),
         "n_train": train_ds.n,

@@ -22,6 +22,17 @@ import numpy as np
 from .data import SurvivalDataset
 from .errors import UnusableDatasetError
 
+# the Newton fit has converged once max|gradient| <= NEWTON_TOL, and gives up
+# unconverged after NEWTON_MAX_ITER iterations
+NEWTON_TOL = 1e-8
+NEWTON_MAX_ITER = 100
+# a line-search step counts as progress only when it lowers the NLL by more
+# than this many ulps of |NLL|: a smaller change is roundoff, not descent
+# (the NLL, a sum over every event's risk set, carries several ulps of
+# rounding: near the optimum, full and halved Newton steps on 1000 x 120
+# synths lowered it by 0-9 ulps, all of it noise)
+NEWTON_ROUNDOFF_ULPS = 16
+
 
 @dataclass(frozen=True)
 class RiskSetIndex:
@@ -134,11 +145,10 @@ def nll_gradient(h, idx: RiskSetIndex) -> np.ndarray:
 
 
 def l2_penalty(
-    flat_params: np.ndarray, lam: float, decay_mask: np.ndarray | None = None
+    flat_params: np.ndarray, lam: float, decay_mask: np.ndarray
 ) -> tuple[float, np.ndarray]:
-    """Quadratic weight penalty lam * sum(w^2) and its gradient 2*lam*w.
-
-    When `decay_mask` is given, only True entries are penalized; the model
+    """Quadratic weight penalty lam * sum(w^2) over the True entries of
+    `decay_mask`, and its gradient 2*lam*w there (0 elsewhere); the model
     excludes biases and batch-norm scale/shift from the mask.
     """
     if lam < 0:
@@ -146,15 +156,11 @@ def l2_penalty(
     flat = np.asarray(flat_params, dtype=np.float64).ravel()
     if lam == 0:
         return 0.0, np.zeros_like(flat)
-    if decay_mask is None:
-        penalized = flat
-        grad = 2.0 * lam * flat
-    else:
-        mask = np.asarray(decay_mask, dtype=bool).ravel()
-        if mask.shape != flat.shape:
-            raise ValueError("decay_mask must match flat parameter length")
-        penalized = flat[mask]
-        grad = np.where(mask, 2.0 * lam * flat, 0.0)
+    mask = np.asarray(decay_mask, dtype=bool).ravel()
+    if mask.shape != flat.shape:
+        raise ValueError("decay_mask must match flat parameter length")
+    penalized = flat[mask]
+    grad = np.where(mask, 2.0 * lam * flat, 0.0)
     return float(lam * np.dot(penalized, penalized)), grad
 
 
@@ -205,21 +211,20 @@ def _grad_hessian(X: np.ndarray, beta: np.ndarray, idx: RiskSetIndex):
     return grad, hess
 
 
-def fit_linear_cox_newton(
-    ds: SurvivalDataset, max_iter: int = 100, tol: float = 1e-8
-) -> LinearCoxFit:
+def fit_linear_cox_newton(ds: SurvivalDataset) -> LinearCoxFit:
     """Maximize the partial likelihood over beta by damped Newton-Raphson.
 
-    Converged means max|gradient| <= tol. Step-halving (up to 30 halvings)
-    enforces a strict NLL decrease; when no halving decreases it, the fit
-    stops, at the full Newton step if the gradient there meets tol and
-    unconverged otherwise. A singular Hessian falls back to a diagonally
-    damped gradient step. When neither step is finite (separable data, whose
-    likelihood keeps rising as beta grows without bound), the fit stops at
-    the current beta with converged=False.
-    Non-convergence within max_iter returns converged=False rather than
-    raising. Each iteration costs O(n p^2) time and O(n p + p^2) memory.
-    Expects standardized features.
+    Converged means max|gradient| <= NEWTON_TOL. Step-halving (up to 30
+    halvings) enforces an NLL decrease larger than NEWTON_ROUNDOFF_ULPS ulps
+    of |NLL|; when no halving achieves one, the change is lost in roundoff
+    and the fit stops, at the full Newton step if the gradient there meets
+    NEWTON_TOL and unconverged otherwise. A singular Hessian falls back to a
+    diagonally damped gradient step. When neither step is finite (separable
+    data, whose likelihood keeps rising as beta grows without bound), the
+    fit stops at the current beta with converged=False.
+    Non-convergence within NEWTON_MAX_ITER iterations returns
+    converged=False rather than raising. Each iteration costs O(n p^2) time
+    and O(n p + p^2) memory. Expects standardized features.
     """
     ds.require_trainable()
     X = ds.features
@@ -228,10 +233,10 @@ def fit_linear_cox_newton(
     nll = _nll_beta(X, beta, idx)
 
     grad_norm = np.inf
-    for it in range(1, max_iter + 1):
+    for it in range(1, NEWTON_MAX_ITER + 1):
         grad, hess = _grad_hessian(X, beta, idx)
         grad_norm = float(np.abs(grad).max())
-        if grad_norm <= tol:
+        if grad_norm <= NEWTON_TOL:
             return LinearCoxFit(beta, it - 1, grad_norm, True)
         try:
             direction = -np.linalg.solve(hess, grad)
@@ -245,17 +250,18 @@ def fit_linear_cox_newton(
                 return LinearCoxFit(beta, it, grad_norm, False)
 
         step = 1.0
+        roundoff = NEWTON_ROUNDOFF_ULPS * np.spacing(abs(nll))
         for _ in range(30):
             candidate = beta + step * direction
             new_nll = _nll_beta(X, candidate, idx)
-            if new_nll < nll:
+            if nll - new_nll > roundoff:
                 break
             step *= 0.5
         else:
             # near the optimum the NLL change drowns in float64 roundoff
             full = beta + direction
             full_norm = float(np.abs(X.T @ nll_gradient(X @ full, idx)).max())
-            if full_norm <= tol:
+            if full_norm <= NEWTON_TOL:
                 return LinearCoxFit(full, it, full_norm, True)
             return LinearCoxFit(beta, it, grad_norm, False)
         beta = candidate
@@ -263,4 +269,4 @@ def fit_linear_cox_newton(
 
     grad, _ = _grad_hessian(X, beta, idx)
     grad_norm = float(np.abs(grad).max())
-    return LinearCoxFit(beta, max_iter, grad_norm, grad_norm <= tol)
+    return LinearCoxFit(beta, NEWTON_MAX_ITER, grad_norm, grad_norm <= NEWTON_TOL)

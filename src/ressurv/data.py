@@ -23,8 +23,8 @@ from .errors import (
 
 HAZARD_KINDS = ("linear", "interaction", "deep")
 
-# Feature columns whose variance falls at or below this are dropped by default.
-DEFAULT_MIN_VARIANCE = 1e-8
+# Feature columns whose variance falls at or below this are dropped.
+MIN_VARIANCE = 1e-8
 
 
 @dataclass(frozen=True)
@@ -388,25 +388,21 @@ def filter_patients(ds: SurvivalDataset) -> tuple[SurvivalDataset, int]:
     return out, removed
 
 
-def filter_features(
-    ds: SurvivalDataset, min_variance: float = DEFAULT_MIN_VARIANCE
-) -> tuple[SurvivalDataset, list[str]]:
-    """Drop feature columns whose population variance is <= min_variance,
+def filter_features(ds: SurvivalDataset) -> tuple[SurvivalDataset, list[str]]:
+    """Drop feature columns whose population variance is <= MIN_VARIANCE,
     along with any column containing non-finite values.
 
-    Returns the filtered dataset and the retained feature names. Idempotent
-    at a fixed threshold. Raises `UnusableDatasetError` if nothing survives.
+    Returns the filtered dataset and the retained feature names. Idempotent.
+    Raises `UnusableDatasetError` if nothing survives.
     """
-    if min_variance < 0:
-        raise ValueError("min_variance must be >= 0")
     finite_cols = np.isfinite(ds.features).all(axis=0)
     variances = np.zeros(ds.p)
     variances[finite_cols] = ds.features[:, finite_cols].var(axis=0)
-    keep = finite_cols & (variances > min_variance)
+    keep = finite_cols & (variances > MIN_VARIANCE)
     retained = [name for name, k in zip(ds.feature_names, keep) if k]
     if not retained:
         raise UnusableDatasetError(
-            f"no features retained at min_variance={min_variance!r}"
+            f"no features retained at min_variance={MIN_VARIANCE!r}"
         )
     if keep.all():
         return ds, retained

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
+from itertools import zip_longest
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -29,8 +30,12 @@ from .data import StandardizationParams
 SELU_ALPHA = 1.6732632423543772
 SELU_SCALE = 1.0507009873554805
 
-# "linear" is a test-only identity activation; the protocol sweeps the first three
-ACTIVATION_KINDS = ("tanh", "selu", "relu", "linear")
+ACTIVATION_KINDS = ("tanh", "selu", "relu")
+
+# every batch norm adds BN_EPSILON to the variance it divides by, and updates
+# its running statistics as an exponential moving average with BN_MOMENTUM
+BN_EPSILON = 1e-5
+BN_MOMENTUM = 0.1
 
 CHECKPOINT_MAGIC = b"RESSURVCKPT1\n"
 CHECKPOINT_FORMAT = "ressurv-checkpoint-v1"
@@ -62,7 +67,7 @@ class BatchNormParams:
 
     Running statistics start life as the first train-mode batch statistics
     (the first update copies them outright; later updates are an
-    exponential moving average with `momentum`). With full-batch training
+    exponential moving average with BN_MOMENTUM). With full-batch training
     this makes eval mode consistent with the training data from epoch one.
     """
 
@@ -70,19 +75,15 @@ class BatchNormParams:
     beta_shift: np.ndarray
     running_mean: np.ndarray
     running_var: np.ndarray
-    epsilon: float = 1e-5
-    momentum: float = 0.1
     n_updates: int = 0
 
     @classmethod
-    def identity(cls, dim: int, epsilon: float = 1e-5, momentum: float = 0.1):
+    def identity(cls, dim: int):
         return cls(
             gamma=np.ones(dim),
             beta_shift=np.zeros(dim),
             running_mean=np.zeros(dim),
             running_var=np.ones(dim),
-            epsilon=epsilon,
-            momentum=momentum,
         )
 
 
@@ -280,8 +281,6 @@ def activation_forward(z: np.ndarray, kind: str) -> tuple[np.ndarray, np.ndarray
     if kind == "selu":
         out = SELU_SCALE * np.where(z > 0, z, SELU_ALPHA * np.expm1(z))
         return out, z
-    if kind == "linear":
-        return z, z
     raise ValueError(f"unknown activation {kind!r}")
 
 
@@ -305,8 +304,6 @@ def activation_backward(grad_out: np.ndarray, cache: np.ndarray, kind: str) -> n
         d *= SELU_SCALE
         d *= grad_out
         return d
-    if kind == "linear":
-        return grad_out
     raise ValueError(f"unknown activation {kind!r}")
 
 
@@ -325,10 +322,10 @@ def batchnorm_forward(
     inputs: np.ndarray,
     params: BatchNormParams,
     mode: str,
-    update_running: bool = True,
 ) -> tuple[np.ndarray, BatchNormCache | None]:
     """Normalize each feature across the batch (train) or by running
-    statistics (eval); then scale by gamma and shift by beta.
+    statistics (eval); then scale by gamma and shift by beta. Train mode
+    folds the batch statistics into the running ones; eval mode leaves them.
 
     Train mode uses the population (divide-by-n) batch variance and needs a
     batch of at least 2 samples. The inputs are centred once; the centred
@@ -345,22 +342,21 @@ def batchnorm_forward(
         xhat = inputs - mean
         sq = np.multiply(xhat, xhat)
         var = sq.sum(axis=0) / n
-        inv_std = 1.0 / np.sqrt(var + params.epsilon)
+        inv_std = 1.0 / np.sqrt(var + BN_EPSILON)
         xhat *= inv_std
-        if update_running:
-            if params.n_updates == 0:
-                params.running_mean[...] = mean
-                params.running_var[...] = var
-            else:
-                m = params.momentum
-                params.running_mean[...] = (1.0 - m) * params.running_mean + m * mean
-                params.running_var[...] = (1.0 - m) * params.running_var + m * var
-            params.n_updates += 1
+        if params.n_updates == 0:
+            params.running_mean[...] = mean
+            params.running_var[...] = var
+        else:
+            m = BN_MOMENTUM
+            params.running_mean[...] = (1.0 - m) * params.running_mean + m * mean
+            params.running_var[...] = (1.0 - m) * params.running_var + m * var
+        params.n_updates += 1
         out = np.multiply(xhat, params.gamma, out=sq)
         out += params.beta_shift
         return out, BatchNormCache(xhat, inv_std, params.gamma)
     if mode == "eval":
-        inv_std = 1.0 / np.sqrt(params.running_var + params.epsilon)
+        inv_std = 1.0 / np.sqrt(params.running_var + BN_EPSILON)
         out = inputs - params.running_mean
         out *= params.gamma
         out *= inv_std
@@ -468,7 +464,6 @@ def resblock_forward(
     stream: DropoutStream | None = None,
     epoch: int = 0,
     block_idx: int = 0,
-    update_running: bool = True,
 ) -> tuple[np.ndarray, BlockCache | None]:
     """y = F(x) + W_s x, with F = [dense -> batch norm -> activation ->
     dropout] per dense layer. Returns a cache only in train mode."""
@@ -478,7 +473,7 @@ def resblock_forward(
     for li, (dense, bn) in enumerate(zip(block.dense_layers, block.batch_norms)):
         z = a @ dense.W.T
         z += dense.b
-        bn_out, bn_cache = batchnorm_forward(z, bn, mode, update_running)
+        bn_out, bn_cache = batchnorm_forward(z, bn, mode)
         act_out, act_cache = activation_forward(bn_out, activation_kind)
         mask = None
         if train and dropout_rate > 0.0:
@@ -540,13 +535,13 @@ def model_forward(
     mode: str = "eval",
     stream: DropoutStream | None = None,
     epoch: int = 0,
-    update_running: bool | None = None,
 ) -> tuple[np.ndarray, ModelCache | None]:
     """Risk scores h(x), one scalar per input row.
 
     Eval mode uses running batch-norm statistics and disables dropout, so
     predictions are deterministic and independent of batch composition.
-    Train mode returns the cache the backward pass needs.
+    Train mode updates the running statistics and returns the cache the
+    backward pass needs.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != params.in_dim:
@@ -555,8 +550,6 @@ def model_forward(
         )
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
-    if update_running is None:
-        update_running = mode == "train"
 
     train = mode == "train"
     block_caches: list[BlockCache] = []
@@ -564,7 +557,7 @@ def model_forward(
     for bi, block in enumerate(params.blocks):
         a, bc = resblock_forward(
             a, block, params.activation_kind, params.dropout_rate,
-            mode, stream, epoch, bi, update_running,
+            mode, stream, epoch, bi,
         )
         if train:
             block_caches.append(bc)
@@ -631,8 +624,8 @@ def save_checkpoint(
             {
                 "block": bi,
                 "layer": li,
-                "epsilon": bn.epsilon,
-                "momentum": bn.momentum,
+                "epsilon": BN_EPSILON,
+                "momentum": BN_MOMENTUM,
                 "n_updates": bn.n_updates,
             }
             for bi, block in enumerate(params.blocks)
@@ -663,9 +656,13 @@ def load_checkpoint(
 ) -> tuple[ResSurvParams, StandardizationParams | None, dict | None]:
     """Read a checkpoint written by `save_checkpoint`.
 
-    A file that is cut short, carries bytes after the last array, or has an
-    unreadable header raises one `ValueError` naming the file (and the
-    array, where one is at fault)."""
+    A file that is cut short, carries bytes after the last array, or has a
+    header that is unreadable or does not describe this format's network
+    raises one `ValueError` naming the file (and the array, where one is at
+    fault). The header must hold every key `save_checkpoint` writes, an
+    array manifest naming every tensor of the architecture in layout order
+    with its shape, and one batch-norm entry per batch norm in that order,
+    with this module's epsilon and momentum."""
     with open(path, "rb") as fh:
         magic = fh.read(len(CHECKPOINT_MAGIC))
         if magic != CHECKPOINT_MAGIC:
@@ -678,39 +675,59 @@ def load_checkpoint(
             header = json.loads(blob.decode("utf-8"))
         except ValueError as err:   # JSONDecodeError and UnicodeDecodeError too
             raise ValueError(f"{path}: unreadable checkpoint header: {err}") from None
-        if header.get("format") != CHECKPOINT_FORMAT:
-            raise ValueError(f"{path}: unsupported format {header.get('format')!r}")
-        params = init_params(
-            n_features=header["n_features"],
-            block_widths=header["block_widths"],
-            dense_layers_per_block=header["dense_layers_per_block"],
-            activation_kind=header["activation_kind"],
-            dropout_rate=header["dropout_rate"],
-            seed=0,
-            with_shortcut=header["with_shortcut"],
-        )
-        by_name = {t.name: t.array for t in _tensors(params)}
-        for entry in header["arrays"]:
-            name, shape = entry["name"], tuple(entry["shape"])
-            target = by_name.get(name)
-            if target is None or target.shape != shape:
-                raise ValueError(f"{path}: unexpected array {name!r}")
-            raw = fh.read(target.size * 8)
-            if len(raw) != target.size * 8:
-                raise ValueError(f"{path}: array {name!r} is truncated "
-                                 f"({len(raw)} of {target.size * 8} bytes)")
-            target[...] = np.frombuffer(raw, dtype="<f8").reshape(shape)
+        fmt = header.get("format") if isinstance(header, dict) else None
+        if fmt != CHECKPOINT_FORMAT:
+            raise ValueError(f"{path}: unsupported format {fmt!r}")
+        try:
+            params, std, extra = _network_of(header)
+        except (KeyError, TypeError, ValueError) as err:
+            what = f"missing key {err}" if isinstance(err, KeyError) else err
+            raise ValueError(f"{path}: checkpoint header does not describe a "
+                             f"network: {what}") from None
+        for t in _tensors(params):
+            raw = fh.read(t.array.size * 8)
+            if len(raw) != t.array.size * 8:
+                raise ValueError(f"{path}: array {t.name!r} is truncated "
+                                 f"({len(raw)} of {t.array.size * 8} bytes)")
+            t.array[...] = np.frombuffer(raw, dtype="<f8").reshape(t.array.shape)
         if fh.read(1):
-            raise ValueError(f"{path}: unexpected bytes after the last array {name!r}")
-    for meta in header["batch_norm"]:
-        bn = params.blocks[meta["block"]].batch_norms[meta["layer"]]
-        bn.epsilon = meta["epsilon"]
-        bn.momentum = meta["momentum"]
-        bn.n_updates = meta["n_updates"]
-    std = None
-    if header["standardization"] is not None:
-        std = StandardizationParams(
-            np.array(header["standardization"]["means"]),
-            np.array(header["standardization"]["stddevs"]),
-        )
-    return params, std, header.get("extra")
+            raise ValueError(f"{path}: unexpected bytes after the last array {t.name!r}")
+    return params, std, extra
+
+
+def _network_of(header: dict):
+    """(params, standardization, extra) of a checkpoint header: the network
+    with its batch-norm update counts set and every tensor still at its
+    initial value. Raises KeyError, TypeError or ValueError where the header
+    does not describe that network exactly."""
+    params = init_params(
+        n_features=header["n_features"],
+        block_widths=header["block_widths"],
+        dense_layers_per_block=header["dense_layers_per_block"],
+        activation_kind=header["activation_kind"],
+        dropout_rate=header["dropout_rate"],
+        seed=0,
+        with_shortcut=header["with_shortcut"],
+    )
+    manifest = [(entry["name"], tuple(entry["shape"])) for entry in header["arrays"]]
+    layout = [(t.name, t.array.shape) for t in _tensors(params)]
+    for i, (got, want) in enumerate(zip_longest(manifest, layout)):
+        if got != want:
+            raise ValueError(f"array manifest entry {i} is {got}, expected {want}")
+    norms = [(bi, li, bn) for bi, block in enumerate(params.blocks)
+             for li, bn in enumerate(block.batch_norms)]
+    entries = header["batch_norm"]
+    if len(entries) != len(norms):
+        raise ValueError(f"{len(entries)} batch_norm entries for {len(norms)} batch norms")
+    for (bi, li, bn), meta in zip(norms, entries):
+        n_updates = meta["n_updates"]
+        fixed = [meta[key] for key in ("block", "layer", "epsilon", "momentum")]
+        if (fixed != [bi, li, BN_EPSILON, BN_MOMENTUM]
+                or not isinstance(n_updates, int) or n_updates < 0):
+            raise ValueError(f"batch_norm entry {meta} does not match block {bi}, "
+                             f"layer {li}, epsilon {BN_EPSILON}, momentum {BN_MOMENTUM}")
+        bn.n_updates = n_updates
+    std = header["standardization"]
+    if std is not None:
+        std = StandardizationParams(np.array(std["means"]), np.array(std["stddevs"]))
+    return params, std, header["extra"]

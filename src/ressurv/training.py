@@ -38,6 +38,7 @@ from .data import filter_features, standardize_apply, standardize_fit  # noqa: F
 from .errors import DivergenceError, UnusableDatasetError
 from .metrics import concordance_fast
 from .model import (
+    ACTIVATION_KINDS,
     DropoutStream,
     ResSurvParams,
     decay_mask,
@@ -49,7 +50,6 @@ from .model import (
 from .model import set_flat, to_flat  # noqa: F401
 
 OPTIMIZER_KINDS = ("sgd", "adam", "adamw")
-HP_ACTIVATION_KINDS = ("tanh", "selu", "relu")
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -91,7 +91,7 @@ GRID_FIELDS = (
 # the domains are the documented defaults for full sweeps.
 GRID_DOMAINS = {
     "optimizer_kind": ("adam", "adamw", "sgd"),
-    "activation_kind": ("tanh", "selu", "relu"),
+    "activation_kind": ACTIVATION_KINDS,
     "n_blocks": (5, 6, 7),
     "dense_layers_per_block": (3, 4, 5, 6),
     "nodes": (64, 128, 512, 1024),
@@ -130,7 +130,7 @@ class Hyperparameters:
         object.__setattr__(self, "activation_kind", str(self.activation_kind).lower())
         if self.optimizer_kind not in OPTIMIZER_KINDS:
             raise ValueError(f"unknown optimizer {self.optimizer_kind!r}")
-        if self.activation_kind not in HP_ACTIVATION_KINDS:
+        if self.activation_kind not in ACTIVATION_KINDS:
             raise ValueError(f"unknown activation {self.activation_kind!r}")
         if self.n_blocks < 1 or self.dense_layers_per_block < 1 or self.nodes < 1:
             raise ValueError("network size fields must be positive integers")
@@ -169,26 +169,27 @@ class Hyperparameters:
 @dataclass
 class OptimizerState:
     """Mutable per-run optimizer state: step counter, current learning rate,
-    and (for Adam/AdamW) first/second moment accumulators."""
+    the entries weight decay touches, and (for Adam/AdamW) first/second
+    moment accumulators."""
 
     t: int
     lr: float
+    decay_mask: np.ndarray = field(repr=False)
     m: np.ndarray | None = None
     v: np.ndarray | None = None
-    decay_mask: np.ndarray | None = field(default=None, repr=False)
 
 
-def init_optimizer_state(
-    hp: Hyperparameters, n_params: int, mask: np.ndarray | None = None
-) -> OptimizerState:
+def init_optimizer_state(hp: Hyperparameters, mask: np.ndarray) -> OptimizerState:
+    """Fresh state for a parameter vector of `mask`'s size, whose True
+    entries are the ones weight decay touches."""
     if hp.optimizer_kind == "sgd":
         return OptimizerState(t=0, lr=hp.learning_rate, decay_mask=mask)
     return OptimizerState(
         t=0,
         lr=hp.learning_rate,
-        m=np.zeros(n_params),
-        v=np.zeros(n_params),
         decay_mask=mask,
+        m=np.zeros(mask.size),
+        v=np.zeros(mask.size),
     )
 
 
@@ -228,10 +229,7 @@ def adamw_step(
     """
     wd = hp.l2_lambda * ADAMW_DECAY_SCALE
     if wd > 0.0:
-        if state.decay_mask is None:
-            params -= state.lr * wd * params
-        else:
-            params[state.decay_mask] -= state.lr * wd * params[state.decay_mask]
+        params[state.decay_mask] -= state.lr * wd * params[state.decay_mask]
     return adam_step(params, grads, state, hp)
 
 
@@ -267,8 +265,7 @@ class EpochRecord:
 @dataclass
 class TrainReport:
     """Everything a training run produced. `params` is the restored
-    best-validation-loss snapshot; wall_time_s is informational only and is
-    excluded from deterministic report serializations."""
+    best-validation-loss snapshot."""
 
     epochs: list[EpochRecord]
     best_epoch: int
@@ -276,9 +273,7 @@ class TrainReport:
     best_val_c_index: float
     stopped_early: bool
     epochs_run: int
-    wall_time_s: float
     params: ResSurvParams = field(repr=False)
-    checkpoint_path: str | None = None
 
     def epoch_records(self) -> list[dict]:
         return [r.to_dict() for r in self.epochs]
@@ -290,7 +285,6 @@ class TrainReport:
             "best_val_c_index": self.best_val_c_index,
             "stopped_early": self.stopped_early,
             "epochs_run": self.epochs_run,
-            "checkpoint": self.checkpoint_path,
         }
 
 
@@ -324,7 +318,6 @@ def train(
     if val_ds.p != train_ds.p:
         raise UnusableDatasetError("train and validation feature counts differ")
 
-    t_start = time.perf_counter()
     run_seed = hp.seed if seed is None else seed
     params = init_params(
         n_features=train_ds.p,
@@ -336,7 +329,7 @@ def train(
         with_shortcut=with_shortcut,
     )
     mask = decay_mask(params)
-    state = init_optimizer_state(hp, params.flat.size, mask)
+    state = init_optimizer_state(hp, mask)
     step_fn = _STEP_FUNCTIONS[hp.optimizer_kind]
     # AdamW carries l2_lambda as decoupled decay; everyone else as a loss term
     loss_lambda = 0.0 if hp.optimizer_kind == "adamw" else hp.l2_lambda
@@ -394,7 +387,6 @@ def train(
         best_val_c_index=best_c,
         stopped_early=stopped_early,
         epochs_run=len(records),
-        wall_time_s=time.perf_counter() - t_start,
         params=best_snapshot,
     )
 
@@ -465,11 +457,9 @@ class FoldPlan:
     splits: tuple[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray], ...]
 
 
-def plan_folds(
-    ds: SurvivalDataset, k: int, seed: int, folds: FoldAssignment | None = None
-) -> FoldPlan:
-    """Canonicalize rows by sample id, assign folds (built from `seed` unless
-    given) and carve each fold's 80/20 stratified early-stop split.
+def plan_folds(ds: SurvivalDataset, k: int, seed: int) -> FoldPlan:
+    """Canonicalize rows by sample id, assign folds from `seed` and carve
+    each fold's 80/20 stratified early-stop split.
 
     Every held-out fold and both sides of every early-stop split are checked
     for at least one comparable pair (an event followed by a strictly later
@@ -477,10 +467,7 @@ def plan_folds(
     and the split, before anything trains.
     """
     canon = ds.sorted_by_id()
-    if folds is None:
-        folds = kfold_split(canon, k, seed)
-    elif folds.fold_of_sample.size != canon.n:
-        raise ValueError("fold assignment does not match dataset size")
+    folds = kfold_split(canon, k, seed)
 
     splits = []
     for f in range(folds.k):
@@ -732,7 +719,6 @@ def cross_validate(
     k: int = 5,
     seed: int = 0,
     with_shortcut: bool = True,
-    folds: FoldAssignment | None = None,
     workers: int | UnitPool = 1,
 ) -> CVResult:
     """Stratified k-fold cross-validation of the held-out C-index.
@@ -752,7 +738,7 @@ def cross_validate(
     raises the `DivergenceError` of the lowest-index diverging fold, with
     the fold index attached.
     """
-    plan = plan_folds(ds, k, seed, folds)
+    plan = plan_folds(ds, k, seed)
     [result] = cross_validate_configs(plan, [(hp, with_shortcut)], workers)
     return result
 

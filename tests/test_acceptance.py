@@ -101,16 +101,14 @@ def test_analytic_gradient_matches_finite_differences(capsys):
 
                 def loss(flat):
                     set_flat(params, flat)
-                    h, _ = model_forward(X, params, mode="train", stream=stream,
-                                         epoch=1, update_running=False)
+                    h, _ = model_forward(X, params, mode="train", stream=stream, epoch=1)
                     nll = cox.neg_log_partial_likelihood(h, idx)
                     pen, _ = cox.l2_penalty(flat, lam, mask)
                     return nll + pen
 
                 theta = to_flat(params)
                 set_flat(params, theta)
-                h, cache = model_forward(X, params, mode="train", stream=stream,
-                                         epoch=1, update_running=False)
+                h, cache = model_forward(X, params, mode="train", stream=stream, epoch=1)
                 analytic = model_backward(cox.nll_gradient(h, idx), params, cache)
                 analytic += cox.l2_penalty(theta, lam, mask)[1]
 
@@ -160,7 +158,7 @@ def test_sgd_linear_model_reaches_newton_optimum(capsys):
         hp = Hyperparameters(optimizer_kind="sgd", learning_rate=0.5,
                              lr_decay=0.0, l2_lambda=0.0)
         beta = np.zeros(3)
-        state = init_optimizer_state(hp, 3)
+        state = init_optimizer_state(hp, np.zeros(3, dtype=bool))
         for epoch in range(1, 4001):
             grad_h = cox.nll_gradient(X @ beta, idx)
             beta = sgd_step(beta, X.T @ grad_h, state, hp)
@@ -260,7 +258,7 @@ def test_shortcut_blocks_hold_up_at_depth(capsys):
         stream = DropoutStream(stable_seed(hp7.seed, 1))
         idx = cox.build_risk_index(tr.times, tr.events)
         h, cache = model_forward(tr.features, params, mode="train", stream=stream,
-                                 epoch=1, update_running=False)
+                                 epoch=1)
         grads = model_backward(cox.nll_gradient(h, idx), params, cache)
         first_block = max(
             float(np.max(np.abs(grads[sl])))
@@ -328,7 +326,7 @@ def test_residual_identity_and_batchnorm_invariants(capsys):
         assert np.max(np.abs(y - x)) <= 1e-12
 
         # train-mode normalization at gamma=1, beta=0
-        from ressurv.model import BatchNormParams
+        from ressurv.model import BN_EPSILON, BatchNormParams
 
         rng = np.random.default_rng(2)
         inputs = rng.normal(loc=-1.5, scale=3.0, size=(400, 6))
@@ -336,5 +334,5 @@ def test_residual_identity_and_batchnorm_invariants(capsys):
         out, _ = batchnorm_forward(inputs, bn, "train")
         assert np.max(np.abs(out.mean(axis=0))) < 1e-10
         sigma2 = inputs.var(axis=0)
-        expected = sigma2 / (sigma2 + bn.epsilon)
+        expected = sigma2 / (sigma2 + BN_EPSILON)
         assert np.max(np.abs(out.var(axis=0) - expected)) < 1e-6

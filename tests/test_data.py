@@ -292,20 +292,20 @@ def test_filter_features_drops_constant_and_matches_oracle():
                          [f"x{j}" for j in range(5)],
                          np.ones(30) + rng.random(30),
                          np.ones(30, dtype=bool))
-    out, retained = filter_features(ds, min_variance=1e-8)
+    out, retained = filter_features(ds)
     oracle = [f"x{j}" for j in range(5) if np.var(X[:, j]) > 1e-8]
     assert retained == oracle
     assert "x1" not in retained
     assert out.p == len(oracle)
 
-    # idempotent at a fixed threshold
-    again, retained2 = filter_features(out, min_variance=1e-8)
+    # idempotent
+    again, retained2 = filter_features(out)
     assert retained2 == retained
     np.testing.assert_array_equal(again.features, out.features)
 
 
 def test_filter_features_identity_when_all_vary(small_ds):
-    out, retained = filter_features(small_ds, min_variance=0.0)
+    out, retained = filter_features(small_ds)
     assert retained == small_ds.feature_names
     np.testing.assert_array_equal(out.features, small_ds.features)
 

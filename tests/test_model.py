@@ -1,3 +1,4 @@
+import json
 import os
 import re
 import tempfile
@@ -10,6 +11,9 @@ from hypothesis import strategies as st
 from ressurv.data import StandardizationParams
 from ressurv.model import (
     ACTIVATION_KINDS,
+    BN_EPSILON,
+    BN_MOMENTUM,
+    CHECKPOINT_MAGIC,
     SELU_ALPHA,
     SELU_SCALE,
     BatchNormParams,
@@ -75,14 +79,6 @@ def test_selu_derivative():
     assert np.isclose(grad[1], SELU_SCALE)
 
 
-def test_linear_is_identity():
-    z = np.array([-3.0, 7.0])
-    out, cache = activation_forward(z, "linear")
-    assert np.array_equal(out, z)
-    g = np.array([2.0, -1.0])
-    assert np.array_equal(activation_backward(g, cache, "linear"), g)
-
-
 @pytest.mark.parametrize("kind", ["tanh", "selu", "relu"])
 def test_activation_derivative_matches_fd(kind):
     rng = np.random.default_rng(3)
@@ -115,7 +111,7 @@ def test_batchnorm_train_normalizes_batch():
     out, cache = batchnorm_forward(x, bn, "train")
     assert np.all(np.abs(out.mean(axis=0)) < 1e-10)
     # population variance of the output is sigma^2 / (sigma^2 + eps)
-    expected_var = x.var(axis=0) / (x.var(axis=0) + bn.epsilon)
+    expected_var = x.var(axis=0) / (x.var(axis=0) + BN_EPSILON)
     assert np.allclose(out.var(axis=0), expected_var, atol=1e-6)
     assert cache is not None
 
@@ -133,7 +129,7 @@ def test_batchnorm_gamma_beta_applied():
     bn.gamma[:] = 3.0
     bn.beta_shift[:] = -1.0
     out, _ = batchnorm_forward(x, bn, "train")
-    xhat = (x - 1.0) / np.sqrt(1.0 + bn.epsilon)
+    xhat = (x - 1.0) / np.sqrt(1.0 + BN_EPSILON)
     assert np.allclose(out, 3.0 * xhat - 1.0)
 
 
@@ -151,22 +147,13 @@ def test_batchnorm_first_update_copies_then_ema():
     assert np.isclose(bn.running_var[0], 0.9 * 4.0 + 0.1 * 4.0)
 
 
-def test_batchnorm_update_can_be_frozen():
-    bn = BatchNormParams.identity(2)
-    x = np.random.default_rng(1).normal(size=(8, 2))
-    batchnorm_forward(x, bn, "train", update_running=False)
-    assert bn.n_updates == 0
-    assert np.array_equal(bn.running_mean, np.zeros(2))
-    assert np.array_equal(bn.running_var, np.ones(2))
-
-
 def test_batchnorm_eval_uses_running_stats():
     bn = BatchNormParams.identity(1)
     bn.running_mean[:] = 5.0
     bn.running_var[:] = 4.0
     out, cache = batchnorm_forward(np.array([[7.0]]), bn, "eval")
     assert cache is None
-    assert np.isclose(out[0, 0], 2.0 / np.sqrt(4.0 + bn.epsilon))
+    assert np.isclose(out[0, 0], 2.0 / np.sqrt(4.0 + BN_EPSILON))
 
 
 def test_batchnorm_train_needs_two_samples():
@@ -190,10 +177,10 @@ def test_batchnorm_backward_matches_fd():
     bn.beta_shift[:] = rng.normal(size=3)
 
     def phi(inputs):
-        out, _ = batchnorm_forward(inputs, bn, "train", update_running=False)
+        out, _ = batchnorm_forward(inputs, bn, "train")
         return float((v * out).sum())
 
-    out, cache = batchnorm_forward(x, bn, "train", update_running=False)
+    out, cache = batchnorm_forward(x, bn, "train")
     grad_in, grad_gamma, grad_beta = batchnorm_backward(v, cache)
 
     step = 1e-6
@@ -268,23 +255,22 @@ def test_dropout_applies_mask():
 # written out with one temporary per operation. The kernels must reproduce
 # them bit for bit, so report files do not change with the fusion.
 
-def batchnorm_forward_reference(inputs, params, mode, update_running=True):
+def batchnorm_forward_reference(inputs, params, mode):
     if mode == "train":
         mean = inputs.mean(axis=0)
         var = inputs.var(axis=0)
-        inv_std = 1.0 / np.sqrt(var + params.epsilon)
+        inv_std = 1.0 / np.sqrt(var + BN_EPSILON)
         xhat = (inputs - mean) * inv_std
-        if update_running:
-            if params.n_updates == 0:
-                params.running_mean[...] = mean
-                params.running_var[...] = var
-            else:
-                m = params.momentum
-                params.running_mean[...] = (1.0 - m) * params.running_mean + m * mean
-                params.running_var[...] = (1.0 - m) * params.running_var + m * var
-            params.n_updates += 1
+        if params.n_updates == 0:
+            params.running_mean[...] = mean
+            params.running_var[...] = var
+        else:
+            m = BN_MOMENTUM
+            params.running_mean[...] = (1.0 - m) * params.running_mean + m * mean
+            params.running_var[...] = (1.0 - m) * params.running_var + m * var
+        params.n_updates += 1
         return params.gamma * xhat + params.beta_shift, (xhat, inv_std)
-    inv_std = 1.0 / np.sqrt(params.running_var + params.epsilon)
+    inv_std = 1.0 / np.sqrt(params.running_var + BN_EPSILON)
     return params.gamma * (inputs - params.running_mean) * inv_std + params.beta_shift, None
 
 
@@ -306,9 +292,8 @@ def activation_backward_reference(grad_out, cache, kind):
         return grad_out * (1.0 - cache * cache)
     if kind == "relu":
         return grad_out * (cache > 0)
-    if kind == "selu":
-        return grad_out * (SELU_SCALE * np.where(cache > 0, 1.0, SELU_ALPHA * np.exp(cache)))
-    return grad_out
+    assert kind == "selu"
+    return grad_out * (SELU_SCALE * np.where(cache > 0, 1.0, SELU_ALPHA * np.exp(cache)))
 
 
 def dropout_mask_reference(seed, shape, rate, epoch, block, layer):
@@ -445,10 +430,8 @@ def test_eval_scores_independent_of_batch_composition():
 def test_train_forward_reproducible_with_same_stream():
     params = init_params(4, [6], 2, "relu", 0.4, seed=9)
     X = np.random.default_rng(9).normal(size=(10, 4))
-    h1, _ = model_forward(X, params, mode="train", stream=DropoutStream(3),
-                          epoch=2, update_running=False)
-    h2, _ = model_forward(X, params, mode="train", stream=DropoutStream(3),
-                          epoch=2, update_running=False)
+    h1, _ = model_forward(X, params, mode="train", stream=DropoutStream(3), epoch=2)
+    h2, _ = model_forward(X, params, mode="train", stream=DropoutStream(3), epoch=2)
     assert np.array_equal(h1, h2)
 
 
@@ -462,14 +445,12 @@ def test_model_backward_matches_fd():
 
     def phi(flat):
         set_flat(params, flat)
-        h, _ = model_forward(X, params, mode="train", stream=stream,
-                             epoch=1, update_running=False)
+        h, _ = model_forward(X, params, mode="train", stream=stream, epoch=1)
         return float(v @ h)
 
     theta = to_flat(params)
     set_flat(params, theta)
-    h, cache = model_forward(X, params, mode="train", stream=stream,
-                             epoch=1, update_running=False)
+    h, cache = model_forward(X, params, mode="train", stream=stream, epoch=1)
     analytic = model_backward(v, params, cache)
 
     step = 1e-6
@@ -717,6 +698,53 @@ def test_checkpoint_damage_fails_fast_naming_file_and_array(tmp_path, damage, me
     bad.write_bytes(damage(good.read_bytes()))
     with pytest.raises(ValueError, match=f"^{re.escape(str(bad))}: {message}"):
         load_checkpoint(bad)
+
+
+def _edit_header(path, edit, cut=0):
+    """Rewrite a checkpoint with `edit` applied to its JSON header and the
+    last `cut` bytes of its array data dropped."""
+    raw = path.read_bytes()
+    start = len(CHECKPOINT_MAGIC)
+    end = start + 8 + int.from_bytes(raw[start:start + 8], "little")
+    header = json.loads(raw[start + 8:end])
+    edit(header)
+    blob = json.dumps(header, sort_keys=True).encode("utf-8")
+    path.write_bytes(raw[:start] + len(blob).to_bytes(8, "little") + blob
+                     + raw[end:len(raw) - cut])
+
+
+def _swap_first_bias_and_gamma(header):
+    arrays = header["arrays"]
+    arrays[1], arrays[2] = arrays[2], arrays[1]
+
+
+@pytest.mark.parametrize("edit, cut, message", [
+    # head.b left out of the manifest, its bytes cut: it loaded as its
+    # initial 0.0 without a word
+    (lambda h: h["arrays"].pop(), 8,
+     r"array manifest entry 14 is None, expected \('head.b', \(1,\)\)"),
+    # two (4,) tensors listed in swapped order: their values loaded swapped
+    (_swap_first_bias_and_gamma, 0,
+     r"array manifest entry 1 is \('block0.layer0.bn.gamma', \(4,\)\), "
+     r"expected \('block0.layer0.b', \(4,\)\)"),
+    (lambda h: h.pop("dense_layers_per_block"), 0,
+     "missing key 'dense_layers_per_block'"),
+    (lambda h: h["batch_norm"][1].update(block=3), 0,
+     "batch_norm entry .* does not match block 0, layer 1, "),
+    (lambda h: h["batch_norm"][0].update(epsilon=1e-3), 0,
+     "batch_norm entry .* does not match block 0, layer 0, epsilon 1e-05, "),
+], ids=["omitted-array", "reordered-arrays", "missing-key", "batch-norm-out-of-range",
+        "batch-norm-epsilon"])
+def test_checkpoint_header_must_describe_the_network(tmp_path, edit, cut, message):
+    params = init_params(3, [4], 2, "tanh", 0.0, seed=0)
+    params.output_head.b[...] = 7.0
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, params)
+    assert [name for name, _, _ in flat_layout(params)][-1] == "head.b"
+    _edit_header(path, edit, cut)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: checkpoint header "
+                                         f"does not describe a network: {message}"):
+        load_checkpoint(path)
 
 
 def test_checkpoint_without_standardization(tmp_path):
