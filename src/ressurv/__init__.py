@@ -18,7 +18,6 @@ from .cox import (
     nll_gradient,
 )
 from .data import (
-    CsvSchema,
     FoldAssignment,
     StandardizationParams,
     SurvivalDataset,
@@ -67,7 +66,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CVResult",
     "ConcordanceResult",
-    "CsvSchema",
     "DataRowError",
     "DivergenceError",
     "FoldAssignment",

@@ -24,7 +24,6 @@ import numpy as np
 
 from .cox import fit_linear_cox_newton
 from .data import (
-    CsvSchema,
     SurvivalDataset,
     SyntheticSpec,
     generate_synthetic,
@@ -136,17 +135,18 @@ def usable_cores() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def write_meta(path: str, wall_time_s: float, argv: list[str], workers: int,
+def write_meta(path: str, wall_time_s: float, argv: list[str],
                pool: int | UnitPool = 1) -> None:
     """The only report file allowed to differ between reruns. Records the
-    parallel setup: worker processes, usable cores, the OPENBLAS_NUM_THREADS
-    the workers started with, and per pool worker the seconds from the
-    command's start to the start of its first unit, ascending (both null
-    without a pool)."""
+    parallel setup: the processes that trained units (the pool's size, or 1
+    in-process), usable cores, the OPENBLAS_NUM_THREADS the workers started
+    with, and per pool worker the seconds from the command's start to the
+    start of its first unit, ascending (both null without a pool)."""
     now = time.time()
-    worker_start_s = None
+    workers, worker_start_s = 1, None
     if isinstance(pool, UnitPool):
         started_unix = now - wall_time_s
+        workers = pool.size
         worker_start_s = sorted(t - started_unix for t in pool.first_unit_unix.values())
     meta = {
         "schema": REPORT_SCHEMA,
@@ -169,9 +169,8 @@ def write_reports(args, t0: float, name: str, records: list[dict], summary: dict
     and the units' start times from `pool`."""
     write_records(os.path.join(args.out, f"{name}.{args.format}"), records, args.format)
     write_summary(os.path.join(args.out, "summary.json"), summary)
-    # train takes no --workers: it always runs in-process
     write_meta(os.path.join(args.out, "meta.json"), time.perf_counter() - t0, args.argv,
-               getattr(args, "workers", 1), pool)
+               pool)
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +228,7 @@ def load_synth_spec(path: str) -> SyntheticSpec:
 
 
 def _load_dataset(path: str) -> SurvivalDataset:
-    ds = load_csv(path, CsvSchema())
+    ds = load_csv(path)
     ds.require_trainable()
     return ds
 

@@ -221,13 +221,10 @@ class SyntheticSpec:
             raise ValueError("deep hazard requires p >= 3")
 
 
-@dataclass(frozen=True)
-class CsvSchema:
-    """Column names of the id/time/event triple; all other columns are features."""
-
-    id_col: str = "sample_id"
-    time_col: str = "time"
-    event_col: str = "event"
+# The CSV columns of the id/time/event triple; all other columns are features.
+ID_COL = "sample_id"
+TIME_COL = "time"
+EVENT_COL = "event"
 
 
 _TRUE_TOKENS = {"1", "true"}
@@ -243,13 +240,14 @@ def _parse_event(token: str, row: int) -> bool:
     raise DataRowError(row, f"event value {token!r} is not one of 0/1/true/false")
 
 
-def load_csv(path, schema: CsvSchema = CsvSchema()) -> SurvivalDataset:
+def load_csv(path) -> SurvivalDataset:
     """Load a survival dataset from CSV.
 
-    The header row is required. The schema names the id, time, and event
-    columns; every remaining column is a numeric feature. Parsing is
-    fail-fast: a non-numeric feature cell, a nonpositive or non-finite time,
-    or a missing value raises `DataRowError` naming the 1-based data row.
+    The header row is required and must name the ID_COL, TIME_COL and
+    EVENT_COL columns; every remaining column is a numeric feature. Parsing
+    is fail-fast: a non-numeric feature cell, a nonpositive or non-finite
+    time, or a missing value raises `DataRowError` naming the 1-based data
+    row.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -259,10 +257,10 @@ def load_csv(path, schema: CsvSchema = CsvSchema()) -> SurvivalDataset:
             raise SchemaError(f"{path}: empty file, header row required") from None
         header = [h.strip() for h in header]
         col_of = {name: i for i, name in enumerate(header)}
-        for col in (schema.id_col, schema.time_col, schema.event_col):
+        for col in (ID_COL, TIME_COL, EVENT_COL):
             if col not in col_of:
                 raise SchemaError(f"{path}: missing required column {col!r}")
-        special = {col_of[schema.id_col], col_of[schema.time_col], col_of[schema.event_col]}
+        special = {col_of[ID_COL], col_of[TIME_COL], col_of[EVENT_COL]}
         feature_cols = [i for i in range(len(header)) if i not in special]
         feature_names = [header[i] for i in feature_cols]
 
@@ -276,7 +274,7 @@ def load_csv(path, schema: CsvSchema = CsvSchema()) -> SurvivalDataset:
                 raise DataRowError(
                     rownum, f"expected {len(header)} cells, got {len(record)}"
                 )
-            raw_time = record[col_of[schema.time_col]].strip()
+            raw_time = record[col_of[TIME_COL]].strip()
             if not raw_time:
                 raise DataRowError(rownum, "missing time value")
             try:
@@ -285,7 +283,7 @@ def load_csv(path, schema: CsvSchema = CsvSchema()) -> SurvivalDataset:
                 raise DataRowError(rownum, f"time value {raw_time!r} is not numeric") from None
             if not (math.isfinite(t) and t > 0):
                 raise DataRowError(rownum, f"time must be positive and finite, got {raw_time}")
-            ev = _parse_event(record[col_of[schema.event_col]], rownum)
+            ev = _parse_event(record[col_of[EVENT_COL]], rownum)
             feats = []
             for ci in feature_cols:
                 cell = record[ci].strip()
@@ -302,7 +300,7 @@ def load_csv(path, schema: CsvSchema = CsvSchema()) -> SurvivalDataset:
                         rownum, f"non-finite value {cell!r} in column {header[ci]!r}"
                     )
                 feats.append(v)
-            sid = record[col_of[schema.id_col]].strip()
+            sid = record[col_of[ID_COL]].strip()
             if not sid:
                 raise DataRowError(rownum, "missing sample id")
             if sid in seen_ids:
@@ -320,7 +318,7 @@ def load_csv(path, schema: CsvSchema = CsvSchema()) -> SurvivalDataset:
     return SurvivalDataset(ids, features, feature_names, np.array(times), np.array(events))
 
 
-def write_csv(ds: SurvivalDataset, path, schema: CsvSchema = CsvSchema()) -> None:
+def write_csv(ds: SurvivalDataset, path) -> None:
     """Write a dataset to the same CSV format `load_csv` reads.
 
     Floats are written with shortest round-trip repr, so load(write(ds))
@@ -331,10 +329,10 @@ def write_csv(ds: SurvivalDataset, path, schema: CsvSchema = CsvSchema()) -> Non
     positive and finite, or a non-finite feature raises `DataRowError`
     naming the 1-based data row.
     """
-    _check_round_trip(ds, schema)
+    _check_round_trip(ds)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow([schema.id_col, schema.time_col, schema.event_col, *ds.feature_names])
+        writer.writerow([ID_COL, TIME_COL, EVENT_COL, *ds.feature_names])
         for i in range(ds.n):
             row = [
                 ds.sample_ids[i],
@@ -345,14 +343,13 @@ def write_csv(ds: SurvivalDataset, path, schema: CsvSchema = CsvSchema()) -> Non
             writer.writerow(row)
 
 
-def _check_round_trip(ds: SurvivalDataset, schema: CsvSchema) -> None:
+def _check_round_trip(ds: SurvivalDataset) -> None:
     if ds.n == 0:
         raise SchemaError("no data rows to write")
-    special = [schema.id_col, schema.time_col, schema.event_col]
-    for name in (*special, *ds.feature_names):
+    for name in ds.feature_names:
         if name != name.strip():
             raise SchemaError(f"column name {name!r} has surrounding whitespace")
-    if len(set(special)) < 3 or set(special) & set(ds.feature_names):
+    if {ID_COL, TIME_COL, EVENT_COL} & set(ds.feature_names):
         raise SchemaError("the id, time, event and feature columns need distinct names")
     seen: set[str] = set()
     for row, sid in enumerate(ds.sample_ids, start=1):

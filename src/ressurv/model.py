@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, replace
 from itertools import zip_longest
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,14 +51,6 @@ class DenseLayerParams:
 
     W: np.ndarray                 # (out_dim, in_dim)
     b: np.ndarray | None = None   # (out_dim,)
-
-    @property
-    def out_dim(self) -> int:
-        return self.W.shape[0]
-
-    @property
-    def in_dim(self) -> int:
-        return self.W.shape[1]
 
 
 @dataclass
@@ -96,14 +88,6 @@ class ResBlockParams:
     batch_norms: list[BatchNormParams]
     shortcut: DenseLayerParams | None
 
-    @property
-    def in_dim(self) -> int:
-        return self.dense_layers[0].in_dim
-
-    @property
-    def out_dim(self) -> int:
-        return self.dense_layers[-1].out_dim
-
 
 @dataclass
 class ResSurvParams:
@@ -129,7 +113,13 @@ class ResSurvParams:
 
     @property
     def in_dim(self) -> int:
-        return self.blocks[0].in_dim
+        return self.blocks[0].dense_layers[0].W.shape[1]
+
+    def __reduce__(self):
+        # pickle and deepcopy rebuild through construction, so the copy's
+        # tensors are views into its own fresh `flat`
+        return (type(self), (self.blocks, self.output_head,
+                             self.activation_kind, self.dropout_rate))
 
     def copy(self) -> "ResSurvParams":
         """Independent snapshot: a copy of the parameter vector plus the
@@ -261,10 +251,6 @@ def decay_mask(params: ResSurvParams) -> np.ndarray:
     return np.concatenate([
         np.full(t.array.size, t.decayed, dtype=bool) for t in _tensors(params) if t.learnable
     ])
-
-
-def n_params(params: ResSurvParams) -> int:
-    return params.flat.size
 
 
 # ---------------------------------------------------------------------------
@@ -414,31 +400,20 @@ class DropoutStream:
 
 
 def _apply_keep(x: np.ndarray, keep: np.ndarray, rate: float) -> np.ndarray:
-    """x * keep / (1 - rate), in one fresh array. Multiplying by the 0/1
-    mask first and by the scale second gives exactly x * m for the float
-    mask m = keep / (1 - rate), signed zeros included. (Converting the mask
-    with astype is faster than letting the multiply cast the booleans.)"""
+    """Inverted dropout with the boolean keep mask, forward on activations
+    and backward on their gradients: x * keep / (1 - rate), in one fresh
+    array. Multiplying by the 0/1 mask first and by the scale second gives
+    exactly x * m for the float mask m = keep / (1 - rate), signed zeros
+    included. (Converting the mask with astype is faster than letting the
+    multiply cast the booleans.)"""
     out = keep.astype(np.float64)
     out *= x
     out *= 1.0 / (1.0 - rate)
     return out
 
 
-def dropout_forward(
-    activations: np.ndarray, rate: float, mode: str, mask: np.ndarray | None
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Inverted dropout: zero units where the boolean keep `mask` is False
-    and scale survivors by 1/(1-rate) in train mode; identity in eval mode
-    or at rate 0."""
-    if mode == "eval" or rate == 0.0:
-        return activations, None
-    if mask is None:
-        raise ValueError("train-mode dropout at rate > 0 requires a mask")
-    return _apply_keep(activations, mask, rate), mask
-
-
 # ---------------------------------------------------------------------------
-# Residual block
+# Whole network
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -455,74 +430,6 @@ class BlockCache:
     layers: list[LayerCache]
 
 
-def resblock_forward(
-    x: np.ndarray,
-    block: ResBlockParams,
-    activation_kind: str,
-    dropout_rate: float,
-    mode: str,
-    stream: DropoutStream | None = None,
-    epoch: int = 0,
-    block_idx: int = 0,
-) -> tuple[np.ndarray, BlockCache | None]:
-    """y = F(x) + W_s x, with F = [dense -> batch norm -> activation ->
-    dropout] per dense layer. Returns a cache only in train mode."""
-    train = mode == "train"
-    layer_caches: list[LayerCache] = []
-    a = x
-    for li, (dense, bn) in enumerate(zip(block.dense_layers, block.batch_norms)):
-        z = a @ dense.W.T
-        z += dense.b
-        bn_out, bn_cache = batchnorm_forward(z, bn, mode)
-        act_out, act_cache = activation_forward(bn_out, activation_kind)
-        mask = None
-        if train and dropout_rate > 0.0:
-            if stream is None:
-                raise ValueError("train-mode dropout requires a DropoutStream")
-            mask = stream.mask(act_out.shape, dropout_rate, epoch, block_idx, li)
-        dropped, mask = dropout_forward(act_out, dropout_rate, mode, mask)
-        if train:
-            layer_caches.append(LayerCache(a, bn_cache, act_cache, mask))
-        a = dropped
-    y = a
-    if block.shortcut is not None:
-        y = x @ block.shortcut.W.T
-        y += a
-    return y, (BlockCache(x, layer_caches) if train else None)
-
-
-def resblock_backward(
-    grad_y: np.ndarray,
-    block: ResBlockParams,
-    cache: BlockCache,
-    activation_kind: str,
-    dropout_rate: float,
-    put: Callable[..., None],
-) -> np.ndarray:
-    """Backward through one block: the main-channel chain plus the shortcut
-    term W_s^T grad_y. Hands each tensor gradient to `put` in reverse
-    traversal order (shortcut W, then per layer from the last: beta, gamma,
-    b, W) and returns grad_x."""
-    if block.shortcut is not None:
-        put(grad_y.T @ cache.x)
-    grad = grad_y
-    for li in range(len(block.dense_layers) - 1, -1, -1):
-        lc = cache.layers[li]
-        if lc.mask is not None:
-            grad = _apply_keep(grad, lc.mask, dropout_rate)
-        grad = activation_backward(grad, lc.act, activation_kind)
-        grad, g_gamma, g_beta = batchnorm_backward(grad, lc.bn)
-        put(g_beta, g_gamma, grad.sum(axis=0), grad.T @ lc.a_in)
-        grad = grad @ block.dense_layers[li].W
-    if block.shortcut is not None:
-        grad += grad_y @ block.shortcut.W
-    return grad
-
-
-# ---------------------------------------------------------------------------
-# Whole network
-# ---------------------------------------------------------------------------
-
 @dataclass
 class ModelCache:
     blocks: list[BlockCache]
@@ -538,10 +445,13 @@ def model_forward(
 ) -> tuple[np.ndarray, ModelCache | None]:
     """Risk scores h(x), one scalar per input row.
 
-    Eval mode uses running batch-norm statistics and disables dropout, so
-    predictions are deterministic and independent of batch composition.
-    Train mode updates the running statistics and returns the cache the
-    backward pass needs.
+    Each block computes y = F(x) + W_s x, with F = [dense -> batch norm ->
+    activation -> dropout] per dense layer. Eval mode uses running
+    batch-norm statistics and disables dropout, so predictions are
+    deterministic and independent of batch composition, and builds no
+    caches. Train mode updates the running statistics, drops units with
+    the masks of `stream` (needed when the dropout rate is above 0), and
+    returns the cache the backward pass needs.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != params.in_dim:
@@ -550,20 +460,36 @@ def model_forward(
         )
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
-
     train = mode == "train"
+    rate = params.dropout_rate
+    drop = train and rate > 0.0
+    if drop and stream is None:
+        raise ValueError("train-mode dropout requires a DropoutStream")
+
     block_caches: list[BlockCache] = []
-    a = X
+    x = X
     for bi, block in enumerate(params.blocks):
-        a, bc = resblock_forward(
-            a, block, params.activation_kind, params.dropout_rate,
-            mode, stream, epoch, bi,
-        )
+        layer_caches: list[LayerCache] = []
+        a = x
+        for li, (dense, bn) in enumerate(zip(block.dense_layers, block.batch_norms)):
+            z = a @ dense.W.T
+            z += dense.b
+            bn_out, bn_cache = batchnorm_forward(z, bn, mode)
+            act, act_cache = activation_forward(bn_out, params.activation_kind)
+            mask = stream.mask(act.shape, rate, epoch, bi, li) if drop else None
+            if train:
+                layer_caches.append(LayerCache(a, bn_cache, act_cache, mask))
+            a = _apply_keep(act, mask, rate) if drop else act
         if train:
-            block_caches.append(bc)
+            block_caches.append(BlockCache(x, layer_caches))
+        if block.shortcut is not None:
+            y = x @ block.shortcut.W.T
+            y += a
+            a = y
+        x = a
     head = params.output_head
-    h = (a @ head.W.T + head.b).ravel()
-    return h, (ModelCache(block_caches, a) if train else None)
+    h = (x @ head.W.T + head.b).ravel()
+    return h, (ModelCache(block_caches, x) if train else None)
 
 
 def model_backward(
@@ -572,8 +498,10 @@ def model_backward(
     """Exact chain rule from per-sample score gradients down to every
     learnable tensor; returns the gradient in flat-view layout.
 
-    Backpropagation meets the tensors in reverse traversal order, so each
-    gradient is written just below the previous one, from the vector's end.
+    Backpropagation meets the tensors in reverse traversal order (head b
+    and W; then per block from the last: the shortcut W, and per layer from
+    the last: beta, gamma, b, W), so each gradient is written just below
+    the previous one, from the vector's end.
     """
     grad_h = np.asarray(grad_h, dtype=np.float64).reshape(-1, 1)
     grads = np.empty_like(params.flat)
@@ -586,10 +514,22 @@ def model_backward(
             end -= g.size
 
     put(grad_h.sum(axis=0), grad_h.T @ cache.head_in)
-    grad = grad_h @ params.output_head.W
-    for bi in range(len(params.blocks) - 1, -1, -1):
-        grad = resblock_backward(grad, params.blocks[bi], cache.blocks[bi],
-                                 params.activation_kind, params.dropout_rate, put)
+    grad_y = grad_h @ params.output_head.W
+    for block, bc in zip(reversed(params.blocks), reversed(cache.blocks)):
+        # the main-channel chain, plus the shortcut term W_s^T grad_y
+        if block.shortcut is not None:
+            put(grad_y.T @ bc.x)
+        grad = grad_y
+        for dense, lc in zip(reversed(block.dense_layers), reversed(bc.layers)):
+            if lc.mask is not None:
+                grad = _apply_keep(grad, lc.mask, params.dropout_rate)
+            grad = activation_backward(grad, lc.act, params.activation_kind)
+            grad, g_gamma, g_beta = batchnorm_backward(grad, lc.bn)
+            put(g_beta, g_gamma, grad.sum(axis=0), grad.T @ lc.a_in)
+            grad = grad @ dense.W
+        if block.shortcut is not None:
+            grad += grad_y @ block.shortcut.W
+        grad_y = grad
     return grads
 
 
@@ -609,15 +549,18 @@ def save_checkpoint(
     batch-norm state, the standardization applied at training time, an array
     manifest), then the raw row-major float64 little-endian tensor data.
     Unlike a zip-based container it embeds no timestamps, so identical state
-    produces identical bytes.
+    produces identical bytes. A standardization of another width than the
+    network's input raises ValueError before the file is opened.
     """
+    if standardization is not None:
+        _check_width(standardization, params.in_dim)
     arrays = [(t.name, t.array) for t in _tensors(params)]
     header = {
         "format": CHECKPOINT_FORMAT,
         "activation_kind": params.activation_kind,
         "dropout_rate": params.dropout_rate,
         "n_features": params.in_dim,
-        "block_widths": [b.out_dim for b in params.blocks],
+        "block_widths": [b.dense_layers[-1].W.shape[0] for b in params.blocks],
         "dense_layers_per_block": len(params.blocks[0].dense_layers),
         "with_shortcut": params.blocks[0].shortcut is not None,
         "batch_norm": [
@@ -661,8 +604,9 @@ def load_checkpoint(
     raises one `ValueError` naming the file (and the array, where one is at
     fault). The header must hold every key `save_checkpoint` writes, an
     array manifest naming every tensor of the architecture in layout order
-    with its shape, and one batch-norm entry per batch norm in that order,
-    with this module's epsilon and momentum."""
+    with its shape, one batch-norm entry per batch norm in that order, with
+    this module's epsilon and momentum, and a standardization (if any) of
+    the network's input width."""
     with open(path, "rb") as fh:
         magic = fh.read(len(CHECKPOINT_MAGIC))
         if magic != CHECKPOINT_MAGIC:
@@ -730,4 +674,11 @@ def _network_of(header: dict):
     std = header["standardization"]
     if std is not None:
         std = StandardizationParams(np.array(std["means"]), np.array(std["stddevs"]))
+        _check_width(std, params.in_dim)
     return params, std, header["extra"]
+
+
+def _check_width(standardization: StandardizationParams, n_features: int) -> None:
+    if standardization.means.size != n_features:
+        raise ValueError(f"standardization of {standardization.means.size} features "
+                         f"for a network of {n_features} input features")

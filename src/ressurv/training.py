@@ -72,23 +72,11 @@ def stable_seed(*parts: int) -> int:
 # Hyperparameters
 # ---------------------------------------------------------------------------
 
-# Field order below is the deterministic grid-enumeration order.
-GRID_FIELDS = (
-    "optimizer_kind",
-    "activation_kind",
-    "n_blocks",
-    "dense_layers_per_block",
-    "nodes",
-    "learning_rate",
-    "l2_lambda",
-    "dropout_rate",
-    "lr_decay",
-)
-
 # Canonical sweep domains. Grid files may sweep any subset of these fields,
 # and values outside the canonical domains are accepted anywhere a single
 # Hyperparameters value is (tests and small benchmarks need off-grid values);
-# the domains are the documented defaults for full sweeps.
+# the domains are the documented defaults for full sweeps. Their order is the
+# deterministic grid-enumeration order.
 GRID_DOMAINS = {
     "optimizer_kind": ("adam", "adamw", "sgd"),
     "activation_kind": ACTIVATION_KINDS,
@@ -100,6 +88,7 @@ GRID_DOMAINS = {
     "dropout_rate": (0.2, 0.4, 0.6),
     "lr_decay": (1e-2, 1e-3, 1e-4, 1e-5),
 }
+GRID_FIELDS = tuple(GRID_DOMAINS)
 
 
 @dataclass(frozen=True)
@@ -590,6 +579,7 @@ class UnitPool:
 
     def __init__(self, size: int):
         _check_spawn_can_import_main()
+        self.size = size
         # Unix time each worker (by pid) started its first unit
         self.first_unit_unix: dict[int, float] = {}
         self._plans = 0

@@ -12,7 +12,7 @@ import ressurv
 from conftest import make_dataset
 from ressurv import training
 from ressurv.cli import REPORT_SCHEMA, TRUTH_SCHEMA, main
-from ressurv.data import CsvSchema, SurvivalDataset, load_csv, write_csv
+from ressurv.data import SurvivalDataset, load_csv, write_csv
 from ressurv.model import load_checkpoint, model_forward
 
 FAST_HP = {
@@ -61,7 +61,7 @@ def test_synth_writes_csv_and_truth_sidecar(tmp_path):
     spec = _write_json(tmp_path / "spec.json", SYNTH_SPEC)
     out = tmp_path / "data.csv"
     assert main(["synth", "--spec", spec, "--out", str(out)]) == 0
-    ds = load_csv(str(out), CsvSchema())
+    ds = load_csv(str(out))
     assert ds.n == 120 and ds.p == 3
     truth = json.loads((tmp_path / "data.csv.truth.json").read_text())
     assert truth["schema"] == TRUTH_SCHEMA
@@ -87,7 +87,7 @@ def test_synth_zero_censoring_means_all_events(tmp_path):
     spec_path = _write_json(tmp_path / "spec.json", spec)
     out = tmp_path / "full.csv"
     assert main(["synth", "--spec", spec_path, "--out", str(out)]) == 0
-    ds = load_csv(str(out), CsvSchema())
+    ds = load_csv(str(out))
     assert ds.n_events == ds.n
 
 
@@ -134,7 +134,7 @@ def test_train_writes_reports_and_checkpoint(tmp_path, data_csv, hp_file):
     params, std, extra = load_checkpoint(out / "model.ckpt")
     assert extra["seed"] == 3
     assert extra["hp"]["nodes"] == 8
-    ds = load_csv(data_csv, CsvSchema())
+    ds = load_csv(data_csv)
     scaled = (ds.features - std.means) / std.stddevs
     h, _ = model_forward(scaled, params, mode="eval")
     assert h.shape == (ds.n,) and np.all(np.isfinite(h))
@@ -370,7 +370,8 @@ def test_meta_file_records_backend_and_argv(tmp_path, data_csv, hp_file, monkeyp
     assert meta["argv"] == argv
 
 
-@pytest.mark.parametrize("workers, blas", [("1", None), ("2", "1")])
+# --k 2 makes 2 units, so a request for 6 workers opens a pool of 2
+@pytest.mark.parametrize("workers, blas", [("1", None), ("2", "1"), ("6", "1")])
 def test_meta_file_records_the_parallel_setup(tmp_path, data_csv, hp_file, monkeypatch,
                                               workers, blas):
     monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
@@ -378,7 +379,7 @@ def test_meta_file_records_the_parallel_setup(tmp_path, data_csv, hp_file, monke
     assert main(["cv", "--data", data_csv, "--hp", hp_file, "--k", "2",
                  "--workers", workers, "--out", str(out)]) == 0
     meta = json.loads((out / "meta.json").read_text())
-    assert meta["workers"] == int(workers)
+    assert meta["workers"] == min(int(workers), 2)
     assert meta["usable_cores"] == len(os.sched_getaffinity(0))
     assert meta["worker_openblas_num_threads"] == blas
 
@@ -465,7 +466,9 @@ def _cv_meta(tmp_path, data_csv, hp_file, name, *extra):
 def test_default_workers_is_the_usable_cores(tmp_path, data_csv, hp_file, monkeypatch):
     monkeypatch.delenv("RESSURV_WORKERS", raising=False)
     pooled, meta = _cv_meta(tmp_path, data_csv, hp_file, "default")
-    assert meta["workers"] == meta["usable_cores"] == len(os.sched_getaffinity(0))
+    # --k 2 makes 2 units: the pool is no larger
+    assert meta["usable_cores"] == len(os.sched_getaffinity(0))
+    assert meta["workers"] == min(meta["usable_cores"], 2)
     serial, _ = _cv_meta(tmp_path, data_csv, hp_file, "serial", "--workers", "1")
     for name in ("folds.jsonl", "summary.json"):
         assert (pooled / name).read_bytes() == (serial / name).read_bytes(), name

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ressurv.data import (
-    CsvSchema,
     SurvivalDataset,
     SyntheticSpec,
     filter_features,
@@ -114,12 +113,6 @@ def test_load_csv_missing_column(tmp_path):
     path = _write(tmp_path, "sample_id,time,g1\na,1.0,0.5\n")
     with pytest.raises(SchemaError):
         load_csv(path)
-
-
-def test_load_csv_custom_schema(tmp_path):
-    path = _write(tmp_path, "pid,days,dead,g1\na,10,0,1.5\n")
-    ds = load_csv(path, CsvSchema(id_col="pid", time_col="days", event_col="dead"))
-    assert ds.n == 1 and ds.p == 1
 
 
 def test_load_csv_bad_rows_name_the_row(tmp_path):

@@ -1,5 +1,7 @@
+import copy
 import json
 import os
+import pickle
 import re
 import tempfile
 
@@ -18,19 +20,17 @@ from ressurv.model import (
     SELU_SCALE,
     BatchNormParams,
     DropoutStream,
+    _apply_keep,
     activation_backward,
     activation_forward,
     batchnorm_backward,
     batchnorm_forward,
     decay_mask,
-    dropout_forward,
     flat_layout,
     init_params,
     load_checkpoint,
     model_backward,
     model_forward,
-    n_params,
-    resblock_forward,
     save_checkpoint,
     set_flat,
     to_flat,
@@ -203,22 +203,33 @@ def test_batchnorm_backward_matches_fd():
 # ---------------------------------------------------------------------------
 
 def test_dropout_eval_and_rate_zero_are_identity():
-    x = np.random.default_rng(0).normal(size=(5, 3))
-    out, mask = dropout_forward(x, 0.5, "eval", None)
-    assert out is x and mask is None
-    out, mask = dropout_forward(x, 0.0, "train", None)
-    assert out is x and mask is None
+    X = np.random.default_rng(0).normal(size=(5, 3))
+    params = init_params(3, [4], 2, "tanh", 0.5, seed=0)
+    model_forward(X, params, mode="train", stream=DropoutStream(0), epoch=1)
+    no_dropout = params.copy()
+    no_dropout.dropout_rate = 0.0
+    # eval mode ignores the rate
+    assert np.array_equal(model_forward(X, params)[0], model_forward(X, no_dropout)[0])
+    # train mode at rate 0 needs no stream and hands each activation on as is
+    # (the tanh cache is the activation output)
+    _, cache = model_forward(X, no_dropout, mode="train")
+    first, second = cache.blocks[0].layers
+    assert first.mask is None and second.mask is None
+    assert second.a_in is first.act
 
 
 def test_dropout_train_requires_mask():
-    with pytest.raises(ValueError):
-        dropout_forward(np.zeros((2, 2)), 0.5, "train", None)
+    params = init_params(2, [3], 2, "tanh", 0.5, seed=0)
+    with pytest.raises(ValueError, match="requires a DropoutStream"):
+        model_forward(np.zeros((4, 2)), params, mode="train")
+    # the check comes before any batch norm updates its running statistics
+    assert all(bn.n_updates == 0 for bn in params.blocks[0].batch_norms)
 
 
 def test_dropout_mask_values_and_rate():
     stream = DropoutStream(11)
     mask = stream.mask((400, 50), 0.4, epoch=1, block=0, layer=0)
-    # a boolean keep mask; the 1/(1-rate) scale is applied by dropout_forward
+    # a boolean keep mask; the 1/(1-rate) scale is applied by _apply_keep
     assert mask.dtype == np.bool_ and mask.shape == (400, 50)
     assert abs(mask.mean() - 0.6) < 0.02
 
@@ -240,12 +251,22 @@ def test_dropout_applies_mask():
     x = np.ones((40, 40))
     stream = DropoutStream(0)
     mask = stream.mask(x.shape, 0.4, 0, 0, 0)
-    out, returned = dropout_forward(x, 0.4, "train", mask)
-    assert returned is mask
+    out = _apply_keep(x, mask, 0.4)
     # inverted dropout: survivors are scaled by 1/(1-rate), the rest zeroed
     assert np.all(out[mask] == 1.0 / 0.6)
     assert np.all(out[~mask] == 0.0)
     assert 0 < mask.sum() < mask.size
+
+    # a train-mode forward drops with the stream's mask for its epoch,
+    # block and layer, and caches that mask for the backward pass
+    X = np.random.default_rng(1).normal(size=(40, 3))
+    params = init_params(3, [8, 8], 2, "tanh", 0.4, seed=1)
+    _, cache = model_forward(X, params, mode="train", stream=stream, epoch=5)
+    for bi, block in enumerate(cache.blocks):
+        for li, layer in enumerate(block.layers):
+            assert np.array_equal(layer.mask, stream.mask((40, 8), 0.4, 5, bi, li))
+        first, second = block.layers
+        assert np.array_equal(second.a_in, _apply_keep(first.act, first.mask, 0.4))
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +371,7 @@ def test_fused_kernels_match_reference_bytes(n, width, seed, loc, scale, constan
                            activation_backward_reference(grad_out, act_cache, kind))
 
     keep = DropoutStream(seed).mask(out.shape, rate, 1, 0, 2)
-    dropped, _ = dropout_forward(out, rate, "train", keep)
+    dropped = _apply_keep(out, keep, rate)
     # signed zeros included: a dropped negative unit is -0.0 in both
     assert _same_bytes(dropped, out * dropout_mask_reference(seed, out.shape, rate, 1, 0, 2))
 
@@ -367,11 +388,15 @@ def _zero_main_channel(block):
 
 def test_zeroed_main_channel_passes_shortcut_through():
     params = init_params(4, [6], 3, "tanh", 0.0, seed=2)
-    block = params.blocks[0]
+    block, head = params.blocks[0], params.output_head
     _zero_main_channel(block)
     x = np.random.default_rng(3).normal(size=(9, 4))
-    y, _ = resblock_forward(x, block, "tanh", 0.0, "eval")
-    assert np.max(np.abs(y - x @ block.shortcut.W.T)) <= 1e-12
+    y = x @ block.shortcut.W.T
+    h, _ = model_forward(x, params, mode="eval")
+    assert np.max(np.abs(h - (y @ head.W.T + head.b).ravel())) <= 1e-12
+    # the head reads the block output, which the train cache keeps
+    _, cache = model_forward(x, params, mode="train")
+    assert np.max(np.abs(cache.head_in - y)) <= 1e-12
 
 
 def test_zeroed_main_channel_without_shortcut_is_zero():
@@ -379,17 +404,22 @@ def test_zeroed_main_channel_without_shortcut_is_zero():
     block = params.blocks[0]
     assert block.shortcut is None
     _zero_main_channel(block)
+    params.output_head.b[...] = 0.25
     x = np.random.default_rng(3).normal(size=(5, 4))
-    y, _ = resblock_forward(x, block, "relu", 0.0, "eval")
-    assert np.max(np.abs(y)) == 0.0
+    h, _ = model_forward(x, params, mode="eval")
+    assert np.all(h == 0.25)
+    _, cache = model_forward(x, params, mode="train")
+    assert np.max(np.abs(cache.head_in)) == 0.0
 
 
 def test_resblock_train_returns_cache_eval_does_not():
-    params = init_params(3, [4], 2, "tanh", 0.0, seed=0)
+    params = init_params(3, [4, 4], 2, "tanh", 0.0, seed=0)
     x = np.random.default_rng(0).normal(size=(6, 3))
-    _, cache = resblock_forward(x, params.blocks[0], "tanh", 0.0, "train")
-    assert cache is not None and len(cache.layers) == 2
-    _, cache = resblock_forward(x, params.blocks[0], "tanh", 0.0, "eval")
+    _, cache = model_forward(x, params, mode="train")
+    assert len(cache.blocks) == 2
+    assert all(len(block.layers) == 2 for block in cache.blocks)
+    assert cache.blocks[0].x is x and cache.blocks[0].layers[0].a_in is x
+    _, cache = model_forward(x, params, mode="eval")
     assert cache is None
 
 
@@ -488,7 +518,7 @@ def test_flat_roundtrip_exact():
 def test_set_flat_rejects_wrong_size():
     params = init_params(3, [4], 2, "tanh", 0.0, seed=0)
     with pytest.raises(ValueError):
-        set_flat(params, np.zeros(n_params(params) + 1))
+        set_flat(params, np.zeros(params.flat.size + 1))
 
 
 def test_flat_layout_names_and_coverage():
@@ -503,7 +533,7 @@ def test_flat_layout_names_and_coverage():
         assert sl.start == pos
         pos = sl.stop
         assert sl.stop - sl.start == int(np.prod(shape))
-    assert pos == n_params(params) == to_flat(params).size
+    assert pos == params.flat.size == to_flat(params).size
 
 
 def test_decay_mask_covers_weight_matrices_only():
@@ -519,7 +549,7 @@ def test_no_shortcut_changes_layout():
     bare = init_params(3, [4], 2, "tanh", 0.0, seed=0, with_shortcut=False)
     names = [name for name, _, _ in flat_layout(bare)]
     assert "block0.shortcut.W" not in names
-    assert n_params(bare) == n_params(full) - 4 * 3
+    assert bare.flat.size == full.flat.size - 4 * 3
 
 
 @st.composite
@@ -565,9 +595,9 @@ def test_parameter_buffer_properties(params):
     layout = flat_layout(params)
     mask = decay_mask(params)
     # layout, decay mask and size agree and tile the buffer in order
-    assert layout[0][1].start == 0 and layout[-1][1].stop == n_params(params)
+    assert layout[0][1].start == 0 and layout[-1][1].stop == params.flat.size
     assert all(a[1].stop == b[1].start for a, b in zip(layout, layout[1:]))
-    assert mask.size == n_params(params) == params.flat.size == to_flat(params).size
+    assert mask.size == params.flat.size == to_flat(params).size
     for name, where, shape, tensor in _named_tensors(params):
         assert tensor.shape == shape and where.stop - where.start == tensor.size
         assert np.all(mask[where] == name.endswith(".W")), name
@@ -597,6 +627,23 @@ def test_parameter_buffer_properties(params):
     assert snap_bn.n_updates == stats[2]
     for _, where, _, tensor in _named_tensors(snap):
         assert np.shares_memory(tensor, snap.flat[where])
+
+    # pickle and deepcopy rebuild the buffer: the clone's tensors alias its
+    # own flat, and the running statistics and update counts carry over
+    norms = [bn for block in params.blocks for bn in block.batch_norms]
+    for clone in (pickle.loads(pickle.dumps(params)), copy.deepcopy(params)):
+        assert np.array_equal(clone.flat, params.flat)
+        assert not np.shares_memory(clone.flat, params.flat)
+        for _, where, _, tensor in _named_tensors(clone):
+            assert np.shares_memory(tensor, clone.flat[where])
+        clone_norms = [bn for block in clone.blocks for bn in block.batch_norms]
+        for bn, clone_bn in zip(norms, clone_norms, strict=True):
+            assert np.array_equal(clone_bn.running_mean, bn.running_mean)
+            assert np.array_equal(clone_bn.running_var, bn.running_var)
+            assert clone_bn.n_updates == bn.n_updates
+        clone.flat[...] = 0.0
+        for _, _, _, tensor in _named_tensors(clone):
+            assert not tensor.any()
 
     # checkpoint -> load -> checkpoint reproduces the bytes
     with tempfile.TemporaryDirectory() as tmp:
@@ -733,8 +780,11 @@ def _swap_first_bias_and_gamma(header):
      "batch_norm entry .* does not match block 0, layer 1, "),
     (lambda h: h["batch_norm"][0].update(epsilon=1e-3), 0,
      "batch_norm entry .* does not match block 0, layer 0, epsilon 1e-05, "),
+    # a 5-feature standardization for the 3-feature network loaded silently
+    (lambda h: h.update(standardization={"means": [0.0] * 5, "stddevs": [1.0] * 5}), 0,
+     "standardization of 5 features for a network of 3 input features"),
 ], ids=["omitted-array", "reordered-arrays", "missing-key", "batch-norm-out-of-range",
-        "batch-norm-epsilon"])
+        "batch-norm-epsilon", "standardization-width"])
 def test_checkpoint_header_must_describe_the_network(tmp_path, edit, cut, message):
     params = init_params(3, [4], 2, "tanh", 0.0, seed=0)
     params.output_head.b[...] = 7.0
@@ -745,6 +795,16 @@ def test_checkpoint_header_must_describe_the_network(tmp_path, edit, cut, messag
     with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: checkpoint header "
                                          f"does not describe a network: {message}"):
         load_checkpoint(path)
+
+
+def test_checkpoint_save_rejects_standardization_of_another_width(tmp_path):
+    params = init_params(3, [4], 2, "tanh", 0.0, seed=0)
+    std = StandardizationParams(np.zeros(5), np.ones(5))
+    path = tmp_path / "model.ckpt"
+    with pytest.raises(ValueError, match="standardization of 5 features for a network "
+                                         "of 3 input features"):
+        save_checkpoint(path, params, standardization=std)
+    assert not path.exists()
 
 
 def test_checkpoint_without_standardization(tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import multiprocessing
 import os
 import tempfile
@@ -401,6 +402,9 @@ def test_enumerate_grid_order():
         ("sgd", "tanh"), ("sgd", "relu"), ("adam", "tanh"), ("adam", "relu"),
     ]
     assert "optimizer_kind" in GRID_FIELDS[:2]
+    # the swept fields are the leading Hyperparameters fields, in their order
+    names = tuple(f.name for f in dataclasses.fields(Hyperparameters))
+    assert GRID_FIELDS == names[:len(GRID_FIELDS)]
 
 
 def test_enumerate_grid_keeps_base_values():
