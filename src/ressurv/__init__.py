@@ -56,6 +56,7 @@ from .training import (
     GRID_DOMAINS,
     Hyperparameters,
     TrainReport,
+    UnitPool,
     cross_validate,
     grid_search,
     train,
@@ -83,6 +84,7 @@ __all__ = [
     "SyntheticSpec",
     "TrainReport",
     "UndefinedMetricError",
+    "UnitPool",
     "UnusableDatasetError",
     "build_risk_index",
     "concordance_fast",

@@ -45,17 +45,16 @@ from .metrics import concordance_fast
 from .model import save_checkpoint
 from .training import (
     HOLDOUT_FRACTION,
+    IN_PROCESS,
     Hyperparameters,
     UnitPool,
     cross_validate,
     cross_validate_configs,
     enumerate_grid,
     grid_search,
-    open_pool,
     plan_folds,
     stable_seed,
     train,
-    worker_blas_threads,
 )
 
 REPORT_SCHEMA = "ressurv-report-v1"
@@ -136,34 +135,31 @@ def usable_cores() -> int:
 
 
 def write_meta(path: str, wall_time_s: float, argv: list[str],
-               pool: int | UnitPool = 1) -> None:
+               pool: UnitPool = IN_PROCESS) -> None:
     """The only report file allowed to differ between reruns. Records the
-    parallel setup: the processes that trained units (the pool's size, or 1
+    parallel setup: the processes that trained units (the pool's size, 1
     in-process), usable cores, the OPENBLAS_NUM_THREADS the workers started
     with, and per pool worker the seconds from the command's start to the
-    start of its first unit, ascending (both null without a pool)."""
+    start of its first unit, ascending (both null in-process)."""
     now = time.time()
-    workers, worker_start_s = 1, None
-    if isinstance(pool, UnitPool):
-        started_unix = now - wall_time_s
-        workers = pool.size
-        worker_start_s = sorted(t - started_unix for t in pool.first_unit_unix.values())
+    started_unix = now - wall_time_s
     meta = {
         "schema": REPORT_SCHEMA,
         "created_unix": now,
         "wall_time_s": wall_time_s,
         "argv": argv,
-        "workers": workers,
+        "workers": pool.size,
         "usable_cores": usable_cores(),
-        "worker_openblas_num_threads": worker_blas_threads(workers),
-        "worker_start_s": worker_start_s,
+        "worker_openblas_num_threads": pool.blas_threads,
+        "worker_start_s": None if pool.size == 1 else sorted(
+            t - started_unix for t in pool.first_unit_unix.values()),
     }
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(json.dumps(meta, sort_keys=True, indent=2) + "\n")
 
 
 def write_reports(args, t0: float, name: str, records: list[dict], summary: dict,
-                  pool: int | UnitPool = 1) -> None:
+                  pool: UnitPool = IN_PROCESS) -> None:
     """A command's report files in args.out: `name`.<format> records,
     summary.json, and meta.json timed from `t0` with the argv main parsed
     and the units' start times from `pool`."""
@@ -231,6 +227,13 @@ def _load_dataset(path: str) -> SurvivalDataset:
     ds = load_csv(path)
     ds.require_trainable()
     return ds
+
+
+def _unit_pool(args, units: int) -> UnitPool:
+    """--workers processes, at most one per unit (in-process without units,
+    so that the fold split reports a --k below 1). Commands open it before
+    reading the CSV, so that its workers start while the CSV loads."""
+    return UnitPool(min(args.workers, max(units, 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -303,10 +306,9 @@ def cmd_cv(args) -> int:
     t0 = time.perf_counter()
     os.makedirs(args.out, exist_ok=True)
     hp = load_hyperparameters(args.hp)
-    # the pool opens first, so that its workers start while the CSV loads
-    with open_pool(args.workers, args.k) as pool:
+    with _unit_pool(args, args.k) as pool:
         result = cross_validate(_load_dataset(args.data), hp, k=args.k, seed=args.seed,
-                                workers=pool)
+                                pool=pool)
 
     write_reports(args, t0, "folds", result.fold_records(),
                   {"command": "cv", "hp": hp.to_dict(), **result.summary()}, pool)
@@ -321,13 +323,10 @@ def cmd_gridsearch(args) -> int:
     t0 = time.perf_counter()
     os.makedirs(args.out, exist_ok=True)
     grid, base_hp = load_grid_file(args.grid)
-    points = len(enumerate_grid(grid, base_hp))
-    if args.budget is not None:
-        points = min(points, args.budget)
-    # the pool opens first, so that its workers start while the CSV loads
-    with open_pool(args.workers, points * args.k) as pool:
+    points = len(enumerate_grid(grid, base_hp, args.budget))
+    with _unit_pool(args, points * args.k) as pool:
         result = grid_search(_load_dataset(args.data), grid, k=args.k, seed=args.seed,
-                             budget=args.budget, workers=pool, base_hp=base_hp)
+                             budget=args.budget, pool=pool, base_hp=base_hp)
 
     write_reports(args, t0, "points", result.point_records(),
                   {"command": "gridsearch", **result.summary()}, pool)
@@ -352,12 +351,11 @@ def cmd_compare(args) -> int:
     seed = args.seed
     hp = load_hyperparameters(args.hp)
     networks = (("ressurv", True), ("mlp_ablation", False))
-    # the pool opens first, so that its workers start while the CSV loads
-    with open_pool(args.workers, len(networks) * args.k) as pool:
+    with _unit_pool(args, len(networks) * args.k) as pool:
         plan = plan_folds(_load_dataset(args.data), args.k, seed)
         cvs = cross_validate_configs(plan, [(hp, shortcut) for _, shortcut in networks],
                                      pool)
-    canon, folds = plan.data, plan.folds
+    folds = plan.folds
 
     records: list[dict] = []
     summaries: dict[str, dict] = {}
@@ -371,8 +369,7 @@ def cmd_compare(args) -> int:
 
     cox_values = []
     for f in range(folds.k):
-        complement, test_fold, _ = prepare_fold(canon.subset(folds.train_indices(f)),
-                                                canon.subset(folds.test_indices(f)))
+        complement, test_fold = plan.fold_data(f)
         fit = fit_linear_cox_newton(complement)
         scores = test_fold.features @ fit.beta
         c = concordance_fast(test_fold.times, test_fold.events, scores).c_index

@@ -19,6 +19,8 @@ as rows: features (n, p), per-layer activations (n, width).
 from __future__ import annotations
 
 import json
+import math
+import os
 from dataclasses import dataclass, field, replace
 from itertools import zip_longest
 from typing import NamedTuple
@@ -606,7 +608,9 @@ def load_checkpoint(
     array manifest naming every tensor of the architecture in layout order
     with its shape, one batch-norm entry per batch norm in that order, with
     this module's epsilon and momentum, and a standardization (if any) of
-    the network's input width."""
+    the network's input width. The header and the size of the array data
+    are checked before the network is built, so that a small file cannot
+    make this allocate a large network."""
     with open(path, "rb") as fh:
         magic = fh.read(len(CHECKPOINT_MAGIC))
         if magic != CHECKPOINT_MAGIC:
@@ -623,27 +627,61 @@ def load_checkpoint(
         if fmt != CHECKPOINT_FORMAT:
             raise ValueError(f"{path}: unsupported format {fmt!r}")
         try:
-            params, std, extra = _network_of(header)
+            params, std, extra = _network_of(header, os.fstat(fh.fileno()).st_size - fh.tell())
+        except _ArrayBytesError as err:
+            raise ValueError(f"{path}: {err}") from None
         except (KeyError, TypeError, ValueError) as err:
             what = f"missing key {err}" if isinstance(err, KeyError) else err
             raise ValueError(f"{path}: checkpoint header does not describe a "
                              f"network: {what}") from None
         for t in _tensors(params):
             raw = fh.read(t.array.size * 8)
-            if len(raw) != t.array.size * 8:
-                raise ValueError(f"{path}: array {t.name!r} is truncated "
-                                 f"({len(raw)} of {t.array.size * 8} bytes)")
             t.array[...] = np.frombuffer(raw, dtype="<f8").reshape(t.array.shape)
-        if fh.read(1):
-            raise ValueError(f"{path}: unexpected bytes after the last array {t.name!r}")
     return params, std, extra
 
 
-def _network_of(header: dict):
-    """(params, standardization, extra) of a checkpoint header: the network
-    with its batch-norm update counts set and every tensor still at its
-    initial value. Raises KeyError, TypeError or ValueError where the header
-    does not describe that network exactly."""
+class _ArrayBytesError(Exception):
+    """The bytes after a checkpoint header are not the arrays it lists."""
+
+
+def _declared_layout(n_features, block_widths, dense_layers_per_block, with_shortcut):
+    """(name, shape) of every tensor of the network `init_params` builds
+    from these arguments, in `_tensors` order, without building it."""
+    in_dim = n_features
+    for bi, width in enumerate(block_widths):
+        for li in range(dense_layers_per_block):
+            prefix = f"block{bi}.layer{li}"
+            yield f"{prefix}.W", (width, in_dim if li == 0 else width)
+            for name in ("b", "bn.gamma", "bn.beta", "bn.running_mean", "bn.running_var"):
+                yield f"{prefix}.{name}", (width,)
+        if with_shortcut:
+            yield f"block{bi}.shortcut.W", (width, in_dim)
+        in_dim = width
+    yield "head.W", (1, in_dim)
+    yield "head.b", (1,)
+
+
+def _network_of(header: dict, data_bytes: int):
+    """(params, standardization, extra) of a checkpoint header followed by
+    `data_bytes` bytes of array data: the network with its batch-norm update
+    counts set and every tensor still at its initial value. Raises KeyError,
+    TypeError or ValueError where the header does not describe that network
+    exactly, and `_ArrayBytesError` where the data is not the size of its
+    arrays. Both are checked before the network is built, so that a small
+    file cannot make this allocate a large network."""
+    manifest = [(entry["name"], tuple(entry["shape"])) for entry in header["arrays"]]
+    layout = _declared_layout(header["n_features"], header["block_widths"],
+                              header["dense_layers_per_block"], header["with_shortcut"])
+    for i, (got, want) in enumerate(zip_longest(manifest, layout)):
+        if got != want:
+            raise ValueError(f"array manifest entry {i} is {got}, expected {want}")
+    for name, shape in manifest:
+        size = 8 * math.prod(shape)
+        if size > data_bytes:
+            raise _ArrayBytesError(f"array {name!r} is truncated ({data_bytes} of {size} bytes)")
+        data_bytes -= size
+    if data_bytes:
+        raise _ArrayBytesError(f"unexpected bytes after the last array {name!r}")
     params = init_params(
         n_features=header["n_features"],
         block_widths=header["block_widths"],
@@ -653,11 +691,6 @@ def _network_of(header: dict):
         seed=0,
         with_shortcut=header["with_shortcut"],
     )
-    manifest = [(entry["name"], tuple(entry["shape"])) for entry in header["arrays"]]
-    layout = [(t.name, t.array.shape) for t in _tensors(params)]
-    for i, (got, want) in enumerate(zip_longest(manifest, layout)):
-        if got != want:
-            raise ValueError(f"array manifest entry {i} is {got}, expected {want}")
     norms = [(bi, li, bn) for bi, block in enumerate(params.blocks)
              for li, bn in enumerate(block.batch_norms)]
     entries = header["batch_norm"]

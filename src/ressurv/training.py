@@ -10,6 +10,7 @@ carried separately and never enters deterministic report content.
 
 from __future__ import annotations
 
+import math
 import os
 import pickle
 import shutil
@@ -18,10 +19,10 @@ import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field, replace
-from itertools import product, repeat
+from dataclasses import asdict, dataclass, field, fields, replace
+from itertools import islice, product, repeat
 from multiprocessing import get_context
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -96,7 +97,10 @@ class Hyperparameters:
     """One training configuration.
 
     String fields are case-insensitive on input and stored lowercase.
-    Numeric fields are sanity-checked (positive, in range) rather than pinned
+    Integer fields take integers only (not bools, not 2.5) and float fields
+    finite real numbers only (not bools, strings, None, NaN or infinity); a
+    value of the wrong type raises ValueError naming its field. Numeric
+    fields are then sanity-checked (positive, in range) rather than pinned
     to the canonical grid domains, so small test-scale configurations and
     off-grid values like lr_decay=0 are legal.
     """
@@ -115,6 +119,16 @@ class Hyperparameters:
     seed: int = 0
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            # bool is an Integral; JSON true must not pass for 1
+            if f.type == "int" and (isinstance(value, bool)
+                                    or not isinstance(value, Integral)):
+                raise ValueError(f"{f.name} must be an integer, not {value!r}")
+            if f.type == "float" and (isinstance(value, bool)
+                                      or not isinstance(value, Real)
+                                      or not math.isfinite(value)):
+                raise ValueError(f"{f.name} must be a finite number, not {value!r}")
         object.__setattr__(self, "optimizer_kind", str(self.optimizer_kind).lower())
         object.__setattr__(self, "activation_kind", str(self.activation_kind).lower())
         if self.optimizer_kind not in OPTIMIZER_KINDS:
@@ -445,6 +459,15 @@ class FoldPlan:
     seed: int
     splits: tuple[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray], ...]
 
+    def fold_data(self, f: int) -> tuple[SurvivalDataset, SurvivalDataset]:
+        """Fold `f`'s (training complement, held-out fold): low-variance
+        features dropped and standardization fit on the complement only, so
+        nothing leaks from the held-out rows."""
+        train_idx, test_idx, _, _ = self.splits[f]
+        complement, test_fold, _ = prepare_fold(self.data.subset(train_idx),
+                                                self.data.subset(test_idx))
+        return complement, test_fold
+
 
 def plan_folds(ds: SurvivalDataset, k: int, seed: int) -> FoldPlan:
     """Canonicalize rows by sample id, assign folds from `seed` and carve
@@ -482,15 +505,13 @@ def fold_unit(
 ) -> FoldRecord | DivergenceError:
     """Train fold `f` of `plan` under `hp` and measure its held-out C-index.
 
-    Low-variance features are dropped and standardization is fit on the
-    training complement only (no leakage); the model trains on the early-stop
-    split with a fold-specific sub-seed. A diverging fold returns its
-    `DivergenceError`, naming the fold, instead of raising it, so that the
-    caller decides which fold's error to report.
+    The model trains on the early-stop split of the fold's prepared
+    complement (`FoldPlan.fold_data`) with a fold-specific sub-seed. A
+    diverging fold returns its `DivergenceError`, naming the fold, instead of
+    raising it, so that the caller decides which fold's error to report.
     """
-    train_idx, test_idx, inner_train_idx, inner_val_idx = plan.splits[f]
-    complement, test_fold, _ = prepare_fold(plan.data.subset(train_idx),
-                                            plan.data.subset(test_idx))
+    complement, test_fold = plan.fold_data(f)
+    _, _, inner_train_idx, inner_val_idx = plan.splits[f]
     try:
         report = train(complement.subset(inner_train_idx),
                        complement.subset(inner_val_idx), hp,
@@ -530,28 +551,6 @@ def _pooled_fold_unit(plan_path: str, hp: Hyperparameters, with_shortcut: bool, 
     return os.getpid(), started, fold_unit(_worker_plan[1], hp, with_shortcut, f)
 
 
-def worker_blas_threads(workers: int) -> str | None:
-    """The OPENBLAS_NUM_THREADS value pool workers start with (a user-set
-    value wins), or None when `workers` == 1 runs every unit in-process."""
-    if workers == 1:
-        return None
-    return os.environ.get(BLAS_THREADS_ENV, WORKER_BLAS_THREADS)
-
-
-@contextmanager
-def _worker_blas_env():
-    """Keep OPENBLAS_NUM_THREADS set while a pool starts its workers, then
-    restore the environment. It must be in the environment when a worker
-    starts: OpenBLAS reads it as numpy loads."""
-    user_set = BLAS_THREADS_ENV in os.environ
-    os.environ.setdefault(BLAS_THREADS_ENV, WORKER_BLAS_THREADS)
-    try:
-        yield
-    finally:
-        if not user_set:
-            os.environ.pop(BLAS_THREADS_ENV, None)
-
-
 def _check_spawn_can_import_main() -> None:
     """Raise `BrokenProcessPool` before any worker starts if spawned workers
     could not re-import the main program, as for one read from standard
@@ -565,42 +564,59 @@ def _check_spawn_can_import_main() -> None:
 
 
 class UnitPool:
-    """`size` spawned worker processes for (configuration, fold) units.
+    """What runs (configuration, fold) units: with `size` 1, this process,
+    one unit after another, starting no process and making no file;
+    otherwise `size` spawned worker processes.
 
     Every worker starts when the pool opens, so their imports overlap
     whatever the opener does next (reading the CSV, planning the folds).
-    Each worker starts with one BLAS thread unless OPENBLAS_NUM_THREADS is
-    set. A fold plan reaches the workers as a file: `map_units` pickles it
-    once into the pool's temporary directory (under TMPDIR, mode 0700, so
-    that no other user can replace what the workers unpickle), each unit
-    names that file, and a worker loads it on its first unit. Closing the
-    pool waits for its workers and deletes the directory.
+    Each starts with `blas_threads` BLAS threads: OPENBLAS_NUM_THREADS if
+    set, else one. A fold plan reaches the workers as a file: `map_units`
+    pickles it once into the pool's temporary directory (under TMPDIR, mode
+    0700, so that no other user can replace what the workers unpickle), each
+    unit names that file, and a worker loads it on its first unit. Closing
+    the pool waits for its workers and deletes the directory.
     """
 
     def __init__(self, size: int):
-        _check_spawn_can_import_main()
+        if size < 1:
+            raise ValueError("workers must be >= 1")
         self.size = size
+        self.blas_threads: str | None = None
         # Unix time each worker (by pid) started its first unit
         self.first_unit_unix: dict[int, float] = {}
+        if size == 1:
+            return
+        _check_spawn_can_import_main()
         self._plans = 0
         self._dir = tempfile.mkdtemp(prefix="ressurv-pool-")
+        # OpenBLAS reads OPENBLAS_NUM_THREADS as numpy loads, so it must be
+        # in the environment while the workers start, and only then
+        user_set = BLAS_THREADS_ENV in os.environ
+        self.blas_threads = os.environ.setdefault(BLAS_THREADS_ENV, WORKER_BLAS_THREADS)
         try:
-            with _worker_blas_env():
-                self._executor = ProcessPoolExecutor(size, mp_context=get_context("spawn"))
-                # spawn starts one worker per submit that finds none idle:
-                # these no-op calls start all of them now, at once. Their
-                # futures go unread: a worker that cannot start breaks the
-                # pool, and `map_units` raises that.
-                for _ in range(size):
-                    self._executor.submit(os.getpid)
+            self._executor = ProcessPoolExecutor(size, mp_context=get_context("spawn"))
+            # spawn starts one worker per submit that finds none idle: these
+            # no-op calls start all of them now, at once. Their futures go
+            # unread: a worker that cannot start breaks the pool, and
+            # `map_units` raises that.
+            for _ in range(size):
+                self._executor.submit(os.getpid)
         except BaseException:
             shutil.rmtree(self._dir, ignore_errors=True)
             raise
+        finally:
+            if not user_set:
+                os.environ.pop(BLAS_THREADS_ENV, None)
 
     def map_units(self, plan: FoldPlan, units):
         """`fold_unit` outcomes of `plan` for each (hp, with_shortcut, fold)
         of `units`, in order. Closing the generator early cancels the units
         not yet started."""
+        if self.size == 1:
+            for unit in units:
+                yield fold_unit(plan, *unit)
+            return
         path = os.path.join(self._dir, f"plan{self._plans}.pickle")
         self._plans += 1
         with open(path, "wb") as fh:
@@ -615,47 +631,34 @@ class UnitPool:
             outcomes.close()
 
     def close(self) -> None:
-        self._executor.shutdown(cancel_futures=True)
-        shutil.rmtree(self._dir, ignore_errors=True)
+        if self.size > 1:
+            self._executor.shutdown(cancel_futures=True)
+            shutil.rmtree(self._dir, ignore_errors=True)
+
+    def __enter__(self) -> "UnitPool":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
 
-@contextmanager
-def open_pool(workers: int | UnitPool, units: int):
-    """What to run `units` units with: a `UnitPool` given as `workers` as
-    is (the caller closes it), or a count. When min(`workers`, `units`) is
-    below 2 the units run in-process and this yields 1; otherwise it opens a
-    pool of that many workers and closes it on exit."""
-    if isinstance(workers, UnitPool):
-        yield workers
-        return
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    if min(workers, units) < 2:
-        yield 1
-        return
-    pool = UnitPool(min(workers, units))
-    try:
-        yield pool
-    finally:
-        pool.close()
+# the pool the library runs units with unless it is handed another
+IN_PROCESS = UnitPool(1)
 
 
 def cross_validate_configs(
     plan: FoldPlan,
     configs: list[tuple[Hyperparameters, bool]],
-    workers: int | UnitPool = 1,
+    pool: UnitPool = IN_PROCESS,
     raise_divergence: bool = True,
 ) -> list[CVResult | DivergenceError]:
     """Cross-validate each (hp, with_shortcut) configuration on the plan's
     folds; results in configuration order.
 
     The unit of work is one (configuration, fold) pair, run by `fold_unit`
-    in enumeration order. With `workers` == 1 the units run in-process, one
-    after another; a larger count runs them in a `UnitPool` of that many
-    workers (at most one per unit) opened for this call, and an open
-    `UnitPool` runs them in its workers. Every number depends only on the
-    unit, never on which process ran it or when, so results are identical
-    across worker counts.
+    in enumeration order through `pool`: in-process by default, else in
+    the pool's workers. Every number depends only on the unit, never on
+    which process ran it or when, so results are identical across pools.
 
     A configuration with a diverging fold gets the `DivergenceError` of its
     lowest-index diverging fold: raised at once when `raise_divergence`
@@ -663,15 +666,11 @@ def cross_validate_configs(
     """
     units = [(hp, with_shortcut, f)
              for hp, with_shortcut in configs for f in range(plan.folds.k)]
-    with open_pool(workers, len(units)) as pool:
-        if isinstance(pool, UnitPool):
-            outcomes = pool.map_units(plan, units)
-        else:
-            outcomes = (fold_unit(plan, *unit) for unit in units)
-        try:
-            return _merge_folds(plan, len(configs), raise_divergence, outcomes)
-        finally:
-            outcomes.close()   # cancels the units not started when the merge raised
+    outcomes = pool.map_units(plan, units)
+    try:
+        return _merge_folds(plan, len(configs), raise_divergence, outcomes)
+    finally:
+        outcomes.close()   # cancels the units not started when the merge raised
 
 
 def _merge_folds(plan, n_configs, raise_divergence, outcomes):
@@ -709,7 +708,7 @@ def cross_validate(
     k: int = 5,
     seed: int = 0,
     with_shortcut: bool = True,
-    workers: int | UnitPool = 1,
+    pool: UnitPool = IN_PROCESS,
 ) -> CVResult:
     """Stratified k-fold cross-validation of the held-out C-index.
 
@@ -718,8 +717,8 @@ def cross_validate(
     and standardization is fit on the training complement only (no leakage),
     an 80/20 stratified early-stop split is carved from the complement, the
     model trains with a fold-specific sub-seed, and the C-index is measured
-    on the untouched held-out fold. `workers` > 1 trains folds in that many
-    processes, and an open `UnitPool` in its workers, with identical results.
+    on the untouched held-out fold. The folds run through `pool`, with
+    identical results in-process and in its workers.
 
     Before any fold trains, every held-out fold and both sides of every
     early-stop split are checked for at least one comparable pair (an event
@@ -729,7 +728,7 @@ def cross_validate(
     the fold index attached.
     """
     plan = plan_folds(ds, k, seed)
-    [result] = cross_validate_configs(plan, [(hp, with_shortcut)], workers)
+    [result] = cross_validate_configs(plan, [(hp, with_shortcut)], pool)
     return result
 
 
@@ -780,23 +779,25 @@ class GridSearchResult:
         }
 
 
-def enumerate_grid(grid: dict, base_hp: Hyperparameters) -> list[Hyperparameters]:
+def enumerate_grid(grid: dict, base_hp: Hyperparameters,
+                   budget: int | None = None) -> list[Hyperparameters]:
     """Deterministic enumeration: the cartesian product over the swept fields
     taken in declared field order, values in the order the grid lists them.
-    Fields absent from the grid keep the base configuration's value."""
+    Fields absent from the grid keep the base configuration's value. With a
+    `budget`, only the first `budget` points are built."""
     if not grid:
         raise ValueError("grid must sweep at least one field")
     unknown = set(grid) - set(GRID_FIELDS)
     if unknown:
         raise ValueError(f"unknown grid fields: {sorted(unknown)}")
+    if budget is not None and budget < 1:
+        raise ValueError("budget must be >= 1")
     swept = [f for f in GRID_FIELDS if f in grid]
     for f in swept:
         if not isinstance(grid[f], (list, tuple)) or len(grid[f]) == 0:
             raise ValueError(f"grid field {f!r} must list at least one value")
-    points = []
-    for combo in product(*(grid[f] for f in swept)):
-        points.append(base_hp.replaced(**dict(zip(swept, combo))))
-    return points
+    combos = islice(product(*(grid[f] for f in swept)), budget)
+    return [base_hp.replaced(**dict(zip(swept, combo))) for combo in combos]
 
 
 def grid_search(
@@ -805,28 +806,24 @@ def grid_search(
     k: int = 5,
     seed: int = 0,
     budget: int | None = None,
-    workers: int | UnitPool = 1,
+    pool: UnitPool = IN_PROCESS,
     base_hp: Hyperparameters | None = None,
 ) -> GridSearchResult:
     """Evaluate grid points by cross-validation and pick the argmax.
 
     All points share one fold assignment (built from `seed`), and each point
     trains under a sub-seed derived from its enumeration index, so the result
-    is a pure function of (dataset, grid, k, seed, budget) regardless of
-    worker count. A point whose training diverges is recorded with a failure
-    flag instead of aborting the search; ties on mean C-index resolve to the
-    earliest enumerated point.
+    is a pure function of (dataset, grid, k, seed, budget) whatever `pool`
+    runs the units. A point whose training diverges is recorded with a
+    failure flag instead of aborting the search; ties on mean C-index
+    resolve to the earliest enumerated point.
     """
-    if budget is not None and budget < 1:
-        raise ValueError("budget must be >= 1")
     base = base_hp if base_hp is not None else Hyperparameters()
-    all_points = enumerate_grid(grid, base)
-    if budget is not None:
-        all_points = all_points[:budget]
+    all_points = enumerate_grid(grid, base, budget)
 
     plan = plan_folds(ds, k, seed)
     hps = [hp.replaced(seed=stable_seed(seed, 17, i)) for i, hp in enumerate(all_points)]
-    outcomes = cross_validate_configs(plan, [(hp, True) for hp in hps], workers,
+    outcomes = cross_validate_configs(plan, [(hp, True) for hp in hps], pool,
                                       raise_divergence=False)
     results = []
     for index, (hp, cv) in enumerate(zip(hps, outcomes)):

@@ -8,6 +8,7 @@ finite differences), never from the implementation under test.
 """
 
 import json
+import os
 import time
 from contextlib import contextmanager
 
@@ -40,9 +41,11 @@ from ressurv.model import (
 )
 from ressurv.training import (
     Hyperparameters,
-    cross_validate,
+    UnitPool,
+    cross_validate_configs,
     decay_learning_rate,
     init_optimizer_state,
+    plan_folds,
     sgd_step,
     stable_seed,
     train,
@@ -237,8 +240,10 @@ def test_shortcut_blocks_hold_up_at_depth(capsys):
             learning_rate=1e-3, l2_lambda=1e-2, dropout_rate=0.2,
             lr_decay=1e-3, max_epochs=500, patience=30, seed=0,
         )
-        cv_res = cross_validate(ds, hp6, k=5, seed=777, with_shortcut=True)
-        cv_abl = cross_validate(ds, hp6, k=5, seed=777, with_shortcut=False)
+        # the 10 (configuration, fold) units of both CVs share one pool
+        plan = plan_folds(ds, k=5, seed=777)
+        with UnitPool(min(len(os.sched_getaffinity(0)), 10)) as pool:
+            cv_res, cv_abl = cross_validate_configs(plan, [(hp6, True), (hp6, False)], pool)
         assert cv_res.mean_c_index >= cv_abl.mean_c_index - 0.01, (
             f"shortcut {cv_res.mean_c_index:.4f} vs ablation {cv_abl.mean_c_index:.4f}"
         )

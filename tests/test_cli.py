@@ -185,6 +185,34 @@ def test_train_bad_hp_key_exits_2(tmp_path, data_csv):
                  "--out", str(tmp_path / "run")]) == 2
 
 
+# JSON text, so that NaN and Infinity reach the loader as Python's json reads them
+@pytest.mark.parametrize("command, text, field", [
+    ("cv", '{"nodes": "8"}', "nodes"),
+    ("cv", '{"learning_rate": "0.01"}', "learning_rate"),
+    ("cv", '{"dropout_rate": null}', "dropout_rate"),
+    ("gridsearch", '{"nodes": ["16"]}', "nodes"),
+    ("cv", '{"max_epochs": 2.5}', "max_epochs"),
+    ("cv", '{"l2_lambda": NaN}', "l2_lambda"),
+    ("cv", '{"lr_decay": NaN}', "lr_decay"),
+    ("cv", '{"learning_rate": Infinity}', "learning_rate"),
+    ("cv", '{"n_blocks": true}', "n_blocks"),
+])
+def test_mistyped_hyperparameter_exits_2_naming_the_field_before_the_pool_opens(
+        tmp_path, data_csv, capsys, monkeypatch, command, text, field):
+    def no_pool(self, size):
+        raise AssertionError("the pool opened")
+
+    monkeypatch.setattr(training.UnitPool, "__init__", no_pool)
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    flag = "--grid" if command == "gridsearch" else "--hp"
+    assert main([command, "--data", data_csv, flag, str(path), "--k", "2",
+                 "--workers", "2", "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field} must be ")
+    assert "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # cv
 # ---------------------------------------------------------------------------

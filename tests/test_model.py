@@ -4,6 +4,7 @@ import os
 import pickle
 import re
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -783,8 +784,13 @@ def _swap_first_bias_and_gamma(header):
     # a 5-feature standardization for the 3-feature network loaded silently
     (lambda h: h.update(standardization={"means": [0.0] * 5, "stddevs": [1.0] * 5}), 0,
      "standardization of 5 features for a network of 3 input features"),
+    # a 2 KB file declaring 32 million floats: the network was built (512 MB)
+    # before anything was compared with the file
+    (lambda h: h.update(n_features=4_000_000), 0,
+     r"array manifest entry 0 is \('block0.layer0.W', \(4, 3\)\), "
+     r"expected \('block0.layer0.W', \(4, 4000000\)\)"),
 ], ids=["omitted-array", "reordered-arrays", "missing-key", "batch-norm-out-of-range",
-        "batch-norm-epsilon", "standardization-width"])
+        "batch-norm-epsilon", "standardization-width", "huge-declared-network"])
 def test_checkpoint_header_must_describe_the_network(tmp_path, edit, cut, message):
     params = init_params(3, [4], 2, "tanh", 0.0, seed=0)
     params.output_head.b[...] = 7.0
@@ -792,9 +798,40 @@ def test_checkpoint_header_must_describe_the_network(tmp_path, edit, cut, messag
     save_checkpoint(path, params)
     assert [name for name, _, _ in flat_layout(params)][-1] == "head.b"
     _edit_header(path, edit, cut)
-    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: checkpoint header "
-                                         f"does not describe a network: {message}"):
-        load_checkpoint(path)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: checkpoint header "
+                                             f"does not describe a network: {message}"):
+            load_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
+def test_checkpoint_too_short_for_its_declared_network_fails_before_building_it(tmp_path):
+    # header and manifest agree on 4 million input features; the data does not
+    params = init_params(3, [4], 2, "tanh", 0.0, seed=0)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, params)
+
+    def widen(header):
+        header["n_features"] = 4_000_000
+        for entry in header["arrays"]:
+            if entry["name"] in ("block0.layer0.W", "block0.shortcut.W"):
+                entry["shape"][1] = 4_000_000
+
+    _edit_header(path, widen)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: array "
+                                             r"'block0.layer0.W' is truncated \(\d+ of "
+                                             r"128000000 bytes\)"):
+            load_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_checkpoint_save_rejects_standardization_of_another_width(tmp_path):

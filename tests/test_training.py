@@ -18,8 +18,10 @@ from ressurv.data import (
 from ressurv.errors import DivergenceError, UnusableDatasetError
 from ressurv.model import model_forward, to_flat
 from ressurv.training import (
+    GRID_DOMAINS,
     GRID_FIELDS,
     Hyperparameters,
+    UnitPool,
     adam_step,
     adamw_step,
     cross_validate,
@@ -342,8 +344,9 @@ def test_cv_divergence_names_the_fold():
 
 def test_cv_worker_count_is_invisible():
     ds = make_dataset(n=90, p=3, seed=5)
-    serial = cross_validate(ds, TINY.replaced(max_epochs=10), k=3, seed=2, workers=1)
-    pooled = cross_validate(ds, TINY.replaced(max_epochs=10), k=3, seed=2, workers=2)
+    serial = cross_validate(ds, TINY.replaced(max_epochs=10), k=3, seed=2)
+    with UnitPool(2) as pool:
+        pooled = cross_validate(ds, TINY.replaced(max_epochs=10), k=3, seed=2, pool=pool)
     assert pooled.summary() == serial.summary()
     assert pooled.fold_records() == serial.fold_records()
 
@@ -352,9 +355,9 @@ def test_cv_divergence_message_is_the_same_under_a_pool():
     ds = make_dataset(n=80, p=3, seed=0)
     messages = []
     for workers in (1, 2):
-        with np.errstate(all="ignore"):
+        with np.errstate(all="ignore"), UnitPool(workers) as pool:
             with pytest.raises(DivergenceError) as info:
-                cross_validate(ds, DIVERGENT, k=3, seed=0, workers=workers)
+                cross_validate(ds, DIVERGENT, k=3, seed=0, pool=pool)
         messages.append(str(info.value))
     assert messages[0] == messages[1]
     assert "(fold 0)" in messages[0]
@@ -380,9 +383,10 @@ def test_cv_degenerate_fold_fails_before_training(monkeypatch):
 def test_grid_search_degenerate_fold_fails_before_training(monkeypatch, workers):
     calls = []
     monkeypatch.setattr(training, "train", lambda *a, **kw: calls.append(1))
-    with pytest.raises(UnusableDatasetError, match="fold 4: the held-out split"):
-        grid_search(_four_event_dataset(), {"learning_rate": [1e-2, 1e-3]}, k=5,
-                    seed=0, base_hp=TINY, workers=workers)
+    with UnitPool(workers) as pool:
+        with pytest.raises(UnusableDatasetError, match="fold 4: the held-out split"):
+            grid_search(_four_event_dataset(), {"learning_rate": [1e-2, 1e-3]}, k=5,
+                        seed=0, base_hp=TINY, pool=pool)
     assert calls == []
 
 
@@ -424,6 +428,27 @@ def test_enumerate_grid_validation():
         enumerate_grid({"learning_rate": []}, base)
 
 
+def test_enumerate_grid_builds_only_the_budget(monkeypatch):
+    built = []
+    real_post_init = Hyperparameters.__post_init__
+
+    def post_init(self):
+        built.append(self)
+        real_post_init(self)
+
+    base = Hyperparameters()
+    monkeypatch.setattr(Hyperparameters, "__post_init__", post_init)
+    # the full canonical grid has tens of thousands of points
+    points = enumerate_grid(GRID_DOMAINS, base, budget=3)
+    assert len(points) == len(built) == 3
+    small = {"learning_rate": [1e-2, 1e-3], "dropout_rate": [0.0, 0.2, 0.4]}
+    full = enumerate_grid(small, base)
+    assert enumerate_grid(small, base, budget=4) == full[:4]
+    assert enumerate_grid(small, base, budget=10) == full
+    with pytest.raises(ValueError, match="budget must be >= 1"):
+        enumerate_grid(small, base, budget=0)
+
+
 def test_grid_search_single_point_matches_direct_cv():
     ds = make_dataset(n=80, p=3, seed=6)
     base = TINY.replaced(max_epochs=15)
@@ -455,8 +480,9 @@ def test_grid_search_worker_count_is_invisible():
     ds = make_dataset(n=70, p=3, seed=3)
     base = TINY.replaced(max_epochs=10)
     grid = {"learning_rate": [1e-2, 1e-3], "dropout_rate": [0.0, 0.2]}
-    a = grid_search(ds, grid, k=2, seed=4, base_hp=base, workers=1)
-    b = grid_search(ds, grid, k=2, seed=4, base_hp=base, workers=4)
+    a = grid_search(ds, grid, k=2, seed=4, base_hp=base)
+    with UnitPool(4) as pool:
+        b = grid_search(ds, grid, k=2, seed=4, base_hp=base, pool=pool)
     assert a.best_index == b.best_index
     assert [p.to_dict() for p in a.points] == [p.to_dict() for p in b.points]
 
@@ -466,8 +492,8 @@ def test_grid_search_divergent_point_error_is_the_same_under_a_pool():
     grid = {"learning_rate": [1e-1, 1e-3]}
     errors = []
     for workers in (1, 2):
-        with np.errstate(all="ignore"):
-            result = grid_search(ds, grid, k=2, seed=0, base_hp=DIVERGENT, workers=workers)
+        with np.errstate(all="ignore"), UnitPool(workers) as pool:
+            result = grid_search(ds, grid, k=2, seed=0, base_hp=DIVERGENT, pool=pool)
         assert result.points[0].failed and not result.points[1].failed
         errors.append(result.points[0].error)
     assert errors[0] == errors[1]
@@ -477,13 +503,15 @@ def test_grid_search_divergent_point_error_is_the_same_under_a_pool():
 def test_pool_restores_the_blas_environment(monkeypatch):
     ds = make_dataset(n=60, p=3, seed=1)
     monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
-    assert training.worker_blas_threads(2) == "1"
-    assert training.worker_blas_threads(1) is None
-    cross_validate(ds, TINY.replaced(max_epochs=2), k=2, seed=0, workers=2)
+    assert UnitPool(1).blas_threads is None
+    with UnitPool(2) as pool:
+        assert pool.blas_threads == "1"
+        cross_validate(ds, TINY.replaced(max_epochs=2), k=2, seed=0, pool=pool)
     assert "OPENBLAS_NUM_THREADS" not in os.environ
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")   # a user-set value wins
-    assert training.worker_blas_threads(2) == "2"
-    cross_validate(ds, TINY.replaced(max_epochs=2), k=2, seed=0, workers=2)
+    with UnitPool(2) as pool:
+        assert pool.blas_threads == "2"
+        cross_validate(ds, TINY.replaced(max_epochs=2), k=2, seed=0, pool=pool)
     assert os.environ["OPENBLAS_NUM_THREADS"] == "2"
 
 
@@ -511,7 +539,8 @@ def test_spawned_workers_start_without_the_dataset(monkeypatch):
     monkeypatch.setattr(popen_spawn_posix.Popen, "_launch", launch)
     monkeypatch.setattr(reduction, "dump", dump)
     ds = make_dataset(n=3000, p=5, seed=4)
-    result = cross_validate(ds, TINY.replaced(max_epochs=1), k=2, seed=0, workers=2)
+    with UnitPool(2) as pool:
+        result = cross_validate(ds, TINY.replaced(max_epochs=1), k=2, seed=0, pool=pool)
     assert len(result.folds) == 2
     assert len(payloads) == 2
     assert all(0 < size < SPAWN_PIPE_BYTES for size in payloads), payloads
@@ -521,18 +550,30 @@ def test_an_open_pool_serves_several_plans(tmp_path, monkeypatch):
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
     ds_a, ds_b = make_dataset(n=60, p=3, seed=1), make_dataset(n=50, p=4, seed=2)
     hp = TINY.replaced(max_epochs=3)
-    with training.open_pool(2, 4) as pool:
-        assert isinstance(pool, training.UnitPool)
-        with training.open_pool(pool, 4) as same:   # an open pool is used as is
-            assert same is pool
-        a = cross_validate(ds_a, hp, k=2, seed=0, workers=pool)
-        b = cross_validate(ds_b, hp, k=2, seed=0, workers=pool)
+    with UnitPool(2) as pool:
+        a = cross_validate(ds_a, hp, k=2, seed=0, pool=pool)
+        b = cross_validate(ds_b, hp, k=2, seed=0, pool=pool)
         assert 1 <= len(pool.first_unit_unix) <= 2
         assert [d.stat().st_mode & 0o777 for d in tmp_path.iterdir()] == [0o700]
     assert list(tmp_path.iterdir()) == []
     assert multiprocessing.active_children() == []
     assert a == cross_validate(ds_a, hp, k=2, seed=0)
     assert b == cross_validate(ds_b, hp, k=2, seed=0)
+
+
+def test_in_process_pool_starts_no_process_and_makes_no_file(monkeypatch):
+    monkeypatch.setattr(training, "ProcessPoolExecutor", _forbidden)
+    monkeypatch.setattr(tempfile, "mkdtemp", _forbidden)
+    ds = make_dataset(n=60, p=3, seed=1)
+    with UnitPool(1) as pool:
+        result = cross_validate(ds, TINY.replaced(max_epochs=2), k=2, seed=0, pool=pool)
+        assert pool.size == 1 and pool.blas_threads is None
+        assert pool.first_unit_unix == {}
+    assert result == cross_validate(ds, TINY.replaced(max_epochs=2), k=2, seed=0)
+
+
+def _forbidden(*args, **kwargs):
+    raise AssertionError("an in-process pool started a process or made a file")
 
 
 def test_grid_search_budget_caps_enumeration():
@@ -565,5 +606,5 @@ def test_grid_search_validation():
     ds = make_dataset(n=60, p=3, seed=2)
     with pytest.raises(ValueError):
         grid_search(ds, {"learning_rate": [1e-2]}, k=2, seed=0, budget=0)
-    with pytest.raises(ValueError):
-        grid_search(ds, {"learning_rate": [1e-2]}, k=2, seed=0, workers=0)
+    with pytest.raises(ValueError, match="workers must be >= 1"):
+        UnitPool(0)
