@@ -53,6 +53,7 @@ from .training import (
     enumerate_grid,
     grid_search,
     plan_folds,
+    require_comparable_pair,
     stable_seed,
     train,
 )
@@ -277,6 +278,8 @@ def cmd_train(args) -> int:
 
     # leakage-free: standardization is fit on the training side only
     train_idx, val_idx = stratified_holdout(ds, HOLDOUT_FRACTION, seed=stable_seed(seed, 1))
+    for split, rows in (("training", train_idx), ("validation", val_idx)):
+        require_comparable_pair(ds, rows, f"the early-stop {split} split")
     train_ds, val_ds, std = prepare_fold(ds.subset(train_idx), ds.subset(val_idx))
 
     report = train(train_ds, val_ds, hp, seed=seed)

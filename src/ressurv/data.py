@@ -9,7 +9,6 @@ duplicates; tie handling is the loss module's concern.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +34,13 @@ class SurvivalDataset:
     sample is censored. Arrays are locked read-only after construction, so a
     dataset can be shared freely across threads; derived datasets are new
     objects.
+
+    Every dataset is one that `load_csv` accepts and `write_csv` round-trips
+    unchanged: the constructor raises `SchemaError` for a column name with
+    surrounding whitespace or one that repeats (the id, time and event
+    columns included), and `DataRowError` naming the 1-based row for an id
+    that is empty, has surrounding whitespace or repeats, a time that is not
+    positive and finite, or a non-finite feature, checked in that order.
     """
 
     sample_ids: list[str]
@@ -59,6 +65,8 @@ class SurvivalDataset:
             )
         if len(names) != p:
             raise ValueError(f"{len(names)} feature names for {p} columns")
+        _check_columns([ID_COL, TIME_COL, EVENT_COL, *names])
+        _check_rows(ids, times, feats, names)
         for arr in (feats, times, events):
             arr.flags.writeable = False
         object.__setattr__(self, "features", feats)
@@ -116,10 +124,45 @@ class SurvivalDataset:
             raise UnusableDatasetError(f"need at least 2 samples, got {self.n}")
         if self.n_events < 1:
             raise UnusableDatasetError("dataset contains no observed events")
-        if not np.isfinite(self.features).all():
-            raise UnusableDatasetError("features contain non-finite values")
-        if not (np.isfinite(self.times).all() and (self.times > 0).all()):
-            raise UnusableDatasetError("times must be strictly positive and finite")
+
+
+def _check_columns(columns: list[str]) -> None:
+    """The header rules: no column name has surrounding whitespace, and none
+    repeats. `columns` is the whole header, reserved columns included."""
+    seen: set[str] = set()
+    for name in columns:
+        if name != name.strip():
+            raise SchemaError(f"column name {name!r} has surrounding whitespace")
+        if name in seen:
+            raise SchemaError(f"column name {name!r} repeats: the id, time, event and "
+                              "feature columns need distinct names")
+        seen.add(name)
+
+
+def _check_rows(ids: list[str], times: np.ndarray, features: np.ndarray,
+                names: list[str]) -> None:
+    """The row rules, each tested at once over all rows; the offending row
+    is looked for only when one fails."""
+    # cheap when all pass: str.strip returns an unchanged id as the same object
+    if not (len(set(ids)) == len(ids) and all(ids) and list(map(str.strip, ids)) == ids):
+        seen: set[str] = set()
+        for row, sid in enumerate(ids, start=1):
+            if not sid or sid != sid.strip():
+                raise DataRowError(row, f"sample id {sid!r} is empty or has surrounding "
+                                        "whitespace")
+            if sid in seen:
+                # ids canonicalize row order downstream, so they must be unique
+                raise DataRowError(row, f"duplicate sample id {sid!r}")
+            seen.add(sid)
+    bad = np.flatnonzero(~(np.isfinite(times) & (times > 0)))
+    if bad.size:
+        i = int(bad[0])
+        raise DataRowError(i + 1, f"time must be positive and finite, got "
+                                  f"{float(times[i])!r}")
+    if not np.isfinite(features).all():
+        i, j = (int(v) for v in np.argwhere(~np.isfinite(features))[0])
+        raise DataRowError(i + 1, f"non-finite value {float(features[i, j])!r} "
+                                  f"in column {names[j]!r}")
 
 
 @dataclass(frozen=True)
@@ -244,10 +287,11 @@ def load_csv(path) -> SurvivalDataset:
     """Load a survival dataset from CSV.
 
     The header row is required and must name the ID_COL, TIME_COL and
-    EVENT_COL columns; every remaining column is a numeric feature. Parsing
-    is fail-fast: a non-numeric feature cell, a nonpositive or non-finite
-    time, or a missing value raises `DataRowError` naming the 1-based data
-    row.
+    EVENT_COL columns, each once; every remaining column is a numeric
+    feature. Parsing is fail-fast: a wrong cell count, a missing or
+    non-numeric time or feature, or a bad event token raises `DataRowError`
+    naming the 1-based data row. The values are then checked by the
+    `SurvivalDataset` constructor, which names the row too.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -256,6 +300,7 @@ def load_csv(path) -> SurvivalDataset:
         except StopIteration:
             raise SchemaError(f"{path}: empty file, header row required") from None
         header = [h.strip() for h in header]
+        _check_columns(header)
         col_of = {name: i for i, name in enumerate(header)}
         for col in (ID_COL, TIME_COL, EVENT_COL):
             if col not in col_of:
@@ -265,7 +310,6 @@ def load_csv(path) -> SurvivalDataset:
         feature_names = [header[i] for i in feature_cols]
 
         ids: list[str] = []
-        seen_ids: set[str] = set()
         times: list[float] = []
         events: list[bool] = []
         rows: list[list[float]] = []
@@ -281,8 +325,6 @@ def load_csv(path) -> SurvivalDataset:
                 t = float(raw_time)
             except ValueError:
                 raise DataRowError(rownum, f"time value {raw_time!r} is not numeric") from None
-            if not (math.isfinite(t) and t > 0):
-                raise DataRowError(rownum, f"time must be positive and finite, got {raw_time}")
             ev = _parse_event(record[col_of[EVENT_COL]], rownum)
             feats = []
             for ci in feature_cols:
@@ -290,24 +332,12 @@ def load_csv(path) -> SurvivalDataset:
                 if not cell:
                     raise DataRowError(rownum, f"missing value in column {header[ci]!r}")
                 try:
-                    v = float(cell)
+                    feats.append(float(cell))
                 except ValueError:
                     raise DataRowError(
                         rownum, f"non-numeric value {cell!r} in column {header[ci]!r}"
                     ) from None
-                if not math.isfinite(v):
-                    raise DataRowError(
-                        rownum, f"non-finite value {cell!r} in column {header[ci]!r}"
-                    )
-                feats.append(v)
-            sid = record[col_of[ID_COL]].strip()
-            if not sid:
-                raise DataRowError(rownum, "missing sample id")
-            if sid in seen_ids:
-                # ids canonicalize row order downstream, so they must be unique
-                raise DataRowError(rownum, f"duplicate sample id {sid!r}")
-            seen_ids.add(sid)
-            ids.append(sid)
+            ids.append(record[col_of[ID_COL]].strip())
             times.append(t)
             events.append(ev)
             rows.append(feats)
@@ -322,14 +352,12 @@ def write_csv(ds: SurvivalDataset, path) -> None:
     """Write a dataset to the same CSV format `load_csv` reads.
 
     Floats are written with shortest round-trip repr, so load(write(ds))
-    reproduces the dataset exactly. A dataset that `load_csv` would reject
-    or read back changed is refused before the file is opened: a header
-    that does not survive `load_csv` raises `SchemaError`, and an id that is
-    empty, has surrounding whitespace or repeats, a time that is not
-    positive and finite, or a non-finite feature raises `DataRowError`
-    naming the 1-based data row.
+    reproduces the dataset exactly: the `SurvivalDataset` constructor already
+    refused every dataset that `load_csv` would reject or read back changed.
+    An empty dataset raises `SchemaError` before the file is opened.
     """
-    _check_round_trip(ds)
+    if ds.n == 0:
+        raise SchemaError("no data rows to write")
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow([ID_COL, TIME_COL, EVENT_COL, *ds.feature_names])
@@ -343,59 +371,23 @@ def write_csv(ds: SurvivalDataset, path) -> None:
             writer.writerow(row)
 
 
-def _check_round_trip(ds: SurvivalDataset) -> None:
-    if ds.n == 0:
-        raise SchemaError("no data rows to write")
-    for name in ds.feature_names:
-        if name != name.strip():
-            raise SchemaError(f"column name {name!r} has surrounding whitespace")
-    if {ID_COL, TIME_COL, EVENT_COL} & set(ds.feature_names):
-        raise SchemaError("the id, time, event and feature columns need distinct names")
-    seen: set[str] = set()
-    for row, sid in enumerate(ds.sample_ids, start=1):
-        if not sid or sid != sid.strip():
-            raise DataRowError(row, f"sample id {sid!r} is empty or has surrounding "
-                                    "whitespace")
-        if sid in seen:
-            raise DataRowError(row, f"duplicate sample id {sid!r}")
-        seen.add(sid)
-    bad = np.flatnonzero(~(np.isfinite(ds.times) & (ds.times > 0)))
-    if bad.size:
-        i = int(bad[0])
-        raise DataRowError(i + 1, f"time must be positive and finite, got "
-                                  f"{float(ds.times[i])!r}")
-    bad = np.argwhere(~np.isfinite(ds.features))
-    if bad.size:
-        i, j = (int(v) for v in bad[0])
-        raise DataRowError(i + 1, f"non-finite value {float(ds.features[i, j])!r} "
-                                  f"in column {ds.feature_names[j]!r}")
-
-
 def filter_patients(ds: SurvivalDataset) -> tuple[SurvivalDataset, int]:
-    """Drop samples whose time is nonpositive or non-finite.
-
-    Relative order is preserved. Returns the filtered dataset and the number
-    of samples removed. Raises `UnusableDatasetError` if no events remain.
-    """
-    keep = np.isfinite(ds.times) & (ds.times > 0)
-    removed = int((~keep).sum())
-    out = ds.subset(np.flatnonzero(keep)) if removed else ds
-    if out.n_events == 0:
-        raise UnusableDatasetError("no observed events remain after patient filtering")
-    return out, removed
+    """Check that the dataset has an observed event, else raise
+    `UnusableDatasetError`. Returns the dataset unchanged and 0 removed
+    samples: the constructor refuses nonpositive and non-finite times, so
+    no patient is left to drop."""
+    if ds.n_events == 0:
+        raise UnusableDatasetError("dataset contains no observed events")
+    return ds, 0
 
 
 def filter_features(ds: SurvivalDataset) -> tuple[SurvivalDataset, list[str]]:
-    """Drop feature columns whose population variance is <= MIN_VARIANCE,
-    along with any column containing non-finite values.
+    """Drop feature columns whose population variance is <= MIN_VARIANCE.
 
     Returns the filtered dataset and the retained feature names. Idempotent.
     Raises `UnusableDatasetError` if nothing survives.
     """
-    finite_cols = np.isfinite(ds.features).all(axis=0)
-    variances = np.zeros(ds.p)
-    variances[finite_cols] = ds.features[:, finite_cols].var(axis=0)
-    keep = finite_cols & (variances > MIN_VARIANCE)
+    keep = ds.features.var(axis=0) > MIN_VARIANCE
     retained = [name for name, k in zip(ds.feature_names, keep) if k]
     if not retained:
         raise UnusableDatasetError(

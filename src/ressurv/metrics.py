@@ -51,7 +51,7 @@ def _result(conc: int, disc: int, tied: int) -> ConcordanceResult:
     comparable = conc + disc + tied
     if comparable == 0:
         raise UndefinedMetricError(
-            "no comparable pairs (all samples censored or all times tied)"
+            "no comparable pairs (no event is followed by a strictly later time)"
         )
     return ConcordanceResult(
         c_index=(conc + 0.5 * tied) / comparable,

@@ -469,6 +469,16 @@ class FoldPlan:
         return complement, test_fold
 
 
+def require_comparable_pair(ds: SurvivalDataset, rows: np.ndarray, split: str) -> None:
+    """Raise `UnusableDatasetError` naming `split` unless the rows `rows` of
+    `ds` hold a comparable pair: an event followed by a strictly later time."""
+    times, events = ds.times[rows], ds.events[rows]
+    if not (events.any() and times[events].min() < times.max()):
+        raise UnusableDatasetError(
+            f"{split} has no comparable pair (an event followed by a strictly later time)"
+        )
+
+
 def plan_folds(ds: SurvivalDataset, k: int, seed: int) -> FoldPlan:
     """Canonicalize rows by sample id, assign folds from `seed` and carve
     each fold's 80/20 stratified early-stop split.
@@ -490,12 +500,7 @@ def plan_folds(ds: SurvivalDataset, k: int, seed: int) -> FoldPlan:
         for split, rows in (("held-out", test_idx),
                             ("early-stop training", train_idx[inner_train_idx]),
                             ("early-stop validation", train_idx[inner_val_idx])):
-            times, events = canon.times[rows], canon.events[rows]
-            if not (events.any() and times[events].min() < times.max()):
-                raise UnusableDatasetError(
-                    f"fold {f}: the {split} split has no comparable pair "
-                    "(an event followed by a strictly later time)"
-                )
+            require_comparable_pair(canon, rows, f"fold {f}: the {split} split")
         splits.append((train_idx, test_idx, inner_train_idx, inner_val_idx))
     return FoldPlan(canon, folds, seed, tuple(splits))
 

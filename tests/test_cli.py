@@ -185,6 +185,41 @@ def test_train_bad_hp_key_exits_2(tmp_path, data_csv):
                  "--out", str(tmp_path / "run")]) == 2
 
 
+def test_train_checks_its_early_stop_split_before_training(tmp_path, hp_file, capsys,
+                                                           monkeypatch):
+    # all 6 events sit at the latest time: no event is followed by a later time
+    ds = make_dataset(n=40, p=3, seed=0)
+    times, events = ds.times.copy(), np.zeros(ds.n, dtype=bool)
+    events[[0, 7, 14, 21, 28, 35]] = True
+    times[events] = times.max()
+    path = tmp_path / "late_events.csv"
+    write_csv(SurvivalDataset(ds.sample_ids, ds.features, ds.feature_names, times, events),
+              path)
+    monkeypatch.setattr("ressurv.cli.train", lambda *a, **kw: pytest.fail("train ran"))
+    out = tmp_path / "run"
+    assert main(["train", "--data", str(path), "--hp", hp_file, "--out", str(out)]) == 2
+    assert ("error: the early-stop training split has no comparable pair"
+            in capsys.readouterr().err)
+    for name in ("model.ckpt", "epochs.jsonl", "summary.json"):
+        assert not (out / name).exists(), name
+
+
+@pytest.mark.parametrize("command", ["cv", "compare"])
+def test_repeated_feature_name_exits_2_before_any_unit_trains(tmp_path, hp_file, capsys,
+                                                              monkeypatch, command):
+    # two columns named x cannot be told apart: select_features(["x", "x"])
+    # would score every held-out fold on the second column twice
+    ds = make_dataset(n=40, p=2, seed=0)
+    path = tmp_path / "repeat.csv"
+    path.write_text("sample_id,time,event,x,x\n" + "".join(
+        f"{sid},{t!r},{int(e)},{a!r},{b!r}\n"
+        for sid, t, e, (a, b) in zip(ds.sample_ids, ds.times, ds.events, ds.features)))
+    monkeypatch.setattr(training.UnitPool, "map_units", _no_pool)
+    assert main([command, "--data", str(path), "--hp", hp_file, "--k", "2",
+                 "--workers", "1", "--out", str(tmp_path / "out")]) == 2
+    assert "error: column name 'x' repeats" in capsys.readouterr().err
+
+
 # JSON text, so that NaN and Infinity reach the loader as Python's json reads them
 @pytest.mark.parametrize("command, text, field", [
     ("cv", '{"nodes": "8"}', "nodes"),

@@ -61,6 +61,8 @@ def test_subset_and_select_features(small_ds):
     np.testing.assert_array_equal(two.features[:, 0], small_ds.features[:, 2])
     with pytest.raises(ValueError):
         small_ds.select_features(["nope"])
+    with pytest.raises(SchemaError, match="column name 'x0' repeats"):
+        small_ds.select_features(["x0", "x0"])
 
 
 def test_sorted_by_id_canonicalizes(small_ds):
@@ -124,6 +126,8 @@ def test_load_csv_bad_rows_name_the_row(tmp_path):
         ("sample_id,time,event,g1\na,1,1,\n", "row 1"),             # missing value
         ("sample_id,time,event,g1\na,1,1,nan\n", "row 1"),          # non-finite
         ("sample_id,time,event,g1\na,1,1,0.5\na,2,1,0.1\n", "row 2"),  # dup id
+        # values are checked after every row parsed: the parse error wins
+        ("sample_id,time,event,g1\na,0,1,0.5\nb,1,1,abc\n", "row 2"),
     ]
     for text, fragment in cases:
         with pytest.raises(DataRowError) as err:
@@ -158,22 +162,57 @@ def test_csv_round_trip_exact(tmp_path):
 ])
 def test_write_csv_refuses_rows_load_csv_would_reject_or_change(tmp_path, ids, times,
                                                                 features, fragment):
-    ds = SurvivalDataset(ids, np.array(features)[:, None], ["x"], times,
-                         np.ones(len(ids), dtype=bool))
-    path = tmp_path / "bad.csv"
+    # the constructor refuses them, so that write_csv never meets one
     with pytest.raises(DataRowError) as err:
-        write_csv(ds, path)
+        SurvivalDataset(ids, np.array(features)[:, None], ["x"], times,
+                        np.ones(len(ids), dtype=bool))
     assert fragment in str(err.value)
-    assert not path.exists()
 
 
-@pytest.mark.parametrize("names", [[" x"], ["x\t"], ["time"], ["sample_id", "x"]])
+@pytest.mark.parametrize("names", [[" x"], ["x\t"], ["time"], ["sample_id", "x"],
+                                   ["x", "x"]])
 def test_write_csv_refuses_header_names_load_csv_would_change(tmp_path, names):
-    ds = SurvivalDataset(["a"], np.zeros((1, len(names))), names, [1.0], [True])
-    with pytest.raises(SchemaError):
-        write_csv(ds, tmp_path / "bad.csv")
-    with pytest.raises(SchemaError):
-        write_csv(ds.subset([]), tmp_path / "empty.csv")
+    for n in (1, 0):
+        with pytest.raises(SchemaError):
+            SurvivalDataset(["a"][:n], np.zeros((n, len(names))), names, [1.0][:n],
+                            [True][:n])
+    with pytest.raises(SchemaError, match="no data rows to write"):
+        write_csv(make_dataset(n=3).subset([]), tmp_path / "empty.csv")
+    assert not (tmp_path / "empty.csv").exists()
+
+
+@pytest.mark.parametrize("header, name", [
+    ("sample_id,time,event,time", "time"),
+    ("sample_id,time,event,x, x", "x"),
+    ("sample_id,sample_id,time,event,x", "sample_id"),
+])
+def test_load_csv_refuses_a_repeated_column_before_any_row(tmp_path, header, name):
+    # the first time column holds 1-5, the repeat 100-104: neither may be read
+    # silently; the bad cell of row 1 shows that no row is read
+    cells = len(header.split(","))
+    rows = "".join(f"s{i},{i},1" + f",{99 + i}" * (cells - 3) + "\n" for i in range(1, 6))
+    path = _write(tmp_path, header + "\n" + rows.replace("s1,1,1", "s1,abc,1", 1))
+    with pytest.raises(SchemaError, match=f"column name '{name}' repeats"):
+        load_csv(path)
+
+
+@pytest.mark.parametrize("defect, fragment", [
+    ("duplicate id", "row 8: duplicate sample id 's0002'"),
+    ("nan feature", "row 5: non-finite value nan in column 'x1'"),
+    ("nonpositive time", "row 7: time must be positive and finite, got 0.0"),
+])
+def test_constructor_refuses_what_cross_validate_once_received(defect, fragment):
+    ds = make_dataset(n=40, seed=2)
+    ids, times, X = list(ds.sample_ids), ds.times.copy(), ds.features.copy()
+    if defect == "duplicate id":
+        ids[7] = ids[2]
+    elif defect == "nan feature":
+        X[4, 1] = np.nan
+    else:
+        times[6] = 0.0
+    with pytest.raises(DataRowError) as err:
+        SurvivalDataset(ids, X, ds.feature_names, times, ds.events)
+    assert fragment in str(err.value)
 
 
 def _assert_reads_back(ds, back):
@@ -186,8 +225,8 @@ def _assert_reads_back(ds, back):
 
 @st.composite
 def _csv_datasets(draw, valid: bool):
-    """Datasets with any text ids and feature names and any floats, or
-    (`valid`) only those `load_csv` accepts unchanged."""
+    """SurvivalDataset arguments with any text ids and feature names and any
+    floats, or (`valid`) only those `load_csv` accepts unchanged."""
     n, p = draw(st.integers(1, 6)), draw(st.integers(0, 3))
     text = st.text(max_size=4)
     floats = st.floats(allow_nan=not valid, allow_infinity=not valid)
@@ -199,8 +238,8 @@ def _csv_datasets(draw, valid: bool):
     ids = draw(st.lists(text, min_size=n, max_size=n, unique=valid))
     if valid:
         text = text.filter(lambda s: s not in ("sample_id", "time", "event"))
-    names = draw(st.lists(text, min_size=p, max_size=p))
-    return SurvivalDataset(
+    names = draw(st.lists(text, min_size=p, max_size=p, unique=valid))
+    return (
         ids,
         np.array(draw(st.lists(floats, min_size=n * p, max_size=n * p))).reshape(n, p),
         names,
@@ -211,7 +250,8 @@ def _csv_datasets(draw, valid: bool):
 
 @settings(max_examples=150, deadline=None)
 @given(_csv_datasets(valid=True))
-def test_write_csv_load_csv_round_trip_is_exact(ds):
+def test_write_csv_load_csv_round_trip_is_exact(args):
+    ds = SurvivalDataset(*args)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "rt.csv")
         write_csv(ds, path)
@@ -220,14 +260,15 @@ def test_write_csv_load_csv_round_trip_is_exact(ds):
 
 @settings(max_examples=300, deadline=None)
 @given(_csv_datasets(valid=False))
-def test_write_csv_refuses_or_reads_back_identical(ds):
+def test_write_csv_refuses_or_reads_back_identical(args):
+    # the constructor refuses the dataset, or write_csv/load_csv keep it
+    try:
+        ds = SurvivalDataset(*args)
+    except (DataRowError, SchemaError):
+        return
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "any.csv")
-        try:
-            write_csv(ds, path)
-        except (DataRowError, SchemaError):
-            assert not os.path.exists(path)
-            return
+        write_csv(ds, path)
         _assert_reads_back(ds, load_csv(path))
 
 
@@ -236,15 +277,12 @@ def test_write_csv_refuses_or_reads_back_identical(ds):
 # ---------------------------------------------------------------------------
 
 def test_filter_patients_removes_bad_times():
+    # the constructor refuses the bad time, naming its row
     ds = make_dataset(n=5, seed=1)
     times = ds.times.copy()
     times[2] = -1.0
-    bad = SurvivalDataset(ds.sample_ids, ds.features, ds.feature_names,
-                          times, ds.events)
-    out, removed = filter_patients(bad)
-    assert removed == 1
-    assert out.n == 4
-    assert out.sample_ids == [s for i, s in enumerate(ds.sample_ids) if i != 2]
+    with pytest.raises(DataRowError, match="row 3: time must be positive and finite"):
+        SurvivalDataset(ds.sample_ids, ds.features, ds.feature_names, times, ds.events)
 
 
 def test_filter_patients_identity_on_valid(small_ds):
@@ -254,26 +292,24 @@ def test_filter_patients_identity_on_valid(small_ds):
 
 
 def test_filter_patients_injected_rows():
+    # the constructor names the first of the injected rows
     ds = make_dataset(n=50, seed=2)
     rng = np.random.default_rng(0)
     bad_rows = rng.choice(50, size=5, replace=False)
     times = ds.times.copy()
     times[bad_rows] = np.nan
-    out, removed = filter_patients(
+    with pytest.raises(DataRowError) as err:
         SurvivalDataset(ds.sample_ids, ds.features, ds.feature_names, times, ds.events)
-    )
-    assert removed == 5
-    kept = set(out.sample_ids)
-    assert kept == {s for i, s in enumerate(ds.sample_ids) if i not in set(bad_rows)}
+    assert err.value.row == bad_rows.min() + 1
+    assert "time must be positive and finite, got nan" in str(err.value)
 
 
 def test_filter_patients_no_events_left():
     ds = make_dataset(n=6, seed=3)
-    times = ds.times.copy()
-    times[ds.events] = -1.0  # drop every event sample
     with pytest.raises(UnusableDatasetError):
         filter_patients(SurvivalDataset(ds.sample_ids, ds.features,
-                                        ds.feature_names, times, ds.events))
+                                        ds.feature_names, ds.times,
+                                        np.zeros(ds.n, dtype=bool)))
 
 
 def test_filter_features_drops_constant_and_matches_oracle():
