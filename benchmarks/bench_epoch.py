@@ -1,18 +1,22 @@
 """Epoch benchmark: the network's layer kernels at the benchmark fold shapes.
 
-One epoch here is a train-mode forward pass (batch norm, activations and
-dropout masks), the backward pass to every parameter, and an eval-mode
-forward pass over the validation rows, at the shape one fold trains on in
-a `perfbench` workload:
+One epoch here is what `train` runs per epoch minus the loss and the
+optimizer: a train-mode forward pass (batch norm, activations and dropout
+masks) that writes over the previous epoch's cache, the backward pass to
+every parameter, and an eval-mode forward pass over the validation rows, at
+the shape one fold trains on in a `perfbench` workload:
 
 * ``cv-paper``: 1,280 training and 320 validation rows x 20 features, the
   paper-default 5 blocks x 3 dense layers x 64 nodes, tanh, dropout 0.2;
 * ``grid-cohort``: 10,666 and 2,667 rows x 8 features, 1 x 2 x 16, tanh,
   dropout 0.1.
 
-It prints the median milliseconds per stage and per epoch, with the usable
-cores and OpenBLAS's thread count. It uses only the public model API, so
-the same script times any checkout's ``src``:
+It prints the median milliseconds per stage and per epoch, the minor page
+faults per timed epoch (``ru_minflt``), and the peak MB that tracemalloc
+traces over a few further, untimed epochs, with the usable cores and
+OpenBLAS's thread count. It uses only the public model API, so the same
+script times any checkout's ``src`` (one whose ``model_forward`` takes no
+``cache`` allocates a new cache every epoch):
 
     PYTHONPATH=src python benchmarks/bench_epoch.py
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=/path/to/other/src \\
@@ -20,10 +24,13 @@ the same script times any checkout's ``src``:
 """
 
 import argparse
+import inspect
 import os
+import resource
 import statistics
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -41,10 +48,13 @@ SHAPES = {
 }
 STAGES = ("forward_train", "backward", "forward_eval")
 WARMUP_EPOCHS = 3
+TRACED_EPOCHS = 3
+REUSES_CACHE = "cache" in inspect.signature(model_forward).parameters
 
 
-def time_epochs(shape: dict, repeats: int, seed: int = 0) -> dict[str, list[float]]:
-    """Seconds per stage of `repeats` epochs, after a few untimed ones."""
+def run_epochs(shape: dict, epochs: int, seed: int = 0):
+    """Yield after each of `epochs` epochs its (forward_train, backward,
+    forward_eval) seconds."""
     rng = np.random.default_rng(seed)
     X = rng.normal(size=(shape["n_train"], shape["p"]))
     X_val = rng.normal(size=(shape["n_val"], shape["p"]))
@@ -52,19 +62,42 @@ def time_epochs(shape: dict, repeats: int, seed: int = 0) -> dict[str, list[floa
     params = init_params(shape["p"], shape["widths"], shape["layers"], shape["activation"],
                          shape["dropout"], seed)
     stream = DropoutStream(seed)
-    times = {stage: [] for stage in STAGES}
-    for epoch in range(1, WARMUP_EPOCHS + repeats + 1):
+    cache = None
+    for epoch in range(1, epochs + 1):
+        reuse = {"cache": cache} if REUSES_CACHE else {}
         t0 = time.perf_counter()
-        _, cache = model_forward(X, params, mode="train", stream=stream, epoch=epoch)
+        _, cache = model_forward(X, params, mode="train", stream=stream, epoch=epoch, **reuse)
         t1 = time.perf_counter()
         model_backward(grad_h, params, cache)
         t2 = time.perf_counter()
         model_forward(X_val, params, mode="eval")
         t3 = time.perf_counter()
-        if epoch > WARMUP_EPOCHS:
-            for stage, seconds in zip(STAGES, (t1 - t0, t2 - t1, t3 - t2)):
-                times[stage].append(seconds)
-    return times
+        yield t1 - t0, t2 - t1, t3 - t2
+
+
+def time_epochs(shape: dict, repeats: int) -> tuple[dict[str, list[float]], float]:
+    """Seconds per stage of `repeats` epochs, after a few untimed ones, and
+    the minor page faults per timed epoch."""
+    times = {stage: [] for stage in STAGES}
+    for epoch, seconds in enumerate(run_epochs(shape, WARMUP_EPOCHS + repeats), start=1):
+        if epoch == WARMUP_EPOCHS:
+            faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        elif epoch > WARMUP_EPOCHS:
+            for stage, s in zip(STAGES, seconds):
+                times[stage].append(s)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+    return times, faults / repeats
+
+
+def traced_peak_mb(shape: dict) -> float:
+    """Peak MB that tracemalloc traces over a few epochs, inputs included."""
+    tracemalloc.start()
+    try:
+        for _ in run_epochs(shape, TRACED_EPOCHS):
+            pass
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
 
 
 def main() -> int:
@@ -75,13 +108,15 @@ def main() -> int:
 
     print(f"usable cores {len(os.sched_getaffinity(0))}, OpenBLAS threads {blas_threads()}, "
           f"numpy {np.__version__}; median ms over {args.repeats} epochs")
-    print(f"{'shape':<12} " + " ".join(f"{s:>14}" for s in STAGES) + f" {'epoch':>10}")
+    print(f"{'shape':<12} " + " ".join(f"{s:>14}" for s in STAGES)
+          + f" {'epoch':>10} {'minflt/epoch':>13} {'peak MB':>8}")
     for name in args.shapes:
-        times = time_epochs(SHAPES[name], args.repeats)
+        times, faults = time_epochs(SHAPES[name], args.repeats)
         epochs = [sum(parts) for parts in zip(*times.values())]
         cells = [statistics.median(times[s]) for s in STAGES] + [statistics.median(epochs)]
         print(f"{name:<12} " + " ".join(f"{c * 1e3:>14.2f}" for c in cells[:-1])
-              + f" {cells[-1] * 1e3:>10.2f}")
+              + f" {cells[-1] * 1e3:>10.2f} {faults:>13.0f} "
+              f"{traced_peak_mb(SHAPES[name]):>8.1f}")
     return 0
 
 

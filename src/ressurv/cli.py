@@ -277,7 +277,8 @@ def cmd_train(args) -> int:
     ds = _load_dataset(args.data)
 
     # leakage-free: standardization is fit on the training side only
-    train_idx, val_idx = stratified_holdout(ds, HOLDOUT_FRACTION, seed=stable_seed(seed, 1))
+    train_idx, val_idx = stratified_holdout(ds.events, HOLDOUT_FRACTION,
+                                            seed=stable_seed(seed, 1))
     for split, rows in (("training", train_idx), ("validation", val_idx)):
         require_comparable_pair(ds, rows, f"the early-stop {split} split")
     train_ds, val_ds, std = prepare_fold(ds.subset(train_idx), ds.subset(val_idx))

@@ -66,14 +66,28 @@ class SurvivalDataset:
         if len(names) != p:
             raise ValueError(f"{len(names)} feature names for {p} columns")
         _check_columns([ID_COL, TIME_COL, EVENT_COL, *names])
-        _check_rows(ids, times, feats, names)
-        for arr in (feats, times, events):
+        _check_ids(ids)
+        _check_times(times)
+        _check_features(feats, names)
+        self._settle(ids, feats, names, times, events)
+
+    def _settle(self, ids, features, names, times, events) -> None:
+        for arr in (features, times, events):
             arr.flags.writeable = False
-        object.__setattr__(self, "features", feats)
+        object.__setattr__(self, "features", features)
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "events", events)
         object.__setattr__(self, "sample_ids", ids)
         object.__setattr__(self, "feature_names", names)
+
+    def _derive(self, ids: list[str], features: np.ndarray, names: list[str],
+                times: np.ndarray, events: np.ndarray) -> "SurvivalDataset":
+        """A dataset of parts cut or computed from this one, with the types
+        and shapes the constructor gives them, built without its checks: the
+        caller runs the rules its derivation can break."""
+        ds = object.__new__(type(self))
+        ds._settle(ids, np.ascontiguousarray(features), names, times, events)
+        return ds
 
     @property
     def n(self) -> int:
@@ -90,13 +104,15 @@ class SurvivalDataset:
     def subset(self, indices) -> "SurvivalDataset":
         """New dataset containing the given rows, in the given order."""
         idx = np.asarray(indices, dtype=np.intp)
-        return SurvivalDataset(
-            sample_ids=[self.sample_ids[i] for i in idx],
-            features=self.features[idx],
-            feature_names=list(self.feature_names),
-            times=self.times[idx],
-            events=self.events[idx],
-        )
+        ids = list(map(self.sample_ids.__getitem__, idx.tolist()))
+        # distinct rows of a valid dataset break no rule; a repeated row
+        # repeats its id
+        taken = np.zeros(self.n, dtype=bool)
+        taken[idx] = True
+        if np.count_nonzero(taken) != idx.size:
+            _check_ids(ids)
+        return self._derive(ids, self.features[idx], list(self.feature_names),
+                            self.times[idx], self.events[idx])
 
     def select_features(self, names: list[str]) -> "SurvivalDataset":
         """New dataset keeping only the named feature columns, in the given order."""
@@ -104,18 +120,15 @@ class SurvivalDataset:
         missing = [name for name in names if name not in pos]
         if missing:
             raise ValueError(f"unknown feature names: {missing[:5]}")
+        names = [str(name) for name in names]
+        _check_columns([ID_COL, TIME_COL, EVENT_COL, *names])
         cols = np.array([pos[name] for name in names], dtype=np.intp)
-        return SurvivalDataset(
-            sample_ids=list(self.sample_ids),
-            features=self.features[:, cols],
-            feature_names=list(names),
-            times=self.times,
-            events=self.events,
-        )
+        return self._derive(list(self.sample_ids), self.features[:, cols], names,
+                            self.times, self.events)
 
     def sorted_by_id(self) -> "SurvivalDataset":
         """Rows reordered into canonical (lexicographic sample id) order."""
-        order = sorted(range(self.n), key=lambda i: self.sample_ids[i])
+        order = sorted(range(self.n), key=self.sample_ids.__getitem__)
         return self.subset(order)
 
     def require_trainable(self) -> None:
@@ -139,26 +152,33 @@ def _check_columns(columns: list[str]) -> None:
         seen.add(name)
 
 
-def _check_rows(ids: list[str], times: np.ndarray, features: np.ndarray,
-                names: list[str]) -> None:
-    """The row rules, each tested at once over all rows; the offending row
-    is looked for only when one fails."""
+# The row rules, each tested at once over all rows; the offending row is
+# looked for only when one fails. The constructor runs them in this order.
+
+def _check_ids(ids: list[str]) -> None:
     # cheap when all pass: str.strip returns an unchanged id as the same object
-    if not (len(set(ids)) == len(ids) and all(ids) and list(map(str.strip, ids)) == ids):
-        seen: set[str] = set()
-        for row, sid in enumerate(ids, start=1):
-            if not sid or sid != sid.strip():
-                raise DataRowError(row, f"sample id {sid!r} is empty or has surrounding "
-                                        "whitespace")
-            if sid in seen:
-                # ids canonicalize row order downstream, so they must be unique
-                raise DataRowError(row, f"duplicate sample id {sid!r}")
-            seen.add(sid)
+    if len(set(ids)) == len(ids) and all(ids) and list(map(str.strip, ids)) == ids:
+        return
+    seen: set[str] = set()
+    for row, sid in enumerate(ids, start=1):
+        if not sid or sid != sid.strip():
+            raise DataRowError(row, f"sample id {sid!r} is empty or has surrounding "
+                                    "whitespace")
+        if sid in seen:
+            # ids canonicalize row order downstream, so they must be unique
+            raise DataRowError(row, f"duplicate sample id {sid!r}")
+        seen.add(sid)
+
+
+def _check_times(times: np.ndarray) -> None:
     bad = np.flatnonzero(~(np.isfinite(times) & (times > 0)))
     if bad.size:
         i = int(bad[0])
         raise DataRowError(i + 1, f"time must be positive and finite, got "
                                   f"{float(times[i])!r}")
+
+
+def _check_features(features: np.ndarray, names: list[str]) -> None:
     if not np.isfinite(features).all():
         i, j = (int(v) for v in np.argwhere(~np.isfinite(features))[0])
         raise DataRowError(i + 1, f"non-finite value {float(features[i, j])!r} "
@@ -423,9 +443,10 @@ def standardize_apply(ds: SurvivalDataset, params: StandardizationParams) -> Sur
             f"standardization params have {params.means.shape[0]} features, dataset has {ds.p}"
         )
     scaled = (ds.features - params.means) / params.stddevs
-    return SurvivalDataset(
-        list(ds.sample_ids), scaled, list(ds.feature_names), ds.times, ds.events
-    )
+    # the scaling can overflow; nothing else changes
+    _check_features(scaled, ds.feature_names)
+    return ds._derive(list(ds.sample_ids), scaled, list(ds.feature_names),
+                      ds.times, ds.events)
 
 
 def prepare_fold(
@@ -475,18 +496,22 @@ def kfold_split(ds: SurvivalDataset, k: int, seed: int) -> FoldAssignment:
 
 
 def stratified_holdout(
-    ds: SurvivalDataset, holdout_fraction: float, seed: int
+    events: np.ndarray, holdout_fraction: float, seed: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Split row indices into (train, holdout), stratified by event indicator.
+    """Split the indices of `events` (one event indicator per row) into
+    (train, holdout), stratified by event indicator.
 
     The holdout receives round(fraction * count) samples from each stratum,
-    at least one event in each side when the dataset has >= 2 events.
+    at least one event in each side when there are >= 2 events.
     """
     if not 0.0 < holdout_fraction < 1.0:
         raise ValueError("holdout_fraction must lie in (0, 1)")
+    events = np.asarray(events, dtype=bool)
+    if events.ndim != 1:
+        raise ValueError(f"events must be 1-D, got shape {events.shape}")
     rng = np.random.default_rng(seed)
-    ev_idx = rng.permutation(np.flatnonzero(ds.events))
-    cen_idx = rng.permutation(np.flatnonzero(~ds.events))
+    ev_idx = rng.permutation(np.flatnonzero(events))
+    cen_idx = rng.permutation(np.flatnonzero(~events))
     n_ev_hold = int(round(holdout_fraction * len(ev_idx)))
     if len(ev_idx) >= 2:
         n_ev_hold = min(max(n_ev_hold, 1), len(ev_idx) - 1)

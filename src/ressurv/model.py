@@ -22,7 +22,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, field, replace
-from itertools import zip_longest
+from itertools import count, zip_longest
 from typing import NamedTuple
 
 import numpy as np
@@ -259,34 +259,47 @@ def decay_mask(params: ResSurvParams) -> np.ndarray:
 # Activations
 # ---------------------------------------------------------------------------
 
-def activation_forward(z: np.ndarray, kind: str) -> tuple[np.ndarray, np.ndarray]:
-    """Elementwise nonlinearity. Returns (output, cache for backward)."""
+def activation_forward(z: np.ndarray, kind: str,
+                       out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Elementwise nonlinearity, written into `out` (a new array when None;
+    tanh may be given `z` itself). Returns (output, cache for backward):
+    tanh's backward reads its output, relu's and selu's their input. selu
+    builds SCALE * where(z > 0, z, ALPHA * expm1(z)) in one array with the
+    operations of that formula, so the result is bit-identical to it."""
     if kind == "tanh":
-        out = np.tanh(z)
+        out = np.tanh(z, out=out)
         return out, out
     if kind == "relu":
-        return np.maximum(z, 0.0), z
+        return np.maximum(z, 0.0, out=out), z
     if kind == "selu":
-        out = SELU_SCALE * np.where(z > 0, z, SELU_ALPHA * np.expm1(z))
+        out = np.expm1(z, out=out)
+        out *= SELU_ALPHA
+        np.copyto(out, z, where=z > 0)
+        out *= SELU_SCALE
         return out, z
     raise ValueError(f"unknown activation {kind!r}")
 
 
-def activation_backward(grad_out: np.ndarray, cache: np.ndarray, kind: str) -> np.ndarray:
-    """grad_out times the activation's derivative at the cached values.
-    tanh and selu build it in place in one array, with the operations of
-    the plain formulas in their order (tanh: grad_out * (1 - out²); selu:
-    grad_out * (SCALE * where(z > 0, 1, ALPHA * exp(z)))), so the result is
-    bit-identical to them."""
+def activation_backward(grad_out: np.ndarray, cache: np.ndarray, kind: str,
+                        out: np.ndarray | None = None) -> np.ndarray:
+    """grad_out times the activation's derivative at the cached values,
+    written into `out` (a new array when None; never `grad_out`). It is
+    built in place in that one array, with the operations of the plain
+    formulas in their order (tanh: grad_out * (1 - out²); relu: grad_out *
+    (z > 0); selu: grad_out * (SCALE * where(z > 0, 1, ALPHA * exp(z)))), so
+    the result is bit-identical to them."""
+    d = np.empty_like(grad_out) if out is None else out
     if kind == "tanh":
-        d = cache * cache
+        np.multiply(cache, cache, out=d)
         np.subtract(1.0, d, out=d)
         d *= grad_out
         return d
     if kind == "relu":
-        return grad_out * (cache > 0)
+        np.greater(cache, 0.0, out=d)
+        d *= grad_out
+        return d
     if kind == "selu":
-        d = np.exp(cache)
+        np.exp(cache, out=d)
         d *= SELU_ALPHA
         np.copyto(d, 1.0, where=cache > 0)
         d *= SELU_SCALE
@@ -310,25 +323,28 @@ def batchnorm_forward(
     inputs: np.ndarray,
     params: BatchNormParams,
     mode: str,
+    xhat: np.ndarray | None = None,
+    out: np.ndarray | None = None,
 ) -> tuple[np.ndarray, BatchNormCache | None]:
     """Normalize each feature across the batch (train) or by running
     statistics (eval); then scale by gamma and shift by beta. Train mode
     folds the batch statistics into the running ones; eval mode leaves them.
 
     Train mode uses the population (divide-by-n) batch variance and needs a
-    batch of at least 2 samples. The inputs are centred once; the centred
-    array gives the variance as sum((z - mean)²) / n, which is how numpy's
-    `var` computes it, and then becomes `xhat` in place. Two full-size
-    arrays are allocated (`xhat` and the output) and the result is
-    bit-identical to the unfused formulas.
+    batch of at least 2 samples. The inputs are centred once into `xhat`
+    (which may be `inputs` itself); the centred array gives the variance as
+    sum((z - mean)²) / n, which is how numpy's `var` computes it, and then
+    becomes `xhat` in place. The output goes into `out`. Arrays given as
+    None are allocated, and the result is bit-identical to the unfused
+    formulas either way. Eval mode allocates its output.
     """
     if mode == "train":
         n = inputs.shape[0]
         if n < 2:
             raise ValueError("train-mode batch normalization needs a batch of >= 2")
         mean = inputs.mean(axis=0)
-        xhat = inputs - mean
-        sq = np.multiply(xhat, xhat)
+        xhat = np.subtract(inputs, mean, out=xhat)
+        sq = np.multiply(xhat, xhat, out=out)
         var = sq.sum(axis=0) / n
         inv_std = 1.0 / np.sqrt(var + BN_EPSILON)
         xhat *= inv_std
@@ -354,19 +370,24 @@ def batchnorm_forward(
 
 
 def batchnorm_backward(
-    grad_out: np.ndarray, cache: BatchNormCache
+    grad_out: np.ndarray,
+    cache: BatchNormCache,
+    out: np.ndarray | None = None,
+    scratch: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Exact gradients through the batch statistics (mean and variance both
     depend on the inputs). Returns (grad_inputs, grad_gamma, grad_beta).
 
     grad_inputs = (inv_std / n) * (n * g - sum(g) - xhat * sum(g * xhat))
     with g = grad_out * gamma, evaluated in that order in two full-size
-    arrays, so it is bit-identical to the formula written out."""
+    arrays, so it is bit-identical to the formula written out: grad_inputs
+    goes into `out` (which may be `grad_out` itself), the products into
+    `scratch`. Arrays given as None are allocated."""
     n = grad_out.shape[0]
-    scratch = grad_out * cache.xhat
+    scratch = np.multiply(grad_out, cache.xhat, out=scratch)
     grad_gamma = scratch.sum(axis=0)
     grad_beta = grad_out.sum(axis=0)
-    grad_in = grad_out * cache.gamma
+    grad_in = np.multiply(grad_out, cache.gamma, out=out)
     sum_g = grad_in.sum(axis=0)
     np.multiply(grad_in, cache.xhat, out=scratch)
     sum_g_xhat = scratch.sum(axis=0)
@@ -393,22 +414,30 @@ class DropoutStream:
     def __init__(self, seed: int):
         self.seed = int(seed)
 
-    def mask(self, shape, rate: float, epoch: int, block: int, layer: int) -> np.ndarray:
-        """Boolean keep mask: True where a unit survives (probability 1 - rate)."""
+    def mask(self, shape, rate: float, epoch: int, block: int, layer: int,
+             out: np.ndarray | None = None,
+             draws: np.ndarray | None = None) -> np.ndarray:
+        """Boolean keep mask: True where a unit survives (probability 1 - rate).
+        The uniform draws go into the float array `draws` and the mask into
+        `out`; arrays given as None are allocated."""
         rng = np.random.default_rng(
             np.random.SeedSequence([self.seed, int(epoch), int(block), int(layer)])
         )
-        return rng.random(shape) >= rate
+        draws = rng.random(shape) if draws is None else rng.random(out=draws)
+        return np.greater_equal(draws, rate, out=out)
 
 
-def _apply_keep(x: np.ndarray, keep: np.ndarray, rate: float) -> np.ndarray:
+def _apply_keep(x: np.ndarray, keep: np.ndarray, rate: float,
+                out: np.ndarray | None = None) -> np.ndarray:
     """Inverted dropout with the boolean keep mask, forward on activations
-    and backward on their gradients: x * keep / (1 - rate), in one fresh
-    array. Multiplying by the 0/1 mask first and by the scale second gives
-    exactly x * m for the float mask m = keep / (1 - rate), signed zeros
-    included. (Converting the mask with astype is faster than letting the
-    multiply cast the booleans.)"""
-    out = keep.astype(np.float64)
+    and backward on their gradients: x * keep / (1 - rate), in `out` (a new
+    array when None; never `x`). Multiplying by the 0/1 mask first and by
+    the scale second gives exactly x * m for the float mask m = keep / (1 -
+    rate), signed zeros included. (Copying the mask into a float array is
+    faster than letting the multiply cast the booleans.)"""
+    if out is None:
+        out = np.empty(keep.shape)
+    np.copyto(out, keep)
     out *= x
     out *= 1.0 / (1.0 - rate)
     return out
@@ -434,8 +463,34 @@ class BlockCache:
 
 @dataclass
 class ModelCache:
-    blocks: list[BlockCache]
-    head_in: np.ndarray
+    """A train-mode forward pass's record for the backward pass, and the
+    workspace of one fit.
+
+    `blocks` and `head_in` are the arrays the backward pass reads. `arrays`
+    holds, by name, every array the two passes write into: those kept for
+    backward and a few rotating scratch arrays for temporaries. A forward
+    pass handed this cache writes the next epoch into the same arrays, and
+    the backward pass takes its temporaries from them too, so a fit holds
+    one epoch of activations and reuses their memory every epoch."""
+
+    blocks: list[BlockCache] = field(default_factory=list)
+    head_in: np.ndarray | None = None
+    arrays: dict = field(default_factory=dict, repr=False)
+
+    def array(self, key, shape: tuple, dtype=np.float64) -> np.ndarray:
+        """The workspace array named `key`; made anew unless it has `shape`
+        and `dtype`."""
+        arr = self.arrays.get(key)
+        if arr is None or arr.shape != shape or arr.dtype != dtype:
+            arr = self.arrays[key] = np.empty(shape, dtype)
+        return arr
+
+    def scratch(self, shape: tuple, *busy: np.ndarray) -> np.ndarray:
+        """A float scratch array of `shape` that is none of `busy`."""
+        for i in count():
+            arr = self.array(("scratch", shape[1:], i), shape)
+            if not any(arr is b for b in busy):
+                return arr
 
 
 def model_forward(
@@ -444,6 +499,7 @@ def model_forward(
     mode: str = "eval",
     stream: DropoutStream | None = None,
     epoch: int = 0,
+    cache: ModelCache | None = None,
 ) -> tuple[np.ndarray, ModelCache | None]:
     """Risk scores h(x), one scalar per input row.
 
@@ -453,7 +509,8 @@ def model_forward(
     deterministic and independent of batch composition, and builds no
     caches. Train mode updates the running statistics, drops units with
     the masks of `stream` (needed when the dropout rate is above 0), and
-    returns the cache the backward pass needs.
+    returns the cache the backward pass needs: `cache`, written over, when
+    an earlier train-mode forward's cache is handed in, else a new one.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != params.in_dim:
@@ -463,35 +520,63 @@ def model_forward(
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
     train = mode == "train"
+    kind = params.activation_kind
     rate = params.dropout_rate
     drop = train and rate > 0.0
     if drop and stream is None:
         raise ValueError("train-mode dropout requires a DropoutStream")
+
+    # every array goes into the workspace in train mode; eval mode lets
+    # numpy allocate (out=None)
+    n = X.shape[0]
+    ws = (ModelCache() if cache is None else cache) if train else None
+
+    def kept(key, width: int, dtype=np.float64):
+        return None if ws is None else ws.array(key, (n, width), dtype)
+
+    def scratch(width: int, *busy):
+        return None if ws is None else ws.scratch((n, width), *busy)
 
     block_caches: list[BlockCache] = []
     x = X
     for bi, block in enumerate(params.blocks):
         layer_caches: list[LayerCache] = []
         a = x
+        last = len(block.dense_layers) - 1
         for li, (dense, bn) in enumerate(zip(block.dense_layers, block.batch_norms)):
-            z = a @ dense.W.T
+            width = dense.W.shape[0]
+            z = np.matmul(a, dense.W.T, out=kept(("xhat", bi, li), width))
             z += dense.b
-            bn_out, bn_cache = batchnorm_forward(z, bn, mode)
-            act, act_cache = activation_forward(bn_out, params.activation_kind)
-            mask = stream.mask(act.shape, rate, epoch, bi, li) if drop else None
+            bn_out, bn_cache = batchnorm_forward(z, bn, mode, xhat=z,
+                                                 out=kept(("act", bi, li), width))
+            # the layer's output: the next layer's input, or a temporary the
+            # shortcut sum reads; tanh without dropout outputs its cache
+            out = None
+            if drop or kind != "tanh":
+                out = (scratch(width) if li == last and block.shortcut is not None
+                       else kept(("out", bi, li), width))
+            # tanh's backward reads its output, relu's and selu's their input
+            act_out = bn_out if kind == "tanh" else scratch(width, out) if drop else out
+            act, act_cache = activation_forward(bn_out, kind, out=act_out)
+            mask = (stream.mask(act.shape, rate, epoch, bi, li,
+                                out=kept(("mask", bi, li), width, bool), draws=out)
+                    if drop else None)
             if train:
                 layer_caches.append(LayerCache(a, bn_cache, act_cache, mask))
-            a = _apply_keep(act, mask, rate) if drop else act
+            a = _apply_keep(act, mask, rate, out=out) if drop else act
         if train:
             block_caches.append(BlockCache(x, layer_caches))
         if block.shortcut is not None:
-            y = x @ block.shortcut.W.T
+            y = np.matmul(x, block.shortcut.W.T, out=kept(("y", bi), width))
             y += a
             a = y
         x = a
     head = params.output_head
     h = (x @ head.W.T + head.b).ravel()
-    return h, (ModelCache(block_caches, x) if train else None)
+    if not train:
+        return h, None
+    ws.blocks, ws.head_in = block_caches, x
+    return h, ws
 
 
 def model_backward(
@@ -503,11 +588,15 @@ def model_backward(
     Backpropagation meets the tensors in reverse traversal order (head b
     and W; then per block from the last: the shortcut W, and per layer from
     the last: beta, gamma, b, W), so each gradient is written just below
-    the previous one, from the vector's end.
+    the previous one, from the vector's end. The (n, width) gradients
+    rotate through the scratch arrays of `cache`. Nothing reads the
+    gradient with respect to the network input, so it is not computed.
     """
     grad_h = np.asarray(grad_h, dtype=np.float64).reshape(-1, 1)
     grads = np.empty_like(params.flat)
     end = grads.size
+    n = grad_h.shape[0]
+    kind, rate = params.activation_kind, params.dropout_rate
 
     def put(*parts: np.ndarray) -> None:
         nonlocal end
@@ -515,22 +604,29 @@ def model_backward(
             grads[end - g.size : end] = g.ravel()
             end -= g.size
 
+    head_W = params.output_head.W
     put(grad_h.sum(axis=0), grad_h.T @ cache.head_in)
-    grad_y = grad_h @ params.output_head.W
-    for block, bc in zip(reversed(params.blocks), reversed(cache.blocks)):
+    grad_y = np.matmul(grad_h, head_W, out=cache.scratch((n, head_W.shape[1])))
+    for bi, (block, bc) in reversed(list(enumerate(zip(params.blocks, cache.blocks)))):
         # the main-channel chain, plus the shortcut term W_s^T grad_y
         if block.shortcut is not None:
             put(grad_y.T @ bc.x)
         grad = grad_y
-        for dense, lc in zip(reversed(block.dense_layers), reversed(bc.layers)):
+        for li, (dense, lc) in reversed(list(enumerate(zip(block.dense_layers, bc.layers)))):
             if lc.mask is not None:
-                grad = _apply_keep(grad, lc.mask, params.dropout_rate)
-            grad = activation_backward(grad, lc.act, params.activation_kind)
-            grad, g_gamma, g_beta = batchnorm_backward(grad, lc.bn)
+                grad = _apply_keep(grad, lc.mask, rate,
+                                   out=cache.scratch(grad.shape, grad_y, grad))
+            grad = activation_backward(grad, lc.act, kind,
+                                       out=cache.scratch(grad.shape, grad_y, grad))
+            grad, g_gamma, g_beta = batchnorm_backward(
+                grad, lc.bn, out=grad, scratch=cache.scratch(grad.shape, grad_y, grad))
             put(g_beta, g_gamma, grad.sum(axis=0), grad.T @ lc.a_in)
-            grad = grad @ dense.W
-        if block.shortcut is not None:
-            grad += grad_y @ block.shortcut.W
+            if bi or li:   # not down to the network input
+                grad = np.matmul(grad, dense.W,
+                                 out=cache.scratch((n, dense.W.shape[1]), grad_y, grad))
+        if bi and block.shortcut is not None:
+            grad += np.matmul(grad_y, block.shortcut.W,
+                              out=cache.scratch(grad.shape, grad_y, grad))
         grad_y = grad
     return grads
 

@@ -172,12 +172,14 @@ class Hyperparameters:
 @dataclass
 class OptimizerState:
     """Mutable per-run optimizer state: step counter, current learning rate,
-    the entries weight decay touches, and (for Adam/AdamW) first/second
-    moment accumulators."""
+    the entries weight decay touches, rows of the parameter vector's size
+    that a step computes in (so that a step allocates nothing), and (for
+    Adam/AdamW) first/second moment accumulators."""
 
     t: int
     lr: float
     decay_mask: np.ndarray = field(repr=False)
+    work: np.ndarray = field(repr=False)
     m: np.ndarray | None = None
     v: np.ndarray | None = None
 
@@ -186,38 +188,52 @@ def init_optimizer_state(hp: Hyperparameters, mask: np.ndarray) -> OptimizerStat
     """Fresh state for a parameter vector of `mask`'s size, whose True
     entries are the ones weight decay touches."""
     if hp.optimizer_kind == "sgd":
-        return OptimizerState(t=0, lr=hp.learning_rate, decay_mask=mask)
+        return OptimizerState(t=0, lr=hp.learning_rate, decay_mask=mask,
+                              work=np.empty((1, mask.size)))
     return OptimizerState(
         t=0,
         lr=hp.learning_rate,
         decay_mask=mask,
+        work=np.empty((2, mask.size)),
         m=np.zeros(mask.size),
         v=np.zeros(mask.size),
     )
 
+
+# The steps compute in `state.work` with the operations of their formulas,
+# in order, so they are bit-identical to the formulas written out.
 
 def sgd_step(
     params: np.ndarray, grads: np.ndarray, state: OptimizerState, hp: Hyperparameters
 ) -> np.ndarray:
     """w <- w - lr g. Mutates params in place and returns it."""
     state.t += 1
-    params -= state.lr * grads
+    params -= np.multiply(grads, state.lr, out=state.work[0])
     return params
 
 
 def adam_step(
     params: np.ndarray, grads: np.ndarray, state: OptimizerState, hp: Hyperparameters
 ) -> np.ndarray:
-    """Bias-corrected Adam (beta1=0.9, beta2=0.999, eps=1e-8). Mutates params
-    in place and returns it."""
+    """Bias-corrected Adam (beta1=0.9, beta2=0.999, eps=1e-8):
+    m <- beta1 m + (1 - beta1) g, v <- beta2 v + (1 - beta2) g g, and
+    w <- w - lr m_hat / (sqrt(v_hat) + eps) with the bias-corrected m_hat
+    and v_hat. Mutates params in place and returns it."""
     state.t += 1
+    denom, step = state.work
     state.m *= ADAM_BETA1
-    state.m += (1.0 - ADAM_BETA1) * grads
+    state.m += np.multiply(grads, 1.0 - ADAM_BETA1, out=step)
     state.v *= ADAM_BETA2
-    state.v += (1.0 - ADAM_BETA2) * grads * grads
-    m_hat = state.m / (1.0 - ADAM_BETA1 ** state.t)
-    v_hat = state.v / (1.0 - ADAM_BETA2 ** state.t)
-    params -= state.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    np.multiply(grads, 1.0 - ADAM_BETA2, out=step)
+    step *= grads
+    state.v += step
+    np.divide(state.v, 1.0 - ADAM_BETA2 ** state.t, out=denom)
+    np.sqrt(denom, out=denom)
+    denom += ADAM_EPS
+    np.divide(state.m, 1.0 - ADAM_BETA1 ** state.t, out=step)
+    step *= state.lr
+    step /= denom
+    params -= step
     return params
 
 
@@ -232,7 +248,8 @@ def adamw_step(
     """
     wd = hp.l2_lambda * ADAMW_DECAY_SCALE
     if wd > 0.0:
-        params[state.decay_mask] -= state.lr * wd * params[state.decay_mask]
+        decay = np.multiply(params, state.lr * wd, out=state.work[0])
+        np.subtract(params, decay, out=params, where=state.decay_mask)
     return adam_step(params, grads, state, hp)
 
 
@@ -348,11 +365,14 @@ def train(
     epochs_since_improvement = 0
     stopped_early = False
     records: list[EpochRecord] = []
+    # each epoch's forward pass writes over the previous epoch's cache, the
+    # fit's one workspace for activations and backward temporaries
+    cache = None
 
     for epoch in range(1, hp.max_epochs + 1):
         lr_used = state.lr
         h, cache = model_forward(train_ds.features, params, mode="train",
-                                 stream=stream, epoch=epoch)
+                                 stream=stream, epoch=epoch, cache=cache)
         penalty, penalty_grad = cox.l2_penalty(params.flat, loss_lambda, mask)
         train_loss = cox.neg_log_partial_likelihood(h, train_index) + penalty
         if not np.isfinite(train_loss):
@@ -495,7 +515,7 @@ def plan_folds(ds: SurvivalDataset, k: int, seed: int) -> FoldPlan:
     for f in range(folds.k):
         train_idx, test_idx = folds.train_indices(f), folds.test_indices(f)
         inner_train_idx, inner_val_idx = stratified_holdout(
-            canon.subset(train_idx), HOLDOUT_FRACTION, seed=stable_seed(seed, 11, f)
+            canon.events[train_idx], HOLDOUT_FRACTION, seed=stable_seed(seed, 11, f)
         )
         for split, rows in (("held-out", test_idx),
                             ("early-stop training", train_idx[inner_train_idx]),

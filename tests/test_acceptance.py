@@ -172,14 +172,14 @@ def _holdout_protocol(ds, data_seed):
     """One shared recipe: 25% held-out test split, standardization fit on the
     75% side, linear Cox oracle on that side, and an inner 80/20 early-stop
     split for the network."""
-    tr_idx, te_idx = stratified_holdout(ds, 0.25, seed=stable_seed(data_seed, 1))
+    tr_idx, te_idx = stratified_holdout(ds.events, 0.25, seed=stable_seed(data_seed, 1))
     train_all, test = ds.subset(tr_idx), ds.subset(te_idx)
     std = standardize_fit(train_all)
     train_all = standardize_apply(train_all, std)
     test = standardize_apply(test, std)
     fit = cox.fit_linear_cox_newton(train_all)
     c_cox = concordance_fast(test.times, test.events, test.features @ fit.beta).c_index
-    in_tr, in_va = stratified_holdout(train_all, 0.2, seed=stable_seed(data_seed, 2))
+    in_tr, in_va = stratified_holdout(train_all.events, 0.2, seed=stable_seed(data_seed, 2))
     return train_all.subset(in_tr), train_all.subset(in_va), test, float(c_cox), fit
 
 
@@ -250,7 +250,7 @@ def test_shortcut_blocks_hold_up_at_depth(capsys):
 
         # depth stability: a 7-block stack still trains with finite losses
         # and its first block sees a nonvanishing gradient at initialization
-        tr_idx, va_idx = stratified_holdout(ds, 0.2, seed=stable_seed(777, 3))
+        tr_idx, va_idx = stratified_holdout(ds.events, 0.2, seed=stable_seed(777, 3))
         tr, va = ds.subset(tr_idx), ds.subset(va_idx)
         std = standardize_fit(tr)
         tr, va = standardize_apply(tr, std), standardize_apply(va, std)

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ressurv.data import (
+    StandardizationParams,
     SurvivalDataset,
     SyntheticSpec,
     filter_features,
@@ -272,6 +273,72 @@ def test_write_csv_refuses_or_reads_back_identical(args):
         _assert_reads_back(ds, load_csv(path))
 
 
+def _assert_same_dataset(got, want):
+    assert got.sample_ids == want.sample_ids
+    assert got.feature_names == want.feature_names
+    for name in ("features", "times", "events"):
+        g, w = getattr(got, name), getattr(want, name)
+        assert (g.dtype, g.shape) == (w.dtype, w.shape) and g.tobytes() == w.tobytes()
+        assert g.flags.c_contiguous and not g.flags.writeable
+
+
+def _same_as_constructor(derive, *args):
+    """`derive()` builds the dataset `SurvivalDataset(*args)` builds, or
+    raises the error the constructor raises."""
+    try:
+        want = SurvivalDataset(*args)
+    except (DataRowError, SchemaError) as err:
+        with pytest.raises(type(err)) as got:
+            derive()
+        assert str(got.value) == str(err)
+        return
+    _assert_same_dataset(derive(), want)
+
+
+@st.composite
+def _derivations(draw):
+    """A valid dataset, a row selection (repeats and negative indexes
+    included), a column selection (repeats included) and a standardization
+    whose scaling may overflow."""
+    ds = SurvivalDataset(*draw(_csv_datasets(valid=True)))
+    rows = draw(st.lists(st.integers(-ds.n, ds.n - 1), max_size=8))
+    names = draw(st.lists(st.sampled_from(ds.feature_names), max_size=4)) if ds.p else []
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    means = draw(st.lists(finite, min_size=ds.p, max_size=ds.p))
+    stds = draw(st.lists(st.floats(min_value=1e-300, max_value=1e300),
+                         min_size=ds.p, max_size=ds.p))
+    return ds, rows, names, StandardizationParams(means, stds)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_derivations())
+def test_derived_datasets_match_the_constructor(args):
+    ds, rows, names, std = args
+    X, ids = ds.features, ds.sample_ids
+    _same_as_constructor(lambda: ds.subset(rows), [ids[i] for i in rows], X[rows],
+                         ds.feature_names, ds.times[rows], ds.events[rows])
+    cols = [ds.feature_names.index(name) for name in names]
+    _same_as_constructor(lambda: ds.select_features(names), ids, X[:, cols], names,
+                         ds.times, ds.events)
+    order = sorted(range(ds.n), key=ids.__getitem__)
+    _same_as_constructor(ds.sorted_by_id, [ids[i] for i in order], X[order],
+                         ds.feature_names, ds.times[order], ds.events[order])
+    with np.errstate(over="ignore"):
+        _same_as_constructor(lambda: standardize_apply(ds, std), ids,
+                             (X - std.means) / std.stddevs, ds.feature_names,
+                             ds.times, ds.events)
+
+
+def test_derived_datasets_refuse_what_they_can_break(small_ds):
+    with pytest.raises(DataRowError, match="row 3: duplicate sample id 's0001'"):
+        small_ds.subset([1, 2, 1])
+    with pytest.raises(DataRowError, match="row 2: duplicate sample id 's0039'"):
+        small_ds.subset([-1, small_ds.n - 1])
+    huge = StandardizationParams(np.zeros(small_ds.p), np.full(small_ds.p, 1e-320))
+    with np.errstate(over="ignore"), pytest.raises(DataRowError, match="non-finite value"):
+        standardize_apply(small_ds, huge)
+
+
 # ---------------------------------------------------------------------------
 # Filtering
 # ---------------------------------------------------------------------------
@@ -382,7 +449,6 @@ def test_standardize_fit_apply_self_consistency():
 
 
 def test_standardize_apply_identity_and_mismatch(small_ds):
-    from ressurv.data import StandardizationParams
     ident = StandardizationParams(np.zeros(small_ds.p), np.ones(small_ds.p))
     out = standardize_apply(small_ds, ident)
     np.testing.assert_array_equal(out.features, small_ds.features)
@@ -454,7 +520,7 @@ def test_kfold_eventless_complement_rejected():
 
 def test_stratified_holdout():
     ds = make_dataset(n=50, seed=13)
-    train_idx, hold_idx = stratified_holdout(ds, 0.2, seed=5)
+    train_idx, hold_idx = stratified_holdout(ds.events, 0.2, seed=5)
     assert hold_idx.size == 10 and train_idx.size == 40
     assert np.intersect1d(train_idx, hold_idx).size == 0
     np.testing.assert_array_equal(np.sort(np.concatenate([train_idx, hold_idx])),
@@ -463,7 +529,7 @@ def test_stratified_holdout():
     assert ds.events[train_idx].sum() >= 1
     assert ds.events[hold_idx].sum() >= 1
     # deterministic
-    t2, h2 = stratified_holdout(ds, 0.2, seed=5)
+    t2, h2 = stratified_holdout(ds.events, 0.2, seed=5)
     np.testing.assert_array_equal(train_idx, t2)
     np.testing.assert_array_equal(hold_idx, h2)
 

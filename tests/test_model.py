@@ -309,6 +309,15 @@ def batchnorm_backward_reference(grad_out, xhat, inv_std, gamma):
     return grad_in, grad_gamma, grad_beta
 
 
+def activation_forward_reference(z, kind):
+    if kind == "tanh":
+        return np.tanh(z)
+    if kind == "relu":
+        return np.maximum(z, 0.0)
+    assert kind == "selu"
+    return SELU_SCALE * np.where(z > 0, z, SELU_ALPHA * np.expm1(z))
+
+
 def activation_backward_reference(grad_out, cache, kind):
     if kind == "tanh":
         return grad_out * (1.0 - cache * cache)
@@ -367,7 +376,8 @@ def test_fused_kernels_match_reference_bytes(n, width, seed, loc, scale, constan
         assert _same_bytes(got, want)
 
     for kind in ACTIVATION_KINDS:
-        _, act_cache = activation_forward(out, kind)
+        act, act_cache = activation_forward(out, kind)
+        assert _same_bytes(act, activation_forward_reference(out, kind))
         assert _same_bytes(activation_backward(grad_out, act_cache, kind),
                            activation_backward_reference(grad_out, act_cache, kind))
 
@@ -501,6 +511,101 @@ def test_model_backward_matches_fd():
     assert np.max(np.abs(fd[tiny] - analytic[tiny]), initial=0.0) < 1e-8
     rel = np.abs(fd[~tiny] - analytic[~tiny]) / scale[~tiny]
     assert np.max(rel) < 1e-6
+
+
+def model_backward_reference(grad_h, params, cache):
+    """The backward pass with a fresh array per operation, carried down to
+    the gradient with respect to the network input: (parameter gradient in
+    flat layout, input gradient)."""
+    grad_h = grad_h.reshape(-1, 1)
+    parts = [grad_h.sum(axis=0), grad_h.T @ cache.head_in]   # from the vector's end
+    grad_y = grad_h @ params.output_head.W
+    for block, bc in zip(reversed(params.blocks), reversed(cache.blocks)):
+        if block.shortcut is not None:
+            parts.append(grad_y.T @ bc.x)
+        grad = grad_y
+        for dense, lc in zip(reversed(block.dense_layers), reversed(bc.layers)):
+            if lc.mask is not None:
+                grad = grad * (lc.mask / (1.0 - params.dropout_rate))
+            grad = activation_backward_reference(grad, lc.act, params.activation_kind)
+            grad, g_gamma, g_beta = batchnorm_backward_reference(
+                grad, lc.bn.xhat, lc.bn.inv_std, lc.bn.gamma)
+            parts += [g_beta, g_gamma, grad.sum(axis=0), grad.T @ lc.a_in]
+            grad = grad @ dense.W
+        if block.shortcut is not None:
+            grad = grad + grad_y @ block.shortcut.W
+        grad_y = grad
+    return np.concatenate([part.ravel() for part in reversed(parts)]), grad_y
+
+
+@pytest.mark.parametrize("with_shortcut", [True, False])
+@pytest.mark.parametrize("kind", ACTIVATION_KINDS)
+def test_backward_skips_the_input_gradient_bit_for_bit(kind, with_shortcut):
+    # the reference also computes the (n, p) input gradient; the parameter
+    # gradient does not depend on it
+    rng = np.random.default_rng(31)
+    X, v = rng.normal(size=(17, 9)), rng.normal(size=17)
+    params = init_params(9, [5, 7], 2, kind, 0.2, seed=31, with_shortcut=with_shortcut)
+    _, cache = model_forward(X, params, mode="train", stream=DropoutStream(31), epoch=1)
+    want, grad_input = model_backward_reference(v, params, cache)
+    assert grad_input.shape == X.shape
+    assert _same_bytes(model_backward(v, params, cache), want)
+
+
+def _cache_arrays(cache):
+    """Every array of a train-mode cache, in a fixed order."""
+    arrays = []
+    for block in cache.blocks:
+        arrays.append(block.x)
+        for layer in block.layers:
+            arrays += [layer.a_in, layer.bn.xhat, layer.bn.inv_std, layer.bn.gamma, layer.act]
+            arrays += [] if layer.mask is None else [layer.mask]
+    return arrays + [cache.head_in]
+
+
+def _distinct_bytes(cache):
+    """Bytes of the distinct arrays a cache holds (the same array may fill
+    several fields)."""
+    return sum({id(a): a.nbytes for a in _cache_arrays(cache)}.values())
+
+
+@pytest.mark.parametrize("with_shortcut", [True, False])
+@pytest.mark.parametrize("rate", [0.0, 0.2])
+@pytest.mark.parametrize("kind", ACTIVATION_KINDS)
+def test_reused_cache_matches_fresh_allocation(kind, rate, with_shortcut):
+    # two identical networks take three steps, one writing each epoch over
+    # the previous epoch's cache and one allocating a new cache each epoch;
+    # the blocks differ in width so that the workspace meets two shapes
+    rng = np.random.default_rng(23)
+    X, v = rng.normal(size=(24, 5)), rng.normal(size=24)
+    reused, fresh = (init_params(5, [6, 4], 3, kind, rate, seed=23,
+                                 with_shortcut=with_shortcut) for _ in range(2))
+    stream = DropoutStream(23)
+    cache = None
+    for epoch in (1, 2, 3):
+        h, out = model_forward(X, reused, mode="train", stream=stream, epoch=epoch,
+                               cache=cache)
+        if cache is None:
+            first_xhat = out.blocks[1].layers[2].bn.xhat
+        assert cache is None or out is cache
+        cache = out
+        h_fresh, cache_fresh = model_forward(X, fresh, mode="train", stream=stream,
+                                             epoch=epoch)
+        assert _same_bytes(h, h_fresh)
+        for got, want in zip(_cache_arrays(cache), _cache_arrays(cache_fresh), strict=True):
+            assert _same_bytes(got, want)
+        assert _distinct_bytes(cache) == _distinct_bytes(cache_fresh)
+        grad = model_backward(v, reused, cache)
+        grad_fresh = model_backward(v, fresh, cache_fresh)
+        assert _same_bytes(grad, grad_fresh)
+        reused.flat[...] -= 0.05 * grad
+        fresh.flat[...] -= 0.05 * grad_fresh
+        for block, block_fresh in zip(reused.blocks, fresh.blocks):
+            for bn, bn_fresh in zip(block.batch_norms, block_fresh.batch_norms):
+                assert _same_bytes(bn.running_mean, bn_fresh.running_mean)
+                assert _same_bytes(bn.running_var, bn_fresh.running_var)
+    # the third epoch wrote into the first epoch's arrays
+    assert cache.blocks[1].layers[2].bn.xhat is first_xhat
 
 
 # ---------------------------------------------------------------------------

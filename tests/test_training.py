@@ -2,6 +2,7 @@ import dataclasses
 import multiprocessing
 import os
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -36,7 +37,7 @@ from ressurv.training import (
 
 
 def _split(ds, frac=0.25, seed=1):
-    tr_idx, va_idx = stratified_holdout(ds, frac, seed=seed)
+    tr_idx, va_idx = stratified_holdout(ds.events, frac, seed=seed)
     return ds.subset(tr_idx), ds.subset(va_idx)
 
 
@@ -172,6 +173,42 @@ def test_adamw_decay_is_decoupled_and_masked():
     assert w[1] == 10.0
 
 
+def _step_reference(kind, w, g, ref, hp):
+    """The optimizer steps written out with a fresh array per operation."""
+    ref["t"] += 1
+    if kind == "sgd":
+        return w - ref["lr"] * g
+    if kind == "adamw":
+        wd = hp.l2_lambda * 1e-3
+        w = w.copy()
+        w[ref["mask"]] -= ref["lr"] * wd * w[ref["mask"]]
+    ref["m"] = 0.9 * ref["m"] + (1.0 - 0.9) * g
+    ref["v"] = 0.999 * ref["v"] + (1.0 - 0.999) * g * g
+    m_hat = ref["m"] / (1.0 - 0.9 ** ref["t"])
+    v_hat = ref["v"] / (1.0 - 0.999 ** ref["t"])
+    return w - ref["lr"] * m_hat / (np.sqrt(v_hat) + 1e-8)
+
+
+@pytest.mark.parametrize("kind", ["sgd", "adam", "adamw"])
+def test_steps_match_the_formulas_bit_for_bit(kind):
+    # the steps compute in the state's work rows, allocating nothing
+    rng = np.random.default_rng(3)
+    hp = Hyperparameters(optimizer_kind=kind, learning_rate=0.05, l2_lambda=4.0)
+    mask = rng.random(50) < 0.6
+    state = init_optimizer_state(hp, mask)
+    ref = {"t": 0, "lr": hp.learning_rate, "mask": mask,
+           "m": np.zeros(50), "v": np.zeros(50)}
+    w = rng.normal(size=50)
+    want = w.copy()
+    step = training._STEP_FUNCTIONS[kind]
+    for _ in range(4):
+        g = rng.normal(size=50) * 3.0
+        assert step(w, g, state, hp) is w
+        want = _step_reference(kind, want, g, ref, hp)
+        assert w.tobytes() == want.tobytes()
+        state.lr = ref["lr"] = state.lr * 0.9
+
+
 def test_decay_learning_rate_hand_value():
     hp = Hyperparameters(learning_rate=1e-2, lr_decay=1e-2)
     state = init_optimizer_state(hp, np.ones(1, dtype=bool))
@@ -272,6 +309,28 @@ def test_train_divergence_aborts_with_epoch():
             train(tr, va, DIVERGENT)
     assert exc.value.epoch >= 1
     assert "learning rate" in str(exc.value)
+
+
+def test_train_holds_one_epoch_of_activations():
+    # the paper-default net on a cv-paper fold's shape; one epoch of the
+    # train-mode cache, from the shapes: per dense layer xhat, activation and
+    # dropout mask, per block the inputs of its later layers and its output
+    hp = Hyperparameters(max_epochs=3, patience=5)
+    beta = (1.0, -0.8, 0.6) + (0.0,) * 17
+    ds, _ = generate_synthetic(SyntheticSpec(n=1600, p=20, true_coefficients=beta,
+                                             target_censor_rate=0.3, seed=5))
+    tr, va = ds.subset(np.arange(1280)), ds.subset(np.arange(1280, 1600))
+    layers = hp.dense_layers_per_block
+    per_row_and_node = hp.n_blocks * (layers * (8 + 8 + 1) + (layers - 1) * 8 + 8)
+    cache_bytes = per_row_and_node * tr.n * hp.nodes
+    tracemalloc.start()
+    try:
+        train(tr, va, hp)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a new cache per epoch would hold two epochs at once (about 2.2x)
+    assert peak <= 1.4 * cache_bytes, f"peak {peak / cache_bytes:.2f}x one epoch's cache"
 
 
 def test_train_validates_splits():
