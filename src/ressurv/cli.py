@@ -202,11 +202,10 @@ def load_grid_file(path: str) -> tuple[dict, Hyperparameters]:
         extra = set(raw) - {"sweep", "base"}
         if extra:
             raise ValueError(f"unknown grid file keys: {sorted(extra)}")
-        base = Hyperparameters.from_dict(raw.get("base", {}))
-        sweep = raw["sweep"]
-        if not isinstance(sweep, dict):
-            raise ValueError("grid file 'sweep' must be an object")
-        return sweep, base
+        for key, value in raw.items():
+            if not isinstance(value, dict):
+                raise ValueError(f"grid file {key!r} must be an object")
+        return raw["sweep"], Hyperparameters.from_dict(raw.get("base", {}))
     return raw, Hyperparameters()
 
 

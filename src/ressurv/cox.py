@@ -145,23 +145,26 @@ def nll_gradient(h, idx: RiskSetIndex) -> np.ndarray:
 
 
 def l2_penalty(
-    flat_params: np.ndarray, lam: float, decay_mask: np.ndarray
-) -> tuple[float, np.ndarray]:
+    flat_params: np.ndarray, lam: float, decay_mask: np.ndarray, grad: np.ndarray
+) -> float:
     """Quadratic weight penalty lam * sum(w^2) over the True entries of
-    `decay_mask`, and its gradient 2*lam*w there (0 elsewhere); the model
-    excludes biases and batch-norm scale/shift from the mask.
+    `decay_mask`; its gradient 2*lam*w there is added into `grad` in place
+    (nothing is added where the mask is False, nor at all when lam is 0).
+    The model excludes biases and batch-norm scale/shift from the mask.
     """
     if lam < 0:
         raise ValueError("lambda must be >= 0")
-    flat = np.asarray(flat_params, dtype=np.float64).ravel()
     if lam == 0:
-        return 0.0, np.zeros_like(flat)
+        return 0.0
+    flat = np.asarray(flat_params, dtype=np.float64).ravel()
     mask = np.asarray(decay_mask, dtype=bool).ravel()
-    if mask.shape != flat.shape:
-        raise ValueError("decay_mask must match flat parameter length")
+    if mask.shape != flat.shape or grad.shape != flat.shape:
+        raise ValueError("decay_mask and grad must match flat parameter length")
     penalized = flat[mask]
-    grad = np.where(mask, 2.0 * lam * flat, 0.0)
-    return float(lam * np.dot(penalized, penalized)), grad
+    value = float(lam * np.dot(penalized, penalized))
+    penalized *= 2.0 * lam
+    grad[mask] += penalized
+    return value
 
 
 @dataclass

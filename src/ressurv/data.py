@@ -9,7 +9,9 @@ duplicates; tie handling is the loss module's concern.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -24,6 +26,25 @@ HAZARD_KINDS = ("linear", "interaction", "deep")
 
 # Feature columns whose variance falls at or below this are dropped.
 MIN_VARIANCE = 1e-8
+
+
+def check_field_types(obj) -> None:
+    """Refuse a dataclass field value of the wrong type with a ValueError
+    naming the field: int fields take integers only (not bools, not 2.5),
+    float fields finite real numbers only (not bools, strings, None, NaN or
+    infinity), bool fields bools only (not 1)."""
+    for f in fields(obj):
+        if f.type not in ("int", "float", "bool"):
+            continue
+        value = getattr(obj, f.name)
+        # bool is an Integral; JSON true must not pass for 1
+        if f.type == "int" and (isinstance(value, bool) or not isinstance(value, Integral)):
+            raise ValueError(f"{f.name} must be an integer, not {value!r}")
+        if f.type == "float" and (isinstance(value, bool) or not isinstance(value, Real)
+                                  or not math.isfinite(value)):
+            raise ValueError(f"{f.name} must be a finite number, not {value!r}")
+        if f.type == "bool" and not isinstance(value, bool):
+            raise ValueError(f"{f.name} must be true or false, not {value!r}")
 
 
 @dataclass(frozen=True)
@@ -257,6 +278,7 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
+        check_field_types(self)
         if self.n < 1 or self.p < 1:
             raise ValueError("n and p must be >= 1")
         if self.hazard_kind not in HAZARD_KINDS:

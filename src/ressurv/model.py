@@ -21,13 +21,14 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field, replace
-from itertools import count, zip_longest
-from typing import NamedTuple
+from copy import deepcopy
+from dataclasses import InitVar, dataclass, field
+from itertools import count, repeat, zip_longest
+from numbers import Integral
 
 import numpy as np
 
-from .data import StandardizationParams
+from .data import StandardizationParams, check_field_types
 
 SELU_ALPHA = 1.6732632423543772
 SELU_SCALE = 1.0507009873554805
@@ -91,55 +92,123 @@ class ResBlockParams:
     shortcut: DenseLayerParams | None
 
 
-@dataclass
-class ResSurvParams:
-    """All learnable state of the network plus its architectural knobs.
+def _layout(n_features, block_widths, dense_layers_per_block, with_shortcut):
+    """(name, shape, learnable, decayed) of every tensor of the network, in
+    checkpoint order: per block, per layer W, b, gamma, beta, running mean,
+    running var; then the shortcut W; finally head W, head b. The learnable
+    entries, in this order, make up `flat`, the rest (the batch-norm running
+    statistics) `stats`. Only weight matrices are decayed: L2 / weight decay
+    never touches biases or batch-norm scale/shift."""
+    in_dim = n_features
+    for bi, width in enumerate(block_widths):
+        for li in range(dense_layers_per_block):
+            prefix = f"block{bi}.layer{li}"
+            yield f"{prefix}.W", (width, in_dim if li == 0 else width), True, True
+            for name in ("b", "bn.gamma", "bn.beta"):
+                yield f"{prefix}.{name}", (width,), True, False
+            for name in ("bn.running_mean", "bn.running_var"):
+                yield f"{prefix}.{name}", (width,), False, False
+        if with_shortcut:
+            yield f"block{bi}.shortcut.W", (width, in_dim), True, True
+        in_dim = width
+    yield "head.W", (1, in_dim), True, True
+    yield "head.b", (1,), True, False
 
-    Construction packs every learnable tensor into one float64 vector,
-    `flat`, in the traversal order of `flat_layout`, and rebinds each tensor
-    as a view into it: writing through `flat` changes the tensors and vice
-    versa. Batch-norm running statistics stay outside the vector.
+
+@dataclass(eq=False)
+class ResSurvParams:
+    """The network: its architecture, and its tensors in two float64
+    vectors laid out by `_layout`: `flat` holds the learnable tensors,
+    `stats` the batch-norm running statistics (zeros where not given).
+
+    `blocks` and `output_head` are views into the two vectors: writing
+    through a vector changes the tensors and vice versa. Each batch norm
+    keeps its own update count (`n_updates`, zeros where not given).
     """
 
-    blocks: list[ResBlockParams]
-    output_head: DenseLayerParams
+    n_features: int
+    block_widths: list[int]
+    dense_layers_per_block: int
     activation_kind: str
     dropout_rate: float
-    flat: np.ndarray = field(init=False, repr=False, compare=False)
+    with_shortcut: bool = True
+    flat: np.ndarray | None = field(default=None, repr=False)
+    stats: np.ndarray | None = field(default=None, repr=False)
+    n_updates: InitVar[list[int] | None] = None
+    blocks: list[ResBlockParams] = field(init=False, repr=False)
+    output_head: DenseLayerParams = field(init=False, repr=False)
 
-    def __post_init__(self):
-        learnable = [t for t in _tensors(self) if t.learnable]
-        self.flat = np.concatenate([t.array.ravel() for t in learnable], dtype=np.float64)
-        for t, (_, where, shape) in zip(learnable, flat_layout(self)):
-            setattr(t.owner, t.attr, self.flat[where].reshape(shape))
+    def __post_init__(self, n_updates):
+        check_field_types(self)
+        if self.activation_kind not in ACTIVATION_KINDS:
+            raise ValueError(f"unknown activation {self.activation_kind!r}")
+        if not 0.0 <= self.dropout_rate < 1.0:
+            raise ValueError("dropout_rate must lie in [0, 1)")
+        widths = self.block_widths
+        if (not widths or self.n_features < 1
+                or any(isinstance(w, bool) or not isinstance(w, Integral) or w < 1
+                       for w in widths)):
+            raise ValueError("widths and feature count must be positive")
+        if self.dense_layers_per_block < 1:
+            raise ValueError("need at least one dense layer per block")
+        # plain ints, so that a checkpoint header can hold them
+        self.n_features = int(self.n_features)
+        self.block_widths = [int(w) for w in widths]
+        self.dense_layers_per_block = int(self.dense_layers_per_block)
+
+        sizes = [0, 0]   # running statistics, learnable
+        for _, shape, learnable, _ in self._table():
+            sizes[learnable] += math.prod(shape)
+        if self.flat is None:
+            self.flat = np.zeros(sizes[True])
+        if self.stats is None:
+            self.stats = np.zeros(sizes[False])
+        views = {name: vec[where].reshape(shape) for name, vec, where, shape, _ in _placed(self)}
+
+        def dense(prefix):
+            return DenseLayerParams(views[f"{prefix}.W"], views.get(f"{prefix}.b"))
+
+        counts = repeat(0) if n_updates is None else iter(n_updates)
+        self.blocks = []
+        for bi in range(len(self.block_widths)):
+            layers = [f"block{bi}.layer{li}" for li in range(self.dense_layers_per_block)]
+            norms = [BatchNormParams(*(views[f"{layer}.bn.{name}"] for name in
+                                       ("gamma", "beta", "running_mean", "running_var")),
+                                     n_updates=next(counts)) for layer in layers]
+            shortcut = dense(f"block{bi}.shortcut") if self.with_shortcut else None
+            self.blocks.append(ResBlockParams([dense(layer) for layer in layers], norms,
+                                              shortcut))
+        self.output_head = dense("head")
+
+    def _table(self):
+        return _layout(self.n_features, self.block_widths,
+                       self.dense_layers_per_block, self.with_shortcut)
 
     @property
-    def in_dim(self) -> int:
-        return self.blocks[0].dense_layers[0].W.shape[1]
+    def batch_norms(self) -> list[BatchNormParams]:
+        return [bn for block in self.blocks for bn in block.batch_norms]
 
     def __reduce__(self):
-        # pickle and deepcopy rebuild through construction, so the copy's
-        # tensors are views into its own fresh `flat`
-        return (type(self), (self.blocks, self.output_head,
-                             self.activation_kind, self.dropout_rate))
+        # pickle and deepcopy rebuild the views over the clone's own vectors
+        return (type(self), (self.n_features, self.block_widths, self.dense_layers_per_block,
+                             self.activation_kind, self.dropout_rate, self.with_shortcut,
+                             self.flat, self.stats, [bn.n_updates for bn in self.batch_norms]))
 
     def copy(self) -> "ResSurvParams":
-        """Independent snapshot: a copy of the parameter vector plus the
-        batch-norm running statistics and update counts; used to keep the
-        best epoch during training."""
-        # the new containers share this network's tensors only until
-        # construction packs them into a fresh vector
-        blocks = [
-            ResBlockParams(
-                [replace(d) for d in block.dense_layers],
-                [replace(bn, running_mean=bn.running_mean.copy(),
-                         running_var=bn.running_var.copy()) for bn in block.batch_norms],
-                None if block.shortcut is None else replace(block.shortcut),
-            )
-            for block in self.blocks
-        ]
-        return ResSurvParams(blocks, replace(self.output_head),
-                             self.activation_kind, self.dropout_rate)
+        """Independent snapshot: copies of the two vectors plus the batch-norm
+        update counts; used to keep the best epoch during training."""
+        return deepcopy(self)
+
+
+def _placed(params: ResSurvParams):
+    """(name, vector, slice, shape, decayed) of every tensor, in table order:
+    where in `params.flat` or `params.stats` it lives."""
+    pos = [0, 0]   # into stats, into flat
+    for name, shape, learnable, decayed in params._table():
+        size = math.prod(shape)
+        vec = params.flat if learnable else params.stats
+        yield name, vec, slice(pos[learnable], pos[learnable] + size), shape, decayed
+        pos[learnable] += size
 
 
 def init_params(
@@ -152,75 +221,20 @@ def init_params(
     with_shortcut: bool = True,
 ) -> ResSurvParams:
     """Fresh parameters: dense weights ~ uniform(-L, L) with
-    L = sqrt(6 / (fan_in + fan_out)), zero biases, identity batch norms.
-    Deterministic for a fixed seed (fixed traversal order).
+    L = sqrt(6 / (fan_in + fan_out)), drawn in table order, so deterministic
+    for a fixed seed; zero biases, identity batch norms.
     """
-    if activation_kind not in ACTIVATION_KINDS:
-        raise ValueError(f"unknown activation {activation_kind!r}")
-    if not 0.0 <= dropout_rate < 1.0:
-        raise ValueError("dropout_rate must lie in [0, 1)")
-    if not block_widths or any(w < 1 for w in block_widths) or n_features < 1:
-        raise ValueError("widths and feature count must be positive")
-    if dense_layers_per_block < 1:
-        raise ValueError("need at least one dense layer per block")
-
+    params = ResSurvParams(n_features, block_widths, dense_layers_per_block,
+                           activation_kind, dropout_rate, with_shortcut)
     rng = np.random.default_rng(seed)
-
-    def glorot(out_dim: int, in_dim: int) -> np.ndarray:
-        limit = np.sqrt(6.0 / (in_dim + out_dim))
-        return rng.uniform(-limit, limit, size=(out_dim, in_dim))
-
-    blocks = []
-    in_dim = n_features
-    for width in block_widths:
-        dense_layers = []
-        batch_norms = []
-        layer_in = in_dim
-        for _ in range(dense_layers_per_block):
-            dense_layers.append(DenseLayerParams(glorot(width, layer_in), np.zeros(width)))
-            batch_norms.append(BatchNormParams.identity(width))
-            layer_in = width
-        shortcut = DenseLayerParams(glorot(width, in_dim), None) if with_shortcut else None
-        blocks.append(ResBlockParams(dense_layers, batch_norms, shortcut))
-        in_dim = width
-    head = DenseLayerParams(glorot(1, in_dim), np.zeros(1))
-    return ResSurvParams(blocks, head, activation_kind, dropout_rate)
-
-
-# ---------------------------------------------------------------------------
-# The parameter traversal and the flat vector
-# ---------------------------------------------------------------------------
-
-class _Tensor(NamedTuple):
-    name: str
-    owner: object
-    attr: str
-    decayed: bool     # weight-matrix entries, the only ones L2 / weight decay touch
-    learnable: bool   # False for batch-norm running statistics
-
-    @property
-    def array(self) -> np.ndarray:
-        return getattr(self.owner, self.attr)
-
-
-def _tensors(params: ResSurvParams):
-    """The one fixed traversal: per block, per layer W, b, gamma, beta,
-    running mean, running var; then the shortcut W; finally head W, head b.
-    The learnable entries, in this order, make up the flat vector; all of
-    them, in this order, make up a checkpoint."""
-    for bi, block in enumerate(params.blocks):
-        for li, (dense, bn) in enumerate(zip(block.dense_layers, block.batch_norms)):
-            prefix = f"block{bi}.layer{li}"
-            yield _Tensor(f"{prefix}.W", dense, "W", True, True)
-            yield _Tensor(f"{prefix}.b", dense, "b", False, True)
-            yield _Tensor(f"{prefix}.bn.gamma", bn, "gamma", False, True)
-            yield _Tensor(f"{prefix}.bn.beta", bn, "beta_shift", False, True)
-            yield _Tensor(f"{prefix}.bn.running_mean", bn, "running_mean", False, False)
-            yield _Tensor(f"{prefix}.bn.running_var", bn, "running_var", False, False)
-        if block.shortcut is not None:
-            yield _Tensor(f"block{bi}.shortcut.W", block.shortcut, "W", True, True)
-    yield _Tensor("head.W", params.output_head, "W", True, True)
-    yield _Tensor("head.b", params.output_head, "b", False, True)
+    for _, vec, where, shape, decayed in _placed(params):
+        if decayed:   # a weight matrix
+            limit = np.sqrt(6.0 / (shape[0] + shape[1]))
+            vec[where] = rng.uniform(-limit, limit, size=shape).ravel()
+    for bn in params.batch_norms:
+        bn.gamma[...] = 1.0
+        bn.running_var[...] = 1.0
+    return params
 
 
 def to_flat(params: ResSurvParams) -> np.ndarray:
@@ -238,21 +252,15 @@ def set_flat(params: ResSurvParams, flat: np.ndarray) -> None:
 
 def flat_layout(params: ResSurvParams) -> list[tuple[str, slice, tuple]]:
     """(name, slice into the flat vector, shape) for every learnable tensor."""
-    layout = []
-    pos = 0
-    for t in _tensors(params):
-        if t.learnable:
-            layout.append((t.name, slice(pos, pos + t.array.size), t.array.shape))
-            pos += t.array.size
-    return layout
+    return [(name, where, shape) for name, vec, where, shape, _ in _placed(params)
+            if vec is params.flat]
 
 
 def decay_mask(params: ResSurvParams) -> np.ndarray:
     """True on dense-layer and shortcut weight-matrix entries; biases and
     batch-norm scale/shift are never penalized."""
-    return np.concatenate([
-        np.full(t.array.size, t.decayed, dtype=bool) for t in _tensors(params) if t.learnable
-    ])
+    return np.concatenate([np.full(math.prod(shape), decayed)
+                           for _, shape, learnable, decayed in params._table() if learnable])
 
 
 # ---------------------------------------------------------------------------
@@ -513,9 +521,9 @@ def model_forward(
     an earlier train-mode forward's cache is handed in, else a new one.
     """
     X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != params.in_dim:
+    if X.ndim != 2 or X.shape[1] != params.n_features:
         raise ValueError(
-            f"input of shape {X.shape} does not match model input dim {params.in_dim}"
+            f"input of shape {X.shape} does not match model input dim {params.n_features}"
         )
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
@@ -651,16 +659,26 @@ def save_checkpoint(
     network's input raises ValueError before the file is opened.
     """
     if standardization is not None:
-        _check_width(standardization, params.in_dim)
-    arrays = [(t.name, t.array) for t in _tensors(params)]
-    header = {
+        _check_width(standardization, params.n_features)
+    blob = json.dumps(_header(params, standardization, extra), sort_keys=True).encode("utf-8")
+    with open(path, "wb") as fh:
+        fh.write(CHECKPOINT_MAGIC)
+        fh.write(len(blob).to_bytes(8, "little"))
+        fh.write(blob)
+        for _, vec, where, _, _ in _placed(params):
+            fh.write(np.ascontiguousarray(vec[where], dtype="<f8").tobytes())
+
+
+def _header(params: ResSurvParams, standardization: StandardizationParams | None,
+            extra: dict | None) -> dict:
+    return {
         "format": CHECKPOINT_FORMAT,
         "activation_kind": params.activation_kind,
         "dropout_rate": params.dropout_rate,
-        "n_features": params.in_dim,
-        "block_widths": [b.dense_layers[-1].W.shape[0] for b in params.blocks],
-        "dense_layers_per_block": len(params.blocks[0].dense_layers),
-        "with_shortcut": params.blocks[0].shortcut is not None,
+        "n_features": params.n_features,
+        "block_widths": params.block_widths,
+        "dense_layers_per_block": params.dense_layers_per_block,
+        "with_shortcut": params.with_shortcut,
         "batch_norm": [
             {
                 "block": bi,
@@ -681,15 +699,8 @@ def save_checkpoint(
             }
         ),
         "extra": extra,
-        "arrays": [{"name": name, "shape": list(arr.shape)} for name, arr in arrays],
+        "arrays": [{"name": name, "shape": list(shape)} for name, shape, _, _ in params._table()],
     }
-    blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(len(blob).to_bytes(8, "little"))
-        fh.write(blob)
-        for _, arr in arrays:
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
 def load_checkpoint(
@@ -697,42 +708,43 @@ def load_checkpoint(
 ) -> tuple[ResSurvParams, StandardizationParams | None, dict | None]:
     """Read a checkpoint written by `save_checkpoint`.
 
-    A file that is cut short, carries bytes after the last array, or has a
-    header that is unreadable or does not describe this format's network
-    raises one `ValueError` naming the file (and the array, where one is at
-    fault). The header must hold every key `save_checkpoint` writes, an
-    array manifest naming every tensor of the architecture in layout order
-    with its shape, one batch-norm entry per batch norm in that order, with
-    this module's epsilon and momentum, and a standardization (if any) of
-    the network's input width. The header and the size of the array data
-    are checked before the network is built, so that a small file cannot
-    make this allocate a large network."""
+    A file that is cut short, carries bytes after the last array, declares
+    a header longer than the rest of the file, or has a header that is
+    unreadable or does not describe this format's network raises one
+    `ValueError` naming the file (and the array, where one is at fault).
+    The header must be the one `save_checkpoint` writes for the network it
+    describes: every key, an array manifest naming every tensor of the
+    architecture in layout order with its shape, one batch-norm entry per
+    batch norm in that order, with this module's epsilon and momentum, a
+    standardization (if any) of the network's input width, and integers
+    (not true or 1.0) where integers are written. The header and the size
+    of the array data are checked before the network is built, so that a
+    small file cannot make this allocate a large network."""
     with open(path, "rb") as fh:
         magic = fh.read(len(CHECKPOINT_MAGIC))
         if magic != CHECKPOINT_MAGIC:
             raise ValueError(f"{path}: not a checkpoint file")
         header_len = int.from_bytes(fh.read(8), "little")
-        blob = fh.read(header_len)
+        left = os.fstat(fh.fileno()).st_size - fh.tell()
         try:
-            if len(blob) != header_len:
-                raise ValueError(f"{len(blob)} of {header_len} bytes")
-            header = json.loads(blob.decode("utf-8"))
+            if header_len > left:
+                raise ValueError(f"{left} of {header_len} bytes")
+            header = json.loads(fh.read(header_len).decode("utf-8"))
         except ValueError as err:   # JSONDecodeError and UnicodeDecodeError too
             raise ValueError(f"{path}: unreadable checkpoint header: {err}") from None
         fmt = header.get("format") if isinstance(header, dict) else None
         if fmt != CHECKPOINT_FORMAT:
             raise ValueError(f"{path}: unsupported format {fmt!r}")
         try:
-            params, std, extra = _network_of(header, os.fstat(fh.fileno()).st_size - fh.tell())
+            params, std, extra = _network_of(header, left - header_len)
         except _ArrayBytesError as err:
             raise ValueError(f"{path}: {err}") from None
         except (KeyError, TypeError, ValueError) as err:
             what = f"missing key {err}" if isinstance(err, KeyError) else err
             raise ValueError(f"{path}: checkpoint header does not describe a "
                              f"network: {what}") from None
-        for t in _tensors(params):
-            raw = fh.read(t.array.size * 8)
-            t.array[...] = np.frombuffer(raw, dtype="<f8").reshape(t.array.shape)
+        for _, vec, where, _, _ in _placed(params):
+            vec[where] = np.frombuffer(fh.read(8 * (where.stop - where.start)), dtype="<f8")
     return params, std, extra
 
 
@@ -740,35 +752,19 @@ class _ArrayBytesError(Exception):
     """The bytes after a checkpoint header are not the arrays it lists."""
 
 
-def _declared_layout(n_features, block_widths, dense_layers_per_block, with_shortcut):
-    """(name, shape) of every tensor of the network `init_params` builds
-    from these arguments, in `_tensors` order, without building it."""
-    in_dim = n_features
-    for bi, width in enumerate(block_widths):
-        for li in range(dense_layers_per_block):
-            prefix = f"block{bi}.layer{li}"
-            yield f"{prefix}.W", (width, in_dim if li == 0 else width)
-            for name in ("b", "bn.gamma", "bn.beta", "bn.running_mean", "bn.running_var"):
-                yield f"{prefix}.{name}", (width,)
-        if with_shortcut:
-            yield f"block{bi}.shortcut.W", (width, in_dim)
-        in_dim = width
-    yield "head.W", (1, in_dim)
-    yield "head.b", (1,)
-
-
 def _network_of(header: dict, data_bytes: int):
     """(params, standardization, extra) of a checkpoint header followed by
     `data_bytes` bytes of array data: the network with its batch-norm update
-    counts set and every tensor still at its initial value. Raises KeyError,
-    TypeError or ValueError where the header does not describe that network
-    exactly, and `_ArrayBytesError` where the data is not the size of its
-    arrays. Both are checked before the network is built, so that a small
-    file cannot make this allocate a large network."""
+    counts set and both vectors zero. Raises KeyError, TypeError or
+    ValueError where the header does not describe that network exactly, and
+    `_ArrayBytesError` where the data is not the size of its arrays. Both
+    are checked before the network is built, so that a small file cannot
+    make this allocate a large network."""
+    n_features, widths, depth, shortcut = (header[key] for key in (
+        "n_features", "block_widths", "dense_layers_per_block", "with_shortcut"))
     manifest = [(entry["name"], tuple(entry["shape"])) for entry in header["arrays"]]
-    layout = _declared_layout(header["n_features"], header["block_widths"],
-                              header["dense_layers_per_block"], header["with_shortcut"])
-    for i, (got, want) in enumerate(zip_longest(manifest, layout)):
+    table = (entry[:2] for entry in _layout(n_features, widths, depth, shortcut))
+    for i, (got, want) in enumerate(zip_longest(manifest, table)):
         if got != want:
             raise ValueError(f"array manifest entry {i} is {got}, expected {want}")
     for name, shape in manifest:
@@ -778,32 +774,30 @@ def _network_of(header: dict, data_bytes: int):
         data_bytes -= size
     if data_bytes:
         raise _ArrayBytesError(f"unexpected bytes after the last array {name!r}")
-    params = init_params(
-        n_features=header["n_features"],
-        block_widths=header["block_widths"],
-        dense_layers_per_block=header["dense_layers_per_block"],
-        activation_kind=header["activation_kind"],
-        dropout_rate=header["dropout_rate"],
-        seed=0,
-        with_shortcut=header["with_shortcut"],
-    )
+    params = ResSurvParams(n_features, widths, depth, header["activation_kind"],
+                           header["dropout_rate"], shortcut)
     norms = [(bi, li, bn) for bi, block in enumerate(params.blocks)
              for li, bn in enumerate(block.batch_norms)]
-    entries = header["batch_norm"]
-    if len(entries) != len(norms):
-        raise ValueError(f"{len(entries)} batch_norm entries for {len(norms)} batch norms")
-    for (bi, li, bn), meta in zip(norms, entries):
+    # fewer or more entries than batch norms fail the comparison below
+    for (bi, li, bn), meta in zip(norms, header["batch_norm"]):
         n_updates = meta["n_updates"]
         fixed = [meta[key] for key in ("block", "layer", "epsilon", "momentum")]
         if (fixed != [bi, li, BN_EPSILON, BN_MOMENTUM]
-                or not isinstance(n_updates, int) or n_updates < 0):
+                or type(n_updates) is not int or n_updates < 0):
             raise ValueError(f"batch_norm entry {meta} does not match block {bi}, "
                              f"layer {li}, epsilon {BN_EPSILON}, momentum {BN_MOMENTUM}")
         bn.n_updates = n_updates
     std = header["standardization"]
     if std is not None:
         std = StandardizationParams(np.array(std["means"]), np.array(std["stddevs"]))
-        _check_width(std, params.in_dim)
+        _check_width(std, params.n_features)
+    # what the checks above let pass for equal (true or 1.0 for 1, an int
+    # for a float, keys this module does not write) would not save back
+    written = _header(params, std, header["extra"])
+    for key in sorted(header.keys() | written.keys()):
+        got, want = (json.dumps(h.get(key, "<absent>"), sort_keys=True) for h in (header, written))
+        if got != want:
+            raise ValueError(f"{key} is {got[:80]}, this network writes {want[:80]}")
     return params, std, header["extra"]
 
 

@@ -10,7 +10,6 @@ carried separately and never enters deterministic report content.
 
 from __future__ import annotations
 
-import math
 import os
 import pickle
 import shutil
@@ -19,10 +18,9 @@ import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, replace
 from itertools import islice, product, repeat
 from multiprocessing import get_context
-from numbers import Integral, Real
 
 import numpy as np
 
@@ -30,6 +28,7 @@ from . import cox
 from .data import (
     FoldAssignment,
     SurvivalDataset,
+    check_field_types,
     kfold_split,
     prepare_fold,
     stratified_holdout,
@@ -119,16 +118,7 @@ class Hyperparameters:
     seed: int = 0
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            # bool is an Integral; JSON true must not pass for 1
-            if f.type == "int" and (isinstance(value, bool)
-                                    or not isinstance(value, Integral)):
-                raise ValueError(f"{f.name} must be an integer, not {value!r}")
-            if f.type == "float" and (isinstance(value, bool)
-                                      or not isinstance(value, Real)
-                                      or not math.isfinite(value)):
-                raise ValueError(f"{f.name} must be a finite number, not {value!r}")
+        check_field_types(self)
         object.__setattr__(self, "optimizer_kind", str(self.optimizer_kind).lower())
         object.__setattr__(self, "activation_kind", str(self.activation_kind).lower())
         if self.optimizer_kind not in OPTIMIZER_KINDS:
@@ -373,12 +363,12 @@ def train(
         lr_used = state.lr
         h, cache = model_forward(train_ds.features, params, mode="train",
                                  stream=stream, epoch=epoch, cache=cache)
-        penalty, penalty_grad = cox.l2_penalty(params.flat, loss_lambda, mask)
-        train_loss = cox.neg_log_partial_likelihood(h, train_index) + penalty
+        grads = model_backward(cox.nll_gradient(h, train_index), params, cache)
+        # the penalty's gradient goes into grads in place
+        train_loss = (cox.neg_log_partial_likelihood(h, train_index)
+                      + cox.l2_penalty(params.flat, loss_lambda, mask, grads))
         if not np.isfinite(train_loss):
             raise DivergenceError(epoch, "training loss")
-        grads = model_backward(cox.nll_gradient(h, train_index), params, cache)
-        grads += penalty_grad
         step_fn(params.flat, grads, state, hp)
         decay_learning_rate(state, hp, epoch)
 

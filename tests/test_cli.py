@@ -96,6 +96,20 @@ def test_synth_rejects_bad_spec(tmp_path):
     assert main(["synth", "--spec", spec, "--out", str(tmp_path / "x.csv")]) == 2
 
 
+@pytest.mark.parametrize("field, value", [
+    ("n", 2.5), ("n", True), ("p", "3"), ("seed", None),
+    ("weibull_shape", True), ("target_censor_rate", "0.3"),
+])
+def test_synth_mistyped_spec_field_exits_2_naming_it(tmp_path, capsys, field, value):
+    # n = 2.5 ended in a TypeError traceback (exit 1); n = true made 1 row
+    spec = _write_json(tmp_path / "spec.json", dict(SYNTH_SPEC, **{field: value}))
+    out = tmp_path / "x.csv"
+    assert main(["synth", "--spec", spec, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field} must be ")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("extra", [["--seed", "5"], ["--format", "tsv"]])
 def test_synth_takes_only_spec_and_out(tmp_path, extra):
     spec = _write_json(tmp_path / "spec.json", SYNTH_SPEC)
@@ -342,6 +356,17 @@ def test_gridsearch_worker_count_does_not_change_reports(tmp_path, data_csv):
                      "--out", str(out)]) == 0
     assert (out1 / "points.jsonl").read_bytes() == (out4 / "points.jsonl").read_bytes()
     assert (out1 / "summary.json").read_bytes() == (out4 / "summary.json").read_bytes()
+
+
+@pytest.mark.parametrize("base", [5, None, [1]])
+def test_grid_file_base_that_is_not_an_object_exits_2(tmp_path, data_csv, capsys, base):
+    # a base of 5 or null ended in a TypeError traceback (exit 1)
+    grid = _grid_file(tmp_path, {"learning_rate": [1e-2]}, base)
+    assert main(["gridsearch", "--data", data_csv, "--grid", grid, "--k", "2",
+                 "--workers", "1", "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: grid file 'base' must be an object")
+    assert "Traceback" not in err
 
 
 def test_gridsearch_flat_grid_file_without_base(tmp_path, data_csv):

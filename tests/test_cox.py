@@ -178,24 +178,39 @@ def test_gradient_with_ties_matches_fd():
 
 def test_l2_penalty_value_and_gradient():
     w = np.array([1.0, -2.0, 3.0])
-    value, grad = l2_penalty(w, 0.5, np.ones(3, dtype=bool))
+    grad = np.full(3, 0.5)
+    value = l2_penalty(w, 0.5, np.ones(3, dtype=bool), grad)
     assert abs(value - 0.5 * 14.0) < 1e-12
-    np.testing.assert_allclose(grad, w)  # 2 * 0.5 * w
+    np.testing.assert_allclose(grad, 0.5 + w)  # 2 * 0.5 * w, added in place
 
 
 def test_l2_penalty_mask():
     w = np.array([1.0, -2.0, 3.0])
     mask = np.array([True, False, True])
-    value, grad = l2_penalty(w, 1.0, mask)
+    grad = np.ones(3)
+    value = l2_penalty(w, 1.0, mask, grad)
     assert abs(value - 10.0) < 1e-12
-    np.testing.assert_allclose(grad, [2.0, 0.0, 6.0])
+    np.testing.assert_allclose(grad, [3.0, 1.0, 7.0])
 
 
 def test_l2_penalty_zero_lambda():
     w = np.ones(4)
-    value, grad = l2_penalty(w, 0.0, np.ones(4, dtype=bool))
-    assert value == 0.0
-    assert not grad.any()
+    grad = np.arange(4.0)
+    assert l2_penalty(w, 0.0, np.ones(4, dtype=bool), grad) == 0.0
+    assert np.array_equal(grad, np.arange(4.0))
+
+
+def test_l2_penalty_matches_the_allocating_formula_bit_for_bit():
+    # the in-place add gives the bits of g + where(mask, 2 lam w, 0) and the
+    # value lam * dot(w[mask], w[mask])
+    rng = np.random.default_rng(4)
+    w, g = rng.normal(size=500), rng.normal(size=500)
+    mask = rng.random(500) < 0.7
+    lam = 0.037
+    grad = g.copy()
+    value = l2_penalty(w, lam, mask, grad)
+    assert value == float(lam * np.dot(w[mask], w[mask]))
+    assert np.array_equal(grad, g + np.where(mask, 2.0 * lam * w, 0.0))
 
 
 # ---------------------------------------------------------------------------

@@ -842,15 +842,33 @@ def test_checkpoint_rejects_foreign_file(tmp_path):
     (lambda b: b + b"\0", "unexpected bytes after the last array 'head.b'"),
     (lambda b: b[:-4], r"array 'head.b' is truncated \(4 of 8 bytes\)"),
     (lambda b: b[:40], "unreadable checkpoint header"),
-], ids=["trailing-bytes", "truncated-array", "cut-header"])
+    # 31-byte files whose length field declares more than is left: the
+    # header was read first, which raised MemoryError or OverflowError
+    (lambda b: _with_header_length(b, 2**33)[:31],
+     r"unreadable checkpoint header: 10 of 8589934592 bytes"),
+    (lambda b: _with_header_length(b, 2**63)[:31],
+     r"unreadable checkpoint header: 10 of 9223372036854775808 bytes"),
+], ids=["trailing-bytes", "truncated-array", "cut-header", "header-length-2^33",
+        "header-length-2^63"])
 def test_checkpoint_damage_fails_fast_naming_file_and_array(tmp_path, damage, message):
     params = init_params(3, [4], 2, "tanh", 0.0, seed=0)
     good, bad = tmp_path / "good.ckpt", tmp_path / "bad.ckpt"
     save_checkpoint(good, params)
     assert flat_layout(params)[-1][0] == "head.b"   # the last array stored
     bad.write_bytes(damage(good.read_bytes()))
-    with pytest.raises(ValueError, match=f"^{re.escape(str(bad))}: {message}"):
-        load_checkpoint(bad)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"^{re.escape(str(bad))}: {message}"):
+            load_checkpoint(bad)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
+def _with_header_length(raw: bytes, length: int) -> bytes:
+    start = len(CHECKPOINT_MAGIC)
+    return raw[:start] + length.to_bytes(8, "little") + raw[start + 8:]
 
 
 def _edit_header(path, edit, cut=0):
@@ -894,8 +912,16 @@ def _swap_first_bias_and_gamma(header):
     (lambda h: h.update(n_features=4_000_000), 0,
      r"array manifest entry 0 is \('block0.layer0.W', \(4, 3\)\), "
      r"expected \('block0.layer0.W', \(4, 4000000\)\)"),
+    # true or 1 where the other is written: each loaded, some saved back
+    # other bytes, and a shortcut flag of 1 built the shortcuts
+    (lambda h: h.update(with_shortcut=1), 0, "with_shortcut must be true or false, not 1"),
+    (lambda h: h["batch_norm"][0].update(n_updates=True), 0,
+     "batch_norm entry .* does not match block 0, layer 0, "),
+    (lambda h: h["arrays"][-1].update(shape=[True]), 0,
+     r"arrays is .*, this network writes "),
 ], ids=["omitted-array", "reordered-arrays", "missing-key", "batch-norm-out-of-range",
-        "batch-norm-epsilon", "standardization-width", "huge-declared-network"])
+        "batch-norm-epsilon", "standardization-width", "huge-declared-network",
+        "shortcut-flag-1", "update-count-true", "shape-true"])
 def test_checkpoint_header_must_describe_the_network(tmp_path, edit, cut, message):
     params = init_params(3, [4], 2, "tanh", 0.0, seed=0)
     params.output_head.b[...] = 7.0
@@ -937,6 +963,89 @@ def test_checkpoint_too_short_for_its_declared_network_fails_before_building_it(
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000
+
+
+def _json_paths(value, path=()):
+    """(path, value) of a JSON value and of every value inside it."""
+    yield path, value
+    items = (value.items() if isinstance(value, dict)
+             else enumerate(value) if isinstance(value, list) else ())
+    for key, item in items:
+        yield from _json_paths(item, path + (key,))
+
+
+def _at(root, path):
+    for key in path:
+        root = root[key]
+    return root
+
+
+def _replaced(root, path, value):
+    if not path:
+        return value
+    _at(root, path[:-1])[path[-1]] = value
+    return root
+
+
+@settings(max_examples=200, deadline=None)
+@given(with_shortcut=st.booleans(), data=st.data())
+def test_damaged_checkpoint_header_fails_fast_or_saves_back_the_same_bytes(
+        with_shortcut, data):
+    # a feature count, a width, a layer count, shapes and update counts of
+    # 1, where true or 1.0 compares equal to the integer 1
+    params = init_params(1, [2, 1], 1, "tanh", 0.0, seed=0, with_shortcut=with_shortcut)
+    model_forward(np.array([[0.5], [-1.0], [2.0]]), params, mode="train")
+    std = StandardizationParams(np.array([0.5]), np.array([2.0]))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "model.ckpt")
+        save_checkpoint(path, params, standardization=std, extra={"seed": 1, "tag": "x"})
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        start = len(CHECKPOINT_MAGIC) + 8
+        end = start + int.from_bytes(raw[start - 8:start], "little")
+        header = json.loads(raw[start:end])
+        paths = list(_json_paths(header))
+        kind = data.draw(st.sampled_from(["drop", "swap", "perturb", "reorder", "length"]))
+        length = None
+        if kind == "drop":
+            where = data.draw(st.sampled_from(
+                [p for p, _ in paths if p and isinstance(_at(header, p[:-1]), dict)]))
+            del _at(header, where[:-1])[where[-1]]
+        elif kind == "swap":
+            where = data.draw(st.sampled_from([p for p, _ in paths]))
+            header = _replaced(header, where, data.draw(st.one_of(
+                st.booleans(), st.floats(), st.text(max_size=3),
+                st.lists(st.integers(-2, 5), max_size=3))))
+        elif kind == "perturb":
+            where, value = data.draw(st.sampled_from(
+                [(p, v) for p, v in paths if type(v) is int]))
+            header = _replaced(header, where, value + data.draw(
+                st.sampled_from([-2, -1, 1, 2, 2**40])))
+        elif kind == "reorder":
+            header["arrays"] = data.draw(st.permutations(header["arrays"]))
+        else:
+            length = data.draw(st.one_of(st.integers(0, 2**64 - 1),
+                                         st.sampled_from([2**33, 2**63, 2**64 - 1]),
+                                         st.integers(end - start - 8, end - start + 8)))
+        blob = json.dumps(header, sort_keys=True).encode("utf-8")
+        edited = (raw[:start - 8] + (len(blob) if length is None else length).to_bytes(8, "little")
+                  + blob + raw[end:])
+        with open(path, "wb") as fh:
+            fh.write(edited)
+
+        tracemalloc.start()
+        try:
+            loaded = load_checkpoint(path)
+        except ValueError as err:
+            assert str(err).startswith(f"{path}: "), err
+            assert tracemalloc.get_traced_memory()[1] < 1_000_000
+            return
+        finally:
+            tracemalloc.stop()
+        resaved = os.path.join(tmp, "resaved.ckpt")
+        save_checkpoint(resaved, *loaded)
+        with open(resaved, "rb") as fh:
+            assert fh.read() == edited
 
 
 def test_checkpoint_save_rejects_standardization_of_another_width(tmp_path):

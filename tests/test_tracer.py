@@ -1,11 +1,13 @@
-"""The package surface that the benchmark's tracer reads.
+"""The package surface that the benchmark reads.
 
 `perfbench/tracer.py` patches functions and methods of the package by name
 and reads the parameter tree (`params.blocks`, `block.dense_layers`,
 `block.shortcut`, `params.output_head`) and the train-mode forward cache.
 In a pooled run the training happens in worker processes, where nothing is
 traced, so a break in that surface would go unnoticed there; these tests
-trace small in-process (`--workers 1`) runs.
+trace small in-process (`--workers 1`) runs. `perfbench/run.py` also calls
+the package directly, untraced, for its linear-Cox oracle and its
+environment record; a test runs that path too.
 """
 
 import importlib.util
@@ -61,3 +63,25 @@ def test_tracer_reads_an_in_process_run(tmp_path, command, nonzero):
     summary = tracer.summarize(json.loads(spans.read_text()), wall)
     for metric in nonzero:
         assert summary[metric] > 0, metric
+
+
+def test_benchmark_oracle_and_environment_run_on_the_package(tmp_path, monkeypatch):
+    # run.py imports its sibling as `tracer`; its dataclasses need it in sys.modules
+    spec = importlib.util.spec_from_file_location("perfbench_run", ROOT / "perfbench" / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "tracer", tracer)
+    monkeypatch.setitem(sys.modules, "perfbench_run", run)
+    spec.loader.exec_module(run)
+    w = run.Workload(command="cv", n=200, p=4, coefficients=(1.0, -0.8, 0.5), k=3,
+                     epochs=2, net={}, records="folds.jsonl")
+    run.write_inputs(w, 3, tmp_path)
+    from ressurv.cli import main
+    assert main(["synth", "--spec", str(tmp_path / "spec.json"),
+                 "--out", str(tmp_path / "data.csv")]) == 0
+    tally = run.Tally()
+    oracle, figures = run.linear_cox_oracle(w, 3, tmp_path, run.truth_c_index(tmp_path), tally)
+    assert tally.attempted == 2 and tally.failed == 0
+    assert 0.5 < oracle <= 1.0
+    assert figures["cox.newton_iters"] > 0
+    env = run.environment("cv-paper", 3)
+    assert env["workload"] == "cv-paper" and env["kernel_backend"]
