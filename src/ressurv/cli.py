@@ -182,6 +182,8 @@ def _read_json_file(path: str, what: str) -> dict:
         raise ValueError(f"cannot read {what} file {path}: {err}") from err
     except json.JSONDecodeError as err:
         raise ValueError(f"{what} file {path} is not valid JSON: {err}") from err
+    except UnicodeDecodeError as err:
+        raise ValueError(f"{what} file {path} is not UTF-8 text: {err}") from None
     if not isinstance(raw, dict):
         raise ValueError(f"{what} file {path} must hold a JSON object")
     return raw
@@ -215,12 +217,11 @@ def load_synth_spec(path: str) -> SyntheticSpec:
     unknown = set(raw) - known
     if unknown:
         raise ValueError(f"unknown synthetic-spec keys: {sorted(unknown)}")
-    if raw.get("true_coefficients") is not None:
-        raw["true_coefficients"] = np.asarray(raw["true_coefficients"], dtype=np.float64)
-    try:
-        return SyntheticSpec(**raw)
-    except TypeError as err:
-        raise ValueError(f"incomplete synthetic spec: {err}") from err
+    missing = sorted(f.name for f in dataclasses.fields(SyntheticSpec)
+                     if f.default is dataclasses.MISSING and f.name not in raw)
+    if missing:
+        raise ValueError(f"incomplete synthetic spec: missing {missing}")
+    return SyntheticSpec(**raw)
 
 
 def _load_dataset(path: str) -> SurvivalDataset:

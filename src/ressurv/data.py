@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from numbers import Integral, Real
 
@@ -28,6 +29,16 @@ HAZARD_KINDS = ("linear", "interaction", "deep")
 MIN_VARIANCE = 1e-8
 
 
+def _finite_number(value) -> bool:
+    """A real number, not a bool, that float64 holds as a finite value."""
+    if isinstance(value, bool) or not isinstance(value, Real):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:   # an int beyond float64's range
+        return False
+
+
 def check_field_types(obj) -> None:
     """Refuse a dataclass field value of the wrong type with a ValueError
     naming the field: int fields take integers only (not bools, not 2.5),
@@ -40,8 +51,7 @@ def check_field_types(obj) -> None:
         # bool is an Integral; JSON true must not pass for 1
         if f.type == "int" and (isinstance(value, bool) or not isinstance(value, Integral)):
             raise ValueError(f"{f.name} must be an integer, not {value!r}")
-        if f.type == "float" and (isinstance(value, bool) or not isinstance(value, Real)
-                                  or not math.isfinite(value)):
+        if f.type == "float" and not _finite_number(value):
             raise ValueError(f"{f.name} must be a finite number, not {value!r}")
         if f.type == "bool" and not isinstance(value, bool):
             raise ValueError(f"{f.name} must be true or false, not {value!r}")
@@ -208,7 +218,8 @@ def _check_features(features: np.ndarray, names: list[str]) -> None:
 
 @dataclass(frozen=True)
 class StandardizationParams:
-    """Per-feature mean and population standard deviation."""
+    """Per-feature mean and population standard deviation: finite, and the
+    deviations positive."""
 
     means: np.ndarray
     stddevs: np.ndarray
@@ -218,6 +229,8 @@ class StandardizationParams:
         stds = np.asarray(self.stddevs, dtype=np.float64).ravel()
         if means.shape != stds.shape:
             raise ValueError("means and stddevs must have the same length")
+        if not (np.isfinite(means).all() and np.isfinite(stds).all()):
+            raise ValueError("means and stddevs must be finite")
         if not (stds > 0).all():
             raise ValueError("all stddevs must be strictly positive")
         means.flags.writeable = False
@@ -289,17 +302,20 @@ class SyntheticSpec:
             raise ValueError("target_censor_rate must lie in [0, 1)")
         if self.weibull_shape <= 0 or self.baseline_scale <= 0:
             raise ValueError("weibull_shape and baseline_scale must be positive")
+        coefs = self.true_coefficients
+        if isinstance(coefs, np.ndarray):
+            coefs = coefs.tolist()   # a 0-d array becomes a number
+        if coefs is not None:
+            if (isinstance(coefs, (str, bytes)) or not isinstance(coefs, Sequence)
+                    or not all(_finite_number(c) for c in coefs)):
+                raise ValueError(f"true_coefficients must be a list of finite numbers, "
+                                 f"not {coefs!r}")
+            object.__setattr__(self, "true_coefficients", tuple(float(c) for c in coefs))
         if self.hazard_kind == "linear":
-            if self.true_coefficients is None:
+            if coefs is None:
                 raise ValueError("linear hazard requires true_coefficients")
-            if len(self.true_coefficients) != self.p:
-                raise ValueError(
-                    f"true_coefficients has length {len(self.true_coefficients)}, "
-                    f"expected p={self.p}"
-                )
-            object.__setattr__(
-                self, "true_coefficients", tuple(float(c) for c in self.true_coefficients)
-            )
+            if len(coefs) != self.p:
+                raise ValueError(f"true_coefficients has length {len(coefs)}, expected p={self.p}")
         elif self.hazard_kind == "interaction" and self.p < 2:
             raise ValueError("interaction hazard requires p >= 2")
         elif self.hazard_kind == "deep" and self.p < 3:
@@ -325,6 +341,14 @@ def _parse_event(token: str, row: int) -> bool:
     raise DataRowError(row, f"event value {token!r} is not one of 0/1/true/false")
 
 
+def _utf8_lines(fh, path):
+    try:
+        yield from fh
+    except UnicodeDecodeError as err:
+        raise SchemaError(f"{path}: not UTF-8 text ({err.reason}: byte "
+                          f"0x{err.object[err.start]:02x})") from None
+
+
 def load_csv(path) -> SurvivalDataset:
     """Load a survival dataset from CSV.
 
@@ -333,10 +357,11 @@ def load_csv(path) -> SurvivalDataset:
     feature. Parsing is fail-fast: a wrong cell count, a missing or
     non-numeric time or feature, or a bad event token raises `DataRowError`
     naming the 1-based data row. The values are then checked by the
-    `SurvivalDataset` constructor, which names the row too.
+    `SurvivalDataset` constructor, which names the row too. A file that is
+    not UTF-8 text raises `SchemaError` naming the file.
     """
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+        reader = csv.reader(_utf8_lines(fh, path))
         try:
             header = next(reader)
         except StopIteration:
@@ -443,8 +468,9 @@ def filter_features(ds: SurvivalDataset) -> tuple[SurvivalDataset, list[str]]:
 def standardize_fit(ds: SurvivalDataset) -> StandardizationParams:
     """Per-feature mean and population (divide-by-n) standard deviation.
 
-    Raises on zero-variance features, naming the first offender; run
-    `filter_features` first.
+    Raises on zero-variance features, naming the first offender (run
+    `filter_features` first), and on features whose mean or deviation
+    overflows float64 (values near ±1e308).
     """
     means = ds.features.mean(axis=0)
     stds = ds.features.std(axis=0)   # population convention
@@ -453,6 +479,13 @@ def standardize_fit(ds: SurvivalDataset) -> StandardizationParams:
         raise UnusableDatasetError(
             f"feature {ds.feature_names[bad[0]]!r} has zero variance; "
             "run filter_features first"
+        )
+    bad = np.flatnonzero(~(np.isfinite(means) & np.isfinite(stds)))
+    if bad.size:
+        j = bad[0]
+        raise UnusableDatasetError(
+            f"feature {ds.feature_names[j]!r} has mean {means[j]} and standard deviation "
+            f"{stds[j]}; its values overflow float64"
         )
     return StandardizationParams(means, stds)
 

@@ -22,8 +22,8 @@ import json
 import math
 import os
 from copy import deepcopy
-from dataclasses import InitVar, dataclass, field
-from itertools import count, repeat, zip_longest
+from dataclasses import dataclass, field
+from itertools import count, zip_longest
 from numbers import Integral
 
 import numpy as np
@@ -70,7 +70,6 @@ class BatchNormParams:
     beta_shift: np.ndarray
     running_mean: np.ndarray
     running_var: np.ndarray
-    n_updates: int = 0
 
     @classmethod
     def identity(cls, dim: int):
@@ -122,8 +121,9 @@ class ResSurvParams:
     `stats` the batch-norm running statistics (zeros where not given).
 
     `blocks` and `output_head` are views into the two vectors: writing
-    through a vector changes the tensors and vice versa. Each batch norm
-    keeps its own update count (`n_updates`, zeros where not given).
+    through a vector changes the tensors and vice versa. `n_updates` counts
+    the train-mode forward passes, each of which updated every batch norm's
+    running statistics once.
     """
 
     n_features: int
@@ -134,11 +134,11 @@ class ResSurvParams:
     with_shortcut: bool = True
     flat: np.ndarray | None = field(default=None, repr=False)
     stats: np.ndarray | None = field(default=None, repr=False)
-    n_updates: InitVar[list[int] | None] = None
+    n_updates: int = 0
     blocks: list[ResBlockParams] = field(init=False, repr=False)
     output_head: DenseLayerParams = field(init=False, repr=False)
 
-    def __post_init__(self, n_updates):
+    def __post_init__(self):
         check_field_types(self)
         if self.activation_kind not in ACTIVATION_KINDS:
             raise ValueError(f"unknown activation {self.activation_kind!r}")
@@ -151,6 +151,8 @@ class ResSurvParams:
             raise ValueError("widths and feature count must be positive")
         if self.dense_layers_per_block < 1:
             raise ValueError("need at least one dense layer per block")
+        if self.n_updates < 0:
+            raise ValueError(f"n_updates must be >= 0, not {self.n_updates}")
         # plain ints, so that a checkpoint header can hold them
         self.n_features = int(self.n_features)
         self.block_widths = [int(w) for w in widths]
@@ -168,13 +170,12 @@ class ResSurvParams:
         def dense(prefix):
             return DenseLayerParams(views[f"{prefix}.W"], views.get(f"{prefix}.b"))
 
-        counts = repeat(0) if n_updates is None else iter(n_updates)
         self.blocks = []
         for bi in range(len(self.block_widths)):
             layers = [f"block{bi}.layer{li}" for li in range(self.dense_layers_per_block)]
             norms = [BatchNormParams(*(views[f"{layer}.bn.{name}"] for name in
-                                       ("gamma", "beta", "running_mean", "running_var")),
-                                     n_updates=next(counts)) for layer in layers]
+                                       ("gamma", "beta", "running_mean", "running_var")))
+                     for layer in layers]
             shortcut = dense(f"block{bi}.shortcut") if self.with_shortcut else None
             self.blocks.append(ResBlockParams([dense(layer) for layer in layers], norms,
                                               shortcut))
@@ -184,19 +185,15 @@ class ResSurvParams:
         return _layout(self.n_features, self.block_widths,
                        self.dense_layers_per_block, self.with_shortcut)
 
-    @property
-    def batch_norms(self) -> list[BatchNormParams]:
-        return [bn for block in self.blocks for bn in block.batch_norms]
-
     def __reduce__(self):
         # pickle and deepcopy rebuild the views over the clone's own vectors
         return (type(self), (self.n_features, self.block_widths, self.dense_layers_per_block,
                              self.activation_kind, self.dropout_rate, self.with_shortcut,
-                             self.flat, self.stats, [bn.n_updates for bn in self.batch_norms]))
+                             self.flat, self.stats, self.n_updates))
 
     def copy(self) -> "ResSurvParams":
-        """Independent snapshot: copies of the two vectors plus the batch-norm
-        update counts; used to keep the best epoch during training."""
+        """Independent snapshot: copies of the two vectors plus the update
+        count; used to keep the best epoch during training."""
         return deepcopy(self)
 
 
@@ -227,13 +224,12 @@ def init_params(
     params = ResSurvParams(n_features, block_widths, dense_layers_per_block,
                            activation_kind, dropout_rate, with_shortcut)
     rng = np.random.default_rng(seed)
-    for _, vec, where, shape, decayed in _placed(params):
+    for name, vec, where, shape, decayed in _placed(params):
         if decayed:   # a weight matrix
             limit = np.sqrt(6.0 / (shape[0] + shape[1]))
             vec[where] = rng.uniform(-limit, limit, size=shape).ravel()
-    for bn in params.batch_norms:
-        bn.gamma[...] = 1.0
-        bn.running_var[...] = 1.0
+        elif name.endswith((".bn.gamma", ".bn.running_var")):
+            vec[where] = 1.0
     return params
 
 
@@ -331,12 +327,14 @@ def batchnorm_forward(
     inputs: np.ndarray,
     params: BatchNormParams,
     mode: str,
+    first: bool = False,
     xhat: np.ndarray | None = None,
     out: np.ndarray | None = None,
 ) -> tuple[np.ndarray, BatchNormCache | None]:
     """Normalize each feature across the batch (train) or by running
     statistics (eval); then scale by gamma and shift by beta. Train mode
-    folds the batch statistics into the running ones; eval mode leaves them.
+    folds the batch statistics into the running ones (copies them on the
+    network's `first` train-mode pass); eval mode leaves them.
 
     Train mode uses the population (divide-by-n) batch variance and needs a
     batch of at least 2 samples. The inputs are centred once into `xhat`
@@ -356,14 +354,13 @@ def batchnorm_forward(
         var = sq.sum(axis=0) / n
         inv_std = 1.0 / np.sqrt(var + BN_EPSILON)
         xhat *= inv_std
-        if params.n_updates == 0:
+        if first:
             params.running_mean[...] = mean
             params.running_var[...] = var
         else:
             m = BN_MOMENTUM
             params.running_mean[...] = (1.0 - m) * params.running_mean + m * mean
             params.running_var[...] = (1.0 - m) * params.running_var + m * var
-        params.n_updates += 1
         out = np.multiply(xhat, params.gamma, out=sq)
         out += params.beta_shift
         return out, BatchNormCache(xhat, inv_std, params.gamma)
@@ -515,7 +512,8 @@ def model_forward(
     activation -> dropout] per dense layer. Eval mode uses running
     batch-norm statistics and disables dropout, so predictions are
     deterministic and independent of batch composition, and builds no
-    caches. Train mode updates the running statistics, drops units with
+    caches. Train mode updates the running statistics (and counts the
+    pass in `params.n_updates`), drops units with
     the masks of `stream` (needed when the dropout rate is above 0), and
     returns the cache the backward pass needs: `cache`, written over, when
     an earlier train-mode forward's cache is handed in, else a new one.
@@ -538,6 +536,7 @@ def model_forward(
     # numpy allocate (out=None)
     n = X.shape[0]
     ws = (ModelCache() if cache is None else cache) if train else None
+    first = params.n_updates == 0
 
     def kept(key, width: int, dtype=np.float64):
         return None if ws is None else ws.array(key, (n, width), dtype)
@@ -555,7 +554,7 @@ def model_forward(
             width = dense.W.shape[0]
             z = np.matmul(a, dense.W.T, out=kept(("xhat", bi, li), width))
             z += dense.b
-            bn_out, bn_cache = batchnorm_forward(z, bn, mode, xhat=z,
+            bn_out, bn_cache = batchnorm_forward(z, bn, mode, first, xhat=z,
                                                  out=kept(("act", bi, li), width))
             # the layer's output: the next layer's input, or a temporary the
             # shortcut sum reads; tanh without dropout outputs its cache
@@ -583,6 +582,7 @@ def model_forward(
     h = (x @ head.W.T + head.b).ravel()
     if not train:
         return h, None
+    params.n_updates += 1
     ws.blocks, ws.head_in = block_caches, x
     return h, ws
 
@@ -652,14 +652,19 @@ def save_checkpoint(
     """Write a single self-describing checkpoint file.
 
     The format is deliberately bespoke: a magic line, a JSON header (layout,
-    batch-norm state, the standardization applied at training time, an array
-    manifest), then the raw row-major float64 little-endian tensor data.
+    batch-norm state, the standardization applied at training time, `extra`,
+    an array manifest), then the raw row-major float64 little-endian tensor data.
     Unlike a zip-based container it embeds no timestamps, so identical state
-    produces identical bytes. A standardization of another width than the
-    network's input raises ValueError before the file is opened.
+    produces identical bytes. `extra` is written as its JSON round trip
+    (string keys, lists for tuples), which is what `load_checkpoint` gives
+    back. A standardization of another width than the network's input, or
+    `extra` keys that are equal as JSON strings (1 and "1"), raise
+    ValueError before the file is opened.
     """
-    if standardization is not None:
-        _check_width(standardization, params.n_features)
+    text = json.dumps(extra)
+    extra = json.loads(text)
+    if json.dumps(extra) != text:
+        raise ValueError("extra has keys that are equal as JSON strings")
     blob = json.dumps(_header(params, standardization, extra), sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
@@ -671,6 +676,9 @@ def save_checkpoint(
 
 def _header(params: ResSurvParams, standardization: StandardizationParams | None,
             extra: dict | None) -> dict:
+    if standardization is not None and standardization.means.size != params.n_features:
+        raise ValueError(f"standardization of {standardization.means.size} features "
+                         f"for a network of {params.n_features} input features")
     return {
         "format": CHECKPOINT_FORMAT,
         "activation_kind": params.activation_kind,
@@ -685,10 +693,10 @@ def _header(params: ResSurvParams, standardization: StandardizationParams | None
                 "layer": li,
                 "epsilon": BN_EPSILON,
                 "momentum": BN_MOMENTUM,
-                "n_updates": bn.n_updates,
+                "n_updates": params.n_updates,
             }
-            for bi, block in enumerate(params.blocks)
-            for li, bn in enumerate(block.batch_norms)
+            for bi in range(len(params.block_widths))
+            for li in range(params.dense_layers_per_block)
         ],
         "standardization": (
             None
@@ -708,18 +716,15 @@ def load_checkpoint(
 ) -> tuple[ResSurvParams, StandardizationParams | None, dict | None]:
     """Read a checkpoint written by `save_checkpoint`.
 
-    A file that is cut short, carries bytes after the last array, declares
-    a header longer than the rest of the file, or has a header that is
-    unreadable or does not describe this format's network raises one
-    `ValueError` naming the file (and the array, where one is at fault).
-    The header must be the one `save_checkpoint` writes for the network it
-    describes: every key, an array manifest naming every tensor of the
-    architecture in layout order with its shape, one batch-norm entry per
-    batch norm in that order, with this module's epsilon and momentum, a
-    standardization (if any) of the network's input width, and integers
-    (not true or 1.0) where integers are written. The header and the size
-    of the array data are checked before the network is built, so that a
-    small file cannot make this allocate a large network."""
+    A file loads only if it is the bytes `save_checkpoint` writes for the
+    network it describes; anything else raises one `ValueError` naming the
+    file (and the array or header key at fault, where there is one). Three
+    guards run before the network is built, so that a small file cannot
+    make this allocate a large network: the header length field is compared
+    with the bytes left in the file, the array manifest with the tensor
+    table of the architecture the header names, and the size of the array
+    data with the manifest. Then the header must be, byte for byte, the one
+    `save_checkpoint` writes for the network built from it."""
     with open(path, "rb") as fh:
         magic = fh.read(len(CHECKPOINT_MAGIC))
         if magic != CHECKPOINT_MAGIC:
@@ -729,14 +734,15 @@ def load_checkpoint(
         try:
             if header_len > left:
                 raise ValueError(f"{left} of {header_len} bytes")
-            header = json.loads(fh.read(header_len).decode("utf-8"))
+            text = fh.read(header_len).decode("utf-8")
+            header = json.loads(text)
         except ValueError as err:   # JSONDecodeError and UnicodeDecodeError too
             raise ValueError(f"{path}: unreadable checkpoint header: {err}") from None
         fmt = header.get("format") if isinstance(header, dict) else None
         if fmt != CHECKPOINT_FORMAT:
             raise ValueError(f"{path}: unsupported format {fmt!r}")
         try:
-            params, std, extra = _network_of(header, left - header_len)
+            params, std, extra = _network_of(header, text, left - header_len)
         except _ArrayBytesError as err:
             raise ValueError(f"{path}: {err}") from None
         except (KeyError, TypeError, ValueError) as err:
@@ -752,14 +758,14 @@ class _ArrayBytesError(Exception):
     """The bytes after a checkpoint header are not the arrays it lists."""
 
 
-def _network_of(header: dict, data_bytes: int):
-    """(params, standardization, extra) of a checkpoint header followed by
-    `data_bytes` bytes of array data: the network with its batch-norm update
-    counts set and both vectors zero. Raises KeyError, TypeError or
-    ValueError where the header does not describe that network exactly, and
-    `_ArrayBytesError` where the data is not the size of its arrays. Both
-    are checked before the network is built, so that a small file cannot
-    make this allocate a large network."""
+def _network_of(header: dict, text: str, data_bytes: int):
+    """(params, standardization, extra) of the checkpoint header `header`,
+    parsed from `text` and followed by `data_bytes` bytes of array data: the
+    network with its update count set and both vectors zero. Raises
+    `_ArrayBytesError` where the data is not the size of the arrays the
+    manifest lists, and KeyError, TypeError or ValueError where the
+    manifest is not the architecture's or `text` is not what
+    `save_checkpoint` writes for that network."""
     n_features, widths, depth, shortcut = (header[key] for key in (
         "n_features", "block_widths", "dense_layers_per_block", "with_shortcut"))
     manifest = [(entry["name"], tuple(entry["shape"])) for entry in header["arrays"]]
@@ -774,34 +780,24 @@ def _network_of(header: dict, data_bytes: int):
         data_bytes -= size
     if data_bytes:
         raise _ArrayBytesError(f"unexpected bytes after the last array {name!r}")
+    norms = header["batch_norm"]   # an empty list fails the comparison below
     params = ResSurvParams(n_features, widths, depth, header["activation_kind"],
-                           header["dropout_rate"], shortcut)
-    norms = [(bi, li, bn) for bi, block in enumerate(params.blocks)
-             for li, bn in enumerate(block.batch_norms)]
-    # fewer or more entries than batch norms fail the comparison below
-    for (bi, li, bn), meta in zip(norms, header["batch_norm"]):
-        n_updates = meta["n_updates"]
-        fixed = [meta[key] for key in ("block", "layer", "epsilon", "momentum")]
-        if (fixed != [bi, li, BN_EPSILON, BN_MOMENTUM]
-                or type(n_updates) is not int or n_updates < 0):
-            raise ValueError(f"batch_norm entry {meta} does not match block {bi}, "
-                             f"layer {li}, epsilon {BN_EPSILON}, momentum {BN_MOMENTUM}")
-        bn.n_updates = n_updates
+                           header["dropout_rate"], shortcut,
+                           n_updates=norms[0]["n_updates"] if norms else 0)
     std = header["standardization"]
     if std is not None:
         std = StandardizationParams(np.array(std["means"]), np.array(std["stddevs"]))
-        _check_width(std, params.n_features)
-    # what the checks above let pass for equal (true or 1.0 for 1, an int
-    # for a float, keys this module does not write) would not save back
     written = _header(params, std, header["extra"])
-    for key in sorted(header.keys() | written.keys()):
-        got, want = (json.dumps(h.get(key, "<absent>"), sort_keys=True) for h in (header, written))
-        if got != want:
-            raise ValueError(f"{key} is {got[:80]}, this network writes {want[:80]}")
+    expected = json.dumps(written, sort_keys=True)
+    if text != expected:
+        # name the first key whose value differs, else the header's spelling
+        got, what = text, "header"
+        for key in sorted(header.keys() | written.keys()):
+            pair = [json.dumps(h.get(key, "<absent>"), sort_keys=True) for h in (header, written)]
+            if pair[0] != pair[1]:
+                (got, expected), what = pair, key
+                break
+        at = len(os.path.commonprefix([got, expected]))
+        raise ValueError(f"{what} has {got[at:at + 40]!r} at character {at}, where this "
+                         f"network writes {expected[at:at + 40]!r}")
     return params, std, header["extra"]
-
-
-def _check_width(standardization: StandardizationParams, n_features: int) -> None:
-    if standardization.means.size != n_features:
-        raise ValueError(f"standardization of {standardization.means.size} features "
-                         f"for a network of {n_features} input features")

@@ -1,0 +1,52 @@
+"""The scripts under `benchmarks/` run on the package.
+
+`benchmarks/bench_epoch.py` times the layer kernels through the public
+model API, and `benchmarks/bench_concordance.py` checks the concordance
+sweep's counts against the pairwise scan before it times them. Nothing else
+runs them, so these tests run both on tiny shapes: a change to the model or
+metrics API that breaks a script fails here.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+TINY = dict(n_train=12, n_val=5, p=3, widths=[4, 4], layers=2, activation="selu",
+            dropout=0.2)
+
+
+def _load(name: str):
+    """Import benchmarks/<name>.py. bench_epoch puts perfbench/ on sys.path
+    to import `run` (which imports `tracer`); both are taken back after."""
+    spec = importlib.util.spec_from_file_location(f"bench_{name}",
+                                                  ROOT / "benchmarks" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    path, modules = sys.path[:], {mod: sys.modules.get(mod) for mod in ("run", "tracer")}
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.path[:] = path
+        for mod, old in modules.items():
+            if old is None:
+                sys.modules.pop(mod, None)
+            else:
+                sys.modules[mod] = old
+    return module
+
+
+def test_bench_epoch_runs_epochs_and_traces_their_memory():
+    bench = _load("bench_epoch")
+    seconds = list(bench.run_epochs(TINY, 2))
+    assert len(seconds) == 2
+    assert all(len(stages) == len(bench.STAGES) and min(stages) >= 0 for stages in seconds)
+    assert bench.traced_peak_mb(TINY) > 0
+
+
+def test_bench_concordance_counts_agree_at_small_n(monkeypatch, capsys):
+    bench = _load("bench_concordance")
+    monkeypatch.setattr(sys, "argv", ["bench_concordance.py", "--sizes", "40", "300",
+                                      "--repeats", "1"])
+    assert bench.main() == 0   # asserts identical counts before timing
+    assert "counts verified identical up to" in capsys.readouterr().out

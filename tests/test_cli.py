@@ -99,15 +99,30 @@ def test_synth_rejects_bad_spec(tmp_path):
 @pytest.mark.parametrize("field, value", [
     ("n", 2.5), ("n", True), ("p", "3"), ("seed", None),
     ("weibull_shape", True), ("target_censor_rate", "0.3"),
+    ("true_coefficients", 5), ("true_coefficients", "ab"),
+    ("true_coefficients", ["1", 2, 3]), ("true_coefficients", [True, 1.0, 0.5]),
+    ("true_coefficients", [float("nan"), 1.0, 0.5]),
+    pytest.param("weibull_shape", 10**400, id="weibull_shape-int-beyond-float64"),
+    pytest.param("true_coefficients", [10**400, 1.0, 0.5],
+                 id="true_coefficients-int-beyond-float64"),
 ])
 def test_synth_mistyped_spec_field_exits_2_naming_it(tmp_path, capsys, field, value):
-    # n = 2.5 ended in a TypeError traceback (exit 1); n = true made 1 row
+    # n = 2.5 ended in a TypeError traceback (exit 1); n = true made 1 row;
+    # true_coefficients 5 was an "incomplete" spec, "ab" named no field,
+    # ["1", 2, 3] and [true, 1.0, 0.5] were accepted, NaN failed as a bad time,
+    # and an integer beyond float64 ended in an OverflowError traceback (exit 1)
     spec = _write_json(tmp_path / "spec.json", dict(SYNTH_SPEC, **{field: value}))
     out = tmp_path / "x.csv"
     assert main(["synth", "--spec", spec, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {field} must be ")
     assert not out.exists()
+
+
+def test_synth_incomplete_spec_names_the_missing_fields(tmp_path, capsys):
+    spec = _write_json(tmp_path / "spec.json", {"hazard_kind": "deep"})
+    assert main(["synth", "--spec", spec, "--out", str(tmp_path / "x.csv")]) == 2
+    assert capsys.readouterr().err == "error: incomplete synthetic spec: missing ['n', 'p']\n"
 
 
 @pytest.mark.parametrize("extra", [["--seed", "5"], ["--format", "tsv"]])
@@ -302,6 +317,20 @@ def test_cv_missing_data_file_exits_2_naming_it(tmp_path, hp_file, capsys):
                  "--out", str(tmp_path / "cv")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(missing) in err
+
+
+@pytest.mark.parametrize("bad", ["--data", "--hp"])
+def test_non_utf8_input_exits_2_naming_the_file(tmp_path, data_csv, hp_file, capsys, bad):
+    # both exited 2 with only "'utf-8' codec can't decode byte 0xff in position ..."
+    files = {"--data": data_csv, "--hp": hp_file}
+    broken = tmp_path / "broken"
+    raw = open(files[bad], "rb").read()
+    broken.write_bytes(raw.replace(b"\n", b"\n\xff", 1) if bad == "--data" else b"\xff" + raw)
+    files[bad] = str(broken)
+    assert main(["cv", "--data", files["--data"], "--hp", files["--hp"], "--workers", "1",
+                 "--out", str(tmp_path / "cv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{broken}" in err and "not UTF-8 text" in err
 
 
 def test_cv_out_naming_a_file_exits_2_naming_it(tmp_path, data_csv, hp_file, capsys):

@@ -15,6 +15,7 @@ from ressurv.data import (
     generate_synthetic,
     kfold_split,
     load_csv,
+    prepare_fold,
     standardize_apply,
     standardize_fit,
     stratified_holdout,
@@ -134,6 +135,18 @@ def test_load_csv_bad_rows_name_the_row(tmp_path):
         with pytest.raises(DataRowError) as err:
             load_csv(_write(tmp_path, text))
         assert fragment in str(err.value)
+
+
+@pytest.mark.parametrize("raw", [
+    b"sample_id,time,event,g1\n\xff,1,1,0.5\n",
+    b"\xffsample_id,time,event,g1\na,1,1,0.5\n",
+], ids=["in-a-row", "in-the-header"])
+def test_load_csv_refuses_non_utf8_naming_the_file(tmp_path, raw):
+    # the UnicodeDecodeError named neither the file nor the format
+    path = tmp_path / "data.csv"
+    path.write_bytes(raw)
+    with pytest.raises(SchemaError, match=f"^{path}: not UTF-8 text .*byte 0xff"):
+        load_csv(path)
 
 
 def test_csv_round_trip_exact(tmp_path):
@@ -435,6 +448,29 @@ def test_standardize_zero_variance_names_feature():
         standardize_fit(ds)
 
 
+def test_standardize_overflowing_feature_names_it():
+    # stddev inf: prepare_fold scaled the column to zeros on both sides
+    X = np.column_stack([np.arange(4.0), [1e308, -1e308, 1e308, -1e308]])
+    ds = SurvivalDataset([f"s{i}" for i in range(4)], X, ["ok", "huge"],
+                         np.arange(1.0, 5.0), np.ones(4, dtype=bool))
+    with pytest.raises(UnusableDatasetError, match="feature 'huge' has mean 0.0 and standard "
+                                                   "deviation inf; its values overflow"):
+        standardize_fit(ds)
+    with pytest.raises(UnusableDatasetError, match="feature 'huge'"):
+        prepare_fold(ds, ds)
+
+
+@pytest.mark.parametrize("means, stddevs", [
+    ([np.nan, 0.0], [1.0, 1.0]),
+    ([0.0, -np.inf], [1.0, 1.0]),
+    ([0.0, 0.0], [np.inf, 1.0]),
+    ([0.0, 0.0], [1.0, np.nan]),
+])
+def test_standardization_refuses_non_finite_values(means, stddevs):
+    with pytest.raises(ValueError, match="means and stddevs must be finite"):
+        StandardizationParams(np.array(means), np.array(stddevs))
+
+
 def test_standardize_fit_apply_self_consistency():
     ds = make_dataset(n=60, p=4, seed=5)
     params = standardize_fit(ds)
@@ -636,3 +672,7 @@ def test_synthetic_spec_validation():
         SyntheticSpec(n=10, p=3, hazard_kind="linear",
                       true_coefficients=np.array([1.0]),
                       target_censor_rate=0.3, seed=1)
+    # coefficients must be a list (a tuple or a 1-d array) of finite numbers
+    for coefs in (np.array(1.0), np.array([[1.0, 0.0, 0.0]]), [1.0, np.nan, 0.0]):
+        with pytest.raises(ValueError, match="true_coefficients must be a list of finite"):
+            SyntheticSpec(n=10, p=3, hazard_kind="deep", true_coefficients=coefs)

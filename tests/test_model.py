@@ -8,7 +8,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ressurv.data import StandardizationParams
@@ -120,7 +120,7 @@ def test_batchnorm_train_normalizes_batch():
 def test_batchnorm_uses_population_variance():
     x = np.array([[1.0], [2.0], [3.0]])
     bn = BatchNormParams.identity(1)
-    batchnorm_forward(x, bn, "train")
+    batchnorm_forward(x, bn, "train", first=True)
     assert np.isclose(bn.running_var[0], np.var([1.0, 2.0, 3.0]))  # ddof=0
 
 
@@ -137,15 +137,42 @@ def test_batchnorm_gamma_beta_applied():
 def test_batchnorm_first_update_copies_then_ema():
     bn = BatchNormParams.identity(1)
     x1 = np.array([[0.0], [4.0]])  # mean 2, var 4
-    batchnorm_forward(x1, bn, "train")
-    assert bn.n_updates == 1
+    batchnorm_forward(x1, bn, "train", first=True)
     assert np.isclose(bn.running_mean[0], 2.0)
     assert np.isclose(bn.running_var[0], 4.0)
     x2 = np.array([[10.0], [14.0]])  # mean 12, var 4
     batchnorm_forward(x2, bn, "train")
-    assert bn.n_updates == 2
     assert np.isclose(bn.running_mean[0], 0.9 * 2.0 + 0.1 * 12.0)
     assert np.isclose(bn.running_var[0], 0.9 * 4.0 + 0.1 * 4.0)
+
+
+def test_network_counts_its_train_passes_and_copies_on_the_first():
+    # every train-mode pass updates every batch norm once, so the network
+    # keeps one count: its first pass copies the batch statistics, later
+    # passes average them in; eval passes neither update nor count
+    rng = np.random.default_rng(4)
+    params = init_params(2, [3], 1, "tanh", 0.0, seed=4, with_shortcut=False)
+    dense, bn = params.blocks[0].dense_layers[0], params.blocks[0].batch_norms[0]
+    X1, X2 = rng.normal(size=(6, 2)), rng.normal(size=(6, 2))
+    model_forward(X1, params)
+    assert params.n_updates == 0
+    model_forward(X1, params, mode="train")
+    z1 = X1 @ dense.W.T + dense.b
+    assert params.n_updates == 1
+    assert np.allclose(bn.running_mean, z1.mean(axis=0))
+    assert np.allclose(bn.running_var, z1.var(axis=0))
+    model_forward(X2, params, mode="train")
+    z2 = X2 @ dense.W.T + dense.b
+    assert params.n_updates == 2
+    assert np.allclose(bn.running_mean, 0.9 * z1.mean(axis=0) + 0.1 * z2.mean(axis=0))
+    assert np.allclose(bn.running_var, 0.9 * z1.var(axis=0) + 0.1 * z2.var(axis=0))
+    model_forward(X2, params)
+    assert params.n_updates == 2
+    # a count handed in must be a nonnegative integer
+    with pytest.raises(ValueError, match="n_updates must be >= 0"):
+        type(params)(2, [3], 1, "tanh", 0.0, n_updates=-1)
+    with pytest.raises(ValueError, match="n_updates must be an integer, not True"):
+        type(params)(2, [3], 1, "tanh", 0.0, n_updates=True)
 
 
 def test_batchnorm_eval_uses_running_stats():
@@ -221,10 +248,11 @@ def test_dropout_eval_and_rate_zero_are_identity():
 
 def test_dropout_train_requires_mask():
     params = init_params(2, [3], 2, "tanh", 0.5, seed=0)
+    init = params.copy()
     with pytest.raises(ValueError, match="requires a DropoutStream"):
         model_forward(np.zeros((4, 2)), params, mode="train")
     # the check comes before any batch norm updates its running statistics
-    assert all(bn.n_updates == 0 for bn in params.blocks[0].batch_norms)
+    assert params.n_updates == 0 and np.array_equal(params.stats, init.stats)
 
 
 def test_dropout_mask_values_and_rate():
@@ -277,20 +305,19 @@ def test_dropout_applies_mask():
 # written out with one temporary per operation. The kernels must reproduce
 # them bit for bit, so report files do not change with the fusion.
 
-def batchnorm_forward_reference(inputs, params, mode):
+def batchnorm_forward_reference(inputs, params, mode, first=False):
     if mode == "train":
         mean = inputs.mean(axis=0)
         var = inputs.var(axis=0)
         inv_std = 1.0 / np.sqrt(var + BN_EPSILON)
         xhat = (inputs - mean) * inv_std
-        if params.n_updates == 0:
+        if first:
             params.running_mean[...] = mean
             params.running_var[...] = var
         else:
             m = BN_MOMENTUM
             params.running_mean[...] = (1.0 - m) * params.running_mean + m * mean
             params.running_var[...] = (1.0 - m) * params.running_var + m * var
-        params.n_updates += 1
         return params.gamma * xhat + params.beta_shift, (xhat, inv_std)
     inv_std = 1.0 / np.sqrt(params.running_var + BN_EPSILON)
     return params.gamma * (inputs - params.running_mean) * inv_std + params.beta_shift, None
@@ -359,9 +386,10 @@ def test_fused_kernels_match_reference_bytes(n, width, seed, loc, scale, constan
         p.beta_shift[:] = np.random.default_rng(seed + 2).normal(size=width)
 
     # train mode twice: the first update copies, the second is the EMA
-    for batch in (z, z[::-1] * 0.5 - 1.0):
-        out, cache = batchnorm_forward(batch, bn, "train")
-        ref_out, (ref_xhat, ref_inv_std) = batchnorm_forward_reference(batch, ref, "train")
+    for batch, first in ((z, True), (z[::-1] * 0.5 - 1.0, False)):
+        out, cache = batchnorm_forward(batch, bn, "train", first)
+        ref_out, (ref_xhat, ref_inv_std) = batchnorm_forward_reference(batch, ref, "train",
+                                                                       first)
         assert _same_bytes(out, ref_out)
         assert _same_bytes(cache.xhat, ref_xhat) and _same_bytes(cache.inv_std, ref_inv_std)
         assert _same_bytes(bn.running_mean, ref.running_mean)
@@ -722,31 +750,31 @@ def test_parameter_buffer_properties(params):
     snap = params.copy()
     before = to_flat(snap)
     bn, snap_bn = params.blocks[0].batch_norms[0], snap.blocks[0].batch_norms[0]
-    stats = (snap_bn.running_mean.copy(), snap_bn.running_var.copy(), snap_bn.n_updates)
+    stats = (snap_bn.running_mean.copy(), snap_bn.running_var.copy(), snap.n_updates)
     params.flat += 1.0
     bn.running_mean += 1.0
     bn.running_var += 1.0
-    bn.n_updates += 1
+    params.n_updates += 1
     assert np.array_equal(snap.flat, before)
     assert np.array_equal(snap_bn.running_mean, stats[0])
     assert np.array_equal(snap_bn.running_var, stats[1])
-    assert snap_bn.n_updates == stats[2]
+    assert snap.n_updates == stats[2]
     for _, where, _, tensor in _named_tensors(snap):
         assert np.shares_memory(tensor, snap.flat[where])
 
     # pickle and deepcopy rebuild the buffer: the clone's tensors alias its
-    # own flat, and the running statistics and update counts carry over
+    # own flat, and the running statistics and the update count carry over
     norms = [bn for block in params.blocks for bn in block.batch_norms]
     for clone in (pickle.loads(pickle.dumps(params)), copy.deepcopy(params)):
         assert np.array_equal(clone.flat, params.flat)
         assert not np.shares_memory(clone.flat, params.flat)
         for _, where, _, tensor in _named_tensors(clone):
             assert np.shares_memory(tensor, clone.flat[where])
+        assert clone.n_updates == params.n_updates
         clone_norms = [bn for block in clone.blocks for bn in block.batch_norms]
         for bn, clone_bn in zip(norms, clone_norms, strict=True):
             assert np.array_equal(clone_bn.running_mean, bn.running_mean)
             assert np.array_equal(clone_bn.running_var, bn.running_var)
-            assert clone_bn.n_updates == bn.n_updates
         clone.flat[...] = 0.0
         for _, _, _, tensor in _named_tensors(clone):
             assert not tensor.any()
@@ -781,7 +809,9 @@ def test_init_bounds_biases_and_norms():
     bn = params.blocks[0].batch_norms[0]
     assert np.array_equal(bn.gamma, np.ones(16))
     assert np.array_equal(bn.beta_shift, np.zeros(16))
-    assert bn.n_updates == 0
+    assert np.array_equal(bn.running_mean, np.zeros(16))
+    assert np.array_equal(bn.running_var, np.ones(16))
+    assert params.n_updates == 0
 
 
 def test_init_validation():
@@ -813,7 +843,7 @@ def test_checkpoint_roundtrip(tmp_path):
     assert loaded.dropout_rate == 0.4
     bn0 = loaded.blocks[0].batch_norms[0]
     orig0 = params.blocks[0].batch_norms[0]
-    assert bn0.n_updates == orig0.n_updates == 1
+    assert loaded.n_updates == params.n_updates == 1
     assert np.array_equal(bn0.running_mean, orig0.running_mean)
     assert np.array_equal(bn0.running_var, orig0.running_var)
     assert np.array_equal(loaded_std.means, std.means)
@@ -901,12 +931,20 @@ def _swap_first_bias_and_gamma(header):
     (lambda h: h.pop("dense_layers_per_block"), 0,
      "missing key 'dense_layers_per_block'"),
     (lambda h: h["batch_norm"][1].update(block=3), 0,
-     "batch_norm entry .* does not match block 0, layer 1, "),
+     r"batch_norm has '3, \"epsilon\".*' at character 88, where this network writes "
+     r"'0, \"epsilon\""),
     (lambda h: h["batch_norm"][0].update(epsilon=1e-3), 0,
-     "batch_norm entry .* does not match block 0, layer 0, epsilon 1e-05, "),
+     r"batch_norm has '0.001, .*' at character 25, where this network writes '1e-05, "),
     # a 5-feature standardization for the 3-feature network loaded silently
     (lambda h: h.update(standardization={"means": [0.0] * 5, "stddevs": [1.0] * 5}), 0,
      "standardization of 5 features for a network of 3 input features"),
+    # a NaN mean or an infinite deviation loaded, and scored a feature as NaN or 0
+    (lambda h: h.update(standardization={"means": [float("nan"), 0.0, 0.0],
+                                         "stddevs": [1.0] * 3}), 0,
+     "means and stddevs must be finite"),
+    (lambda h: h.update(standardization={"means": [0.0] * 3,
+                                         "stddevs": [float("inf"), 1.0, 1.0]}), 0,
+     "means and stddevs must be finite"),
     # a 2 KB file declaring 32 million floats: the network was built (512 MB)
     # before anything was compared with the file
     (lambda h: h.update(n_features=4_000_000), 0,
@@ -916,12 +954,15 @@ def _swap_first_bias_and_gamma(header):
     # other bytes, and a shortcut flag of 1 built the shortcuts
     (lambda h: h.update(with_shortcut=1), 0, "with_shortcut must be true or false, not 1"),
     (lambda h: h["batch_norm"][0].update(n_updates=True), 0,
-     "batch_norm entry .* does not match block 0, layer 0, "),
+     "n_updates must be an integer, not True"),
+    (lambda h: h.update(batch_norm=[]), 0,
+     r"batch_norm has '\]' at character 1, where this network writes '{\"block\": 0, "),
     (lambda h: h["arrays"][-1].update(shape=[True]), 0,
-     r"arrays is .*, this network writes "),
+     r"arrays has 'true\]}\]' at character \d+, where this network writes '1\]}\]'"),
 ], ids=["omitted-array", "reordered-arrays", "missing-key", "batch-norm-out-of-range",
-        "batch-norm-epsilon", "standardization-width", "huge-declared-network",
-        "shortcut-flag-1", "update-count-true", "shape-true"])
+        "batch-norm-epsilon", "standardization-width", "standardization-nan-mean",
+        "standardization-inf-stddev", "huge-declared-network",
+        "shortcut-flag-1", "update-count-true", "no-batch-norm-entries", "shape-true"])
 def test_checkpoint_header_must_describe_the_network(tmp_path, edit, cut, message):
     params = init_params(3, [4], 2, "tanh", 0.0, seed=0)
     params.output_head.b[...] = 7.0
@@ -987,6 +1028,17 @@ def _replaced(root, path, value):
     return root
 
 
+_RESPELLINGS = [
+    lambda b: b" " + b,
+    lambda b: b + b"\n",
+    lambda b: b.replace(b'"format"', b'"\\u0066ormat"'),
+    lambda b: b.replace(b'"dropout_rate": 0.0', b'"dropout_rate": 0.00'),
+    lambda b: b.replace(b"1e-05", b"0.00001"),
+    lambda b: b.replace(b", ", b","),
+    lambda b: json.dumps(json.loads(b), sort_keys=True, indent=1).encode("utf-8"),
+]
+
+
 @settings(max_examples=200, deadline=None)
 @given(with_shortcut=st.booleans(), data=st.data())
 def test_damaged_checkpoint_header_fails_fast_or_saves_back_the_same_bytes(
@@ -1005,7 +1057,8 @@ def test_damaged_checkpoint_header_fails_fast_or_saves_back_the_same_bytes(
         end = start + int.from_bytes(raw[start - 8:start], "little")
         header = json.loads(raw[start:end])
         paths = list(_json_paths(header))
-        kind = data.draw(st.sampled_from(["drop", "swap", "perturb", "reorder", "length"]))
+        kind = data.draw(st.sampled_from(["drop", "swap", "perturb", "reorder", "length",
+                                          "respell"]))
         length = None
         if kind == "drop":
             where = data.draw(st.sampled_from(
@@ -1023,11 +1076,13 @@ def test_damaged_checkpoint_header_fails_fast_or_saves_back_the_same_bytes(
                 st.sampled_from([-2, -1, 1, 2, 2**40])))
         elif kind == "reorder":
             header["arrays"] = data.draw(st.permutations(header["arrays"]))
-        else:
+        elif kind == "length":
             length = data.draw(st.one_of(st.integers(0, 2**64 - 1),
                                          st.sampled_from([2**33, 2**63, 2**64 - 1]),
                                          st.integers(end - start - 8, end - start + 8)))
         blob = json.dumps(header, sort_keys=True).encode("utf-8")
+        if kind == "respell":   # the same JSON values, spelled otherwise
+            blob = data.draw(st.sampled_from(_RESPELLINGS))(blob)
         edited = (raw[:start - 8] + (len(blob) if length is None else length).to_bytes(8, "little")
                   + blob + raw[end:])
         with open(path, "wb") as fh:
@@ -1046,6 +1101,61 @@ def test_damaged_checkpoint_header_fails_fast_or_saves_back_the_same_bytes(
         save_checkpoint(resaved, *loaded)
         with open(resaved, "rb") as fh:
             assert fh.read() == edited
+
+
+@pytest.mark.parametrize("respell", [
+    lambda t: " " + t,
+    lambda t: t.replace('"dropout_rate": 0.2', '"dropout_rate": 0.20000000000000001'),
+    lambda t: t.replace('"format"', '"\\u0066ormat"'),
+], ids=["leading-space", "long-float", "escaped-key"])
+def test_checkpoint_header_spelled_otherwise_is_refused(tmp_path, respell):
+    # each of these loaded, and saved back other bytes
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, init_params(3, [4], 2, "tanh", 0.2, seed=0))
+    raw = path.read_bytes()
+    start = len(CHECKPOINT_MAGIC) + 8
+    end = start + int.from_bytes(raw[start - 8:start], "little")
+    text = respell(raw[start:end].decode("utf-8"))
+    assert text != raw[start:end].decode("utf-8")
+    blob = text.encode("utf-8")
+    path.write_bytes(raw[:start - 8] + len(blob).to_bytes(8, "little") + blob + raw[end:])
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: checkpoint header does not "
+                                         r"describe a network: header has '.*' at character "
+                                         r"\d+, where this network writes "):
+        load_checkpoint(path)
+
+
+def _json_values(keys):
+    leaves = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=4))
+    return st.recursive(leaves, lambda inner: st.one_of(
+        st.lists(inner, max_size=3), st.tuples(inner, inner),
+        st.dictionaries(keys, inner, max_size=3)), max_leaves=8)
+
+
+@settings(max_examples=150, deadline=None)
+@given(extra=st.one_of(st.none(), st.dictionaries(
+    st.one_of(st.text(max_size=3), st.integers(-3, 12)), _json_values(st.text(max_size=3)),
+    max_size=4)))
+@example(extra={9: "a", 10: "b"})   # loaded with string keys, saved back other bytes
+def test_checkpoint_extra_saves_as_it_loads(extra):
+    params = init_params(1, [2], 1, "tanh", 0.0, seed=0)
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = os.path.join(tmp, "a.ckpt"), os.path.join(tmp, "b.ckpt")
+        try:
+            save_checkpoint(first, params, extra=extra)
+        except ValueError as err:
+            # 1 and "1" are the same JSON key
+            assert str(err) == "extra has keys that are equal as JSON strings"
+            assert len({str(key) for key in extra}) < len(extra)
+            assert not os.path.exists(first)
+            return
+        loaded, _, loaded_extra = load_checkpoint(first)
+        save_checkpoint(second, loaded, extra=loaded_extra)
+        with open(first, "rb") as fa, open(second, "rb") as fb:
+            assert fa.read() == fb.read()
+    # what loads is the JSON round trip of what was saved (NaN included)
+    assert (json.dumps(loaded_extra, sort_keys=True)
+            == json.dumps(json.loads(json.dumps(extra)), sort_keys=True))
 
 
 def test_checkpoint_save_rejects_standardization_of_another_width(tmp_path):
