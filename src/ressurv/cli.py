@@ -29,7 +29,6 @@ from .data import (
     generate_synthetic,
     load_csv,
     prepare_fold,
-    stratified_holdout,
     write_csv,
 )
 # imported only so that perfbench/tracer.py can patch them here
@@ -44,16 +43,16 @@ from .errors import DivergenceError, RessurvError
 from .metrics import concordance_fast
 from .model import save_checkpoint
 from .training import (
-    HOLDOUT_FRACTION,
     IN_PROCESS,
     Hyperparameters,
     UnitPool,
     cross_validate,
     cross_validate_configs,
+    early_stop_split,
     enumerate_grid,
+    fold_summary,
     grid_search,
     plan_folds,
-    require_comparable_pair,
     stable_seed,
     train,
 )
@@ -124,10 +123,11 @@ def _cell(value) -> str:
     return str(value)
 
 
-def write_summary(path: str, summary: dict) -> None:
-    summary = {"schema": REPORT_SCHEMA, **summary}
+def write_json_report(path: str, content: dict) -> None:
+    """One indented JSON report file: the schema tag beside `content`."""
+    content = {"schema": REPORT_SCHEMA, **content}
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(json.dumps(summary, sort_keys=True, indent=2) + "\n")
+        fh.write(json.dumps(content, sort_keys=True, indent=2) + "\n")
 
 
 def usable_cores() -> int:
@@ -139,13 +139,13 @@ def write_meta(path: str, wall_time_s: float, argv: list[str],
                pool: UnitPool = IN_PROCESS) -> None:
     """The only report file allowed to differ between reruns. Records the
     parallel setup: the processes that trained units (the pool's size, 1
-    in-process), usable cores, the OPENBLAS_NUM_THREADS the workers started
-    with, and per pool worker the seconds from the command's start to the
-    start of its first unit, ascending (both null in-process)."""
+    in-process), usable cores, the OpenBLAS thread count the units ran
+    under (in-process too), and per pool worker the seconds from the
+    command's start to the start of its first unit, ascending (null
+    in-process)."""
     now = time.time()
     started_unix = now - wall_time_s
-    meta = {
-        "schema": REPORT_SCHEMA,
+    write_json_report(path, {
         "created_unix": now,
         "wall_time_s": wall_time_s,
         "argv": argv,
@@ -154,9 +154,7 @@ def write_meta(path: str, wall_time_s: float, argv: list[str],
         "worker_openblas_num_threads": pool.blas_threads,
         "worker_start_s": None if pool.size == 1 else sorted(
             t - started_unix for t in pool.first_unit_unix.values()),
-    }
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(json.dumps(meta, sort_keys=True, indent=2) + "\n")
+    })
 
 
 def write_reports(args, t0: float, name: str, records: list[dict], summary: dict,
@@ -165,7 +163,7 @@ def write_reports(args, t0: float, name: str, records: list[dict], summary: dict
     summary.json, and meta.json timed from `t0` with the argv main parsed
     and the units' start times from `pool`."""
     write_records(os.path.join(args.out, f"{name}.{args.format}"), records, args.format)
-    write_summary(os.path.join(args.out, "summary.json"), summary)
+    write_json_report(os.path.join(args.out, "summary.json"), summary)
     write_meta(os.path.join(args.out, "meta.json"), time.perf_counter() - t0, args.argv,
                pool)
 
@@ -277,10 +275,7 @@ def cmd_train(args) -> int:
     ds = _load_dataset(args.data)
 
     # leakage-free: standardization is fit on the training side only
-    train_idx, val_idx = stratified_holdout(ds.events, HOLDOUT_FRACTION,
-                                            seed=stable_seed(seed, 1))
-    for split, rows in (("training", train_idx), ("validation", val_idx)):
-        require_comparable_pair(ds, rows, f"the early-stop {split} split")
+    train_idx, val_idx = early_stop_split(ds, np.arange(ds.n), stable_seed(seed, 1))
     train_ds, val_ds, std = prepare_fold(ds.subset(train_idx), ds.subset(val_idx))
 
     report = train(train_ds, val_ds, hp, seed=seed)
@@ -359,25 +354,14 @@ def cmd_compare(args) -> int:
         plan = plan_folds(_load_dataset(args.data), args.k, seed)
         cvs = cross_validate_configs(plan, [(hp, shortcut) for _, shortcut in networks],
                                      pool)
-    folds = plan.folds
 
-    records: list[dict] = []
-    summaries: dict[str, dict] = {}
-    for (model_name, _), cv in zip(networks, cvs):
-        for rec in cv.fold_records():
-            records.append({"model": model_name, **rec})
-        summaries[model_name] = {
-            "mean_c_index": cv.mean_c_index,
-            "std_c_index": cv.std_c_index,
-        }
-
-    cox_values = []
-    for f in range(folds.k):
+    records = [{"model": model_name, **rec}
+               for (model_name, _), cv in zip(networks, cvs) for rec in cv.fold_records()]
+    for f in range(plan.folds.k):
         complement, test_fold = plan.fold_data(f)
         fit = fit_linear_cox_newton(complement)
         scores = test_fold.features @ fit.beta
         c = concordance_fast(test_fold.times, test_fold.events, scores).c_index
-        cox_values.append(float(c))
         records.append({
             "model": "linear_cox",
             "fold": f,
@@ -388,17 +372,16 @@ def cmd_compare(args) -> int:
             "newton_converged": fit.converged,
             "newton_iterations": fit.iterations,
         })
-    cox_arr = np.array(cox_values)
-    summaries["linear_cox"] = {
-        "mean_c_index": float(cox_arr.mean()),
-        "std_c_index": float(cox_arr.std()),
-    }
+    summaries = {}
+    for model_name in [name for name, _ in networks] + ["linear_cox"]:
+        mean, std = fold_summary([r["c_index"] for r in records if r["model"] == model_name])
+        summaries[model_name] = {"mean_c_index": mean, "std_c_index": std}
 
     write_reports(args, t0, "models", records, {
         "command": "compare",
-        "k": folds.k,
+        "k": plan.folds.k,
         "seed": seed,
-        "fold_hash": folds.content_hash(),
+        "fold_hash": plan.folds.content_hash(),
         "hp": hp.to_dict(),
         "models": summaries,
     }, pool)
@@ -466,12 +449,9 @@ def main(argv: list[str] | None = None) -> int:
         return err.code
     try:
         return args.func(args)
-    except DivergenceError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_DIVERGED
     except (RessurvError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
+        return EXIT_DIVERGED if isinstance(err, DivergenceError) else EXIT_CONFIG
     except BrokenProcessPool as err:
         print(f"error: the worker pool broke ({str(err).rstrip('.')}). A pool worker "
               "could not start or was killed, for instance out of memory; spawned "

@@ -454,7 +454,9 @@ def filter_features(ds: SurvivalDataset) -> tuple[SurvivalDataset, list[str]]:
     Returns the filtered dataset and the retained feature names. Idempotent.
     Raises `UnusableDatasetError` if nothing survives.
     """
-    keep = ds.features.var(axis=0) > MIN_VARIANCE
+    # an overflowing column reads var inf, which standardize_fit then names
+    with np.errstate(over="ignore"):
+        keep = ds.features.var(axis=0) > MIN_VARIANCE
     retained = [name for name, k in zip(ds.feature_names, keep) if k]
     if not retained:
         raise UnusableDatasetError(
@@ -472,8 +474,10 @@ def standardize_fit(ds: SurvivalDataset) -> StandardizationParams:
     `filter_features` first), and on features whose mean or deviation
     overflows float64 (values near ±1e308).
     """
-    means = ds.features.mean(axis=0)
-    stds = ds.features.std(axis=0)   # population convention
+    # an overflow is reported below, naming the feature, not as a warning
+    with np.errstate(over="ignore"):
+        means = ds.features.mean(axis=0)
+        stds = ds.features.std(axis=0)   # population convention
     bad = np.flatnonzero(stds == 0)
     if bad.size:
         raise UnusableDatasetError(

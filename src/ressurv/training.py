@@ -10,6 +10,9 @@ carried separately and never enters deterministic report content.
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import glob
 import os
 import pickle
 import shutil
@@ -142,8 +145,7 @@ class Hyperparameters:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "Hyperparameters":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(raw) - known
+        unknown = set(raw) - set(cls.__dataclass_fields__)
         if unknown:
             raise ValueError(f"unknown hyperparameter keys: {sorted(unknown)}")
         return cls(**raw)
@@ -177,16 +179,14 @@ class OptimizerState:
 def init_optimizer_state(hp: Hyperparameters, mask: np.ndarray) -> OptimizerState:
     """Fresh state for a parameter vector of `mask`'s size, whose True
     entries are the ones weight decay touches."""
-    if hp.optimizer_kind == "sgd":
-        return OptimizerState(t=0, lr=hp.learning_rate, decay_mask=mask,
-                              work=np.empty((1, mask.size)))
+    adam = hp.optimizer_kind != "sgd"
     return OptimizerState(
         t=0,
         lr=hp.learning_rate,
         decay_mask=mask,
-        work=np.empty((2, mask.size)),
-        m=np.zeros(mask.size),
-        v=np.zeros(mask.size),
+        work=np.empty((2 if adam else 1, mask.size)),
+        m=np.zeros(mask.size) if adam else None,
+        v=np.zeros(mask.size) if adam else None,
     )
 
 
@@ -321,10 +321,9 @@ def train(
 
     A non-finite training or validation loss aborts with the offending epoch.
     """
-    if train_ds.n < 2 or train_ds.n_events < 1:
-        raise UnusableDatasetError("training split needs >= 2 samples and >= 1 event")
-    if val_ds.n < 2 or val_ds.n_events < 1:
-        raise UnusableDatasetError("validation split needs >= 2 samples and >= 1 event")
+    for split, split_ds in (("training", train_ds), ("validation", val_ds)):
+        if split_ds.n < 2 or split_ds.n_events < 1:
+            raise UnusableDatasetError(f"{split} split needs >= 2 samples and >= 1 event")
     if val_ds.p != train_ds.p:
         raise UnusableDatasetError("train and validation feature counts differ")
 
@@ -350,9 +349,7 @@ def train(
 
     best_val = np.inf
     best_epoch = 0
-    best_c = np.nan
     best_snapshot = params.copy()
-    epochs_since_improvement = 0
     stopped_early = False
     records: list[EpochRecord] = []
     # each epoch's forward pass writes over the previous epoch's cache, the
@@ -384,20 +381,16 @@ def train(
         if val_loss <= best_val - EARLY_STOP_MIN_IMPROVEMENT:
             best_val = float(val_loss)
             best_epoch = epoch
-            best_c = float(val_c)
             best_snapshot = params.copy()
-            epochs_since_improvement = 0
-        else:
-            epochs_since_improvement += 1
-            if epochs_since_improvement >= hp.patience:
-                stopped_early = True
-                break
+        elif epoch - best_epoch >= hp.patience:
+            stopped_early = True
+            break
 
     return TrainReport(
         epochs=records,
         best_epoch=best_epoch,
         best_val_loss=best_val,
-        best_val_c_index=best_c,
+        best_val_c_index=records[best_epoch - 1].val_c_index,
         stopped_early=stopped_early,
         epochs_run=len(records),
         params=best_snapshot,
@@ -424,10 +417,16 @@ class FoldRecord:
         return asdict(self)
 
 
+def fold_summary(c_indexes: list[float]) -> tuple[float, float]:
+    """(mean, population standard deviation with ddof=0) of fold C-indexes:
+    the summary every cross-validated model reports."""
+    values = np.array(c_indexes)
+    return float(values.mean()), float(values.std())
+
+
 @dataclass
 class CVResult:
-    """Held-out C-index across k folds. std is the population standard
-    deviation (ddof=0) over the k fold values."""
+    """Held-out C-index across k folds, summarized by `fold_summary`."""
 
     k: int
     seed: int
@@ -449,10 +448,10 @@ class CVResult:
         }
 
 
-HOLDOUT_FRACTION = 0.2
-
 # what each pool worker's OpenBLAS starts with unless the user set it: one
-# BLAS thread per process, so that workers do not oversubscribe the cores
+# BLAS thread per process, so that workers do not oversubscribe the cores;
+# in-process units run under the same count, so that every pool computes
+# the same bits
 BLAS_THREADS_ENV = "OPENBLAS_NUM_THREADS"
 WORKER_BLAS_THREADS = "1"
 
@@ -460,13 +459,13 @@ WORKER_BLAS_THREADS = "1"
 @dataclass(frozen=True)
 class FoldPlan:
     """Everything the folds of one run share, decided before any fold
-    trains: the dataset in canonical (id-sorted) order, the fold assignment,
-    the run seed, and per fold the row indexes (train, test) into `data` and
-    (early-stop train, early-stop validation) into the training side."""
+    trains: the dataset in canonical (id-sorted) order, the fold assignment
+    (which holds the run seed), and per fold the row indexes (train, test)
+    into `data` and (early-stop train, early-stop validation) into the
+    training side."""
 
     data: SurvivalDataset
     folds: FoldAssignment
-    seed: int
     splits: tuple[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray], ...]
 
     def fold_data(self, f: int) -> tuple[SurvivalDataset, SurvivalDataset]:
@@ -489,6 +488,21 @@ def require_comparable_pair(ds: SurvivalDataset, rows: np.ndarray, split: str) -
         )
 
 
+HOLDOUT_FRACTION = 0.2
+
+
+def early_stop_split(ds: SurvivalDataset, rows: np.ndarray, seed: int,
+                     where: str = "") -> tuple[np.ndarray, np.ndarray]:
+    """The 80/20 early-stop split of the rows `rows` of `ds`, stratified by
+    event status: (training, validation) positions into `rows`. Each side
+    must hold a comparable pair; a side without one raises
+    `UnusableDatasetError` naming `where` and the side."""
+    train_pos, val_pos = stratified_holdout(ds.events[rows], HOLDOUT_FRACTION, seed=seed)
+    for split, pos in (("training", train_pos), ("validation", val_pos)):
+        require_comparable_pair(ds, rows[pos], f"{where}the early-stop {split} split")
+    return train_pos, val_pos
+
+
 def plan_folds(ds: SurvivalDataset, k: int, seed: int) -> FoldPlan:
     """Canonicalize rows by sample id, assign folds from `seed` and carve
     each fold's 80/20 stratified early-stop split.
@@ -504,15 +518,11 @@ def plan_folds(ds: SurvivalDataset, k: int, seed: int) -> FoldPlan:
     splits = []
     for f in range(folds.k):
         train_idx, test_idx = folds.train_indices(f), folds.test_indices(f)
-        inner_train_idx, inner_val_idx = stratified_holdout(
-            canon.events[train_idx], HOLDOUT_FRACTION, seed=stable_seed(seed, 11, f)
-        )
-        for split, rows in (("held-out", test_idx),
-                            ("early-stop training", train_idx[inner_train_idx]),
-                            ("early-stop validation", train_idx[inner_val_idx])):
-            require_comparable_pair(canon, rows, f"fold {f}: the {split} split")
-        splits.append((train_idx, test_idx, inner_train_idx, inner_val_idx))
-    return FoldPlan(canon, folds, seed, tuple(splits))
+        require_comparable_pair(canon, test_idx, f"fold {f}: the held-out split")
+        splits.append((train_idx, test_idx,
+                       *early_stop_split(canon, train_idx, stable_seed(seed, 11, f),
+                                         where=f"fold {f}: ")))
+    return FoldPlan(canon, folds, tuple(splits))
 
 
 def fold_unit(
@@ -578,26 +588,44 @@ def _check_spawn_can_import_main() -> None:
         raise BrokenProcessPool(f"spawned workers cannot re-import the main program {path!r}")
 
 
+@functools.cache
+def _openblas(name: str):
+    """Function `name` of the OpenBLAS that numpy bundles (its 64-bit-index
+    build first); where numpy bundles none, a function that does nothing.
+    Looked up on first use, so that importing this module loads nothing."""
+    for path in glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir,
+                                       "numpy.libs", "libscipy_openblas*.so")):
+        lib = ctypes.CDLL(path)
+        for symbol in (name + "64_", name):
+            if hasattr(lib, symbol):
+                return getattr(lib, symbol)
+    return lambda *args: None
+
+
 class UnitPool:
     """What runs (configuration, fold) units: with `size` 1, this process,
     one unit after another, starting no process and making no file;
     otherwise `size` spawned worker processes.
 
+    Units run under `blas_threads` OpenBLAS threads: OPENBLAS_NUM_THREADS
+    if set, else one. In-process, `map_units` sets numpy's OpenBLAS to that
+    count while it runs units and restores the previous count after (where
+    numpy's OpenBLAS exports no setter, the count stays as it is).
+
     Every worker starts when the pool opens, so their imports overlap
-    whatever the opener does next (reading the CSV, planning the folds).
-    Each starts with `blas_threads` BLAS threads: OPENBLAS_NUM_THREADS if
-    set, else one. A fold plan reaches the workers as a file: `map_units`
-    pickles it once into the pool's temporary directory (under TMPDIR, mode
-    0700, so that no other user can replace what the workers unpickle), each
-    unit names that file, and a worker loads it on its first unit. Closing
-    the pool waits for its workers and deletes the directory.
+    whatever the opener does next (reading the CSV, planning the folds). A
+    fold plan reaches the workers as a file: `map_units` pickles it once
+    into the pool's temporary directory (under TMPDIR, mode 0700, so that
+    no other user can replace what the workers unpickle), each unit names
+    that file, and a worker loads it on its first unit. Closing the pool
+    waits for its workers and deletes the directory.
     """
 
     def __init__(self, size: int):
         if size < 1:
             raise ValueError("workers must be >= 1")
         self.size = size
-        self.blas_threads: str | None = None
+        self.blas_threads = os.environ.get(BLAS_THREADS_ENV, WORKER_BLAS_THREADS)
         # Unix time each worker (by pid) started its first unit
         self.first_unit_unix: dict[int, float] = {}
         if size == 1:
@@ -608,7 +636,7 @@ class UnitPool:
         # OpenBLAS reads OPENBLAS_NUM_THREADS as numpy loads, so it must be
         # in the environment while the workers start, and only then
         user_set = BLAS_THREADS_ENV in os.environ
-        self.blas_threads = os.environ.setdefault(BLAS_THREADS_ENV, WORKER_BLAS_THREADS)
+        os.environ[BLAS_THREADS_ENV] = self.blas_threads
         try:
             self._executor = ProcessPoolExecutor(size, mp_context=get_context("spawn"))
             # spawn starts one worker per submit that finds none idle: these
@@ -629,8 +657,14 @@ class UnitPool:
         of `units`, in order. Closing the generator early cancels the units
         not yet started."""
         if self.size == 1:
-            for unit in units:
-                yield fold_unit(plan, *unit)
+            before = _openblas("scipy_openblas_get_num_threads")()
+            if self.blas_threads.isdigit():
+                _openblas("scipy_openblas_set_num_threads")(int(self.blas_threads))
+            try:
+                for unit in units:
+                    yield fold_unit(plan, *unit)
+            finally:
+                _openblas("scipy_openblas_set_num_threads")(before)
             return
         path = os.path.join(self._dir, f"plan{self._plans}.pickle")
         self._plans += 1
@@ -672,48 +706,31 @@ def cross_validate_configs(
 
     The unit of work is one (configuration, fold) pair, run by `fold_unit`
     in enumeration order through `pool`: in-process by default, else in
-    the pool's workers. Every number depends only on the unit, never on
-    which process ran it or when, so results are identical across pools.
+    the pool's workers, under the same BLAS thread count. Every number
+    depends only on the unit, never on which process ran it or when, so
+    results are identical across pools.
 
     A configuration with a diverging fold gets the `DivergenceError` of its
     lowest-index diverging fold: raised at once when `raise_divergence`
     (units not started yet are then cancelled), else returned in its place.
     """
-    units = [(hp, with_shortcut, f)
-             for hp, with_shortcut in configs for f in range(plan.folds.k)]
-    outcomes = pool.map_units(plan, units)
-    try:
-        return _merge_folds(plan, len(configs), raise_divergence, outcomes)
-    finally:
-        outcomes.close()   # cancels the units not started when the merge raised
-
-
-def _merge_folds(plan, n_configs, raise_divergence, outcomes):
-    """Group unit outcomes, which arrive in (configuration, fold) order,
-    into one CVResult or DivergenceError per configuration."""
+    k = plan.folds.k
+    outcomes = pool.map_units(plan, [(hp, with_shortcut, f)
+                                     for hp, with_shortcut in configs for f in range(k)])
     results = []
-    for _ in range(n_configs):
-        records, error = [], None
-        for _ in range(plan.folds.k):
-            outcome = next(outcomes)
-            if isinstance(outcome, FoldRecord):
-                records.append(outcome)
-            elif raise_divergence:
-                raise outcome
-            elif error is None:
-                error = outcome
-        if error is not None:
-            results.append(error)
-            continue
-        values = np.array([r.c_index for r in records])
-        results.append(CVResult(
-            k=plan.folds.k,
-            seed=plan.seed,
-            fold_hash=plan.folds.content_hash(),
-            folds=records,
-            mean_c_index=float(values.mean()),
-            std_c_index=float(values.std()),
-        ))
+    try:
+        for _ in configs:
+            fold_outcomes = []
+            for outcome in islice(outcomes, k):
+                if raise_divergence and isinstance(outcome, DivergenceError):
+                    raise outcome
+                fold_outcomes.append(outcome)
+            errors = [o for o in fold_outcomes if isinstance(o, DivergenceError)]
+            results.append(errors[0] if errors else CVResult(
+                k, plan.folds.seed, plan.folds.content_hash(), fold_outcomes,
+                *fold_summary([r.c_index for r in fold_outcomes])))
+    finally:
+        outcomes.close()   # cancels the units not started when a divergence raised
     return results
 
 
@@ -722,7 +739,6 @@ def cross_validate(
     hp: Hyperparameters,
     k: int = 5,
     seed: int = 0,
-    with_shortcut: bool = True,
     pool: UnitPool = IN_PROCESS,
 ) -> CVResult:
     """Stratified k-fold cross-validation of the held-out C-index.
@@ -743,7 +759,7 @@ def cross_validate(
     the fold index attached.
     """
     plan = plan_folds(ds, k, seed)
-    [result] = cross_validate_configs(plan, [(hp, with_shortcut)], pool)
+    [result] = cross_validate_configs(plan, [(hp, True)], pool)
     return result
 
 
@@ -822,7 +838,7 @@ def grid_search(
     seed: int = 0,
     budget: int | None = None,
     pool: UnitPool = IN_PROCESS,
-    base_hp: Hyperparameters | None = None,
+    base_hp: Hyperparameters = Hyperparameters(),
 ) -> GridSearchResult:
     """Evaluate grid points by cross-validation and pick the argmax.
 
@@ -833,40 +849,32 @@ def grid_search(
     failure flag instead of aborting the search; ties on mean C-index
     resolve to the earliest enumerated point.
     """
-    base = base_hp if base_hp is not None else Hyperparameters()
-    all_points = enumerate_grid(grid, base, budget)
+    all_points = enumerate_grid(grid, base_hp, budget)
 
     plan = plan_folds(ds, k, seed)
     hps = [hp.replaced(seed=stable_seed(seed, 17, i)) for i, hp in enumerate(all_points)]
     outcomes = cross_validate_configs(plan, [(hp, True) for hp in hps], pool,
                                       raise_divergence=False)
-    results = []
+    points = []
     for index, (hp, cv) in enumerate(zip(hps, outcomes)):
-        if isinstance(cv, DivergenceError):
-            results.append(GridPointResult(
-                index=index, hp=hp.to_dict(), mean_c_index=None, std_c_index=None,
-                fold_c_indexes=[], failed=True, error=str(cv),
-            ))
-        else:
-            results.append(GridPointResult(
-                index=index,
-                hp=hp.to_dict(),
-                mean_c_index=cv.mean_c_index,
-                std_c_index=cv.std_c_index,
-                fold_c_indexes=[r.c_index for r in cv.folds],
-            ))
-
-    best_index = None
-    best_mean = -np.inf
-    for point in results:
-        if not point.failed and point.mean_c_index > best_mean:
-            best_mean = point.mean_c_index
-            best_index = point.index
+        failed = isinstance(cv, DivergenceError)
+        points.append(GridPointResult(
+            index=index,
+            hp=hp.to_dict(),
+            mean_c_index=None if failed else cv.mean_c_index,
+            std_c_index=None if failed else cv.std_c_index,
+            fold_c_indexes=[] if failed else [r.c_index for r in cv.folds],
+            failed=failed,
+            error=str(cv) if failed else None,
+        ))
+    # max keeps the first of equal means: ties go to the earliest point
+    best = max((p for p in points if not p.failed), key=lambda p: p.mean_c_index,
+               default=None)
 
     return GridSearchResult(
-        points=results,
-        best_index=best_index,
-        total_runs=len(results),
+        points=points,
+        best_index=None if best is None else best.index,
+        total_runs=len(points),
         k=k,
         seed=seed,
         fold_hash=plan.folds.content_hash(),

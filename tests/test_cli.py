@@ -438,7 +438,12 @@ def test_compare_three_models_share_folds(tmp_path, data_csv, hp_file):
     assert summary["command"] == "compare"
     assert set(summary["models"]) == {"ressurv", "mlp_ablation", "linear_cox"}
     assert summary["fold_hash"]
-    for stats in summary["models"].values():
+    # one fold summary for every model: the population mean and std (ddof 0)
+    # of its fold C-indexes
+    for model, stats in summary["models"].items():
+        values = np.array([r["c_index"] for r in by_model[model]])
+        assert stats["mean_c_index"] == values.mean(), model
+        assert stats["std_c_index"] == values.std(), model
         assert 0.0 <= stats["mean_c_index"] <= 1.0
 
 
@@ -450,6 +455,35 @@ def test_compare_worker_count_does_not_change_reports(tmp_path, data_csv, hp_fil
                      "--seed", "4", "--workers", workers, "--out", str(outs[workers])]) == 0
     for name in ("models.jsonl", "summary.json"):
         assert (outs["1"] / name).read_bytes() == (outs["2"] / name).read_bytes(), name
+
+
+def test_in_process_units_compute_the_bits_pool_workers_do(tmp_path):
+    # OpenBLAS starts with a thread per core unless OPENBLAS_NUM_THREADS says
+    # otherwise, and at p = 120 its threaded (width, n) x (n, p) product in the
+    # first block's weight gradient rounds differently from the one-thread
+    # product of a pool worker: in-process units run under the workers' count
+    spec = {**SYNTH_SPEC, "n": 1000, "p": 120, "seed": 5,
+            "true_coefficients": [1.0, -0.8, 0.6, -0.5, 0.4] + [0.0] * 115}
+    hp = {"n_blocks": 2, "dense_layers_per_block": 2, "nodes": 16,
+          "max_epochs": 4, "patience": 5, "seed": 5}
+    env = {k: v for k, v in os.environ.items()
+           if k != "OPENBLAS_NUM_THREADS" and not k.startswith("RESSURV_")}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(ressurv.__file__))
+
+    def cli(*argv):
+        subprocess.run([sys.executable, "-m", "ressurv.cli", *argv], env=env, check=True,
+                       capture_output=True, cwd=tmp_path, timeout=300)
+
+    data = str(tmp_path / "data.csv")
+    cli("synth", "--spec", _write_json(tmp_path / "spec.json", spec), "--out", data)
+    hp_path = _write_json(tmp_path / "hp.json", hp)
+    for workers in ("1", "2"):
+        cli("compare", "--data", data, "--hp", hp_path, "--k", "3", "--seed", "5",
+            "--workers", workers, "--out", str(tmp_path / workers))
+    for name in ("models.jsonl", "summary.json"):
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+    meta = json.loads((tmp_path / "1" / "meta.json").read_text())
+    assert meta["worker_openblas_num_threads"] == "1"
 
 
 # ---------------------------------------------------------------------------
@@ -488,7 +522,7 @@ def test_meta_file_records_backend_and_argv(tmp_path, data_csv, hp_file, monkeyp
 
 
 # --k 2 makes 2 units, so a request for 6 workers opens a pool of 2
-@pytest.mark.parametrize("workers, blas", [("1", None), ("2", "1"), ("6", "1")])
+@pytest.mark.parametrize("workers, blas", [("1", "1"), ("2", "1"), ("6", "1")])
 def test_meta_file_records_the_parallel_setup(tmp_path, data_csv, hp_file, monkeypatch,
                                               workers, blas):
     monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
@@ -602,7 +636,7 @@ def test_default_workers_on_one_core_run_in_process(tmp_path, data_csv, hp_file,
     monkeypatch.setattr("ressurv.training.ProcessPoolExecutor", _no_pool)
     _, meta = _cv_meta(tmp_path, data_csv, hp_file, "cv")
     assert meta["workers"] == meta["usable_cores"] == 1
-    assert meta["worker_openblas_num_threads"] is None
+    assert meta["worker_openblas_num_threads"] == os.environ.get("OPENBLAS_NUM_THREADS", "1")
 
 
 def test_workers_env_var_beats_the_core_count(tmp_path, data_csv, hp_file, monkeypatch):
@@ -611,7 +645,7 @@ def test_workers_env_var_beats_the_core_count(tmp_path, data_csv, hp_file, monke
     monkeypatch.setattr("ressurv.training.ProcessPoolExecutor", _no_pool)
     _, meta = _cv_meta(tmp_path, data_csv, hp_file, "cv")
     assert meta["workers"] == 1 and meta["usable_cores"] == 4
-    assert meta["worker_openblas_num_threads"] is None
+    assert meta["worker_openblas_num_threads"] == os.environ.get("OPENBLAS_NUM_THREADS", "1")
 
 
 @pytest.mark.parametrize("name, value", [("RESSURV_FORMAT", "xml"), ("RESSURV_K", "abc")])

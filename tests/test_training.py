@@ -562,7 +562,7 @@ def test_grid_search_divergent_point_error_is_the_same_under_a_pool():
 def test_pool_restores_the_blas_environment(monkeypatch):
     ds = make_dataset(n=60, p=3, seed=1)
     monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
-    assert UnitPool(1).blas_threads is None
+    assert UnitPool(1).blas_threads == "1"
     with UnitPool(2) as pool:
         assert pool.blas_threads == "1"
         cross_validate(ds, TINY.replaced(max_epochs=2), k=2, seed=0, pool=pool)
@@ -572,6 +572,41 @@ def test_pool_restores_the_blas_environment(monkeypatch):
         assert pool.blas_threads == "2"
         cross_validate(ds, TINY.replaced(max_epochs=2), k=2, seed=0, pool=pool)
     assert os.environ["OPENBLAS_NUM_THREADS"] == "2"
+
+
+def test_in_process_units_run_under_the_workers_blas_count(monkeypatch):
+    # the count a pool's workers start with holds while in-process units
+    # run, and the previous count returns when the caller stops, early or not
+    get_threads = training._openblas("scipy_openblas_get_num_threads")
+    set_threads = training._openblas("scipy_openblas_set_num_threads")
+    before = get_threads()
+    if before is None:
+        pytest.skip("numpy bundles no OpenBLAS with a thread-count setter")
+    seen = []
+
+    def unit(*args):
+        seen.append(get_threads())
+        return real_unit(*args)
+
+    real_unit = training.fold_unit
+    monkeypatch.setattr(training, "fold_unit", unit)
+    plan = training.plan_folds(make_dataset(n=60, p=3, seed=1), 2, 0)
+    units = [(TINY.replaced(max_epochs=2), True, f) for f in range(2)]
+    set_threads(2)   # a count other than the workers'
+    try:
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        outcomes = UnitPool(1).map_units(plan, units)
+        next(outcomes)
+        outcomes.close()
+        assert seen == [1] and get_threads() == 2
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")   # a user-set value wins
+        list(UnitPool(1).map_units(plan, units))
+        assert seen == [1, 3, 3] and get_threads() == 2
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "many")   # not a count: no change
+        list(UnitPool(1).map_units(plan, units))
+        assert seen == [1, 3, 3, 2, 2] and get_threads() == 2
+    finally:
+        set_threads(before)
 
 
 SPAWN_PIPE_BYTES = 64 * 1024
@@ -626,7 +661,8 @@ def test_in_process_pool_starts_no_process_and_makes_no_file(monkeypatch):
     ds = make_dataset(n=60, p=3, seed=1)
     with UnitPool(1) as pool:
         result = cross_validate(ds, TINY.replaced(max_epochs=2), k=2, seed=0, pool=pool)
-        assert pool.size == 1 and pool.blas_threads is None
+        assert pool.size == 1
+        assert pool.blas_threads == os.environ.get("OPENBLAS_NUM_THREADS", "1")
         assert pool.first_unit_unix == {}
     assert result == cross_validate(ds, TINY.replaced(max_epochs=2), k=2, seed=0)
 
