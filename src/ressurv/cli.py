@@ -5,6 +5,10 @@ function of its inputs and seed; report files are byte-identical across
 reruns. Timestamps and wall-clock measurements live in a separate meta.json
 so they never contaminate deterministic content.
 
+Report files are built here and only here: the library's result types
+carry values, and each command turns them into its records and its whole
+summary.json.
+
 Exit codes: 0 success, 2 configuration or input error (including a file
 that cannot be read or written, and a worker pool that broke), 3 numerical
 divergence during training.
@@ -40,10 +44,8 @@ from .data import (  # noqa: F401
     standardize_fit,
 )
 from .errors import DivergenceError, RessurvError
-from .metrics import concordance_fast
 from .model import save_checkpoint
 from .training import (
-    IN_PROCESS,
     Hyperparameters,
     UnitPool,
     cross_validate,
@@ -52,6 +54,7 @@ from .training import (
     enumerate_grid,
     fold_summary,
     grid_search,
+    held_out_fields,
     plan_folds,
     stable_seed,
     train,
@@ -135,8 +138,7 @@ def usable_cores() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def write_meta(path: str, wall_time_s: float, argv: list[str],
-               pool: UnitPool = IN_PROCESS) -> None:
+def write_meta(path: str, wall_time_s: float, argv: list[str], pool: UnitPool) -> None:
     """The only report file allowed to differ between reruns. Records the
     parallel setup: the processes that trained units (the pool's size, 1
     in-process), usable cores, the OpenBLAS thread count the units ran
@@ -158,7 +160,7 @@ def write_meta(path: str, wall_time_s: float, argv: list[str],
 
 
 def write_reports(args, t0: float, name: str, records: list[dict], summary: dict,
-                  pool: UnitPool = IN_PROCESS) -> None:
+                  pool: UnitPool) -> None:
     """A command's report files in args.out: `name`.<format> records,
     summary.json, and meta.json timed from `t0` with the argv main parsed
     and the units' start times from `pool`."""
@@ -235,6 +237,11 @@ def _unit_pool(args, units: int) -> UnitPool:
     return UnitPool(min(args.workers, max(units, 1)))
 
 
+def _fold_fields(result) -> dict:
+    """The summary fields of a cross-validated result's fold assignment."""
+    return {"k": result.k, "seed": result.seed, "fold_hash": result.fold_hash}
+
+
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
@@ -278,22 +285,28 @@ def cmd_train(args) -> int:
     train_idx, val_idx = early_stop_split(ds, np.arange(ds.n), stable_seed(seed, 1))
     train_ds, val_ds, std = prepare_fold(ds.subset(train_idx), ds.subset(val_idx))
 
-    report = train(train_ds, val_ds, hp, seed=seed)
+    pool = UnitPool(1)
+    with pool.unit_blas():
+        report = train(train_ds, val_ds, hp, seed=seed)
 
     save_checkpoint(os.path.join(args.out, "model.ckpt"), report.params,
-                    standardization=std, extra={"hp": hp.to_dict(), "seed": seed})
+                    standardization=std, extra={"hp": dataclasses.asdict(hp), "seed": seed})
 
-    write_reports(args, t0, "epochs", report.epoch_records(), {
+    write_reports(args, t0, "epochs", [dataclasses.asdict(r) for r in report.epochs], {
         "command": "train",
         "checkpoint": "model.ckpt",
         "seed": seed,
-        "hp": hp.to_dict(),
+        "hp": dataclasses.asdict(hp),
         "n_train": train_ds.n,
         "n_val": val_ds.n,
         "n_features": train_ds.p,
         "feature_names": list(train_ds.feature_names),
-        **report.summary(),
-    })
+        "best_epoch": report.best_epoch,
+        "best_val_loss": report.best_val_loss,
+        "best_val_c_index": report.best_val_c_index,
+        "stopped_early": report.stopped_early,
+        "epochs_run": report.epochs_run,
+    }, pool)
     print(
         f"trained {report.epochs_run} epochs (best {report.best_epoch}, "
         f"val C-index {report.best_val_c_index:.4f}) -> {args.out}"
@@ -309,8 +322,13 @@ def cmd_cv(args) -> int:
         result = cross_validate(_load_dataset(args.data), hp, k=args.k, seed=args.seed,
                                 pool=pool)
 
-    write_reports(args, t0, "folds", result.fold_records(),
-                  {"command": "cv", "hp": hp.to_dict(), **result.summary()}, pool)
+    write_reports(args, t0, "folds", [dataclasses.asdict(r) for r in result.folds], {
+        "command": "cv",
+        "hp": dataclasses.asdict(hp),
+        **_fold_fields(result),
+        "mean_c_index": result.mean_c_index,
+        "std_c_index": result.std_c_index,
+    }, pool)
     print(
         f"cv: mean C-index {result.mean_c_index:.4f} "
         f"+/- {result.std_c_index:.4f} over {result.k} folds -> {args.out}"
@@ -327,9 +345,15 @@ def cmd_gridsearch(args) -> int:
         result = grid_search(_load_dataset(args.data), grid, k=args.k, seed=args.seed,
                              budget=args.budget, pool=pool, base_hp=base_hp)
 
-    write_reports(args, t0, "points", result.point_records(),
-                  {"command": "gridsearch", **result.summary()}, pool)
     best = result.best_point
+    write_reports(args, t0, "points", [dataclasses.asdict(p) for p in result.points], {
+        "command": "gridsearch",
+        **_fold_fields(result),
+        "total_runs": result.total_runs,
+        "best_index": result.best_index,
+        "best_hp": None if best is None else best.hp,
+        "best_mean_c_index": None if best is None else best.mean_c_index,
+    }, pool)
     if best is None:
         print(f"gridsearch: all {result.total_runs} points failed -> {args.out}")
     else:
@@ -344,34 +368,29 @@ def cmd_gridsearch(args) -> int:
 def cmd_compare(args) -> int:
     """ResSurv vs the no-shortcut ablation vs the linear Cox oracle, all
     evaluated on one shared fold assignment. The two networks' folds share
-    one --workers pool; the oracle runs in this process."""
+    one --workers pool; the oracle runs in this process, under the units'
+    OpenBLAS thread count."""
     t0 = time.perf_counter()
     os.makedirs(args.out, exist_ok=True)
-    seed = args.seed
     hp = load_hyperparameters(args.hp)
     networks = (("ressurv", True), ("mlp_ablation", False))
     with _unit_pool(args, len(networks) * args.k) as pool:
-        plan = plan_folds(_load_dataset(args.data), args.k, seed)
+        plan = plan_folds(_load_dataset(args.data), args.k, args.seed)
         cvs = cross_validate_configs(plan, [(hp, shortcut) for _, shortcut in networks],
                                      pool)
 
-    records = [{"model": model_name, **rec}
-               for (model_name, _), cv in zip(networks, cvs) for rec in cv.fold_records()]
-    for f in range(plan.folds.k):
-        complement, test_fold = plan.fold_data(f)
-        fit = fit_linear_cox_newton(complement)
-        scores = test_fold.features @ fit.beta
-        c = concordance_fast(test_fold.times, test_fold.events, scores).c_index
-        records.append({
-            "model": "linear_cox",
-            "fold": f,
-            "n_train": complement.n,
-            "n_test": test_fold.n,
-            "n_test_events": test_fold.n_events,
-            "c_index": float(c),
-            "newton_converged": fit.converged,
-            "newton_iterations": fit.iterations,
-        })
+    records = [{"model": model_name, **dataclasses.asdict(rec)}
+               for (model_name, _), cv in zip(networks, cvs) for rec in cv.folds]
+    with pool.unit_blas():
+        for f in range(plan.folds.k):
+            complement, test_fold = plan.fold_data(f)
+            fit = fit_linear_cox_newton(complement)
+            records.append({
+                "model": "linear_cox",
+                **held_out_fields(f, complement, test_fold, test_fold.features @ fit.beta),
+                "newton_converged": fit.converged,
+                "newton_iterations": fit.iterations,
+            })
     summaries = {}
     for model_name in [name for name, _ in networks] + ["linear_cox"]:
         mean, std = fold_summary([r["c_index"] for r in records if r["model"] == model_name])
@@ -379,10 +398,8 @@ def cmd_compare(args) -> int:
 
     write_reports(args, t0, "models", records, {
         "command": "compare",
-        "k": plan.folds.k,
-        "seed": seed,
-        "fold_hash": plan.folds.content_hash(),
-        "hp": hp.to_dict(),
+        **_fold_fields(cvs[0]),
+        "hp": dataclasses.asdict(hp),
         "models": summaries,
     }, pool)
     line = "  ".join(

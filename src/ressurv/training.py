@@ -10,6 +10,7 @@ carried separately and never enters deterministic report content.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 import glob
@@ -150,9 +151,6 @@ class Hyperparameters:
             raise ValueError(f"unknown hyperparameter keys: {sorted(unknown)}")
         return cls(**raw)
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
     def replaced(self, **kwargs) -> "Hyperparameters":
         return replace(self, **kwargs)
 
@@ -268,9 +266,6 @@ class EpochRecord:
     val_loss: float
     val_c_index: float
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass
 class TrainReport:
@@ -284,18 +279,6 @@ class TrainReport:
     stopped_early: bool
     epochs_run: int
     params: ResSurvParams = field(repr=False)
-
-    def epoch_records(self) -> list[dict]:
-        return [r.to_dict() for r in self.epochs]
-
-    def summary(self) -> dict:
-        return {
-            "best_epoch": self.best_epoch,
-            "best_val_loss": self.best_val_loss,
-            "best_val_c_index": self.best_val_c_index,
-            "stopped_early": self.stopped_early,
-            "epochs_run": self.epochs_run,
-        }
 
 
 def train(
@@ -413,8 +396,19 @@ class FoldRecord:
     stopped_early: bool
     best_val_loss: float
 
-    def to_dict(self) -> dict:
-        return asdict(self)
+
+def held_out_fields(f: int, complement: SurvivalDataset, test_fold: SurvivalDataset,
+                    scores: np.ndarray) -> dict:
+    """The held-out fields of fold `f`'s record, for a model fit on
+    `complement` that gave the held-out fold `test_fold` the risk `scores`:
+    the fold, the row counts and the held-out C-index."""
+    return {
+        "fold": f,
+        "n_train": complement.n,
+        "n_test": test_fold.n,
+        "n_test_events": test_fold.n_events,
+        "c_index": float(concordance_fast(test_fold.times, test_fold.events, scores).c_index),
+    }
 
 
 def fold_summary(c_indexes: list[float]) -> tuple[float, float]:
@@ -435,18 +429,6 @@ class CVResult:
     mean_c_index: float
     std_c_index: float
 
-    def fold_records(self) -> list[dict]:
-        return [r.to_dict() for r in self.folds]
-
-    def summary(self) -> dict:
-        return {
-            "k": self.k,
-            "seed": self.seed,
-            "fold_hash": self.fold_hash,
-            "mean_c_index": self.mean_c_index,
-            "std_c_index": self.std_c_index,
-        }
-
 
 # what each pool worker's OpenBLAS starts with unless the user set it: one
 # BLAS thread per process, so that workers do not oversubscribe the cores;
@@ -460,21 +442,20 @@ WORKER_BLAS_THREADS = "1"
 class FoldPlan:
     """Everything the folds of one run share, decided before any fold
     trains: the dataset in canonical (id-sorted) order, the fold assignment
-    (which holds the run seed), and per fold the row indexes (train, test)
-    into `data` and (early-stop train, early-stop validation) into the
-    training side."""
+    (which holds the run seed and gives each fold's rows of `data`), and per
+    fold the (early-stop train, early-stop validation) positions into the
+    fold's training side."""
 
     data: SurvivalDataset
     folds: FoldAssignment
-    splits: tuple[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray], ...]
+    splits: tuple[tuple[np.ndarray, np.ndarray], ...]
 
     def fold_data(self, f: int) -> tuple[SurvivalDataset, SurvivalDataset]:
         """Fold `f`'s (training complement, held-out fold): low-variance
         features dropped and standardization fit on the complement only, so
         nothing leaks from the held-out rows."""
-        train_idx, test_idx, _, _ = self.splits[f]
-        complement, test_fold, _ = prepare_fold(self.data.subset(train_idx),
-                                                self.data.subset(test_idx))
+        complement, test_fold, _ = prepare_fold(self.data.subset(self.folds.train_indices(f)),
+                                                self.data.subset(self.folds.test_indices(f)))
         return complement, test_fold
 
 
@@ -517,11 +498,9 @@ def plan_folds(ds: SurvivalDataset, k: int, seed: int) -> FoldPlan:
 
     splits = []
     for f in range(folds.k):
-        train_idx, test_idx = folds.train_indices(f), folds.test_indices(f)
-        require_comparable_pair(canon, test_idx, f"fold {f}: the held-out split")
-        splits.append((train_idx, test_idx,
-                       *early_stop_split(canon, train_idx, stable_seed(seed, 11, f),
-                                         where=f"fold {f}: ")))
+        require_comparable_pair(canon, folds.test_indices(f), f"fold {f}: the held-out split")
+        splits.append(early_stop_split(canon, folds.train_indices(f), stable_seed(seed, 11, f),
+                                       where=f"fold {f}: "))
     return FoldPlan(canon, folds, tuple(splits))
 
 
@@ -536,7 +515,7 @@ def fold_unit(
     raising it, so that the caller decides which fold's error to report.
     """
     complement, test_fold = plan.fold_data(f)
-    _, _, inner_train_idx, inner_val_idx = plan.splits[f]
+    inner_train_idx, inner_val_idx = plan.splits[f]
     try:
         report = train(complement.subset(inner_train_idx),
                        complement.subset(inner_val_idx), hp,
@@ -545,18 +524,9 @@ def fold_unit(
         return DivergenceError(err.epoch, f"fold {f}")
 
     h_test, _ = model_forward(test_fold.features, report.params, mode="eval")
-    c = concordance_fast(test_fold.times, test_fold.events, h_test).c_index
-    return FoldRecord(
-        fold=f,
-        n_train=complement.n,
-        n_test=test_fold.n,
-        n_test_events=test_fold.n_events,
-        c_index=float(c),
-        best_epoch=report.best_epoch,
-        epochs_run=report.epochs_run,
-        stopped_early=report.stopped_early,
-        best_val_loss=report.best_val_loss,
-    )
+    return FoldRecord(**held_out_fields(f, complement, test_fold, h_test),
+                      best_epoch=report.best_epoch, epochs_run=report.epochs_run,
+                      stopped_early=report.stopped_early, best_val_loss=report.best_val_loss)
 
 
 # The plan a pool worker last loaded, as (file path, plan): a worker reads
@@ -608,9 +578,10 @@ class UnitPool:
     otherwise `size` spawned worker processes.
 
     Units run under `blas_threads` OpenBLAS threads: OPENBLAS_NUM_THREADS
-    if set, else one. In-process, `map_units` sets numpy's OpenBLAS to that
-    count while it runs units and restores the previous count after (where
-    numpy's OpenBLAS exports no setter, the count stays as it is).
+    if set, else one. In this process, `unit_blas` sets numpy's OpenBLAS to
+    that count for the body of a `with` and restores the previous count
+    after (where numpy's OpenBLAS exports no setter, the count stays as it
+    is); in-process units run under it.
 
     Every worker starts when the pool opens, so their imports overlap
     whatever the opener does next (reading the CSV, planning the folds). A
@@ -652,19 +623,29 @@ class UnitPool:
             if not user_set:
                 os.environ.pop(BLAS_THREADS_ENV, None)
 
-    def map_units(self, plan: FoldPlan, units):
+    @contextlib.contextmanager
+    def unit_blas(self):
+        """Compute the body in this process under the units' OpenBLAS thread
+        count, as a unit would."""
+        before = _openblas("scipy_openblas_get_num_threads")()
+        if self.blas_threads.isdigit():
+            _openblas("scipy_openblas_set_num_threads")(int(self.blas_threads))
+        try:
+            yield
+        finally:
+            _openblas("scipy_openblas_set_num_threads")(before)
+
+    def map_units(self, plan: FoldPlan, units: list):
         """`fold_unit` outcomes of `plan` for each (hp, with_shortcut, fold)
-        of `units`, in order. Closing the generator early cancels the units
-        not yet started."""
+        of `units`, in order; without units, none, and no plan file is
+        written. Closing the generator early cancels the units not yet
+        started."""
+        if not units:
+            return
         if self.size == 1:
-            before = _openblas("scipy_openblas_get_num_threads")()
-            if self.blas_threads.isdigit():
-                _openblas("scipy_openblas_set_num_threads")(int(self.blas_threads))
-            try:
+            with self.unit_blas():
                 for unit in units:
                     yield fold_unit(plan, *unit)
-            finally:
-                _openblas("scipy_openblas_set_num_threads")(before)
             return
         path = os.path.join(self._dir, f"plan{self._plans}.pickle")
         self._plans += 1
@@ -777,9 +758,6 @@ class GridPointResult:
     failed: bool = False
     error: str | None = None
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass
 class GridSearchResult:
@@ -793,21 +771,6 @@ class GridSearchResult:
     @property
     def best_point(self) -> GridPointResult | None:
         return None if self.best_index is None else self.points[self.best_index]
-
-    def point_records(self) -> list[dict]:
-        return [p.to_dict() for p in self.points]
-
-    def summary(self) -> dict:
-        best = self.best_point
-        return {
-            "total_runs": self.total_runs,
-            "k": self.k,
-            "seed": self.seed,
-            "fold_hash": self.fold_hash,
-            "best_index": self.best_index,
-            "best_hp": None if best is None else best.hp,
-            "best_mean_c_index": None if best is None else best.mean_c_index,
-        }
 
 
 def enumerate_grid(grid: dict, base_hp: Hyperparameters,
@@ -860,7 +823,7 @@ def grid_search(
         failed = isinstance(cv, DivergenceError)
         points.append(GridPointResult(
             index=index,
-            hp=hp.to_dict(),
+            hp=asdict(hp),
             mean_c_index=None if failed else cv.mean_c_index,
             std_c_index=None if failed else cv.std_c_index,
             fold_c_indexes=[] if failed else [r.c_index for r in cv.folds],

@@ -146,6 +146,10 @@ def test_train_writes_reports_and_checkpoint(tmp_path, data_csv, hp_file):
         assert (out / name).exists(), name
 
     summary = json.loads((out / "summary.json").read_text())
+    assert set(summary) == {"schema", "command", "checkpoint", "seed", "hp", "n_train",
+                            "n_val", "n_features", "feature_names", "best_epoch",
+                            "best_val_loss", "best_val_c_index", "stopped_early",
+                            "epochs_run"}
     assert summary["schema"] == REPORT_SCHEMA
     assert summary["command"] == "train"
     assert summary["seed"] == 3
@@ -155,6 +159,8 @@ def test_train_writes_reports_and_checkpoint(tmp_path, data_csv, hp_file):
     records = [json.loads(line) for line in
                (out / "epochs.jsonl").read_text().splitlines()]
     assert len(records) == summary["epochs_run"]
+    assert all(set(r) == {"epoch", "learning_rate", "train_loss", "val_loss", "val_c_index"}
+               for r in records)
     assert records[0]["epoch"] == 1
     best = min(r["val_loss"] for r in records)
     assert abs(best - summary["best_val_loss"]) < 1e-12
@@ -457,6 +463,19 @@ def test_compare_worker_count_does_not_change_reports(tmp_path, data_csv, hp_fil
         assert (outs["1"] / name).read_bytes() == (outs["2"] / name).read_bytes(), name
 
 
+def _cli_process(cwd, *argv, blas_threads=None):
+    """Run the CLI as a fresh process, with OPENBLAS_NUM_THREADS set to
+    `blas_threads`, or unset for None, so that OpenBLAS starts as it would
+    for a user."""
+    env = {k: v for k, v in os.environ.items()
+           if k != "OPENBLAS_NUM_THREADS" and not k.startswith("RESSURV_")}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(ressurv.__file__))
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas_threads
+    subprocess.run([sys.executable, "-m", "ressurv.cli", *argv], env=env, check=True,
+                   capture_output=True, cwd=cwd, timeout=300)
+
+
 def test_in_process_units_compute_the_bits_pool_workers_do(tmp_path):
     # OpenBLAS starts with a thread per core unless OPENBLAS_NUM_THREADS says
     # otherwise, and at p = 120 its threaded (width, n) x (n, p) product in the
@@ -466,24 +485,37 @@ def test_in_process_units_compute_the_bits_pool_workers_do(tmp_path):
             "true_coefficients": [1.0, -0.8, 0.6, -0.5, 0.4] + [0.0] * 115}
     hp = {"n_blocks": 2, "dense_layers_per_block": 2, "nodes": 16,
           "max_epochs": 4, "patience": 5, "seed": 5}
-    env = {k: v for k, v in os.environ.items()
-           if k != "OPENBLAS_NUM_THREADS" and not k.startswith("RESSURV_")}
-    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(ressurv.__file__))
-
-    def cli(*argv):
-        subprocess.run([sys.executable, "-m", "ressurv.cli", *argv], env=env, check=True,
-                       capture_output=True, cwd=tmp_path, timeout=300)
-
     data = str(tmp_path / "data.csv")
-    cli("synth", "--spec", _write_json(tmp_path / "spec.json", spec), "--out", data)
+    _cli_process(tmp_path, "synth", "--spec", _write_json(tmp_path / "spec.json", spec),
+                 "--out", data)
     hp_path = _write_json(tmp_path / "hp.json", hp)
     for workers in ("1", "2"):
-        cli("compare", "--data", data, "--hp", hp_path, "--k", "3", "--seed", "5",
-            "--workers", workers, "--out", str(tmp_path / workers))
+        _cli_process(tmp_path, "compare", "--data", data, "--hp", hp_path, "--k", "3",
+                     "--seed", "5", "--workers", workers, "--out", str(tmp_path / workers))
     for name in ("models.jsonl", "summary.json"):
         assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
     meta = json.loads((tmp_path / "1" / "meta.json").read_text())
     assert meta["worker_openblas_num_threads"] == "1"
+
+
+def test_train_fits_under_the_units_blas_count(tmp_path):
+    # on 2 or more cores, OpenBLAS's default thread per core rounds the
+    # paper-default net's products on 800 training rows differently from one
+    # thread: train fits under the units' count, so its records do not
+    # depend on the machine's cores
+    spec = {**SYNTH_SPEC, "n": 1000, "p": 20, "seed": 5,
+            "true_coefficients": [1.0, -0.8, 0.6, -0.5, 0.4] + [0.0] * 15}
+    data = str(tmp_path / "data.csv")
+    _cli_process(tmp_path, "synth", "--spec", _write_json(tmp_path / "spec.json", spec),
+                 "--out", data)
+    hp_path = _write_json(tmp_path / "hp.json", {"max_epochs": 3, "patience": 4, "seed": 5})
+    for blas in (None, "1"):
+        _cli_process(tmp_path, "train", "--data", data, "--hp", hp_path, "--seed", "5",
+                     "--out", str(tmp_path / str(blas)), blas_threads=blas)
+    for name in ("epochs.jsonl", "summary.json", "model.ckpt"):
+        assert (tmp_path / "None" / name).read_bytes() == (tmp_path / "1" / name).read_bytes()
+    meta = json.loads((tmp_path / "None" / "meta.json").read_text())
+    assert meta["workers"] == 1 and meta["worker_openblas_num_threads"] == "1"
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,8 @@ In a pooled run the training happens in worker processes, where nothing is
 traced, so a break in that surface would go unnoticed there; these tests
 trace small in-process (`--workers 1`) runs. `perfbench/run.py` also calls
 the package directly, untraced, for its linear-Cox oracle and its
-environment record; a test runs that path too.
+environment record, and checks every command's report files by their keys;
+tests run both paths too.
 """
 
 import importlib.util
@@ -20,6 +21,7 @@ from pathlib import Path
 
 import pytest
 
+from ressurv.cli import main
 from ressurv.data import SyntheticSpec, generate_synthetic, write_csv
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -65,17 +67,22 @@ def test_tracer_reads_an_in_process_run(tmp_path, command, nonzero):
         assert summary[metric] > 0, metric
 
 
-def test_benchmark_oracle_and_environment_run_on_the_package(tmp_path, monkeypatch):
-    # run.py imports its sibling as `tracer`; its dataclasses need it in sys.modules
+@pytest.fixture()
+def run(monkeypatch):
+    """perfbench/run.py, imported from its file. It imports its sibling as
+    `tracer`, and its dataclasses need it in sys.modules."""
     spec = importlib.util.spec_from_file_location("perfbench_run", ROOT / "perfbench" / "run.py")
-    run = importlib.util.module_from_spec(spec)
+    module = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, "tracer", tracer)
-    monkeypatch.setitem(sys.modules, "perfbench_run", run)
-    spec.loader.exec_module(run)
+    monkeypatch.setitem(sys.modules, "perfbench_run", module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_oracle_and_environment_run_on_the_package(tmp_path, run):
     w = run.Workload(command="cv", n=200, p=4, coefficients=(1.0, -0.8, 0.5), k=3,
                      epochs=2, net={}, records="folds.jsonl")
     run.write_inputs(w, 3, tmp_path)
-    from ressurv.cli import main
     assert main(["synth", "--spec", str(tmp_path / "spec.json"),
                  "--out", str(tmp_path / "data.csv")]) == 0
     tally = run.Tally()
@@ -85,3 +92,45 @@ def test_benchmark_oracle_and_environment_run_on_the_package(tmp_path, monkeypat
     assert figures["cox.newton_iters"] > 0
     env = run.environment("cv-paper", 3)
     assert env["workload"] == "cv-paper" and env["kernel_backend"]
+
+
+FOLD_KEYS = {"fold", "n_train", "n_test", "n_test_events", "c_index", "best_epoch",
+             "epochs_run", "stopped_early", "best_val_loss"}
+FOLD_SUMMARY_KEYS = {"schema", "command", "k", "seed", "fold_hash"}
+TINY_NET = {"n_blocks": 1, "dense_layers_per_block": 2, "nodes": 8}
+
+
+@pytest.mark.parametrize("command, records, sweep, record_keys, summary_keys", [
+    ("cv", "folds.jsonl", None, [FOLD_KEYS],
+     FOLD_SUMMARY_KEYS | {"hp", "mean_c_index", "std_c_index"}),
+    ("gridsearch", "points.jsonl", {"learning_rate": [3e-2, 1e-2], "dropout_rate": [0.1]},
+     [{"index", "hp", "mean_c_index", "std_c_index", "fold_c_indexes", "failed", "error"}],
+     FOLD_SUMMARY_KEYS | {"total_runs", "best_index", "best_hp", "best_mean_c_index"}),
+    ("compare", "models.jsonl", None,
+     [FOLD_KEYS | {"model"}, {"model", "fold", "n_train", "n_test", "n_test_events",
+                              "c_index", "newton_converged", "newton_iterations"}],
+     FOLD_SUMMARY_KEYS | {"hp", "models"}),
+])
+def test_benchmark_output_checks_pass_on_the_reports(tmp_path, run, command, records, sweep,
+                                                     record_keys, summary_keys):
+    # check_command reads epochs_run, failed, newton_converged, mean_c_index,
+    # best_mean_c_index and models; a report without one fails the benchmark
+    w = run.Workload(command=command, n=300, p=4, coefficients=(1.0, -0.8, 0.5), k=2,
+                     epochs=40, net=TINY_NET, records=records, sweep=sweep)
+    run.write_inputs(w, 3, tmp_path)
+    assert main(["synth", "--spec", str(tmp_path / "spec.json"),
+                 "--out", str(tmp_path / "data.csv")]) == 0
+    out = tmp_path / "out"
+    code = main([*run.cli_args(w, 3, tmp_path, out, 1), "--workers", "1"])
+    tally = run.Tally()
+    summary = run.check_command(w, run.Run(0.0, 0.0, 0.0, code), out,
+                                run.truth_c_index(tmp_path), {}, tally)
+    assert summary is not None and tally.failed == 0 and tally.attempted == 1 + w.units()
+
+    rows = [json.loads(line) for line in (out / records).read_text().splitlines()]
+    assert {frozenset(r) for r in rows} == {frozenset(keys) for keys in record_keys}
+    assert set(summary) == summary_keys
+    if command == "compare":
+        assert set(summary["models"]) == {"ressurv", "mlp_ablation", "linear_cox"}
+        for stats in summary["models"].values():
+            assert set(stats) == {"mean_c_index", "std_c_index"}
