@@ -142,9 +142,9 @@ def write_meta(path: str, wall_time_s: float, argv: list[str], pool: UnitPool) -
     """The only report file allowed to differ between reruns. Records the
     parallel setup: the processes that trained units (the pool's size, 1
     in-process), usable cores, the OpenBLAS thread count the units ran
-    under (in-process too), and per pool worker the seconds from the
-    command's start to the start of its first unit, ascending (null
-    in-process)."""
+    under (in-process too), and per pool worker that ran a unit the seconds
+    from the command's start to the start of its first unit, ascending
+    (null in-process)."""
     now = time.time()
     started_unix = now - wall_time_s
     write_json_report(path, {
@@ -232,8 +232,9 @@ def _load_dataset(path: str) -> SurvivalDataset:
 
 def _unit_pool(args, units: int) -> UnitPool:
     """--workers processes, at most one per unit (in-process without units,
-    so that the fold split reports a --k below 1). Commands open it before
-    reading the CSV, so that its workers start while the CSV loads."""
+    so that the fold split reports a --k below 1). A pool forks its workers
+    only once the CSV is read and the folds are planned, so a bad row or a
+    degenerate fold starts no process."""
     return UnitPool(min(args.workers, max(units, 1)))
 
 
@@ -318,9 +319,9 @@ def cmd_cv(args) -> int:
     t0 = time.perf_counter()
     os.makedirs(args.out, exist_ok=True)
     hp = load_hyperparameters(args.hp)
-    with _unit_pool(args, args.k) as pool:
-        result = cross_validate(_load_dataset(args.data), hp, k=args.k, seed=args.seed,
-                                pool=pool)
+    pool = _unit_pool(args, args.k)
+    result = cross_validate(_load_dataset(args.data), hp, k=args.k, seed=args.seed,
+                            pool=pool)
 
     write_reports(args, t0, "folds", [dataclasses.asdict(r) for r in result.folds], {
         "command": "cv",
@@ -341,9 +342,9 @@ def cmd_gridsearch(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     grid, base_hp = load_grid_file(args.grid)
     points = len(enumerate_grid(grid, base_hp, args.budget))
-    with _unit_pool(args, points * args.k) as pool:
-        result = grid_search(_load_dataset(args.data), grid, k=args.k, seed=args.seed,
-                             budget=args.budget, pool=pool, base_hp=base_hp)
+    pool = _unit_pool(args, points * args.k)
+    result = grid_search(_load_dataset(args.data), grid, k=args.k, seed=args.seed,
+                         budget=args.budget, pool=pool, base_hp=base_hp)
 
     best = result.best_point
     write_reports(args, t0, "points", [dataclasses.asdict(p) for p in result.points], {
@@ -374,10 +375,9 @@ def cmd_compare(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     hp = load_hyperparameters(args.hp)
     networks = (("ressurv", True), ("mlp_ablation", False))
-    with _unit_pool(args, len(networks) * args.k) as pool:
-        plan = plan_folds(_load_dataset(args.data), args.k, args.seed)
-        cvs = cross_validate_configs(plan, [(hp, shortcut) for _, shortcut in networks],
-                                     pool)
+    pool = _unit_pool(args, len(networks) * args.k)
+    plan = plan_folds(_load_dataset(args.data), args.k, args.seed)
+    cvs = cross_validate_configs(plan, [(hp, shortcut) for _, shortcut in networks], pool)
 
     records = [{"model": model_name, **dataclasses.asdict(rec)}
                for (model_name, _), cv in zip(networks, cvs) for rec in cv.folds]
@@ -471,10 +471,8 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_DIVERGED if isinstance(err, DivergenceError) else EXIT_CONFIG
     except BrokenProcessPool as err:
         print(f"error: the worker pool broke ({str(err).rstrip('.')}). A pool worker "
-              "could not start or was killed, for instance out of memory; spawned "
-              "workers re-import the main program, so a program read from standard "
-              "input cannot start them. --workers 1 trains in this process.",
-              file=sys.stderr)
+              "was killed, for instance out of memory. --workers 1 trains in this "
+              "process.", file=sys.stderr)
         return EXIT_CONFIG
 
 

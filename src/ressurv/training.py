@@ -15,15 +15,10 @@ import ctypes
 import functools
 import glob
 import os
-import pickle
-import shutil
-import sys
-import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, field, replace
-from itertools import islice, product, repeat
+from itertools import islice, product
 from multiprocessing import get_context
 
 import numpy as np
@@ -529,33 +524,18 @@ def fold_unit(
                       stopped_early=report.stopped_early, best_val_loss=report.best_val_loss)
 
 
-# The plan a pool worker last loaded, as (file path, plan): a worker reads
-# each plan file once, on its first unit of that plan, and keeps it for the
-# rest; never set in the parent.
-_worker_plan: tuple[str, FoldPlan] | None = None
+# The plan whose units `UnitPool.map_units` runs in forked workers: set in
+# this process while they run, so that each worker inherits the plan from
+# memory instead of receiving it pickled.
+_worker_plan: FoldPlan | None = None
 
 
-def _pooled_fold_unit(plan_path: str, hp: Hyperparameters, with_shortcut: bool, f: int):
-    """`fold_unit` in a pool worker, beside the worker's pid and the wall
-    clock (Unix seconds) at which the unit started."""
-    global _worker_plan
+def _pooled_fold_unit(hp: Hyperparameters, with_shortcut: bool, f: int):
+    """`fold_unit` of the plan this worker was forked with, beside the
+    worker's pid and the wall clock (Unix seconds) at which the unit
+    started."""
     started = time.time()
-    if _worker_plan is None or _worker_plan[0] != plan_path:
-        with open(plan_path, "rb") as fh:
-            _worker_plan = (plan_path, pickle.load(fh))
-    return os.getpid(), started, fold_unit(_worker_plan[1], hp, with_shortcut, f)
-
-
-def _check_spawn_can_import_main() -> None:
-    """Raise `BrokenProcessPool` before any worker starts if spawned workers
-    could not re-import the main program, as for one read from standard
-    input: each such worker would die at start with its own traceback."""
-    main = sys.modules["__main__"]
-    if getattr(main.__spec__, "name", None) is not None:
-        return   # run with -m: workers import the module by name
-    path = getattr(main, "__file__", None)
-    if path is not None and not os.path.isfile(path):
-        raise BrokenProcessPool(f"spawned workers cannot re-import the main program {path!r}")
+    return os.getpid(), started, fold_unit(_worker_plan, hp, with_shortcut, f)
 
 
 @functools.cache
@@ -574,22 +554,22 @@ def _openblas(name: str):
 
 class UnitPool:
     """What runs (configuration, fold) units: with `size` 1, this process,
-    one unit after another, starting no process and making no file;
-    otherwise `size` spawned worker processes.
+    one unit after another; otherwise up to `size` forked worker processes
+    per `map_units` call. Neither makes a file, and a pool starts no
+    process until it has units to map.
 
     Units run under `blas_threads` OpenBLAS threads: OPENBLAS_NUM_THREADS
     if set, else one. In this process, `unit_blas` sets numpy's OpenBLAS to
     that count for the body of a `with` and restores the previous count
     after (where numpy's OpenBLAS exports no setter, the count stays as it
-    is); in-process units run under it.
+    is); in-process units run under it, and pool workers are forked under
+    it, so they inherit it.
 
-    Every worker starts when the pool opens, so their imports overlap
-    whatever the opener does next (reading the CSV, planning the folds). A
-    fold plan reaches the workers as a file: `map_units` pickles it once
-    into the pool's temporary directory (under TMPDIR, mode 0700, so that
-    no other user can replace what the workers unpickle), each unit names
-    that file, and a worker loads it on its first unit. Closing the pool
-    waits for its workers and deletes the directory.
+    A pool's workers are forked once the plan exists, so each inherits the
+    imported package and the plan from this process's memory: nothing is
+    re-imported, pickled or written. Forking needs this process to hold no
+    other thread at that moment; OpenBLAS stops its own threads before a
+    fork.
     """
 
     def __init__(self, size: int):
@@ -599,29 +579,6 @@ class UnitPool:
         self.blas_threads = os.environ.get(BLAS_THREADS_ENV, WORKER_BLAS_THREADS)
         # Unix time each worker (by pid) started its first unit
         self.first_unit_unix: dict[int, float] = {}
-        if size == 1:
-            return
-        _check_spawn_can_import_main()
-        self._plans = 0
-        self._dir = tempfile.mkdtemp(prefix="ressurv-pool-")
-        # OpenBLAS reads OPENBLAS_NUM_THREADS as numpy loads, so it must be
-        # in the environment while the workers start, and only then
-        user_set = BLAS_THREADS_ENV in os.environ
-        os.environ[BLAS_THREADS_ENV] = self.blas_threads
-        try:
-            self._executor = ProcessPoolExecutor(size, mp_context=get_context("spawn"))
-            # spawn starts one worker per submit that finds none idle: these
-            # no-op calls start all of them now, at once. Their futures go
-            # unread: a worker that cannot start breaks the pool, and
-            # `map_units` raises that.
-            for _ in range(size):
-                self._executor.submit(os.getpid)
-        except BaseException:
-            shutil.rmtree(self._dir, ignore_errors=True)
-            raise
-        finally:
-            if not user_set:
-                os.environ.pop(BLAS_THREADS_ENV, None)
 
     @contextlib.contextmanager
     def unit_blas(self):
@@ -637,9 +594,11 @@ class UnitPool:
 
     def map_units(self, plan: FoldPlan, units: list):
         """`fold_unit` outcomes of `plan` for each (hp, with_shortcut, fold)
-        of `units`, in order; without units, none, and no plan file is
-        written. Closing the generator early cancels the units not yet
-        started."""
+        of `units`, in order; without units, none, and no process starts.
+        A pool forks min(size, units) workers, which exit when the units are
+        done or the generator closes; closing it early cancels the units not
+        yet started."""
+        global _worker_plan
         if not units:
             return
         if self.size == 1:
@@ -647,29 +606,21 @@ class UnitPool:
                 for unit in units:
                     yield fold_unit(plan, *unit)
             return
-        path = os.path.join(self._dir, f"plan{self._plans}.pickle")
-        self._plans += 1
-        with open(path, "wb") as fh:
-            pickle.dump(plan, fh, protocol=pickle.HIGHEST_PROTOCOL)
-        outcomes = self._executor.map(_pooled_fold_unit, repeat(path), *zip(*units))
+        executor = ProcessPoolExecutor(min(self.size, len(units)),
+                                       mp_context=get_context("fork"))
+        _worker_plan = plan
         try:
+            # a fork executor forks every worker at the first submit, so all
+            # of them inherit the units' OpenBLAS count
+            with self.unit_blas():
+                outcomes = executor.map(_pooled_fold_unit, *zip(*units))
             for pid, started, outcome in outcomes:
                 # a worker takes its units in submission order
                 self.first_unit_unix.setdefault(pid, started)
                 yield outcome
         finally:
-            outcomes.close()
-
-    def close(self) -> None:
-        if self.size > 1:
-            self._executor.shutdown(cancel_futures=True)
-            shutil.rmtree(self._dir, ignore_errors=True)
-
-    def __enter__(self) -> "UnitPool":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
+            _worker_plan = None
+            executor.shutdown(cancel_futures=True)
 
 
 # the pool the library runs units with unless it is handed another

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import multiprocessing
 import os
 import tempfile
@@ -402,8 +403,7 @@ def test_cv_divergence_names_the_fold():
 def test_cv_worker_count_is_invisible():
     ds = make_dataset(n=90, p=3, seed=5)
     serial = cross_validate(ds, TINY.replaced(max_epochs=10), k=3, seed=2)
-    with UnitPool(2) as pool:
-        pooled = cross_validate(ds, TINY.replaced(max_epochs=10), k=3, seed=2, pool=pool)
+    pooled = cross_validate(ds, TINY.replaced(max_epochs=10), k=3, seed=2, pool=UnitPool(2))
     assert pooled == serial
 
 
@@ -411,9 +411,8 @@ def test_cv_divergence_message_is_the_same_under_a_pool():
     ds = make_dataset(n=80, p=3, seed=0)
     messages = []
     for workers in (1, 2):
-        with np.errstate(all="ignore"), UnitPool(workers) as pool:
-            with pytest.raises(DivergenceError) as info:
-                cross_validate(ds, DIVERGENT, k=3, seed=0, pool=pool)
+        with np.errstate(all="ignore"), pytest.raises(DivergenceError) as info:
+            cross_validate(ds, DIVERGENT, k=3, seed=0, pool=UnitPool(workers))
         messages.append(str(info.value))
     assert messages[0] == messages[1]
     assert "(fold 0)" in messages[0]
@@ -439,10 +438,9 @@ def test_cv_degenerate_fold_fails_before_training(monkeypatch):
 def test_grid_search_degenerate_fold_fails_before_training(monkeypatch, workers):
     calls = []
     monkeypatch.setattr(training, "train", lambda *a, **kw: calls.append(1))
-    with UnitPool(workers) as pool:
-        with pytest.raises(UnusableDatasetError, match="fold 4: the held-out split"):
-            grid_search(_four_event_dataset(), {"learning_rate": [1e-2, 1e-3]}, k=5,
-                        seed=0, base_hp=TINY, pool=pool)
+    with pytest.raises(UnusableDatasetError, match="fold 4: the held-out split"):
+        grid_search(_four_event_dataset(), {"learning_rate": [1e-2, 1e-3]}, k=5,
+                    seed=0, base_hp=TINY, pool=UnitPool(workers))
     assert calls == []
 
 
@@ -537,8 +535,7 @@ def test_grid_search_worker_count_is_invisible():
     base = TINY.replaced(max_epochs=10)
     grid = {"learning_rate": [1e-2, 1e-3], "dropout_rate": [0.0, 0.2]}
     a = grid_search(ds, grid, k=2, seed=4, base_hp=base)
-    with UnitPool(4) as pool:
-        b = grid_search(ds, grid, k=2, seed=4, base_hp=base, pool=pool)
+    b = grid_search(ds, grid, k=2, seed=4, base_hp=base, pool=UnitPool(4))
     assert a.best_index == b.best_index
     assert a.points == b.points
 
@@ -548,8 +545,9 @@ def test_grid_search_divergent_point_error_is_the_same_under_a_pool():
     grid = {"learning_rate": [1e-1, 1e-3]}
     errors = []
     for workers in (1, 2):
-        with np.errstate(all="ignore"), UnitPool(workers) as pool:
-            result = grid_search(ds, grid, k=2, seed=0, base_hp=DIVERGENT, pool=pool)
+        with np.errstate(all="ignore"):
+            result = grid_search(ds, grid, k=2, seed=0, base_hp=DIVERGENT,
+                                 pool=UnitPool(workers))
         assert result.points[0].failed and not result.points[1].failed
         errors.append(result.points[0].error)
     assert errors[0] == errors[1]
@@ -557,18 +555,30 @@ def test_grid_search_divergent_point_error_is_the_same_under_a_pool():
 
 
 def test_pool_restores_the_blas_environment(monkeypatch):
-    ds = make_dataset(n=60, p=3, seed=1)
+    # workers are forked under the units' OpenBLAS count and inherit it, one
+    # or the user's OPENBLAS_NUM_THREADS, without a write to the environment
+    get_threads = training._openblas("scipy_openblas_get_num_threads")
+    if get_threads() is None:
+        pytest.skip("numpy bundles no OpenBLAS with a thread-count getter")
+    # forked workers see this patch
+    monkeypatch.setattr(training, "fold_unit", lambda *args: get_threads())
+    plan = training.plan_folds(make_dataset(n=60, p=3, seed=1), 2, 0)
+    units = [(TINY, True, f) for f in range(2)]
     monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
-    assert UnitPool(1).blas_threads == "1"
-    with UnitPool(2) as pool:
-        assert pool.blas_threads == "1"
-        cross_validate(ds, TINY.replaced(max_epochs=2), k=2, seed=0, pool=pool)
-    assert "OPENBLAS_NUM_THREADS" not in os.environ
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")   # a user-set value wins
-    with UnitPool(2) as pool:
-        assert pool.blas_threads == "2"
-        cross_validate(ds, TINY.replaced(max_epochs=2), k=2, seed=0, pool=pool)
-    assert os.environ["OPENBLAS_NUM_THREADS"] == "2"
+    for user_set in (None, "2"):   # a user-set value wins
+        if user_set is not None:
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", user_set)
+        pool = UnitPool(2)
+        assert pool.blas_threads == (user_set or "1")
+        with monkeypatch.context() as m:
+            m.setattr(os, "putenv", _environment_written)
+            m.setattr(os, "unsetenv", _environment_written)
+            assert list(pool.map_units(plan, units)) == [int(pool.blas_threads)] * 2
+        assert os.environ.get("OPENBLAS_NUM_THREADS") == user_set
+
+
+def _environment_written(*args):
+    raise AssertionError("the environment was written")
 
 
 def test_in_process_units_run_under_the_workers_blas_count(monkeypatch):
@@ -606,46 +616,58 @@ def test_in_process_units_run_under_the_workers_blas_count(monkeypatch):
         set_threads(before)
 
 
-SPAWN_PIPE_BYTES = 64 * 1024
+def test_the_plan_reaches_the_workers_unpickled(monkeypatch):
+    # forked workers inherit the plan from the parent's memory
+    def refuse(self, protocol):
+        raise AssertionError("a fold plan was pickled")
 
-
-def test_spawned_workers_start_without_the_dataset(monkeypatch):
-    # all a spawned worker receives at start goes through a 64 KiB pipe that
-    # the parent fills before the child reads it; with the fold plan in it,
-    # each start waited on the previous child's imports
-    from multiprocessing import popen_spawn_posix, reduction
-
-    payloads = []
-    real_launch, real_dump = popen_spawn_posix.Popen._launch, reduction.dump
-
-    def launch(self, process_obj):
-        payloads.append(0)
-        return real_launch(self, process_obj)
-
-    def dump(obj, file, protocol=None):
-        start = file.tell()
-        real_dump(obj, file, protocol)
-        payloads[-1] += file.tell() - start
-
-    monkeypatch.setattr(popen_spawn_posix.Popen, "_launch", launch)
-    monkeypatch.setattr(reduction, "dump", dump)
+    monkeypatch.setattr(training.FoldPlan, "__reduce_ex__", refuse)
     ds = make_dataset(n=3000, p=5, seed=4)
-    with UnitPool(2) as pool:
-        result = cross_validate(ds, TINY.replaced(max_epochs=1), k=2, seed=0, pool=pool)
-    assert len(result.folds) == 2
-    assert len(payloads) == 2
-    assert all(0 < size < SPAWN_PIPE_BYTES for size in payloads), payloads
+    hp = TINY.replaced(max_epochs=1)
+    pooled = cross_validate(ds, hp, k=2, seed=0, pool=UnitPool(2))
+    assert pooled == cross_validate(ds, hp, k=2, seed=0)
+
+
+# fork hooks cannot be removed, so one hook serves every run of the test and
+# records only while the test listens
+_THREADS_AFTER_FORK: dict[str, list | None] = {"counts": None}
+
+
+def _record_threads_after_fork():
+    counts = _THREADS_AFTER_FORK["counts"]
+    if counts is not None:
+        with open("/proc/self/status", encoding="ascii") as fh:
+            counts.extend(int(line.split()[1]) for line in fh if line.startswith("Threads:"))
+
+
+@functools.cache
+def _listen_to_forks():
+    os.register_at_fork(after_in_parent=_record_threads_after_fork)
+
+
+def test_the_parent_holds_one_thread_when_it_forks_a_worker():
+    # a forked worker gets only the forking thread: a lock that any other
+    # thread of the parent held (a leftover executor's, a BLAS pool's) would
+    # stay locked in the worker for good
+    _listen_to_forks()
+    matrix = np.ones((400, 400))
+    matrix @ matrix   # starts OpenBLAS's threads where it runs more than one
+    ds = make_dataset(n=60, p=3, seed=1)
+    _THREADS_AFTER_FORK["counts"] = counts = []
+    try:
+        cross_validate(ds, TINY.replaced(max_epochs=2), k=2, seed=0, pool=UnitPool(2))
+    finally:
+        _THREADS_AFTER_FORK["counts"] = None
+    assert counts == [1, 1]
 
 
 def test_an_open_pool_serves_several_plans(tmp_path, monkeypatch):
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
     ds_a, ds_b = make_dataset(n=60, p=3, seed=1), make_dataset(n=50, p=4, seed=2)
     hp = TINY.replaced(max_epochs=3)
-    with UnitPool(2) as pool:
-        a = cross_validate(ds_a, hp, k=2, seed=0, pool=pool)
-        b = cross_validate(ds_b, hp, k=2, seed=0, pool=pool)
-        assert 1 <= len(pool.first_unit_unix) <= 2
-        assert [d.stat().st_mode & 0o777 for d in tmp_path.iterdir()] == [0o700]
+    pool = UnitPool(2)
+    a = cross_validate(ds_a, hp, k=2, seed=0, pool=pool)
+    b = cross_validate(ds_b, hp, k=2, seed=0, pool=pool)
     assert list(tmp_path.iterdir()) == []
     assert multiprocessing.active_children() == []
     assert a == cross_validate(ds_a, hp, k=2, seed=0)
@@ -653,30 +675,27 @@ def test_an_open_pool_serves_several_plans(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("size", [1, 2])
-def test_no_units_map_to_nothing_and_write_no_plan(tmp_path, monkeypatch, size):
-    # on a pool, zip(*[]) gave executor.map only the endless repeat(path)
-    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+def test_no_units_map_to_nothing_and_write_no_plan(monkeypatch, size):
+    # a pool would otherwise ask for an executor of min(size, 0) workers
+    monkeypatch.setattr(training, "ProcessPoolExecutor", _forbidden)
     plan = training.plan_folds(make_dataset(n=60, p=3, seed=1), 2, 0)
-    with UnitPool(size) as pool:
-        assert list(pool.map_units(plan, [])) == []
-        # a pool's temporary directory is all there is, and it holds no plan
-        assert [list(d.iterdir()) for d in tmp_path.iterdir()] == [[]] * (size - 1)
+    assert list(UnitPool(size).map_units(plan, [])) == []
 
 
 def test_in_process_pool_starts_no_process_and_makes_no_file(monkeypatch):
     monkeypatch.setattr(training, "ProcessPoolExecutor", _forbidden)
     monkeypatch.setattr(tempfile, "mkdtemp", _forbidden)
     ds = make_dataset(n=60, p=3, seed=1)
-    with UnitPool(1) as pool:
-        result = cross_validate(ds, TINY.replaced(max_epochs=2), k=2, seed=0, pool=pool)
-        assert pool.size == 1
-        assert pool.blas_threads == os.environ.get("OPENBLAS_NUM_THREADS", "1")
-        assert pool.first_unit_unix == {}
+    pool = UnitPool(1)
+    result = cross_validate(ds, TINY.replaced(max_epochs=2), k=2, seed=0, pool=pool)
+    assert pool.size == 1
+    assert pool.blas_threads == os.environ.get("OPENBLAS_NUM_THREADS", "1")
+    assert pool.first_unit_unix == {}
     assert result == cross_validate(ds, TINY.replaced(max_epochs=2), k=2, seed=0)
 
 
 def _forbidden(*args, **kwargs):
-    raise AssertionError("an in-process pool started a process or made a file")
+    raise AssertionError("a process was started or a file made")
 
 
 def test_grid_search_budget_caps_enumeration():
