@@ -263,7 +263,7 @@ def cmd_synth(args) -> int:
             ),
         },
         "sample_ids": list(ds.sample_ids),
-        "true_scores": [float(s) for s in true_scores],
+        "true_scores": true_scores.tolist(),
     }
     with open(out + ".truth.json", "w", encoding="utf-8", newline="\n") as fh:
         fh.write(json.dumps(sidecar, sort_keys=True) + "\n")

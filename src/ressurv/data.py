@@ -12,6 +12,7 @@ import csv
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, fields
+from itertools import repeat
 from numbers import Integral, Real
 
 import numpy as np
@@ -359,6 +360,10 @@ def load_csv(path) -> SurvivalDataset:
     naming the 1-based data row. The values are then checked by the
     `SurvivalDataset` constructor, which names the row too. A file that is
     not UTF-8 text raises `SchemaError` naming the file.
+
+    numpy parses a plain file (see `_plain_rows`); every other file, and
+    every file numpy refuses, goes through the row scan, which alone words
+    the parse errors. Both routes give the same dataset.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(_utf8_lines(fh, path))
@@ -372,47 +377,101 @@ def load_csv(path) -> SurvivalDataset:
         for col in (ID_COL, TIME_COL, EVENT_COL):
             if col not in col_of:
                 raise SchemaError(f"{path}: missing required column {col!r}")
-        special = {col_of[ID_COL], col_of[TIME_COL], col_of[EVENT_COL]}
+        special = [col_of[ID_COL], col_of[TIME_COL], col_of[EVENT_COL]]
         feature_cols = [i for i in range(len(header)) if i not in special]
-        feature_names = [header[i] for i in feature_cols]
+        parsed = _parse_plain(path, len(header), special, feature_cols)
+        if parsed is None:
+            parsed = _scan_rows(reader, header, special, feature_cols)
 
-        ids: list[str] = []
-        times: list[float] = []
-        events: list[bool] = []
-        rows: list[list[float]] = []
-        for rownum, record in enumerate(reader, start=1):
-            if len(record) != len(header):
-                raise DataRowError(
-                    rownum, f"expected {len(header)} cells, got {len(record)}"
-                )
-            raw_time = record[col_of[TIME_COL]].strip()
-            if not raw_time:
-                raise DataRowError(rownum, "missing time value")
-            try:
-                t = float(raw_time)
-            except ValueError:
-                raise DataRowError(rownum, f"time value {raw_time!r} is not numeric") from None
-            ev = _parse_event(record[col_of[EVENT_COL]], rownum)
-            feats = []
-            for ci in feature_cols:
-                cell = record[ci].strip()
-                if not cell:
-                    raise DataRowError(rownum, f"missing value in column {header[ci]!r}")
-                try:
-                    feats.append(float(cell))
-                except ValueError:
-                    raise DataRowError(
-                        rownum, f"non-numeric value {cell!r} in column {header[ci]!r}"
-                    ) from None
-            ids.append(record[col_of[ID_COL]].strip())
-            times.append(t)
-            events.append(ev)
-            rows.append(feats)
-
+    ids, times, events, features = parsed
     if not ids:
         raise SchemaError(f"{path}: no data rows")
+    return SurvivalDataset(ids, features, [header[i] for i in feature_cols], times, events)
+
+
+def _plain_rows(path, width: int) -> int | None:
+    """The number of data rows of a plain file, None for any other: a plain
+    file has no `"` or NUL byte, a CR only in CRLF, and `width` - 1 commas
+    on every line. On such a file numpy's tokenizer and `csv.reader` cut the
+    same cells, and no line is blank, short or long."""
+    lines = 0
+    with open(path, "rb") as fh:
+        while chunk := fh.readlines(1 << 20):   # whole lines, about 1 MB
+            block = b"".join(chunk)
+            if (b'"' in block or b"\0" in block
+                    or block.count(b"\r") != block.count(b"\r\n")
+                    or set(map(bytes.count, chunk, repeat(b","))) != {width - 1}):
+                return None
+            lines += len(chunk)
+    return lines - 1
+
+
+def _parse_plain(path, width: int, special: list[int], feature_cols: list[int]):
+    """(ids, times, events, features) of a plain file with data rows, each
+    cell read by the row scan's rule, or None where the row scan must run:
+    the file is not plain, numpy refuses a cell, or an event token is bad.
+
+    The features are float64 straight from `np.loadtxt`. The id, time and
+    event cells are read as Python strings and go through the row scan's
+    own calls: `str.strip` for the id, `float` for the time (numpy's float
+    parse refuses the `1_000` and non-ASCII digits that `float` reads), and
+    strip and lower for the event token.
+    """
+    if not _plain_rows(path, width):
+        return None
+    read = dict(delimiter=",", comments=None, encoding="utf-8", skiprows=1, ndmin=2)
+    try:   # a UnicodeDecodeError is a ValueError
+        cells = np.loadtxt(path, dtype=object, usecols=special, **read)
+        times = cells[:, 1].astype(np.float64)
+        features = np.loadtxt(path, usecols=feature_cols, **read)
+    except ValueError:
+        return None
+    tokens = np.array([t.strip().lower() for t in cells[:, 2]])
+    events = np.isin(tokens, list(_TRUE_TOKENS))
+    if not (events | np.isin(tokens, list(_FALSE_TOKENS))).all():
+        return None
+    return list(map(str.strip, cells[:, 0])), times, events, features
+
+
+def _scan_rows(reader, header: list[str], special: list[int], feature_cols: list[int]):
+    """(ids, times, events, features) of the data rows of `reader`, read
+    cell by cell; the first cell that does not parse raises `DataRowError`
+    naming its row."""
+    id_col, time_col, event_col = special
+    ids: list[str] = []
+    times: list[float] = []
+    events: list[bool] = []
+    rows: list[list[float]] = []
+    for rownum, record in enumerate(reader, start=1):
+        if len(record) != len(header):
+            raise DataRowError(
+                rownum, f"expected {len(header)} cells, got {len(record)}"
+            )
+        raw_time = record[time_col].strip()
+        if not raw_time:
+            raise DataRowError(rownum, "missing time value")
+        try:
+            t = float(raw_time)
+        except ValueError:
+            raise DataRowError(rownum, f"time value {raw_time!r} is not numeric") from None
+        ev = _parse_event(record[event_col], rownum)
+        feats = []
+        for ci in feature_cols:
+            cell = record[ci].strip()
+            if not cell:
+                raise DataRowError(rownum, f"missing value in column {header[ci]!r}")
+            try:
+                feats.append(float(cell))
+            except ValueError:
+                raise DataRowError(
+                    rownum, f"non-numeric value {cell!r} in column {header[ci]!r}"
+                ) from None
+        ids.append(record[id_col].strip())
+        times.append(t)
+        events.append(ev)
+        rows.append(feats)
     features = np.array(rows, dtype=np.float64).reshape(len(ids), len(feature_cols))
-    return SurvivalDataset(ids, features, feature_names, np.array(times), np.array(events))
+    return ids, np.array(times), np.array(events), features
 
 
 def write_csv(ds: SurvivalDataset, path) -> None:
@@ -425,17 +484,15 @@ def write_csv(ds: SurvivalDataset, path) -> None:
     """
     if ds.n == 0:
         raise SchemaError("no data rows to write")
+    rows = (
+        [sid, repr(t), "1" if e else "0", *map(repr, feats)]
+        for sid, t, e, feats in zip(ds.sample_ids, ds.times.tolist(), ds.events.tolist(),
+                                    map(np.ndarray.tolist, ds.features))
+    )
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow([ID_COL, TIME_COL, EVENT_COL, *ds.feature_names])
-        for i in range(ds.n):
-            row = [
-                ds.sample_ids[i],
-                repr(float(ds.times[i])),
-                "1" if ds.events[i] else "0",
-            ]
-            row.extend(repr(float(v)) for v in ds.features[i])
-            writer.writerow(row)
+        writer.writerows(rows)
 
 
 def filter_patients(ds: SurvivalDataset) -> tuple[SurvivalDataset, int]:

@@ -1,10 +1,11 @@
 """The scripts under `benchmarks/` run on the package.
 
 `benchmarks/bench_epoch.py` times the layer kernels through the public
-model API, and `benchmarks/bench_concordance.py` checks the concordance
-sweep's counts against the pairwise scan before it times them. Nothing else
-runs them, so these tests run both on tiny shapes: a change to the model or
-metrics API that breaks a script fails here.
+model API, `benchmarks/bench_concordance.py` checks the concordance sweep's
+counts against the pairwise scan before it times them, and
+`benchmarks/bench_csv.py` times the CSV writer and reader. Nothing else runs
+them, so these tests run all three on tiny shapes: a change to the model,
+metrics or data API that breaks a script fails here.
 """
 
 import importlib.util
@@ -50,3 +51,10 @@ def test_bench_concordance_counts_agree_at_small_n(monkeypatch, capsys):
                                       "--repeats", "1"])
     assert bench.main() == 0   # asserts identical counts before timing
     assert "counts verified identical up to" in capsys.readouterr().out
+
+
+def test_bench_csv_writes_reads_back_and_traces_both(tmp_path):
+    bench = _load("bench_csv")
+    cells = bench.measure(bench.synth(30, 4), tmp_path / "tiny.csv", repeats=2)
+    assert set(cells) == set(bench.CALLS)
+    assert all(ms >= 0 and mb > 0 for ms, mb in cells.values())
