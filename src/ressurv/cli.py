@@ -134,8 +134,19 @@ def write_json_report(path: str, content: dict) -> None:
 
 
 def usable_cores() -> int:
-    """The cores this process may run on: the default --workers."""
+    """The cores this process may run on."""
     return len(os.sched_getaffinity(0))
+
+
+def default_workers(units: int, cores: int) -> int:
+    """The pool size without --workers: one worker per unit when the units
+    do not divide evenly over the cores and are fewer than three per core,
+    so that no core idles through a last partial round (README, Parallel
+    runs, gives each condition's reason); else one per core, at most one
+    per unit."""
+    if units % cores and units < 3 * cores:
+        return units
+    return min(cores, units)
 
 
 def write_meta(path: str, wall_time_s: float, argv: list[str], pool: UnitPool) -> None:
@@ -143,10 +154,14 @@ def write_meta(path: str, wall_time_s: float, argv: list[str], pool: UnitPool) -
     parallel setup: the processes that trained units (the pool's size, 1
     in-process), usable cores, the OpenBLAS thread count the units ran
     under (in-process too), and per pool worker that ran a unit the seconds
-    from the command's start to the start of its first unit, ascending
-    (null in-process)."""
+    from the command's start to the start of its first unit and to the end
+    of its last unit, each list ascending (null in-process)."""
     now = time.time()
     started_unix = now - wall_time_s
+
+    def since_start(stamps: dict[int, float]):
+        return None if pool.size == 1 else sorted(t - started_unix for t in stamps.values())
+
     write_json_report(path, {
         "created_unix": now,
         "wall_time_s": wall_time_s,
@@ -154,8 +169,8 @@ def write_meta(path: str, wall_time_s: float, argv: list[str], pool: UnitPool) -
         "workers": pool.size,
         "usable_cores": usable_cores(),
         "worker_openblas_num_threads": pool.blas_threads,
-        "worker_start_s": None if pool.size == 1 else sorted(
-            t - started_unix for t in pool.first_unit_unix.values()),
+        "worker_start_s": since_start(pool.first_unit_unix),
+        "worker_end_s": since_start(pool.last_unit_end_unix),
     })
 
 
@@ -231,11 +246,15 @@ def _load_dataset(path: str) -> SurvivalDataset:
 
 
 def _unit_pool(args, units: int) -> UnitPool:
-    """--workers processes, at most one per unit (in-process without units,
-    so that the fold split reports a --k below 1). A pool forks its workers
+    """--workers processes, at most one per unit, or without --workers
+    `default_workers` for the usable cores (in-process without units, so
+    that the fold split reports a --k below 1). A pool forks its workers
     only once the CSV is read and the folds are planned, so a bad row or a
     degenerate fold starts no process."""
-    return UnitPool(min(args.workers, max(units, 1)))
+    units = max(units, 1)
+    if args.workers is None:
+        return UnitPool(default_workers(units, usable_cores()))
+    return UnitPool(min(args.workers, units))
 
 
 def _fold_fields(result) -> dict:
@@ -435,9 +454,10 @@ def build_parser() -> argparse.ArgumentParser:
     _flag(hp, "hp", "hyperparameter JSON file (defaults if omitted)")
     folds = argparse.ArgumentParser(add_help=False)
     _flag(folds, "k", "number of folds (default 5)", int, 5)
-    _flag(folds, "workers", "worker processes training (configuration, fold) units "
-          "(default: the usable cores, at most one per unit); 1 trains them in-process",
-          int, usable_cores())
+    _flag(folds, "workers", "worker processes training (configuration, fold) units, "
+          "at most one per unit; 1 trains them in-process (default: one per unit when "
+          "the units do not divide evenly over the usable cores and are fewer than "
+          "three per core, else one per usable core)", int)
 
     def command(name, func, help_text, *parents):
         p = sub.add_parser(name, help=help_text, parents=[*parents, out])

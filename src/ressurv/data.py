@@ -12,7 +12,7 @@ import csv
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, fields
-from itertools import repeat
+from itertools import count, repeat
 from numbers import Integral, Real
 
 import numpy as np
@@ -359,7 +359,9 @@ def load_csv(path) -> SurvivalDataset:
     non-numeric time or feature, or a bad event token raises `DataRowError`
     naming the 1-based data row. The values are then checked by the
     `SurvivalDataset` constructor, which names the row too. A file that is
-    not UTF-8 text raises `SchemaError` naming the file.
+    not UTF-8 text raises `SchemaError` naming the file, and so does a
+    header that `csv.reader` refuses (a cell longer than
+    `csv.field_size_limit()`); in a data row, that is a `DataRowError`.
 
     numpy parses a plain file (see `_plain_rows`); every other file, and
     every file numpy refuses, goes through the row scan, which alone words
@@ -371,6 +373,8 @@ def load_csv(path) -> SurvivalDataset:
             header = next(reader)
         except StopIteration:
             raise SchemaError(f"{path}: empty file, header row required") from None
+        except csv.Error as err:   # such as a cell over csv.field_size_limit()
+            raise SchemaError(f"{path}: header row: {err}") from None
         header = [h.strip() for h in header]
         _check_columns(header)
         col_of = {name: i for i, name in enumerate(header)}
@@ -435,14 +439,20 @@ def _parse_plain(path, width: int, special: list[int], feature_cols: list[int]):
 
 def _scan_rows(reader, header: list[str], special: list[int], feature_cols: list[int]):
     """(ids, times, events, features) of the data rows of `reader`, read
-    cell by cell; the first cell that does not parse raises `DataRowError`
-    naming its row."""
+    cell by cell; the first row `reader` refuses or cell that does not
+    parse raises `DataRowError` naming its row."""
     id_col, time_col, event_col = special
     ids: list[str] = []
     times: list[float] = []
     events: list[bool] = []
     rows: list[list[float]] = []
-    for rownum, record in enumerate(reader, start=1):
+    for rownum in count(1):
+        try:
+            record = next(reader, None)
+        except csv.Error as err:   # such as a cell over csv.field_size_limit()
+            raise DataRowError(rownum, str(err)) from None
+        if record is None:
+            break
         if len(record) != len(header):
             raise DataRowError(
                 rownum, f"expected {len(header)} cells, got {len(record)}"

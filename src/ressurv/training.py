@@ -533,9 +533,10 @@ _worker_plan: FoldPlan | None = None
 def _pooled_fold_unit(hp: Hyperparameters, with_shortcut: bool, f: int):
     """`fold_unit` of the plan this worker was forked with, beside the
     worker's pid and the wall clock (Unix seconds) at which the unit
-    started."""
+    started and ended."""
     started = time.time()
-    return os.getpid(), started, fold_unit(_worker_plan, hp, with_shortcut, f)
+    outcome = fold_unit(_worker_plan, hp, with_shortcut, f)
+    return os.getpid(), started, time.time(), outcome
 
 
 @functools.cache
@@ -577,8 +578,10 @@ class UnitPool:
             raise ValueError("workers must be >= 1")
         self.size = size
         self.blas_threads = os.environ.get(BLAS_THREADS_ENV, WORKER_BLAS_THREADS)
-        # Unix time each worker (by pid) started its first unit
+        # Unix time each worker (by pid) started its first unit and ended
+        # its last one
         self.first_unit_unix: dict[int, float] = {}
+        self.last_unit_end_unix: dict[int, float] = {}
 
     @contextlib.contextmanager
     def unit_blas(self):
@@ -614,9 +617,10 @@ class UnitPool:
             # of them inherit the units' OpenBLAS count
             with self.unit_blas():
                 outcomes = executor.map(_pooled_fold_unit, *zip(*units))
-            for pid, started, outcome in outcomes:
+            for pid, started, ended, outcome in outcomes:
                 # a worker takes its units in submission order
                 self.first_unit_unix.setdefault(pid, started)
+                self.last_unit_end_unix[pid] = ended
                 yield outcome
         finally:
             _worker_plan = None

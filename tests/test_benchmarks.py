@@ -3,9 +3,11 @@
 `benchmarks/bench_epoch.py` times the layer kernels through the public
 model API, `benchmarks/bench_concordance.py` checks the concordance sweep's
 counts against the pairwise scan before it times them, and
-`benchmarks/bench_csv.py` times the CSV writer and reader. Nothing else runs
-them, so these tests run all three on tiny shapes: a change to the model,
-metrics or data API that breaks a script fails here.
+`benchmarks/bench_csv.py` times the CSV writer and reader, and
+`benchmarks/bench_pool.py` times `cv` at one worker per core against the
+default pool. Nothing else runs them, so these tests run all four on tiny
+shapes: a change to the model, metrics, data or CLI API that breaks a script
+fails here.
 """
 
 import importlib.util
@@ -19,8 +21,9 @@ TINY = dict(n_train=12, n_val=5, p=3, widths=[4, 4], layers=2, activation="selu"
 
 
 def _load(name: str):
-    """Import benchmarks/<name>.py. bench_epoch puts perfbench/ on sys.path
-    to import `run` (which imports `tracer`); both are taken back after."""
+    """Import benchmarks/<name>.py. bench_epoch and bench_pool put
+    perfbench/ on sys.path to import `run` (which imports `tracer`); both
+    are taken back after."""
     spec = importlib.util.spec_from_file_location(f"bench_{name}",
                                                   ROOT / "benchmarks" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
@@ -58,3 +61,11 @@ def test_bench_csv_writes_reads_back_and_traces_both(tmp_path):
     cells = bench.measure(bench.synth(30, 4), tmp_path / "tiny.csv", repeats=2)
     assert set(cells) == set(bench.CALLS)
     assert all(ms >= 0 and mb > 0 for ms, mb in cells.values())
+
+
+def test_bench_pool_runs_a_pair_and_compares_the_report_bytes(capsys):
+    bench = _load("bench_pool")
+    assert bench.main(["--n", "120", "--p", "3", "--k", "3", "--epochs", "2",
+                       "--pairs", "1"]) == 0
+    out = capsys.readouterr().out
+    assert "report bytes identical" in out and "/1 pairs" in out

@@ -12,7 +12,7 @@ import pytest
 import ressurv
 from conftest import make_dataset
 from ressurv import data, training
-from ressurv.cli import REPORT_SCHEMA, TRUTH_SCHEMA, main
+from ressurv.cli import REPORT_SCHEMA, TRUTH_SCHEMA, default_workers, main
 from ressurv.data import SurvivalDataset, load_csv, write_csv
 from ressurv.model import load_checkpoint, model_forward
 
@@ -357,6 +357,22 @@ def test_non_utf8_input_exits_2_naming_the_file(tmp_path, data_csv, hp_file, cap
     assert err.startswith("error: ") and f"{broken}" in err and "not UTF-8 text" in err
 
 
+@pytest.mark.parametrize("line, where", [(0, "{path}: header row: "), (3, "row 3: ")])
+def test_quoted_cell_over_the_csv_field_limit_exits_2_naming_where(
+        tmp_path, data_csv, hp_file, capsys, line, where):
+    # csv.reader's "field larger than field limit" escaped as a traceback (exit 1)
+    lines = open(data_csv).read().splitlines()
+    cells = lines[line].split(",")
+    cells[-1] = '"' + "1" * 140_000 + '"'
+    lines[line] = ",".join(cells)
+    path = tmp_path / "long.csv"
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["cv", "--data", str(path), "--hp", hp_file, "--workers", "1",
+                 "--out", str(tmp_path / "cv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: " + where.format(path=path) + "field larger than field limit")
+
+
 def test_cv_out_naming_a_file_exits_2_naming_it(tmp_path, data_csv, hp_file, capsys):
     out = tmp_path / "taken"
     out.write_text("not a directory")
@@ -587,11 +603,15 @@ def test_meta_file_records_the_parallel_setup(tmp_path, data_csv, hp_file, monke
 
 def test_meta_file_records_when_each_pool_worker_started(tmp_path, data_csv, hp_file):
     _, serial = _cv_meta(tmp_path, data_csv, hp_file, "serial", "--workers", "1")
-    assert serial["worker_start_s"] is None
+    assert serial["worker_start_s"] is None and serial["worker_end_s"] is None
     _, pooled = _cv_meta(tmp_path, data_csv, hp_file, "pooled", "--workers", "2")
-    starts = pooled["worker_start_s"]
+    starts, ends = pooled["worker_start_s"], pooled["worker_end_s"]
     assert 1 <= len(starts) <= 2 and starts == sorted(starts)
     assert all(0 <= s <= pooled["wall_time_s"] for s in starts)
+    # one end per worker; every worker ends after it starts, so the i-th
+    # earliest end follows the i-th earliest start
+    assert len(ends) == len(starts) and ends == sorted(ends)
+    assert all(s < e <= pooled["wall_time_s"] for s, e in zip(starts, ends))
 
 
 def _degenerate_fold_csv(path):
@@ -672,6 +692,47 @@ def test_default_workers_is_the_usable_cores(tmp_path, data_csv, hp_file, monkey
     serial, _ = _cv_meta(tmp_path, data_csv, hp_file, "serial", "--workers", "1")
     for name in ("folds.jsonl", "summary.json"):
         assert (pooled / name).read_bytes() == (serial / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("units, cores, workers", [
+    (5, 1, 1), (1, 4, 1),           # one core; fewer units than cores
+    (4, 2, 2), (12, 4, 4),          # the units divide evenly over the cores
+    (5, 2, 5), (10, 4, 10),         # they do not, and are under three per core
+    (6, 2, 2), (7, 2, 2), (13, 4, 4),  # three or more per core
+])
+def test_default_workers_rule(units, cores, workers):
+    assert default_workers(units, cores) == workers
+
+
+def _two_core_cv(tmp_path, data_csv, hp_file, monkeypatch, name, *extra):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    out = tmp_path / name
+    assert main(["cv", "--data", data_csv, "--hp", hp_file, "--k", "5", *extra,
+                 "--out", str(out)]) == 0
+    return out, json.loads((out / "meta.json").read_text())
+
+
+def test_default_workers_start_every_unit_when_they_divide_unevenly(
+        tmp_path, data_csv, hp_file, monkeypatch):
+    # 5 folds on 2 cores would run 2 + 2 + 1, one core idle in the last round
+    monkeypatch.delenv("RESSURV_WORKERS", raising=False)
+    pooled, meta = _two_core_cv(tmp_path, data_csv, hp_file, monkeypatch, "default")
+    assert meta["workers"] == 5 and meta["usable_cores"] == 2
+    assert len(meta["worker_start_s"]) == len(meta["worker_end_s"]) <= 5
+    serial, _ = _two_core_cv(tmp_path, data_csv, hp_file, monkeypatch, "serial",
+                             "--workers", "1")
+    for name in ("folds.jsonl", "summary.json"):
+        assert (pooled / name).read_bytes() == (serial / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("flag", [True, False])
+def test_explicit_workers_stay_literal(tmp_path, data_csv, hp_file, monkeypatch, flag):
+    monkeypatch.delenv("RESSURV_WORKERS", raising=False)
+    if not flag:
+        monkeypatch.setenv("RESSURV_WORKERS", "2")
+    _, meta = _two_core_cv(tmp_path, data_csv, hp_file, monkeypatch, "cv",
+                           *(["--workers", "2"] if flag else []))
+    assert meta["workers"] == meta["usable_cores"] == 2
 
 
 def _no_pool(*args, **kwargs):

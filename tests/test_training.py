@@ -690,7 +690,7 @@ def test_in_process_pool_starts_no_process_and_makes_no_file(monkeypatch):
     result = cross_validate(ds, TINY.replaced(max_epochs=2), k=2, seed=0, pool=pool)
     assert pool.size == 1
     assert pool.blas_threads == os.environ.get("OPENBLAS_NUM_THREADS", "1")
-    assert pool.first_unit_unix == {}
+    assert pool.first_unit_unix == pool.last_unit_end_unix == {}
     assert result == cross_validate(ds, TINY.replaced(max_epochs=2), k=2, seed=0)
 
 
