@@ -1,22 +1,30 @@
 """Epoch benchmark: the network's layer kernels at the benchmark fold shapes.
 
-One epoch here is what `train` runs per epoch minus the loss and the
-optimizer: a train-mode forward pass (batch norm, activations and dropout
-masks) that writes over the previous epoch's cache, the backward pass to
-every parameter, and an eval-mode forward pass over the validation rows, at
-the shape one fold trains on in a `perfbench` workload:
+One epoch here is what `train` runs per epoch minus the L2 penalty and the
+optimizer step: a train-mode forward pass (batch norm, activations and
+dropout masks) that writes over the previous epoch's cache, the Cox loss and
+its gradient over the training rows plus the Cox loss over the validation
+rows (``cox``), the backward pass to every parameter, an eval-mode forward
+pass over the validation rows, and the validation C-index
+(``val_c_index``, which `train` computes each epoch unless told not to, as
+cross-validation units do), at the shape one fold trains on in a
+`perfbench` workload:
 
 * ``cv-paper``: 1,280 training and 320 validation rows x 20 features, the
   paper-default 5 blocks x 3 dense layers x 64 nodes, tanh, dropout 0.2;
 * ``grid-cohort``: 10,666 and 2,667 rows x 8 features, 1 x 2 x 16, tanh,
-  dropout 0.1.
+  dropout 0.1;
+* ``compare-wide``: 640 and 160 rows x 120 features, 2 x 2 x 32, tanh,
+  dropout 0.2.
 
 It prints the median milliseconds per stage and per epoch, the minor page
 faults per timed epoch (``ru_minflt``), and the peak MB that tracemalloc
 traces over a few further, untimed epochs, with the usable cores and
-OpenBLAS's thread count. It uses only the public model API, so the same
-script times any checkout's ``src`` (one whose ``model_forward`` takes no
-``cache`` allocates a new cache every epoch):
+OpenBLAS's thread count. The survival times are drawn with ties and 30%
+censoring. It uses only the public API, so the same script times any
+checkout's ``src`` (one whose ``model_forward`` takes no ``cache``
+allocates a new cache every epoch; one without ``cox.loss_and_gradient``
+makes the two separate calls it fuses):
 
     PYTHONPATH=src python benchmarks/bench_epoch.py
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=/path/to/other/src \\
@@ -35,6 +43,8 @@ from pathlib import Path
 
 import numpy as np
 
+from ressurv import cox
+from ressurv.metrics import concordance_fast
 from ressurv.model import DropoutStream, init_params, model_backward, model_forward
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -45,20 +55,40 @@ SHAPES = {
                      activation="tanh", dropout=0.2),
     "grid-cohort": dict(n_train=10666, n_val=2667, p=8, widths=[16], layers=2,
                         activation="tanh", dropout=0.1),
+    "compare-wide": dict(n_train=640, n_val=160, p=120, widths=[32] * 2, layers=2,
+                         activation="tanh", dropout=0.2),
 }
-STAGES = ("forward_train", "backward", "forward_eval")
+STAGES = ("forward_train", "cox", "backward", "forward_eval", "val_c_index")
 WARMUP_EPOCHS = 3
 TRACED_EPOCHS = 3
 REUSES_CACHE = "cache" in inspect.signature(model_forward).parameters
 
 
+def _separate_loss_and_gradient(h, index):
+    return cox.neg_log_partial_likelihood(h, index), cox.nll_gradient(h, index)
+
+
+LOSS_AND_GRADIENT = getattr(cox, "loss_and_gradient", _separate_loss_and_gradient)
+
+
+def survival(rng, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n survival times on a coarse grid, so that many tie, with about 30%
+    censored and at least one event."""
+    times = np.round(rng.exponential(5.0, size=n), 1) + 0.1
+    events = rng.random(n) >= 0.3
+    events[0] = True
+    return times, events
+
+
 def run_epochs(shape: dict, epochs: int, seed: int = 0):
-    """Yield after each of `epochs` epochs its (forward_train, backward,
-    forward_eval) seconds."""
+    """Yield after each of `epochs` epochs its seconds per stage, in the
+    order of STAGES."""
     rng = np.random.default_rng(seed)
     X = rng.normal(size=(shape["n_train"], shape["p"]))
     X_val = rng.normal(size=(shape["n_val"], shape["p"]))
-    grad_h = rng.normal(size=shape["n_train"])
+    index = cox.build_risk_index(*survival(rng, shape["n_train"]))
+    val_times, val_events = survival(rng, shape["n_val"])
+    val_index = cox.build_risk_index(val_times, val_events)
     params = init_params(shape["p"], shape["widths"], shape["layers"], shape["activation"],
                          shape["dropout"], seed)
     stream = DropoutStream(seed)
@@ -66,13 +96,19 @@ def run_epochs(shape: dict, epochs: int, seed: int = 0):
     for epoch in range(1, epochs + 1):
         reuse = {"cache": cache} if REUSES_CACHE else {}
         t0 = time.perf_counter()
-        _, cache = model_forward(X, params, mode="train", stream=stream, epoch=epoch, **reuse)
+        h, cache = model_forward(X, params, mode="train", stream=stream, epoch=epoch, **reuse)
         t1 = time.perf_counter()
-        model_backward(grad_h, params, cache)
+        _, grad_h = LOSS_AND_GRADIENT(h, index)
         t2 = time.perf_counter()
-        model_forward(X_val, params, mode="eval")
+        model_backward(grad_h, params, cache)
         t3 = time.perf_counter()
-        yield t1 - t0, t2 - t1, t3 - t2
+        h_val, _ = model_forward(X_val, params, mode="eval")
+        t4 = time.perf_counter()
+        cox.neg_log_partial_likelihood(h_val, val_index)
+        t5 = time.perf_counter()
+        concordance_fast(val_times, val_events, h_val)
+        t6 = time.perf_counter()
+        yield t1 - t0, (t2 - t1) + (t5 - t4), t3 - t2, t4 - t3, t6 - t5
 
 
 def time_epochs(shape: dict, repeats: int) -> tuple[dict[str, list[float]], float]:

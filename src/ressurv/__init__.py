@@ -14,6 +14,7 @@ from .cox import (
     build_risk_index,
     fit_linear_cox_newton,
     l2_penalty,
+    loss_and_gradient,
     neg_log_partial_likelihood,
     nll_gradient,
 )
@@ -100,6 +101,7 @@ __all__ = [
     "l2_penalty",
     "load_checkpoint",
     "load_csv",
+    "loss_and_gradient",
     "model_backward",
     "model_forward",
     "neg_log_partial_likelihood",

@@ -49,6 +49,8 @@ class RiskSetIndex:
     tie_end: np.ndarray           # (n,) int64, inclusive end of each position's tie group
     event_positions: np.ndarray   # sorted positions where events occur
     n_events: int
+    event_counts: np.ndarray      # (n,) float, events whose tie group ends here (else 0)
+    log_event_counts: np.ndarray  # (n,) their log, -inf where there are none
 
     @property
     def n(self) -> int:
@@ -76,12 +78,19 @@ def build_risk_index(times, events) -> RiskSetIndex:
     tie_end = last_of_group[group_id]
 
     sorted_events = events[order]
+    event_positions = np.flatnonzero(sorted_events)
+    event_counts = np.zeros(st.size)
+    np.add.at(event_counts, tie_end[event_positions], 1.0)
+    with np.errstate(divide="ignore"):
+        log_event_counts = np.log(event_counts)
     return RiskSetIndex(
         order=order,
         sorted_events=sorted_events,
         tie_end=tie_end,
-        event_positions=np.flatnonzero(sorted_events),
+        event_positions=event_positions,
         n_events=n_events,
+        event_counts=event_counts,
+        log_event_counts=log_event_counts,
     )
 
 
@@ -94,35 +103,41 @@ def _check_scores(h: np.ndarray, idx: RiskSetIndex) -> np.ndarray:
     return h
 
 
-def neg_log_partial_likelihood(h, idx: RiskSetIndex) -> float:
-    """Breslow-tied Cox negative log partial likelihood, averaged over events."""
-    h = _check_scores(h, idx)
-    hs = h[idx.order]
-    log_denom = np.logaddexp.accumulate(hs)[idx.tie_end]
+def _log_denominators(hs: np.ndarray, idx: RiskSetIndex) -> np.ndarray:
+    """log D at each sorted position: the log of its risk set's sum of e^h
+    (one running log-sum-exp over the sorted scores `hs`), which every
+    member of a tie group shares."""
+    return np.logaddexp.accumulate(hs)[idx.tie_end]
+
+
+def _loss(hs: np.ndarray, log_denom: np.ndarray, idx: RiskSetIndex) -> float:
     ev = idx.event_positions
     return float((log_denom[ev] - hs[ev]).sum() / idx.n_events)
 
 
-def _event_weights(hs: np.ndarray, idx: RiskSetIndex) -> tuple[np.ndarray, np.ndarray]:
-    """Per-position event counts and log risk-set weights, in sorted order.
+def _log_risk_weights(log_denom: np.ndarray, idx: RiskSetIndex) -> np.ndarray:
+    """log A_q = log sum over events k with tie_end >= q of 1/D_k, in sorted
+    order: a reverse cumulative log-sum-exp of the weights count/D placed at
+    the tie-group ends (events within a tie group share one denominator),
+    so it stays finite for any finite scores."""
+    log_w = idx.log_event_counts - log_denom
+    return np.logaddexp.accumulate(log_w[::-1])[::-1]
 
-    Returns (ev_count, log_a): ev_count[q] is the number of events whose tie
-    group ends at sorted position q (zero elsewhere), and
 
-        log A_q = log sum over events k with tie_end >= q of 1/D_k
+def _gradient(hs: np.ndarray, log_a: np.ndarray, idx: RiskSetIndex) -> np.ndarray:
+    """The gradient of the loss in the caller's sample order, from the sorted
+    scores and their `_log_risk_weights`."""
+    grad_sorted = -(idx.sorted_events.astype(np.float64) - np.exp(hs + log_a)) / idx.n_events
+    grad = np.empty(idx.n)
+    grad[idx.order] = grad_sorted
+    return grad
 
-    with D_k event k's risk-set denominator. A_q is a reverse cumulative
-    log-sum-exp of the weights count/D placed at the tie-group ends (events
-    within a tie group share one denominator), so it stays finite for any
-    finite scores.
-    """
-    log_denom = np.logaddexp.accumulate(hs)[idx.tie_end]
-    ev_count = np.zeros(idx.n)
-    np.add.at(ev_count, idx.tie_end[idx.event_positions], 1.0)
-    with np.errstate(divide="ignore"):
-        log_w = np.where(ev_count > 0, np.log(ev_count) - log_denom, -np.inf)
-    log_a = np.logaddexp.accumulate(log_w[::-1])[::-1]
-    return ev_count, log_a
+
+def neg_log_partial_likelihood(h, idx: RiskSetIndex) -> float:
+    """Breslow-tied Cox negative log partial likelihood, averaged over events."""
+    h = _check_scores(h, idx)
+    hs = h[idx.order]
+    return _loss(hs, _log_denominators(hs, idx), idx)
 
 
 def nll_gradient(h, idx: RiskSetIndex) -> np.ndarray:
@@ -131,17 +146,22 @@ def nll_gradient(h, idx: RiskSetIndex) -> np.ndarray:
         dL/dh_i = -(1/N_E) [ 1{E_i=1} - sum_{k: E_k=1, i in risk(k)} e^{h_i} / D_k ]
 
     where D_k is event k's risk-set denominator. Computed in O(n) after the
-    sort: the inner sum is e^{h_i} A_i from `_event_weights`, so it stays
+    sort: the inner sum is e^{h_i} A_i from `_log_risk_weights`, so it stays
     finite for any finite h. Gradient entries sum to zero (shift invariance).
     """
     h = _check_scores(h, idx)
     hs = h[idx.order]
-    _, log_a = _event_weights(hs, idx)
-    grad_sorted = -(idx.sorted_events.astype(np.float64) - np.exp(hs + log_a)) / idx.n_events
+    return _gradient(hs, _log_risk_weights(_log_denominators(hs, idx), idx), idx)
 
-    grad = np.empty(idx.n)
-    grad[idx.order] = grad_sorted
-    return grad
+
+def loss_and_gradient(h, idx: RiskSetIndex) -> tuple[float, np.ndarray]:
+    """(`neg_log_partial_likelihood`, `nll_gradient`) at h, bit-identical to
+    the two calls, from one sort of the scores and one running log-sum-exp
+    of the risk-set denominators where the two calls make two of each."""
+    h = _check_scores(h, idx)
+    hs = h[idx.order]
+    log_denom = _log_denominators(hs, idx)
+    return _loss(hs, log_denom, idx), _gradient(hs, _log_risk_weights(log_denom, idx), idx)
 
 
 def l2_penalty(
@@ -190,27 +210,27 @@ def _grad_hessian(X: np.ndarray, beta: np.ndarray, idx: RiskSetIndex):
 
         H = [ X^T diag(r A) X - sum_e c_e mu_e mu_e^T ] / N_E
 
-    where r_j A_j = e^{h_j + log A_j} comes from `_event_weights`. That is
-    two matrix products and no (n, p, p) tensor. The mu_e prefix sums use a
-    global max shift; once the linear predictor spans more than float64's
-    exponent range (separable data), a risk set's shifted sum underflows to
-    zero and the Hessian comes out NaN, which `fit_linear_cox_newton` treats
-    as the end of the fit.
+    where r_j A_j = e^{h_j + log A_j} comes from `_log_risk_weights`, which
+    the gradient shares. That is two matrix products and no (n, p, p)
+    tensor. The mu_e prefix sums use a global max shift; once the linear
+    predictor spans more than float64's exponent range (separable data), a
+    risk set's shifted sum underflows to zero and the Hessian comes out NaN,
+    which `fit_linear_cox_newton` treats as the end of the fit.
     """
-    h = X @ beta
-    grad = X.T @ nll_gradient(h, idx)
+    h = _check_scores(X @ beta, idx)
+    hs = h[idx.order]
+    log_a = _log_risk_weights(_log_denominators(hs, idx), idx)
+    grad = X.T @ _gradient(hs, log_a, idx)
 
     Xs = X[idx.order]
-    hs = h[idx.order]
-    ev_count, log_a = _event_weights(hs, idx)
     r = np.exp(hs - hs.max())
-    ends = np.flatnonzero(ev_count)
+    ends = np.flatnonzero(idx.event_counts)
     s0 = np.cumsum(r)[ends]
     s1 = np.cumsum(r[:, None] * Xs, axis=0)[ends]
     with np.errstate(divide="ignore", invalid="ignore"):
         mu = s1 / s0[:, None]
     weighted = Xs * np.exp(hs + log_a)[:, None]
-    hess = (weighted.T @ Xs - mu.T @ (ev_count[ends, None] * mu)) / idx.n_events
+    hess = (weighted.T @ Xs - mu.T @ (idx.event_counts[ends, None] * mu)) / idx.n_events
     return grad, hess
 
 

@@ -282,6 +282,7 @@ def train(
     hp: Hyperparameters,
     with_shortcut: bool = True,
     seed: int | None = None,
+    score_val_c_index: bool = True,
 ) -> TrainReport:
     """Run the epoch loop and return the report with best-epoch parameters.
 
@@ -290,12 +291,21 @@ def train(
     full-batch: the Cox partial likelihood couples samples through risk sets,
     so only the full-batch gradient is the exact one.
 
-    Each epoch: forward in train mode, Cox NLL plus L2 penalty (penalty
-    skipped for AdamW, which carries it as decoupled decay), backward,
-    optimizer step, then inverse-time LR decay and a validation pass in eval
-    mode. Stops when validation NLL has not improved by at least 1e-6 for
-    `patience` consecutive epochs; the best-validation snapshot (weights and
-    batch-norm running statistics) is restored into the report.
+    Each epoch: forward in train mode, the Cox NLL and its gradient from one
+    pass over the sorted scores (`cox.loss_and_gradient`) plus the L2
+    penalty (skipped for AdamW, which carries it as decoupled decay),
+    backward, optimizer step, then inverse-time LR decay and a validation
+    pass in eval mode: the validation NLL and, when `score_val_c_index` is
+    true, the validation C-index. Stops when validation NLL has not improved
+    by at least 1e-6 for `patience` consecutive epochs; the best-validation
+    snapshot (weights and batch-norm running statistics) is restored into
+    the report.
+
+    The validation C-index decides nothing: it is only reported, in each
+    `EpochRecord` and as `best_val_c_index`. A caller that reads neither
+    (a cross-validation unit) passes `score_val_c_index=False` and skips
+    its per-epoch cost; both fields are then NaN, and every other number
+    of the report is unchanged.
 
     A non-finite training or validation loss aborts with the offending epoch.
     """
@@ -338,10 +348,10 @@ def train(
         lr_used = state.lr
         h, cache = model_forward(train_ds.features, params, mode="train",
                                  stream=stream, epoch=epoch, cache=cache)
-        grads = model_backward(cox.nll_gradient(h, train_index), params, cache)
+        nll, grad_h = cox.loss_and_gradient(h, train_index)
+        grads = model_backward(grad_h, params, cache)
         # the penalty's gradient goes into grads in place
-        train_loss = (cox.neg_log_partial_likelihood(h, train_index)
-                      + cox.l2_penalty(params.flat, loss_lambda, mask, grads))
+        train_loss = nll + cox.l2_penalty(params.flat, loss_lambda, mask, grads)
         if not np.isfinite(train_loss):
             raise DivergenceError(epoch, "training loss")
         step_fn(params.flat, grads, state, hp)
@@ -351,7 +361,8 @@ def train(
         val_loss = cox.neg_log_partial_likelihood(h_val, val_index)
         if not np.isfinite(val_loss):
             raise DivergenceError(epoch, "validation loss")
-        val_c = concordance_fast(val_ds.times, val_ds.events, h_val).c_index
+        val_c = (concordance_fast(val_ds.times, val_ds.events, h_val).c_index
+                 if score_val_c_index else np.nan)
 
         records.append(EpochRecord(epoch, lr_used, float(train_loss),
                                    float(val_loss), float(val_c)))
@@ -505,7 +516,8 @@ def fold_unit(
     """Train fold `f` of `plan` under `hp` and measure its held-out C-index.
 
     The model trains on the early-stop split of the fold's prepared
-    complement (`FoldPlan.fold_data`) with a fold-specific sub-seed. A
+    complement (`FoldPlan.fold_data`) with a fold-specific sub-seed, without
+    the per-epoch validation C-index, which no fold record holds. A
     diverging fold returns its `DivergenceError`, naming the fold, instead of
     raising it, so that the caller decides which fold's error to report.
     """
@@ -514,7 +526,8 @@ def fold_unit(
     try:
         report = train(complement.subset(inner_train_idx),
                        complement.subset(inner_val_idx), hp,
-                       with_shortcut=with_shortcut, seed=stable_seed(hp.seed, 13, f))
+                       with_shortcut=with_shortcut, seed=stable_seed(hp.seed, 13, f),
+                       score_val_c_index=False)
     except DivergenceError as err:
         return DivergenceError(err.epoch, f"fold {f}")
 

@@ -40,11 +40,21 @@ def _load(name: str):
     return module
 
 
-def test_bench_epoch_runs_epochs_and_traces_their_memory():
+def test_bench_epoch_runs_epochs_and_traces_their_memory(monkeypatch):
     bench = _load("bench_epoch")
-    seconds = list(bench.run_epochs(TINY, 2))
-    assert len(seconds) == 2
-    assert all(len(stages) == len(bench.STAGES) and min(stages) >= 0 for stages in seconds)
+    assert bench.LOSS_AND_GRADIENT is bench.cox.loss_and_gradient
+    stages = []
+    concordance = bench.concordance_fast
+    monkeypatch.setattr(bench, "concordance_fast",
+                        lambda *args: stages.append("val_c_index") or concordance(*args))
+    # the fused Cox function, then the two calls of a checkout without it
+    for loss_and_gradient in (bench.LOSS_AND_GRADIENT, bench._separate_loss_and_gradient):
+        monkeypatch.setattr(bench, "LOSS_AND_GRADIENT", lambda h, index, fn=loss_and_gradient:
+                            stages.append("cox") or fn(h, index))
+        seconds = list(bench.run_epochs(TINY, 2))
+        assert len(seconds) == 2
+        assert all(len(s) == len(bench.STAGES) and min(s) >= 0 for s in seconds)
+    assert stages == ["cox", "val_c_index"] * 4
     assert bench.traced_peak_mb(TINY) > 0
 
 

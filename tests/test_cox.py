@@ -11,6 +11,7 @@ from ressurv.cox import (
     build_risk_index,
     fit_linear_cox_newton,
     l2_penalty,
+    loss_and_gradient,
     neg_log_partial_likelihood,
     nll_gradient,
 )
@@ -103,6 +104,35 @@ def test_loss_and_gradient_follow_a_joint_permutation(n, distinct, censored, sca
                                neg_log_partial_likelihood(h, idx), rtol=1e-12, atol=atol)
     np.testing.assert_allclose(nll_gradient(h[perm], moved), nll_gradient(h, idx)[perm],
                                rtol=1e-12, atol=atol)
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 400), distinct=st.integers(1, 8),
+       censored=st.sampled_from([0.0, 0.5, 0.9, 0.99]),
+       scale=st.sampled_from([0.0, 1.0, 30.0, 700.0]), seed=st.integers(0, 2**32 - 1))
+def test_loss_and_gradient_is_the_two_functions_bit_for_bit(n, distinct, censored, scale,
+                                                             seed):
+    # few distinct times make large tie groups; heavy censoring leaves most
+    # tie groups without an event
+    rng = np.random.default_rng(seed)
+    times = rng.integers(1, distinct + 1, size=n).astype(np.float64)
+    events = rng.random(n) >= censored
+    events[rng.integers(n)] = True
+    h = rng.normal(scale=scale, size=n)
+    idx = build_risk_index(times, events)
+    loss, grad = loss_and_gradient(h, idx)
+    assert loss == neg_log_partial_likelihood(h, idx)
+    assert grad.tobytes() == nll_gradient(h, idx).tobytes()
+
+
+def test_risk_index_holds_the_event_counts_per_tie_end():
+    times = np.array([3.0, 1.0, 3.0, 2.0, 1.0, 5.0, 2.0])
+    events = np.array([True, True, True, False, False, False, False])
+    idx = build_risk_index(times, events)
+    # descending time: 5 | 3 3 | 2 2 | 1 1, so the groups end at 0, 2, 4, 6
+    assert idx.event_counts.tolist() == [0, 0, 2, 0, 0, 0, 1]
+    assert idx.log_event_counts.tolist() == [-np.inf, -np.inf, np.log(2.0),
+                                             -np.inf, -np.inf, -np.inf, 0.0]
 
 
 def test_breslow_ties_hand_value():

@@ -22,6 +22,7 @@ from ressurv.model import (
     BatchNormParams,
     DropoutStream,
     _apply_keep,
+    _column_sums,
     activation_backward,
     activation_forward,
     batchnorm_backward,
@@ -413,6 +414,31 @@ def test_fused_kernels_match_reference_bytes(n, width, seed, loc, scale, constan
     dropped = _apply_keep(out, keep, rate)
     # signed zeros included: a dropped negative unit is -0.0 in both
     assert _same_bytes(dropped, out * dropout_mask_reference(seed, out.shape, rate, 1, 0, 2))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    rows=st.integers(1, 3000),
+    cols=st.integers(1, 80),
+    seed=st.integers(0, 2**32 - 1),
+    zero_share=st.sampled_from([0.0, 0.1, 0.5, 1.0]),
+)
+@example(rows=1, cols=1, seed=0, zero_share=0.0)
+@example(rows=2999, cols=1, seed=1, zero_share=0.1)
+@example(rows=10666, cols=16, seed=2, zero_share=0.0)
+@example(rows=7, cols=80, seed=3, zero_share=1.0)
+def test_column_sums_and_means_are_the_reduce_bit_for_bit(rows, cols, seed, zero_share):
+    # magnitudes from 1e-8 to 1e8 of either sign, and exact zeros of either sign
+    rng = np.random.default_rng(seed)
+    x = rng.choice([-1.0, 1.0], size=(rows, cols)) * 10.0 ** rng.uniform(-8, 8, (rows, cols))
+    zeros = rng.random((rows, cols)) < zero_share
+    x[zeros] = rng.choice([-0.0, 0.0], size=int(zeros.sum()))
+    sums = _column_sums(x)
+    assert _same_bytes(sums, x.sum(axis=0))
+    assert _same_bytes(sums / rows, x.mean(axis=0))
+    # other layouts take the reduce itself
+    for other in (np.asfortranarray(x), x[:, ::2]):
+        assert _same_bytes(_column_sums(other), other.sum(axis=0))
 
 
 # ---------------------------------------------------------------------------

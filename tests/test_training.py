@@ -332,6 +332,22 @@ def test_train_holds_one_epoch_of_activations():
     assert peak <= 1.4 * cache_bytes, f"peak {peak / cache_bytes:.2f}x one epoch's cache"
 
 
+def test_train_scores_the_validation_c_index_every_epoch():
+    ds = make_dataset(n=120, p=3, seed=8)
+    tr, va = _split(ds)
+    report = train(tr, va, TINY.replaced(max_epochs=6, patience=10))
+    assert len(report.epochs) == 6
+    assert all(np.isfinite(r.val_c_index) for r in report.epochs)
+    assert report.best_val_c_index == report.epochs[report.best_epoch - 1].val_c_index
+    # without the score, every other number of the report is the same
+    unscored = train(tr, va, TINY.replaced(max_epochs=6, patience=10),
+                     score_val_c_index=False)
+    assert all(np.isnan(r.val_c_index) for r in unscored.epochs)
+    assert ([dataclasses.replace(r, val_c_index=0.0) for r in unscored.epochs]
+            == [dataclasses.replace(r, val_c_index=0.0) for r in report.epochs])
+    assert np.array_equal(to_flat(unscored.params), to_flat(report.params))
+
+
 def test_train_validates_splits():
     ds = make_dataset(n=40, p=3, seed=1)
     censored = SurvivalDataset(
@@ -405,6 +421,41 @@ def test_cv_worker_count_is_invisible():
     serial = cross_validate(ds, TINY.replaced(max_epochs=10), k=3, seed=2)
     pooled = cross_validate(ds, TINY.replaced(max_epochs=10), k=3, seed=2, pool=UnitPool(2))
     assert pooled == serial
+
+
+def _count_concordance_calls(monkeypatch, path):
+    """Make every `concordance_fast` call of the training module, forked
+    workers' too, append a line to `path`; returns a line counter."""
+    real = training.concordance_fast
+
+    def counted(*args):
+        with open(path, "a", encoding="ascii") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return real(*args)
+
+    monkeypatch.setattr(training, "concordance_fast", counted)
+    path.write_text("")
+    return lambda: len(path.read_text().splitlines())
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_cv_units_score_the_c_index_once_and_report_the_same(monkeypatch, tmp_path,
+                                                             workers):
+    # a unit scores only its held-out fold; scoring every epoch's validation
+    # split as well changes no fold record
+    ds = make_dataset(n=90, p=3, seed=5)
+    hp = TINY.replaced(max_epochs=4, patience=10)
+    calls = _count_concordance_calls(monkeypatch, tmp_path / "calls")
+    lean = cross_validate(ds, hp, k=3, seed=2, pool=UnitPool(workers))
+    assert calls() == 3
+
+    real_train = training.train
+    monkeypatch.setattr(training, "train", lambda *args, **kwargs: real_train(
+        *args, **{**kwargs, "score_val_c_index": True}))
+    (tmp_path / "calls").write_text("")
+    scored = cross_validate(ds, hp, k=3, seed=2, pool=UnitPool(workers))
+    assert calls() == 3 * (hp.max_epochs + 1)
+    assert scored == lean
 
 
 def test_cv_divergence_message_is_the_same_under_a_pool():
