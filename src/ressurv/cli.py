@@ -58,6 +58,7 @@ from .training import (
     plan_folds,
     stable_seed,
     train,
+    usable_cores,
 )
 
 REPORT_SCHEMA = "ressurv-report-v1"
@@ -133,26 +134,10 @@ def write_json_report(path: str, content: dict) -> None:
         fh.write(json.dumps(content, sort_keys=True, indent=2) + "\n")
 
 
-def usable_cores() -> int:
-    """The cores this process may run on."""
-    return len(os.sched_getaffinity(0))
-
-
-def default_workers(units: int, cores: int) -> int:
-    """The pool size without --workers: one worker per unit when the units
-    do not divide evenly over the cores and are fewer than three per core,
-    so that no core idles through a last partial round (README, Parallel
-    runs, gives each condition's reason); else one per core, at most one
-    per unit."""
-    if units % cores and units < 3 * cores:
-        return units
-    return min(cores, units)
-
-
 def write_meta(path: str, wall_time_s: float, argv: list[str], pool: UnitPool) -> None:
     """The only report file allowed to differ between reruns. Records the
-    parallel setup: the processes that trained units (the pool's size, 1
-    in-process), usable cores, the OpenBLAS thread count the units ran
+    parallel setup: the processes that trained units (the pool's `workers`,
+    1 in-process), usable cores, the OpenBLAS thread count the units ran
     under (in-process too), and per pool worker that ran a unit the seconds
     from the command's start to the start of its first unit and to the end
     of its last unit, each list ascending (null in-process)."""
@@ -160,13 +145,13 @@ def write_meta(path: str, wall_time_s: float, argv: list[str], pool: UnitPool) -
     started_unix = now - wall_time_s
 
     def since_start(stamps: dict[int, float]):
-        return None if pool.size == 1 else sorted(t - started_unix for t in stamps.values())
+        return None if pool.workers == 1 else sorted(t - started_unix for t in stamps.values())
 
     write_json_report(path, {
         "created_unix": now,
         "wall_time_s": wall_time_s,
         "argv": argv,
-        "workers": pool.size,
+        "workers": pool.workers,
         "usable_cores": usable_cores(),
         "worker_openblas_num_threads": pool.blas_threads,
         "worker_start_s": since_start(pool.first_unit_unix),
@@ -243,18 +228,6 @@ def _load_dataset(path: str) -> SurvivalDataset:
     ds = load_csv(path)
     ds.require_trainable()
     return ds
-
-
-def _unit_pool(args, units: int) -> UnitPool:
-    """--workers processes, at most one per unit, or without --workers
-    `default_workers` for the usable cores (in-process without units, so
-    that the fold split reports a --k below 1). A pool forks its workers
-    only once the CSV is read and the folds are planned, so a bad row or a
-    degenerate fold starts no process."""
-    units = max(units, 1)
-    if args.workers is None:
-        return UnitPool(default_workers(units, usable_cores()))
-    return UnitPool(min(args.workers, units))
 
 
 def _fold_fields(result) -> dict:
@@ -338,7 +311,7 @@ def cmd_cv(args) -> int:
     t0 = time.perf_counter()
     os.makedirs(args.out, exist_ok=True)
     hp = load_hyperparameters(args.hp)
-    pool = _unit_pool(args, args.k)
+    pool = UnitPool(args.workers)
     result = cross_validate(_load_dataset(args.data), hp, k=args.k, seed=args.seed,
                             pool=pool)
 
@@ -360,8 +333,8 @@ def cmd_gridsearch(args) -> int:
     t0 = time.perf_counter()
     os.makedirs(args.out, exist_ok=True)
     grid, base_hp = load_grid_file(args.grid)
-    points = len(enumerate_grid(grid, base_hp, args.budget))
-    pool = _unit_pool(args, points * args.k)
+    enumerate_grid(grid, base_hp, args.budget)   # a bad point fails before the CSV is read
+    pool = UnitPool(args.workers)
     result = grid_search(_load_dataset(args.data), grid, k=args.k, seed=args.seed,
                          budget=args.budget, pool=pool, base_hp=base_hp)
 
@@ -394,7 +367,7 @@ def cmd_compare(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     hp = load_hyperparameters(args.hp)
     networks = (("ressurv", True), ("mlp_ablation", False))
-    pool = _unit_pool(args, len(networks) * args.k)
+    pool = UnitPool(args.workers)
     plan = plan_folds(_load_dataset(args.data), args.k, args.seed)
     cvs = cross_validate_configs(plan, [(hp, shortcut) for _, shortcut in networks], pool)
 

@@ -58,11 +58,14 @@ class RiskSetIndex:
 
 
 def build_risk_index(times, events) -> RiskSetIndex:
-    """Precompute the sort and tie-group structure shared by loss and gradient."""
+    """Precompute the sort and tie-group structure shared by loss and gradient.
+    Times must be finite: a NaN or infinite time has no place in the sort."""
     times = np.asarray(times, dtype=np.float64).ravel()
     events = np.asarray(events).astype(bool).ravel()
     if times.shape != events.shape:
         raise ValueError("times and events must have equal length")
+    if not np.isfinite(times).all():
+        raise ValueError("times must be finite")
     n_events = int(events.sum())
     if n_events == 0:
         raise UnusableDatasetError("risk index requires at least one event")

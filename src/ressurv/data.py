@@ -395,19 +395,31 @@ def load_csv(path) -> SurvivalDataset:
 
 def _plain_rows(path, width: int) -> int | None:
     """The number of data rows of a plain file, None for any other: a plain
-    file has no `"` or NUL byte, a CR only in CRLF, and `width` - 1 commas
-    on every line. On such a file numpy's tokenizer and `csv.reader` cut the
-    same cells, and no line is blank, short or long."""
+    file has no `"` or NUL byte, a CR only in CRLF, `width` - 1 commas on
+    every line, and no cell longer than `csv.field_size_limit()`, which the
+    row scan refuses. On such a file numpy's tokenizer and `csv.reader` cut
+    the same cells, and no line is blank, short or long."""
+    limit = csv.field_size_limit()
     lines = 0
     with open(path, "rb") as fh:
         while chunk := fh.readlines(1 << 20):   # whole lines, about 1 MB
             block = b"".join(chunk)
             if (b'"' in block or b"\0" in block
                     or block.count(b"\r") != block.count(b"\r\n")
-                    or set(map(bytes.count, chunk, repeat(b","))) != {width - 1}):
+                    or set(map(bytes.count, chunk, repeat(b","))) != {width - 1}
+                    or (max(map(len, chunk)) > limit and _holds_long_cell(chunk, limit))):
                 return None
             lines += len(chunk)
     return lines - 1
+
+
+def _holds_long_cell(lines: list[bytes], limit: int) -> bool:
+    """Whether a line of `lines` longer than `limit` bytes holds a cell of
+    more than `limit` characters (a plain line's cells are its comma-cut
+    pieces, without the line end)."""
+    return any(len(cell.decode("utf-8", "replace")) > limit
+               for line in lines if len(line) > limit
+               for cell in line.rstrip(b"\r\n").split(b","))
 
 
 def _parse_plain(path, width: int, special: list[int], feature_cols: list[int]):

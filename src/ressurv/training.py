@@ -566,11 +566,30 @@ def _openblas(name: str):
     return lambda *args: None
 
 
+def usable_cores() -> int:
+    """The cores this process may run on."""
+    return len(os.sched_getaffinity(0))
+
+
+def default_workers(units: int, cores: int) -> int:
+    """The pool size without --workers: one worker per unit when the units
+    do not divide evenly over the cores and are fewer than three per core,
+    so that no core idles through a last partial round (README, Parallel
+    runs, gives each condition's reason); else one per core, at most one
+    per unit."""
+    if units % cores and units < 3 * cores:
+        return units
+    return min(cores, units)
+
+
 class UnitPool:
-    """What runs (configuration, fold) units: with `size` 1, this process,
-    one unit after another; otherwise up to `size` forked worker processes
-    per `map_units` call. Neither makes a file, and a pool starts no
-    process until it has units to map.
+    """What runs (configuration, fold) units: per `map_units` call, up to
+    `size` forked worker processes, at most one per unit, or without a
+    `size` `default_workers` for the call's units and the usable cores. A
+    call that comes to one worker runs its units in this process, one after
+    another. Neither makes a file, and a pool starts no process until it
+    has units to map. `workers` is the count the latest call used (1 before
+    any).
 
     Units run under `blas_threads` OpenBLAS threads: OPENBLAS_NUM_THREADS
     if set, else one. In this process, `unit_blas` sets numpy's OpenBLAS to
@@ -586,10 +605,11 @@ class UnitPool:
     fork.
     """
 
-    def __init__(self, size: int):
-        if size < 1:
+    def __init__(self, size: int | None = None):
+        if size is not None and size < 1:
             raise ValueError("workers must be >= 1")
         self.size = size
+        self.workers = 1
         self.blas_threads = os.environ.get(BLAS_THREADS_ENV, WORKER_BLAS_THREADS)
         # Unix time each worker (by pid) started its first unit and ended
         # its last one
@@ -611,19 +631,20 @@ class UnitPool:
     def map_units(self, plan: FoldPlan, units: list):
         """`fold_unit` outcomes of `plan` for each (hp, with_shortcut, fold)
         of `units`, in order; without units, none, and no process starts.
-        A pool forks min(size, units) workers, which exit when the units are
-        done or the generator closes; closing it early cancels the units not
-        yet started."""
+        The workers, forked for this call, exit when the units are done or
+        the generator closes; closing it early cancels the units not yet
+        started."""
         global _worker_plan
         if not units:
             return
-        if self.size == 1:
+        self.workers = (default_workers(len(units), usable_cores()) if self.size is None
+                        else min(self.size, len(units)))
+        if self.workers == 1:
             with self.unit_blas():
                 for unit in units:
                     yield fold_unit(plan, *unit)
             return
-        executor = ProcessPoolExecutor(min(self.size, len(units)),
-                                       mp_context=get_context("fork"))
+        executor = ProcessPoolExecutor(self.workers, mp_context=get_context("fork"))
         _worker_plan = plan
         try:
             # a fork executor forks every worker at the first submit, so all

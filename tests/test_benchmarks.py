@@ -1,23 +1,26 @@
 """The scripts under `benchmarks/` run on the package.
 
-`benchmarks/bench_epoch.py` times the layer kernels through the public
-model API, `benchmarks/bench_concordance.py` checks the concordance sweep's
-counts against the pairwise scan before it times them, and
-`benchmarks/bench_csv.py` times the CSV writer and reader, and
+`benchmarks/bench_epoch.py` times the stages of `train`'s own epochs by
+wrapping the callees `train` looks up, `benchmarks/bench_concordance.py`
+checks the concordance sweep's counts against the pairwise scan before it
+times them, `benchmarks/bench_csv.py` times the CSV writer and reader, and
 `benchmarks/bench_pool.py` times `cv` at one worker per core against the
 default pool. Nothing else runs them, so these tests run all four on tiny
-shapes: a change to the model, metrics, data or CLI API that breaks a script
-fails here.
+shapes: a change to the training, model, metrics, data or CLI API that
+breaks a script fails here.
 """
 
 import importlib.util
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
-TINY = dict(n_train=12, n_val=5, p=3, widths=[4, 4], layers=2, activation="selu",
-            dropout=0.2)
+TINY = dict(n_train=12, n_val=5, p=3, net=dict(n_blocks=2, dense_layers_per_block=2,
+                                               nodes=4, activation_kind="selu",
+                                               dropout_rate=0.2))
 
 
 def _load(name: str):
@@ -42,20 +45,36 @@ def _load(name: str):
 
 def test_bench_epoch_runs_epochs_and_traces_their_memory(monkeypatch):
     bench = _load("bench_epoch")
-    assert bench.LOSS_AND_GRADIENT is bench.cox.loss_and_gradient
-    stages = []
-    concordance = bench.concordance_fast
-    monkeypatch.setattr(bench, "concordance_fast",
-                        lambda *args: stages.append("val_c_index") or concordance(*args))
-    # the fused Cox function, then the two calls of a checkout without it
-    for loss_and_gradient in (bench.LOSS_AND_GRADIENT, bench._separate_loss_and_gradient):
-        monkeypatch.setattr(bench, "LOSS_AND_GRADIENT", lambda h, index, fn=loss_and_gradient:
-                            stages.append("cox") or fn(h, index))
-        seconds = list(bench.run_epochs(TINY, 2))
-        assert len(seconds) == 2
-        assert all(len(s) == len(bench.STAGES) and min(s) >= 0 for s in seconds)
-    assert stages == ["cox", "val_c_index"] * 4
+    originals = [getattr(module, name) for module, name, _ in bench.WRAPPED]
+    steps = dict(bench.training._STEP_FUNCTIONS)
+
+    def unwrapped():
+        return ([getattr(module, name) for module, name, _ in bench.WRAPPED] == originals
+                and bench.training._STEP_FUNCTIONS == steps)
+
+    assert bench.STAGES == ("forward_train", "cox", "backward", "step", "forward_eval",
+                            "val_c_index", "other")
+    clock = bench.run_train(TINY, 3)
+    assert unwrapped()
+    assert len(clock.epochs) == len(clock.walls) == 3
+    for epoch, wall in zip(clock.epochs, clock.walls):
+        assert tuple(epoch) == bench.STAGES
+        assert min(epoch.values()) >= 0 and epoch["forward_train"] > 0
+        assert sum(s for stage, s in epoch.items() if stage != "other") <= wall
+        assert sum(epoch.values()) == pytest.approx(wall)   # `other` closes the sum
+    times, walls, faults = bench.time_epochs(TINY, 2)
+    assert set(times) == set(bench.STAGES) and len(walls) == 2 and faults >= 0
+    assert all(len(seconds) == 2 for seconds in times.values())
     assert bench.traced_peak_mb(TINY) > 0
+    assert unwrapped()
+
+    def decay(*args):
+        raise RuntimeError("a failing epoch")
+
+    monkeypatch.setattr(bench.training, "decay_learning_rate", decay)
+    with pytest.raises(RuntimeError, match="a failing epoch"):
+        bench.run_train(TINY, 3)
+    assert unwrapped()
 
 
 def test_bench_concordance_counts_agree_at_small_n(monkeypatch, capsys):

@@ -12,9 +12,10 @@ import pytest
 import ressurv
 from conftest import make_dataset
 from ressurv import data, training
-from ressurv.cli import REPORT_SCHEMA, TRUTH_SCHEMA, default_workers, main
+from ressurv.cli import REPORT_SCHEMA, TRUTH_SCHEMA, main
 from ressurv.data import SurvivalDataset, load_csv, write_csv
 from ressurv.model import load_checkpoint, model_forward
+from ressurv.training import default_workers
 
 FAST_HP = {
     "n_blocks": 1, "nodes": 8, "dense_layers_per_block": 2,

@@ -26,6 +26,7 @@ from ressurv.data import (
     standardize_fit,
 )
 from ressurv.errors import UnusableDatasetError
+from ressurv.metrics import concordance_fast
 
 from conftest import make_dataset, random_survival_arrays
 
@@ -147,6 +148,16 @@ def test_breslow_ties_hand_value():
 def test_censored_only_raises():
     with pytest.raises(UnusableDatasetError):
         build_risk_index(np.array([1.0, 2.0]), np.array([False, False]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_times_raise_as_concordance_does(bad):
+    # a NaN time used to sort somewhere and give a Cox loss (0.905 here)
+    times, events = [1.0, bad, 2.0, 3.0], [1, 1, 0, 1]
+    with pytest.raises(ValueError, match="times must be finite"):
+        build_risk_index(times, events)
+    with pytest.raises(ValueError, match="times must be finite"):
+        concordance_fast(times, events, np.zeros(4))
 
 
 def test_extreme_scores_stay_finite():

@@ -394,6 +394,17 @@ _NBSP, _EMSP, _ARABIC_12 = "\u00a0", "\u2003", "\u0661\u0662"
     pytest.param("sample_id,time,event\na,1,1\nb,2,0\n", "numpy", id="no-features"),
     pytest.param("sample_id , time,event, g1\na,1,1,0\nb,2,0,1\n", "numpy",
                  id="spaces-in-header"),
+    # a cell over csv.field_size_limit() fails the row scan, plain or quoted;
+    # one at the limit, or a line over it of short cells, takes the numpy parse
+    pytest.param(_HEAD + "a,1,1,0," + "1" * 140_000 + "\nb,2,0,1,1\n", "row scan",
+                 id="long-plain-cell"),
+    pytest.param(_HEAD + 'a,1,1,0,"' + "1" * 140_000 + '"\nb,2,0,1,1\n', "row scan",
+                 id="long-quoted-cell"),
+    pytest.param(_HEAD + "a,1,1,0," + "1" * 131_072 + "\nb,2,0,1,1\n", "numpy",
+                 id="cell-at-the-limit"),
+    pytest.param("sample_id,time,event," + ",".join(f"g{j}" for j in range(30_000)) + "\n"
+                 + "a,1,1," + ",".join(["1.5"] * 30_000) + "\n", "numpy",
+                 id="long-line-of-short-cells"),
 ])
 def test_load_csv_numpy_parse_matches_the_row_scan(tmp_path, text, route):
     path = tmp_path / "data.csv"

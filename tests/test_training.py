@@ -725,6 +725,29 @@ def test_an_open_pool_serves_several_plans(tmp_path, monkeypatch):
     assert b == cross_validate(ds_b, hp, k=2, seed=0)
 
 
+def test_a_default_pool_sizes_each_call_from_its_units(monkeypatch):
+    # default_workers for the units of each call: 5 units on 2 cores get a
+    # worker each, 2 units one per core
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(training, "fold_unit", lambda plan, hp, with_shortcut, f: f)
+    opened = []
+    real_executor = training.ProcessPoolExecutor
+
+    def executor(workers, **kwargs):
+        opened.append(workers)
+        return real_executor(workers, **kwargs)
+
+    monkeypatch.setattr(training, "ProcessPoolExecutor", executor)
+    plan = training.plan_folds(make_dataset(n=60, p=3, seed=1), 2, 0)
+    pool = UnitPool()
+    for units, workers in ((5, 5), (2, 2)):
+        assert list(pool.map_units(plan, [(TINY, True, f) for f in range(units)])) == list(
+            range(units))
+        assert pool.workers == workers
+    assert opened == [5, 2]
+    assert multiprocessing.active_children() == []
+
+
 @pytest.mark.parametrize("size", [1, 2])
 def test_no_units_map_to_nothing_and_write_no_plan(monkeypatch, size):
     # a pool would otherwise ask for an executor of min(size, 0) workers
