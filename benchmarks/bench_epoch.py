@@ -35,10 +35,12 @@ with the default Adam optimizer, learning rate, L2 penalty, decay and tanh:
   dropout 0.2.
 
 It prints the median milliseconds per stage and per epoch, the minor page
-faults per timed epoch (``ru_minflt``), and the peak MB that tracemalloc
-traces over a further short run, inputs included, with the usable cores
-and OpenBLAS's thread count. The features are standard normal; the
-survival times are drawn with ties and 30% censoring:
+faults per timed epoch (``ru_minflt``), the peak MB that tracemalloc
+traces over a further short run, inputs included, and the dtype of the
+network the train-mode `model_forward` received (the precision the model
+stages ran in), with the usable cores and OpenBLAS's thread count. The
+features are standard normal; the survival times are drawn with ties and
+30% censoring:
 
     PYTHONPATH=src python benchmarks/bench_epoch.py
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src \\
@@ -112,9 +114,11 @@ def datasets(shape: dict, seed: int) -> tuple[SurvivalDataset, SurvivalDataset]:
 class EpochClock:
     """Per epoch of the `train` run it wraps: the seconds of each stage, and
     the minor page faults and the clock at its start (each with one more
-    entry, at the run's end); once `close`d, its wall seconds too."""
+    entry, at the run's end); once `close`d, its wall seconds too. `dtype`
+    names the dtype of the network the train-mode passes received."""
 
     def __init__(self):
+        self.dtype = None
         self.epochs: list[dict[str, float]] = []
         self.starts: list[float] = []
         self.faults: list[int] = []
@@ -142,6 +146,7 @@ class EpochClock:
             if mode != "train":
                 return eval_pass(X, params, mode, **kwargs)
             self.mark()
+            self.dtype = params.flat.dtype.name
             self.epochs.append(dict.fromkeys(STAGES, 0.0))
             return train_pass(X, params, mode, **kwargs)
         return forward_call
@@ -179,14 +184,16 @@ def run_train(shape: dict, epochs: int, seed: int = 0) -> EpochClock:
     return clock
 
 
-def time_epochs(shape: dict, repeats: int) -> tuple[dict[str, list[float]], list[float], float]:
+def time_epochs(shape: dict,
+                repeats: int) -> tuple[dict[str, list[float]], list[float], float, str]:
     """Seconds per stage and wall seconds of `repeats` epochs, after a few
-    untimed ones, and the minor page faults per timed epoch."""
+    untimed ones, the minor page faults per timed epoch, and the dtype the
+    layers computed in."""
     clock = run_train(shape, WARMUP_EPOCHS + repeats)
     timed = clock.epochs[WARMUP_EPOCHS:]
     times = {stage: [epoch[stage] for epoch in timed] for stage in STAGES}
     faults = clock.faults[-1] - clock.faults[WARMUP_EPOCHS]
-    return times, clock.walls[WARMUP_EPOCHS:], faults / repeats
+    return times, clock.walls[WARMUP_EPOCHS:], faults / repeats, clock.dtype
 
 
 def traced_peak_mb(shape: dict) -> float:
@@ -208,13 +215,13 @@ def main() -> int:
     print(f"usable cores {len(os.sched_getaffinity(0))}, OpenBLAS threads {blas_threads()}, "
           f"numpy {np.__version__}; median ms over {args.repeats} epochs")
     print(f"{'shape':<12} " + " ".join(f"{s:>13}" for s in STAGES)
-          + f" {'epoch':>9} {'minflt/epoch':>13} {'peak MB':>8}")
+          + f" {'epoch':>9} {'minflt/epoch':>13} {'peak MB':>8} {'dtype':>8}")
     for name in args.shapes:
-        times, walls, faults = time_epochs(SHAPES[name], args.repeats)
+        times, walls, faults, dtype = time_epochs(SHAPES[name], args.repeats)
         cells = [statistics.median(times[s]) for s in STAGES] + [statistics.median(walls)]
         print(f"{name:<12} " + " ".join(f"{c * 1e3:>13.2f}" for c in cells[:-1])
               + f" {cells[-1] * 1e3:>9.2f} {faults:>13.0f} "
-              f"{traced_peak_mb(SHAPES[name]):>8.1f}")
+              f"{traced_peak_mb(SHAPES[name]):>8.1f} {dtype:>8}")
     return 0
 
 

@@ -167,13 +167,25 @@ def loss_and_gradient(h, idx: RiskSetIndex) -> tuple[float, np.ndarray]:
     return _loss(hs, log_denom, idx), _gradient(hs, _log_risk_weights(log_denom, idx), idx)
 
 
+def l2_work(decay_mask: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The arrays `l2_penalty` computes in for `decay_mask`: the indices of
+    its True entries, a float64 row of their count and one of the mask's
+    size. A fit makes them once, so that its penalties allocate nothing."""
+    index = np.flatnonzero(decay_mask)
+    return index, np.empty(index.size), np.empty(np.size(decay_mask))
+
+
 def l2_penalty(
-    flat_params: np.ndarray, lam: float, decay_mask: np.ndarray, grad: np.ndarray
+    flat_params: np.ndarray, lam: float, decay_mask: np.ndarray, grad: np.ndarray,
+    work: tuple | None = None,
 ) -> float:
     """Quadratic weight penalty lam * sum(w^2) over the True entries of
     `decay_mask`; its gradient 2*lam*w there is added into `grad` in place
     (nothing is added where the mask is False, nor at all when lam is 0).
     The model excludes biases and batch-norm scale/shift from the mask.
+    It computes in `work`, `l2_work(decay_mask)`, made for the call when
+    None; the value and the gradient are the bits of lam * dot(w[mask],
+    w[mask]) and grad + where(mask, 2*lam*w, 0) either way.
     """
     if lam < 0:
         raise ValueError("lambda must be >= 0")
@@ -183,10 +195,11 @@ def l2_penalty(
     mask = np.asarray(decay_mask, dtype=bool).ravel()
     if mask.shape != flat.shape or grad.shape != flat.shape:
         raise ValueError("decay_mask and grad must match flat parameter length")
-    penalized = flat[mask]
+    index, penalized, scaled = l2_work(mask) if work is None else work
+    np.take(flat, index, out=penalized)
     value = float(lam * np.dot(penalized, penalized))
-    penalized *= 2.0 * lam
-    grad[mask] += penalized
+    np.multiply(flat, 2.0 * lam, out=scaled)
+    np.add(grad, scaled, out=grad, where=mask)
     return value
 
 

@@ -21,7 +21,6 @@ from __future__ import annotations
 import json
 import math
 import os
-from copy import deepcopy
 from dataclasses import dataclass, field
 from itertools import count, zip_longest
 from numbers import Integral
@@ -116,9 +115,10 @@ def _layout(n_features, block_widths, dense_layers_per_block, with_shortcut):
 
 @dataclass(eq=False)
 class ResSurvParams:
-    """The network: its architecture, and its tensors in two float64
-    vectors laid out by `_layout`: `flat` holds the learnable tensors,
-    `stats` the batch-norm running statistics (zeros where not given).
+    """The network: its architecture, and its tensors in two vectors of one
+    float dtype, in which its layers compute, laid out by `_layout`: `flat`
+    holds the learnable tensors, `stats` the batch-norm running statistics
+    (zeros where not given, float64 unless `flat` is given in another).
 
     `blocks` and `output_head` are views into the two vectors: writing
     through a vector changes the tensors and vice versa. `n_updates` counts
@@ -164,7 +164,7 @@ class ResSurvParams:
         if self.flat is None:
             self.flat = np.zeros(sizes[True])
         if self.stats is None:
-            self.stats = np.zeros(sizes[False])
+            self.stats = np.zeros(sizes[False], self.flat.dtype)
         views = {name: vec[where].reshape(shape) for name, vec, where, shape, _ in _placed(self)}
 
         def dense(prefix):
@@ -191,10 +191,12 @@ class ResSurvParams:
                              self.activation_kind, self.dropout_rate, self.with_shortcut,
                              self.flat, self.stats, self.n_updates))
 
-    def copy(self) -> "ResSurvParams":
-        """Independent snapshot: copies of the two vectors plus the update
-        count; used to keep the best epoch during training."""
-        return deepcopy(self)
+    def copy(self, dtype=None) -> "ResSurvParams":
+        """Independent snapshot: copies of the two vectors, cast to `dtype`
+        when given, plus the update count."""
+        cls, args = self.__reduce__()
+        return cls(*args[:6], np.array(self.flat, dtype), np.array(self.stats, dtype),
+                   self.n_updates)
 
 
 def _placed(params: ResSurvParams):
@@ -439,7 +441,7 @@ class DropoutStream:
         rng = np.random.default_rng(
             np.random.SeedSequence([self.seed, int(epoch), int(block), int(layer)])
         )
-        draws = rng.random(shape) if draws is None else rng.random(out=draws)
+        draws = rng.random(shape) if draws is None else rng.random(dtype=draws.dtype, out=draws)
         return np.greater_equal(draws, rate, out=out)
 
 
@@ -452,7 +454,7 @@ def _apply_keep(x: np.ndarray, keep: np.ndarray, rate: float,
     rate), signed zeros included. (Copying the mask into a float array is
     faster than letting the multiply cast the booleans.)"""
     if out is None:
-        out = np.empty(keep.shape)
+        out = np.empty(keep.shape, x.dtype)
     np.copyto(out, keep)
     out *= x
     out *= 1.0 / (1.0 - rate)
@@ -492,10 +494,12 @@ class ModelCache:
     blocks: list[BlockCache] = field(default_factory=list)
     head_in: np.ndarray | None = None
     arrays: dict = field(default_factory=dict, repr=False)
+    dtype: type = np.float64
 
-    def array(self, key, shape: tuple, dtype=np.float64) -> np.ndarray:
+    def array(self, key, shape: tuple, dtype=None) -> np.ndarray:
         """The workspace array named `key`; made anew unless it has `shape`
-        and `dtype`."""
+        and `dtype`, by default the float dtype of the latest forward pass."""
+        dtype = self.dtype if dtype is None else dtype
         arr = self.arrays.get(key)
         if arr is None or arr.shape != shape or arr.dtype != dtype:
             arr = self.arrays[key] = np.empty(shape, dtype)
@@ -529,7 +533,7 @@ def model_forward(
     returns the cache the backward pass needs: `cache`, written over, when
     an earlier train-mode forward's cache is handed in, else a new one.
     """
-    X = np.asarray(X, dtype=np.float64)
+    X = np.asarray(X, dtype=params.flat.dtype)
     if X.ndim != 2 or X.shape[1] != params.n_features:
         raise ValueError(
             f"input of shape {X.shape} does not match model input dim {params.n_features}"
@@ -547,9 +551,11 @@ def model_forward(
     # numpy allocate (out=None)
     n = X.shape[0]
     ws = (ModelCache() if cache is None else cache) if train else None
+    if ws is not None:
+        ws.dtype = X.dtype
     first = params.n_updates == 0
 
-    def kept(key, width: int, dtype=np.float64):
+    def kept(key, width: int, dtype=None):
         return None if ws is None else ws.array(key, (n, width), dtype)
 
     def scratch(width: int, *busy):
@@ -611,7 +617,7 @@ def model_backward(
     rotate through the scratch arrays of `cache`. Nothing reads the
     gradient with respect to the network input, so it is not computed.
     """
-    grad_h = np.asarray(grad_h, dtype=np.float64).reshape(-1, 1)
+    grad_h = np.asarray(grad_h, dtype=params.flat.dtype).reshape(-1, 1)
     grads = np.empty_like(params.flat)
     end = grads.size
     n = grad_h.shape[0]
@@ -665,8 +671,9 @@ def save_checkpoint(
     The format is deliberately bespoke: a magic line, a JSON header (layout,
     batch-norm state, the standardization applied at training time, `extra`,
     an array manifest), then the raw row-major float64 little-endian tensor data.
-    Unlike a zip-based container it embeds no timestamps, so identical state
-    produces identical bytes. `extra` is written as its JSON round trip
+    A float32 network's values are stored exactly, so it loads back as a
+    float64 network of the same values. Unlike a zip-based container it
+    embeds no timestamps, so identical state produces identical bytes. `extra` is written as its JSON round trip
     (string keys, lists for tuples), which is what `load_checkpoint` gives
     back. A standardization of another width than the network's input, or
     `extra` keys that are equal as JSON strings (1 and "1"), raise

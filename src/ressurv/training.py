@@ -265,7 +265,7 @@ class EpochRecord:
 @dataclass
 class TrainReport:
     """Everything a training run produced. `params` is the restored
-    best-validation-loss snapshot."""
+    best-validation-loss snapshot of the float32 network `train` ran."""
 
     epochs: list[EpochRecord]
     best_epoch: int
@@ -307,7 +307,13 @@ def train(
     its per-epoch cost; both fields are then NaN, and every other number
     of the report is unchanged.
 
-    A non-finite training or validation loss aborts with the offending epoch.
+    The layers compute in float32 and the rest in float64: the optimizer
+    steps the float64 master weights, and the layers read `net`, a float32
+    copy of them refreshed after every step, which also holds the batch-norm
+    running statistics; the Cox loss and gradient, the L2 penalty and the
+    validation loss are float64. The report's `params` is that float32
+    network. Non-finite scores, training or validation, or a non-finite
+    training loss abort with the offending epoch.
     """
     for split, split_ds in (("training", train_ds), ("validation", val_ds)):
         if split_ds.n < 2 or split_ds.n_events < 1:
@@ -316,7 +322,7 @@ def train(
         raise UnusableDatasetError("train and validation feature counts differ")
 
     run_seed = hp.seed if seed is None else seed
-    params = init_params(
+    master = init_params(
         n_features=train_ds.p,
         block_widths=[hp.nodes] * hp.n_blocks,
         dense_layers_per_block=hp.dense_layers_per_block,
@@ -325,7 +331,10 @@ def train(
         seed=stable_seed(run_seed, 0),
         with_shortcut=with_shortcut,
     )
-    mask = decay_mask(params)
+    net = master.copy(np.float32)
+    train_X, val_X = (ds.features.astype(np.float32) for ds in (train_ds, val_ds))
+    mask = decay_mask(master)
+    penalty_work = cox.l2_work(mask)
     state = init_optimizer_state(hp, mask)
     step_fn = _STEP_FUNCTIONS[hp.optimizer_kind]
     # AdamW carries l2_lambda as decoupled decay; everyone else as a loss term
@@ -337,7 +346,7 @@ def train(
 
     best_val = np.inf
     best_epoch = 0
-    best_snapshot = params.copy()
+    best_snapshot = net.copy()
     stopped_early = False
     records: list[EpochRecord] = []
     # each epoch's forward pass writes over the previous epoch's cache, the
@@ -346,21 +355,25 @@ def train(
 
     for epoch in range(1, hp.max_epochs + 1):
         lr_used = state.lr
-        h, cache = model_forward(train_ds.features, params, mode="train",
+        h, cache = model_forward(train_X, net, mode="train",
                                  stream=stream, epoch=epoch, cache=cache)
+        if not np.isfinite(h).all():
+            raise DivergenceError(epoch, "training loss")
         nll, grad_h = cox.loss_and_gradient(h, train_index)
-        grads = model_backward(grad_h, params, cache)
+        grads = model_backward(grad_h, net, cache).astype(np.float64)
         # the penalty's gradient goes into grads in place
-        train_loss = nll + cox.l2_penalty(params.flat, loss_lambda, mask, grads)
+        train_loss = nll + cox.l2_penalty(master.flat, loss_lambda, mask, grads, penalty_work)
         if not np.isfinite(train_loss):
             raise DivergenceError(epoch, "training loss")
-        step_fn(params.flat, grads, state, hp)
+        step_fn(master.flat, grads, state, hp)
+        net.flat[...] = master.flat
         decay_learning_rate(state, hp, epoch)
 
-        h_val, _ = model_forward(val_ds.features, params, mode="eval")
-        val_loss = cox.neg_log_partial_likelihood(h_val, val_index)
-        if not np.isfinite(val_loss):
+        h_val, _ = model_forward(val_X, net, mode="eval")
+        if not np.isfinite(h_val).all():
             raise DivergenceError(epoch, "validation loss")
+        # finite float32 scores give a finite float64 loss
+        val_loss = cox.neg_log_partial_likelihood(h_val, val_index)
         val_c = (concordance_fast(val_ds.times, val_ds.events, h_val).c_index
                  if score_val_c_index else np.nan)
 
@@ -370,7 +383,7 @@ def train(
         if val_loss <= best_val - EARLY_STOP_MIN_IMPROVEMENT:
             best_val = float(val_loss)
             best_epoch = epoch
-            best_snapshot = params.copy()
+            best_snapshot = net.copy()
         elif epoch - best_epoch >= hp.patience:
             stopped_early = True
             break

@@ -62,8 +62,9 @@ def test_bench_epoch_runs_epochs_and_traces_their_memory(monkeypatch):
         assert min(epoch.values()) >= 0 and epoch["forward_train"] > 0
         assert sum(s for stage, s in epoch.items() if stage != "other") <= wall
         assert sum(epoch.values()) == pytest.approx(wall)   # `other` closes the sum
-    times, walls, faults = bench.time_epochs(TINY, 2)
+    times, walls, faults, dtype = bench.time_epochs(TINY, 2)
     assert set(times) == set(bench.STAGES) and len(walls) == 2 and faults >= 0
+    assert dtype == "float32" == clock.dtype
     assert all(len(seconds) == 2 for seconds in times.values())
     assert bench.traced_peak_mb(TINY) > 0
     assert unwrapped()

@@ -23,7 +23,7 @@ FAST_HP = {
 }
 
 # overflow-by-construction: loss-side L2 gradient alone inflates the weights
-# every sgd step, and patience outlasts the epochs float64 survives
+# every sgd step, and patience outlasts the epochs the network survives
 DIVERGENT_HP = {
     "optimizer_kind": "sgd", "learning_rate": 0.1, "l2_lambda": 50.0,
     "n_blocks": 1, "nodes": 8, "dense_layers_per_block": 1,

@@ -11,6 +11,7 @@ from ressurv.cox import (
     build_risk_index,
     fit_linear_cox_newton,
     l2_penalty,
+    l2_work,
     loss_and_gradient,
     neg_log_partial_likelihood,
     nll_gradient,
@@ -248,10 +249,20 @@ def test_l2_penalty_matches_the_allocating_formula_bit_for_bit():
     w, g = rng.normal(size=500), rng.normal(size=500)
     mask = rng.random(500) < 0.7
     lam = 0.037
-    grad = g.copy()
-    value = l2_penalty(w, lam, mask, grad)
-    assert value == float(lam * np.dot(w[mask], w[mask]))
-    assert np.array_equal(grad, g + np.where(mask, 2.0 * lam * w, 0.0))
+    work = l2_work(mask)
+    for given in (None, work, work):   # rows made for the call, or kept and reused
+        grad = g.copy()
+        value = l2_penalty(w, lam, mask, grad, given)
+        assert value == float(lam * np.dot(w[mask], w[mask]))
+        assert np.array_equal(grad, g + np.where(mask, 2.0 * lam * w, 0.0))
+    # with the rows kept, a call allocates nothing of the vector's size
+    tracemalloc.start()
+    try:
+        l2_penalty(w, lam, mask, grad, work)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < w.nbytes
 
 
 # ---------------------------------------------------------------------------
