@@ -167,40 +167,21 @@ def loss_and_gradient(h, idx: RiskSetIndex) -> tuple[float, np.ndarray]:
     return _loss(hs, log_denom, idx), _gradient(hs, _log_risk_weights(log_denom, idx), idx)
 
 
-def l2_work(decay_mask: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The arrays `l2_penalty` computes in for `decay_mask`: the indices of
-    its True entries, a float64 row of their count and one of the mask's
-    size. A fit makes them once, so that its penalties allocate nothing."""
-    index = np.flatnonzero(decay_mask)
-    return index, np.empty(index.size), np.empty(np.size(decay_mask))
-
-
-def l2_penalty(
-    flat_params: np.ndarray, lam: float, decay_mask: np.ndarray, grad: np.ndarray,
-    work: tuple | None = None,
-) -> float:
-    """Quadratic weight penalty lam * sum(w^2) over the True entries of
-    `decay_mask`; its gradient 2*lam*w there is added into `grad` in place
-    (nothing is added where the mask is False, nor at all when lam is 0).
-    The model excludes biases and batch-norm scale/shift from the mask.
-    It computes in `work`, `l2_work(decay_mask)`, made for the call when
-    None; the value and the gradient are the bits of lam * dot(w[mask],
-    w[mask]) and grad + where(mask, 2*lam*w, 0) either way.
+def l2_penalty(weights: np.ndarray, lam: float, grad: np.ndarray) -> float:
+    """Quadratic weight penalty lam * sum(w^2) over `weights`; its gradient
+    2*lam*w is added into `grad`, of the same shape, in place (nothing at
+    all when lam is 0). The model's weight matrices lead its parameter
+    vector, so the caller passes `flat[:n_decayed]` and the same slice of
+    the gradient: biases and batch-norm scale/shift are never penalized.
     """
     if lam < 0:
         raise ValueError("lambda must be >= 0")
+    if grad.shape != weights.shape:
+        raise ValueError("grad must match the weights' shape")
     if lam == 0:
         return 0.0
-    flat = np.asarray(flat_params, dtype=np.float64).ravel()
-    mask = np.asarray(decay_mask, dtype=bool).ravel()
-    if mask.shape != flat.shape or grad.shape != flat.shape:
-        raise ValueError("decay_mask and grad must match flat parameter length")
-    index, penalized, scaled = l2_work(mask) if work is None else work
-    np.take(flat, index, out=penalized)
-    value = float(lam * np.dot(penalized, penalized))
-    np.multiply(flat, 2.0 * lam, out=scaled)
-    np.add(grad, scaled, out=grad, where=mask)
-    return value
+    grad += 2.0 * lam * weights
+    return float(lam * np.dot(weights, weights))
 
 
 @dataclass

@@ -94,9 +94,9 @@ def _layout(n_features, block_widths, dense_layers_per_block, with_shortcut):
     """(name, shape, learnable, decayed) of every tensor of the network, in
     checkpoint order: per block, per layer W, b, gamma, beta, running mean,
     running var; then the shortcut W; finally head W, head b. The learnable
-    entries, in this order, make up `flat`, the rest (the batch-norm running
-    statistics) `stats`. Only weight matrices are decayed: L2 / weight decay
-    never touches biases or batch-norm scale/shift."""
+    entries make up `flat`, the rest (the batch-norm running statistics)
+    `stats`. Only weight matrices are decayed: L2 / weight decay never
+    touches biases or batch-norm scale/shift."""
     in_dim = n_features
     for bi, width in enumerate(block_widths):
         for li in range(dense_layers_per_block):
@@ -119,6 +119,8 @@ class ResSurvParams:
     float dtype, in which its layers compute, laid out by `_layout`: `flat`
     holds the learnable tensors, `stats` the batch-norm running statistics
     (zeros where not given, float64 unless `flat` is given in another).
+    `flat` holds the weight matrices, which L2 / weight decay act on, as
+    `flat[:n_decayed]`, then the other learnable tensors, each in table order.
 
     `blocks` and `output_head` are views into the two vectors: writing
     through a vector changes the tensors and vice versa. `n_updates` counts
@@ -158,13 +160,15 @@ class ResSurvParams:
         self.block_widths = [int(w) for w in widths]
         self.dense_layers_per_block = int(self.dense_layers_per_block)
 
-        sizes = [0, 0]   # running statistics, learnable
-        for _, shape, learnable, _ in self._table():
-            sizes[learnable] += math.prod(shape)
+        sizes = [0, 0, 0]   # running statistics, other learnable, weight matrices
+        for _, shape, learnable, decayed in self._table():
+            sizes[learnable + decayed] += math.prod(shape)
+        # not a field: check_field_types would read it before it is set
+        self.n_decayed = sizes[2]
         if self.flat is None:
-            self.flat = np.zeros(sizes[True])
+            self.flat = np.zeros(sizes[1] + sizes[2])
         if self.stats is None:
-            self.stats = np.zeros(sizes[False], self.flat.dtype)
+            self.stats = np.zeros(sizes[0], self.flat.dtype)
         views = {name: vec[where].reshape(shape) for name, vec, where, shape, _ in _placed(self)}
 
         def dense(prefix):
@@ -201,13 +205,14 @@ class ResSurvParams:
 
 def _placed(params: ResSurvParams):
     """(name, vector, slice, shape, decayed) of every tensor, in table order:
-    where in `params.flat` or `params.stats` it lives."""
-    pos = [0, 0]   # into stats, into flat
+    where in `params.flat` or `params.stats` it lives. Weight matrices fill
+    `flat` from 0, the other learnable tensors from `params.n_decayed`."""
+    pos = [0, params.n_decayed, 0]   # running statistics, other learnable, weight matrices
     for name, shape, learnable, decayed in params._table():
-        size = math.prod(shape)
+        size, group = math.prod(shape), learnable + decayed
         vec = params.flat if learnable else params.stats
-        yield name, vec, slice(pos[learnable], pos[learnable] + size), shape, decayed
-        pos[learnable] += size
+        yield name, vec, slice(pos[group], pos[group] + size), shape, decayed
+        pos[group] += size
 
 
 def init_params(
@@ -249,16 +254,10 @@ def set_flat(params: ResSurvParams, flat: np.ndarray) -> None:
 
 
 def flat_layout(params: ResSurvParams) -> list[tuple[str, slice, tuple]]:
-    """(name, slice into the flat vector, shape) for every learnable tensor."""
-    return [(name, where, shape) for name, vec, where, shape, _ in _placed(params)
-            if vec is params.flat]
-
-
-def decay_mask(params: ResSurvParams) -> np.ndarray:
-    """True on dense-layer and shortcut weight-matrix entries; biases and
-    batch-norm scale/shift are never penalized."""
-    return np.concatenate([np.full(math.prod(shape), decayed)
-                           for _, shape, learnable, decayed in params._table() if learnable])
+    """(name, slice into the flat vector, shape) for every learnable tensor,
+    in vector order (the weight matrices first)."""
+    return sorted(((name, where, shape) for name, vec, where, shape, _ in _placed(params)
+                   if vec is params.flat), key=lambda entry: entry[1].start)
 
 
 # ---------------------------------------------------------------------------
@@ -613,21 +612,23 @@ def model_backward(
     Backpropagation meets the tensors in reverse traversal order (head b
     and W; then per block from the last: the shortcut W, and per layer from
     the last: beta, gamma, b, W), so each gradient is written just below
-    the previous one, from the vector's end. The (n, width) gradients
-    rotate through the scratch arrays of `cache`. Nothing reads the
-    gradient with respect to the network input, so it is not computed.
+    the previous one of its group: the weight matrices' down from
+    `params.n_decayed`, the others' down from the vector's end. The (n,
+    width) gradients rotate through the scratch arrays of `cache`. Nothing
+    reads the gradient with respect to the network input, so it is not
+    computed.
     """
     grad_h = np.asarray(grad_h, dtype=params.flat.dtype).reshape(-1, 1)
     grads = np.empty_like(params.flat)
-    end = grads.size
+    ends = [grads.size, params.n_decayed]   # other tensors, weight matrices
     n = grad_h.shape[0]
     kind, rate = params.activation_kind, params.dropout_rate
 
     def put(*parts: np.ndarray) -> None:
-        nonlocal end
-        for g in parts:
-            grads[end - g.size : end] = g.ravel()
-            end -= g.size
+        for g in parts:   # the 2-D gradients are the weight matrices'
+            group = g.ndim == 2
+            grads[ends[group] - g.size : ends[group]] = g.ravel()
+            ends[group] -= g.size
 
     head_W = params.output_head.W
     put(_column_sums(grad_h), grad_h.T @ cache.head_in)

@@ -40,7 +40,6 @@ from .model import (
     ACTIVATION_KINDS,
     DropoutStream,
     ResSurvParams,
-    decay_mask,
     init_params,
     model_backward,
     model_forward,
@@ -157,29 +156,30 @@ class Hyperparameters:
 @dataclass
 class OptimizerState:
     """Mutable per-run optimizer state: step counter, current learning rate,
-    the entries weight decay touches, rows of the parameter vector's size
+    `n_decayed`, the length of the parameter vector's leading slice that
+    weight decay touches (the weight matrices), rows of the vector's size
     that a step computes in (so that a step allocates nothing), and (for
     Adam/AdamW) first/second moment accumulators."""
 
     t: int
     lr: float
-    decay_mask: np.ndarray = field(repr=False)
+    n_decayed: int
     work: np.ndarray = field(repr=False)
     m: np.ndarray | None = None
     v: np.ndarray | None = None
 
 
-def init_optimizer_state(hp: Hyperparameters, mask: np.ndarray) -> OptimizerState:
-    """Fresh state for a parameter vector of `mask`'s size, whose True
-    entries are the ones weight decay touches."""
+def init_optimizer_state(hp: Hyperparameters, size: int, n_decayed: int) -> OptimizerState:
+    """Fresh state for a parameter vector of `size` entries, whose first
+    `n_decayed` are the ones weight decay touches."""
     adam = hp.optimizer_kind != "sgd"
     return OptimizerState(
         t=0,
         lr=hp.learning_rate,
-        decay_mask=mask,
-        work=np.empty((2 if adam else 1, mask.size)),
-        m=np.zeros(mask.size) if adam else None,
-        v=np.zeros(mask.size) if adam else None,
+        n_decayed=n_decayed,
+        work=np.empty((2 if adam else 1, size)),
+        m=np.zeros(size) if adam else None,
+        v=np.zeros(size) if adam else None,
     )
 
 
@@ -226,13 +226,13 @@ def adamw_step(
     """Adam with decoupled weight decay applied before the moment update.
 
     The decay coefficient is l2_lambda scaled by 1e-3 and touches only
-    weight-matrix entries (state.decay_mask); with AdamW selected the loss
-    carries no L2 term, so l2_lambda acts purely as decay.
+    weight-matrix entries (`params[:state.n_decayed]`); with AdamW selected
+    the loss carries no L2 term, so l2_lambda acts purely as decay.
     """
     wd = hp.l2_lambda * ADAMW_DECAY_SCALE
     if wd > 0.0:
-        decay = np.multiply(params, state.lr * wd, out=state.work[0])
-        np.subtract(params, decay, out=params, where=state.decay_mask)
+        weights = params[:state.n_decayed]
+        weights -= np.multiply(weights, state.lr * wd, out=state.work[0, :state.n_decayed])
     return adam_step(params, grads, state, hp)
 
 
@@ -333,9 +333,8 @@ def train(
     )
     net = master.copy(np.float32)
     train_X, val_X = (ds.features.astype(np.float32) for ds in (train_ds, val_ds))
-    mask = decay_mask(master)
-    penalty_work = cox.l2_work(mask)
-    state = init_optimizer_state(hp, mask)
+    state = init_optimizer_state(hp, master.flat.size, master.n_decayed)
+    weights = master.flat[:master.n_decayed]
     step_fn = _STEP_FUNCTIONS[hp.optimizer_kind]
     # AdamW carries l2_lambda as decoupled decay; everyone else as a loss term
     loss_lambda = 0.0 if hp.optimizer_kind == "adamw" else hp.l2_lambda
@@ -353,40 +352,42 @@ def train(
     # fit's one workspace for activations and backward temporaries
     cache = None
 
-    for epoch in range(1, hp.max_epochs + 1):
-        lr_used = state.lr
-        h, cache = model_forward(train_X, net, mode="train",
-                                 stream=stream, epoch=epoch, cache=cache)
-        if not np.isfinite(h).all():
-            raise DivergenceError(epoch, "training loss")
-        nll, grad_h = cox.loss_and_gradient(h, train_index)
-        grads = model_backward(grad_h, net, cache).astype(np.float64)
-        # the penalty's gradient goes into grads in place
-        train_loss = nll + cox.l2_penalty(master.flat, loss_lambda, mask, grads, penalty_work)
-        if not np.isfinite(train_loss):
-            raise DivergenceError(epoch, "training loss")
-        step_fn(master.flat, grads, state, hp)
-        net.flat[...] = master.flat
-        decay_learning_rate(state, hp, epoch)
+    # the finite checks name the epoch where the numbers overflow
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(1, hp.max_epochs + 1):
+            lr_used = state.lr
+            h, cache = model_forward(train_X, net, mode="train",
+                                     stream=stream, epoch=epoch, cache=cache)
+            if not np.isfinite(h).all():
+                raise DivergenceError(epoch, "training loss")
+            nll, grad_h = cox.loss_and_gradient(h, train_index)
+            grads = model_backward(grad_h, net, cache).astype(np.float64)
+            # the penalty's gradient goes into grads in place
+            train_loss = nll + cox.l2_penalty(weights, loss_lambda, grads[:weights.size])
+            if not np.isfinite(train_loss):
+                raise DivergenceError(epoch, "training loss")
+            step_fn(master.flat, grads, state, hp)
+            net.flat[...] = master.flat
+            decay_learning_rate(state, hp, epoch)
 
-        h_val, _ = model_forward(val_X, net, mode="eval")
-        if not np.isfinite(h_val).all():
-            raise DivergenceError(epoch, "validation loss")
-        # finite float32 scores give a finite float64 loss
-        val_loss = cox.neg_log_partial_likelihood(h_val, val_index)
-        val_c = (concordance_fast(val_ds.times, val_ds.events, h_val).c_index
-                 if score_val_c_index else np.nan)
+            h_val, _ = model_forward(val_X, net, mode="eval")
+            if not np.isfinite(h_val).all():
+                raise DivergenceError(epoch, "validation loss")
+            # finite float32 scores give a finite float64 loss
+            val_loss = cox.neg_log_partial_likelihood(h_val, val_index)
+            val_c = (concordance_fast(val_ds.times, val_ds.events, h_val).c_index
+                     if score_val_c_index else np.nan)
 
-        records.append(EpochRecord(epoch, lr_used, float(train_loss),
-                                   float(val_loss), float(val_c)))
+            records.append(EpochRecord(epoch, lr_used, float(train_loss),
+                                       float(val_loss), float(val_c)))
 
-        if val_loss <= best_val - EARLY_STOP_MIN_IMPROVEMENT:
-            best_val = float(val_loss)
-            best_epoch = epoch
-            best_snapshot = net.copy()
-        elif epoch - best_epoch >= hp.patience:
-            stopped_early = True
-            break
+            if val_loss <= best_val - EARLY_STOP_MIN_IMPROVEMENT:
+                best_val = float(val_loss)
+                best_epoch = epoch
+                best_snapshot = net.copy()
+            elif epoch - best_epoch >= hp.patience:
+                stopped_early = True
+                break
 
     return TrainReport(
         epochs=records,
@@ -542,7 +543,7 @@ def fold_unit(
                        with_shortcut=with_shortcut, seed=stable_seed(hp.seed, 13, f),
                        score_val_c_index=False)
     except DivergenceError as err:
-        return DivergenceError(err.epoch, f"fold {f}")
+        return DivergenceError(err.epoch, f"fold {f}: {err.message}")
 
     h_test, _ = model_forward(test_fold.features, report.params, mode="eval")
     return FoldRecord(**held_out_fields(f, complement, test_fold, h_test),

@@ -31,7 +31,6 @@ from ressurv.metrics import concordance_fast, concordance_index
 from ressurv.model import (
     DropoutStream,
     batchnorm_forward,
-    decay_mask,
     flat_layout,
     init_params,
     model_backward,
@@ -98,21 +97,21 @@ def test_analytic_gradient_matches_finite_differences(capsys):
                 times, events, _ = random_survival_arrays(n, 500 + seed)
                 idx = cox.build_risk_index(times, events)
                 params = init_params(p, [width, width], 2, kind, 0.25, seed=seed)
-                mask = decay_mask(params)
+                n_decayed = params.n_decayed
                 stream = DropoutStream(seed)
 
                 def loss(flat):
                     set_flat(params, flat)
                     h, _ = model_forward(X, params, mode="train", stream=stream, epoch=1)
                     nll = cox.neg_log_partial_likelihood(h, idx)
-                    pen = cox.l2_penalty(flat, lam, mask, np.zeros_like(flat))
+                    pen = cox.l2_penalty(flat[:n_decayed], lam, np.zeros(n_decayed))
                     return nll + pen
 
                 theta = to_flat(params)
                 set_flat(params, theta)
                 h, cache = model_forward(X, params, mode="train", stream=stream, epoch=1)
                 analytic = model_backward(cox.nll_gradient(h, idx), params, cache)
-                cox.l2_penalty(theta, lam, mask, analytic)
+                cox.l2_penalty(theta[:n_decayed], lam, analytic[:n_decayed])
 
                 fd = np.zeros_like(theta)
                 for i in range(theta.size):
@@ -160,7 +159,7 @@ def test_sgd_linear_model_reaches_newton_optimum(capsys):
         hp = Hyperparameters(optimizer_kind="sgd", learning_rate=0.5,
                              lr_decay=0.0, l2_lambda=0.0)
         beta = np.zeros(3)
-        state = init_optimizer_state(hp, np.zeros(3, dtype=bool))
+        state = init_optimizer_state(hp, 3, 0)
         for epoch in range(1, 4001):
             grad_h = cox.nll_gradient(X @ beta, idx)
             beta = sgd_step(beta, X.T @ grad_h, state, hp)

@@ -5,8 +5,9 @@ wrapping the callees `train` looks up, `benchmarks/bench_concordance.py`
 checks the concordance sweep's counts against the pairwise scan before it
 times them, `benchmarks/bench_csv.py` times the CSV writer and reader, and
 `benchmarks/bench_pool.py` times `cv` at one worker per core against the
-default pool. Nothing else runs them, so these tests run all four on tiny
-shapes: a change to the training, model, metrics, data or CLI API that
+default pool, and `benchmarks/compare_reports.py` diffs the report bytes of
+two source trees. Nothing else runs them, so these tests run all five on
+tiny shapes: a change to the training, model, metrics, data or CLI API that
 breaks a script fails here.
 """
 
@@ -24,9 +25,9 @@ TINY = dict(n_train=12, n_val=5, p=3, net=dict(n_blocks=2, dense_layers_per_bloc
 
 
 def _load(name: str):
-    """Import benchmarks/<name>.py. bench_epoch and bench_pool put
-    perfbench/ on sys.path to import `run` (which imports `tracer`); both
-    are taken back after."""
+    """Import benchmarks/<name>.py. bench_epoch, bench_pool and
+    compare_reports put perfbench/ on sys.path to import `run` (which
+    imports `tracer`); both are taken back after."""
     spec = importlib.util.spec_from_file_location(f"bench_{name}",
                                                   ROOT / "benchmarks" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
@@ -99,3 +100,12 @@ def test_bench_pool_runs_a_pair_and_compares_the_report_bytes(capsys):
                        "--pairs", "1"]) == 0
     out = capsys.readouterr().out
     assert "report bytes identical" in out and "/1 pairs" in out
+
+
+def test_compare_reports_finds_the_tree_the_same_as_itself(capsys):
+    bench = _load("compare_reports")
+    assert bench.main(["--against", str(ROOT / "src"), "--n", "120", "--p", "3",
+                       "--epochs", "2", "--workers", "1", "default"]) == 0
+    out = capsys.readouterr().out
+    assert "0 of 12 runs differ or failed" in out
+    assert "train adamw l2 4.0" in out and "same (epochs.jsonl, model.ckpt, summary.json)" in out

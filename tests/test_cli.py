@@ -223,10 +223,23 @@ def test_train_without_events_exits_2(tmp_path, hp_file, capsys):
 
 def test_train_divergence_exits_3(tmp_path, data_csv):
     hp = _write_json(tmp_path / "boom.json", DIVERGENT_HP)
-    with np.errstate(all="ignore"):
-        code = main(["train", "--data", data_csv, "--hp", hp,
-                     "--out", str(tmp_path / "run")])
+    code = main(["train", "--data", data_csv, "--hp", hp,
+                 "--out", str(tmp_path / "run")])
     assert code == 3
+
+
+def test_cv_divergence_writes_one_stderr_line(tmp_path, data_csv):
+    # the error names the fold and the stage, and no numpy warning from the
+    # pool's workers comes before it
+    hp = _write_json(tmp_path / "boom.json", DIVERGENT_HP)
+    env = {k: v for k, v in os.environ.items() if not k.startswith("RESSURV_")}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(ressurv.__file__))
+    proc = subprocess.run([sys.executable, "-m", "ressurv.cli", "cv", "--data", data_csv,
+                           "--hp", hp, "--k", "3", "--out", str(tmp_path / "run")],
+                          env=env, capture_output=True, text=True, cwd=tmp_path, timeout=300)
+    assert proc.returncode == 3
+    assert proc.stderr == ("error: non-finite loss at epoch 20 (fold 0: validation loss); "
+                           "the learning rate is likely too high\n")
 
 
 def test_train_missing_data_flag_exits_2(tmp_path, hp_file):

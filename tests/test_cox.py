@@ -11,7 +11,6 @@ from ressurv.cox import (
     build_risk_index,
     fit_linear_cox_newton,
     l2_penalty,
-    l2_work,
     loss_and_gradient,
     neg_log_partial_likelihood,
     nll_gradient,
@@ -221,44 +220,45 @@ def test_gradient_with_ties_matches_fd():
 def test_l2_penalty_value_and_gradient():
     w = np.array([1.0, -2.0, 3.0])
     grad = np.full(3, 0.5)
-    value = l2_penalty(w, 0.5, np.ones(3, dtype=bool), grad)
+    value = l2_penalty(w, 0.5, grad)
     assert abs(value - 0.5 * 14.0) < 1e-12
     np.testing.assert_allclose(grad, 0.5 + w)  # 2 * 0.5 * w, added in place
 
 
-def test_l2_penalty_mask():
-    w = np.array([1.0, -2.0, 3.0])
-    mask = np.array([True, False, True])
+def test_l2_penalty_acts_on_the_slice_it_is_given():
+    # the decayed entries lead the vector: the rest of it is never read or written
+    w = np.array([1.0, 3.0, np.nan])
     grad = np.ones(3)
-    value = l2_penalty(w, 1.0, mask, grad)
+    value = l2_penalty(w[:2], 1.0, grad[:2])
     assert abs(value - 10.0) < 1e-12
-    np.testing.assert_allclose(grad, [3.0, 1.0, 7.0])
+    np.testing.assert_allclose(grad, [3.0, 7.0, 1.0])
+    with pytest.raises(ValueError, match="shape"):
+        l2_penalty(w[:2], 1.0, grad)
 
 
 def test_l2_penalty_zero_lambda():
     w = np.ones(4)
     grad = np.arange(4.0)
-    assert l2_penalty(w, 0.0, np.ones(4, dtype=bool), grad) == 0.0
+    assert l2_penalty(w, 0.0, grad) == 0.0
     assert np.array_equal(grad, np.arange(4.0))
 
 
 def test_l2_penalty_matches_the_allocating_formula_bit_for_bit():
-    # the in-place add gives the bits of g + where(mask, 2 lam w, 0) and the
-    # value lam * dot(w[mask], w[mask])
+    # on the leading slice, the in-place add gives the bits of
+    # g + where(mask, 2 lam w, 0) and the value lam * dot(w[mask], w[mask])
+    # for the mask of that slice
     rng = np.random.default_rng(4)
     w, g = rng.normal(size=500), rng.normal(size=500)
-    mask = rng.random(500) < 0.7
+    mask = np.arange(500) < 350
     lam = 0.037
-    work = l2_work(mask)
-    for given in (None, work, work):   # rows made for the call, or kept and reused
-        grad = g.copy()
-        value = l2_penalty(w, lam, mask, grad, given)
-        assert value == float(lam * np.dot(w[mask], w[mask]))
-        assert np.array_equal(grad, g + np.where(mask, 2.0 * lam * w, 0.0))
-    # with the rows kept, a call allocates nothing of the vector's size
+    grad = g.copy()
+    value = l2_penalty(w[:350], lam, grad[:350])
+    assert value == float(lam * np.dot(w[mask], w[mask]))
+    assert np.array_equal(grad, g + np.where(mask, 2.0 * lam * w, 0.0))
+    # a call allocates one row of the slice's size, none of the vector's
     tracemalloc.start()
     try:
-        l2_penalty(w, lam, mask, grad, work)
+        l2_penalty(w[:350], lam, grad[:350])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import json
 import os
 import pickle
@@ -28,7 +29,6 @@ from ressurv.model import (
     activation_forward,
     batchnorm_backward,
     batchnorm_forward,
-    decay_mask,
     flat_layout,
     init_params,
     load_checkpoint,
@@ -570,10 +570,10 @@ def test_model_backward_matches_fd():
 
 def model_backward_reference(grad_h, params, cache):
     """The backward pass with a fresh array per operation, carried down to
-    the gradient with respect to the network input: (parameter gradient in
-    flat layout, input gradient)."""
+    the gradient with respect to the network input: (parameter gradient,
+    each tensor's at its `flat_layout` slice, input gradient)."""
     grad_h = grad_h.reshape(-1, 1)
-    parts = [grad_h.sum(axis=0), grad_h.T @ cache.head_in]   # from the vector's end
+    parts = [grad_h.sum(axis=0), grad_h.T @ cache.head_in]   # reverse table order
     grad_y = grad_h @ params.output_head.W
     for block, bc in zip(reversed(params.blocks), reversed(cache.blocks)):
         if block.shortcut is not None:
@@ -590,7 +590,12 @@ def model_backward_reference(grad_h, params, cache):
         if block.shortcut is not None:
             grad = grad + grad_y @ block.shortcut.W
         grad_y = grad
-    return np.concatenate([part.ravel() for part in reversed(parts)]), grad_y
+    grads = np.empty_like(params.flat)
+    where = {name: sl for name, sl, _ in flat_layout(params)}
+    table = [name for name, _, learnable, _ in params._table() if learnable]
+    for name, part in zip(table, reversed(parts), strict=True):
+        grads[where[name]] = part.ravel()
+    return grads, grad_y
 
 
 @pytest.mark.parametrize("with_shortcut", [True, False])
@@ -732,12 +737,16 @@ def test_flat_layout_names_and_coverage():
     assert pos == params.flat.size == to_flat(params).size
 
 
-def test_decay_mask_covers_weight_matrices_only():
+def test_weight_matrices_lead_the_parameter_vector():
+    # the decayed entries are flat[:n_decayed]; each group keeps table order
     params = init_params(3, [4, 4], 2, "tanh", 0.0, seed=0)
-    mask = decay_mask(params)
-    for name, sl, _ in flat_layout(params):
-        expect = name.endswith(".W")
-        assert np.all(mask[sl] == expect), name
+    layout = flat_layout(params)
+    weights = ["block0.layer0.W", "block0.layer1.W", "block0.shortcut.W",
+               "block1.layer0.W", "block1.layer1.W", "block1.shortcut.W", "head.W"]
+    rest = [f"block{bi}.layer{li}.{name}" for bi in range(2) for li in range(2)
+            for name in ("b", "bn.gamma", "bn.beta")] + ["head.b"]
+    assert [name for name, _, _ in layout] == weights + rest
+    assert params.n_decayed == 12 + 16 + 12 + 16 + 16 + 16 + 4 == layout[len(weights)][1].start
 
 
 def test_no_shortcut_changes_layout():
@@ -768,35 +777,42 @@ def _networks(draw):
 
 
 def _named_tensors(params):
-    """(name, slice, shape, tensor) with the tensors walked in the documented
-    order, independently of the model's own traversal."""
+    """(name, slice, shape, tensor) of every `flat_layout` entry, its tensor
+    found by name in a walk of the network's tree, independently of the
+    model's own traversal."""
     def walk():
-        for block in params.blocks:
-            for dense, bn in zip(block.dense_layers, block.batch_norms):
-                yield from (dense.W, dense.b, bn.gamma, bn.beta_shift)
+        for bi, block in enumerate(params.blocks):
+            for li, (dense, bn) in enumerate(zip(block.dense_layers, block.batch_norms)):
+                prefix = f"block{bi}.layer{li}"
+                yield from ((f"{prefix}.W", dense.W), (f"{prefix}.b", dense.b),
+                            (f"{prefix}.bn.gamma", bn.gamma),
+                            (f"{prefix}.bn.beta", bn.beta_shift))
             if block.shortcut is not None:
-                yield block.shortcut.W
-        yield from (params.output_head.W, params.output_head.b)
+                yield f"block{bi}.shortcut.W", block.shortcut.W
+        yield from (("head.W", params.output_head.W), ("head.b", params.output_head.b))
 
-    tensors = list(walk())
+    tensors = dict(walk())
     layout = flat_layout(params)
-    assert len(tensors) == len(layout)
-    for (name, where, shape), tensor in zip(layout, tensors):
-        yield name, where, shape, tensor
+    assert sorted(tensors) == sorted(name for name, _, _ in layout)
+    for name, where, shape in layout:
+        yield name, where, shape, tensors[name]
 
 
 @settings(max_examples=40, deadline=None)
 @given(_networks())
 def test_parameter_buffer_properties(params):
     layout = flat_layout(params)
-    mask = decay_mask(params)
-    # layout, decay mask and size agree and tile the buffer in order
+    # the layout tiles the buffer in vector order: the weight matrices below
+    # n_decayed, every other learnable tensor at or above it
     assert layout[0][1].start == 0 and layout[-1][1].stop == params.flat.size
     assert all(a[1].stop == b[1].start for a, b in zip(layout, layout[1:]))
-    assert mask.size == params.flat.size == to_flat(params).size
+    assert params.flat.size == to_flat(params).size
     for name, where, shape, tensor in _named_tensors(params):
         assert tensor.shape == shape and where.stop - where.start == tensor.size
-        assert np.all(mask[where] == name.endswith(".W")), name
+        if name.endswith(".W"):
+            assert where.stop <= params.n_decayed, name
+        else:
+            assert where.start >= params.n_decayed, name
         # every tensor aliases its slice of the buffer
         assert np.shares_memory(tensor, params.flat[where])
 
@@ -913,6 +929,24 @@ def test_checkpoint_roundtrip(tmp_path):
     assert extra == {"seed": 8}
     # predictions survive the roundtrip bit for bit
     assert np.array_equal(model_forward(X, params)[0], model_forward(X, loaded)[0])
+
+
+def test_checkpoint_bytes_are_pinned(tmp_path):
+    # the file holds the tensors in table order, not in the parameter
+    # vector's order (weight matrices first). The values come from numpy's
+    # generator and IEEE arithmetic, so another numpy build may need the
+    # digest recorded anew; a change to the vector's layout may not
+    params = init_params(3, [4, 5], 2, "selu", 0.2, seed=11)
+    params.stats[...] = np.linspace(0.5, 2.0, params.stats.size)
+    params.n_updates = 3
+    std = StandardizationParams(np.array([0.5, -1.0, 2.0]), np.array([1.5, 0.25, 3.0]))
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, params, std, extra={"seed": 3, "note": "pinned"})
+    assert (hashlib.sha256(path.read_bytes()).hexdigest()
+            == "f6d2d5ac2246e613b73fd41d3c1d4fd863aec2b110123c86f7219f6a6c6586f8")
+    loaded = load_checkpoint(path)[0]
+    assert loaded.flat.tobytes() == params.flat.tobytes()
+    assert loaded.stats.tobytes() == params.stats.tobytes()
 
 
 def test_checkpoint_bytes_deterministic(tmp_path):
