@@ -19,13 +19,16 @@ back however the run ends:
 * ``val_c_index``: the validation C-index (`concordance_fast`), which
   `train` computes each epoch unless told not to, as cross-validation
   units do;
-* ``other``: the rest of the epoch's wall time: the best-snapshot copy,
+* ``other``: the rest of the epoch's wall time: the best-snapshot write,
   the learning-rate decay and the epoch record.
 
 An epoch runs from one train-mode forward call to the next, and the last
 one to `train`'s return, so the stages and ``other`` add up to its wall
-time. The shapes are those one fold trains on in a `perfbench` workload,
-with the default Adam optimizer, learning rate, L2 penalty, decay and tanh:
+time. Beside them it prints ``mask``, the time `DropoutStream.mask` took to
+draw the epoch's dropout masks: a part of ``forward_train``, so not added
+to the sum. The shapes are those one fold trains on in a `perfbench`
+workload, with the default Adam optimizer, learning rate, L2 penalty, decay
+and tanh:
 
 * ``cv-paper``: 1,280 training and 320 validation rows x 20 features, the
   paper-default 5 blocks x 3 dense layers x 64 nodes, dropout 0.2;
@@ -60,7 +63,7 @@ from unittest import mock
 
 import numpy as np
 
-from ressurv import cox, training
+from ressurv import cox, model, training
 from ressurv.data import SurvivalDataset
 from ressurv.training import Hyperparameters
 
@@ -77,9 +80,11 @@ SHAPES = {
 }
 STAGES = ("forward_train", "cox", "backward", "step", "forward_eval", "val_c_index",
           "other")
+# timed parts of a stage, which the stages' sum leaves out
+PARTS = ("mask",)
 # (module, attribute, stage) of each callee `train` looks up, beside the
-# optimizer step in `training._STEP_FUNCTIONS`; model_forward's stage
-# follows its mode
+# optimizer step in `training._STEP_FUNCTIONS`, and of the dropout masks
+# model_forward draws; model_forward's stage follows its mode
 WRAPPED = (
     (training, "model_forward", None),
     (training, "model_backward", "backward"),
@@ -87,6 +92,7 @@ WRAPPED = (
     (cox, "neg_log_partial_likelihood", "cox"),
     (cox, "l2_penalty", "step"),
     (training, "concordance_fast", "val_c_index"),
+    (model.DropoutStream, "mask", "mask"),
 )
 WARMUP_EPOCHS = 3
 TRACED_EPOCHS = 3
@@ -112,10 +118,10 @@ def datasets(shape: dict, seed: int) -> tuple[SurvivalDataset, SurvivalDataset]:
 
 
 class EpochClock:
-    """Per epoch of the `train` run it wraps: the seconds of each stage, and
-    the minor page faults and the clock at its start (each with one more
-    entry, at the run's end); once `close`d, its wall seconds too. `dtype`
-    names the dtype of the network the train-mode passes received."""
+    """Per epoch of the `train` run it wraps: the seconds of each stage and
+    part, and the minor page faults and the clock at its start (each with
+    one more entry, at the run's end); once `close`d, its wall seconds too.
+    `dtype` names the dtype of the network the train-mode passes received."""
 
     def __init__(self):
         self.dtype = None
@@ -147,7 +153,7 @@ class EpochClock:
                 return eval_pass(X, params, mode, **kwargs)
             self.mark()
             self.dtype = params.flat.dtype.name
-            self.epochs.append(dict.fromkeys(STAGES, 0.0))
+            self.epochs.append(dict.fromkeys(STAGES + PARTS, 0.0))
             return train_pass(X, params, mode, **kwargs)
         return forward_call
 
@@ -168,7 +174,7 @@ class EpochClock:
         self.mark()
         self.walls = [end - start for start, end in zip(self.starts, self.starts[1:])]
         for epoch, wall in zip(self.epochs, self.walls):
-            epoch["other"] = wall - sum(epoch.values())
+            epoch["other"] = wall - sum(epoch[stage] for stage in STAGES)
 
 
 def run_train(shape: dict, epochs: int, seed: int = 0) -> EpochClock:
@@ -186,12 +192,12 @@ def run_train(shape: dict, epochs: int, seed: int = 0) -> EpochClock:
 
 def time_epochs(shape: dict,
                 repeats: int) -> tuple[dict[str, list[float]], list[float], float, str]:
-    """Seconds per stage and wall seconds of `repeats` epochs, after a few
-    untimed ones, the minor page faults per timed epoch, and the dtype the
-    layers computed in."""
+    """Seconds per stage and part and wall seconds of `repeats` epochs, after
+    a few untimed ones, the minor page faults per timed epoch, and the dtype
+    the layers computed in."""
     clock = run_train(shape, WARMUP_EPOCHS + repeats)
     timed = clock.epochs[WARMUP_EPOCHS:]
-    times = {stage: [epoch[stage] for epoch in timed] for stage in STAGES}
+    times = {stage: [epoch[stage] for epoch in timed] for stage in STAGES + PARTS}
     faults = clock.faults[-1] - clock.faults[WARMUP_EPOCHS]
     return times, clock.walls[WARMUP_EPOCHS:], faults / repeats, clock.dtype
 
@@ -214,11 +220,12 @@ def main() -> int:
 
     print(f"usable cores {len(os.sched_getaffinity(0))}, OpenBLAS threads {blas_threads()}, "
           f"numpy {np.__version__}; median ms over {args.repeats} epochs")
-    print(f"{'shape':<12} " + " ".join(f"{s:>13}" for s in STAGES)
+    print(f"{'shape':<12} " + " ".join(f"{s:>13}" for s in STAGES + PARTS)
           + f" {'epoch':>9} {'minflt/epoch':>13} {'peak MB':>8} {'dtype':>8}")
     for name in args.shapes:
         times, walls, faults, dtype = time_epochs(SHAPES[name], args.repeats)
-        cells = [statistics.median(times[s]) for s in STAGES] + [statistics.median(walls)]
+        cells = ([statistics.median(times[s]) for s in STAGES + PARTS]
+                 + [statistics.median(walls)])
         print(f"{name:<12} " + " ".join(f"{c * 1e3:>13.2f}" for c in cells[:-1])
               + f" {cells[-1] * 1e3:>9.2f} {faults:>13.0f} "
               f"{traced_peak_mb(SHAPES[name]):>8.1f} {dtype:>8}")

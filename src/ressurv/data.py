@@ -14,6 +14,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from itertools import count, repeat
 from numbers import Integral, Real
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -506,15 +507,19 @@ def write_csv(ds: SurvivalDataset, path) -> None:
     """
     if ds.n == 0:
         raise SchemaError("no data rows to write")
-    rows = (
-        [sid, repr(t), "1" if e else "0", *map(repr, feats)]
-        for sid, t, e, feats in zip(ds.sample_ids, ds.times.tolist(), ds.events.tolist(),
+    # csv.writer quotes each id that needs it, handing write() one row
+    # `id,` + "\r\n" at a time; no other cell holds a character to quote
+    ids: list[str] = []
+    csv.writer(SimpleNamespace(write=ids.append)).writerows([sid, ""] for sid in ds.sample_ids)
+    lead = "," if ds.p else ""
+    lines = (
+        f"{sid[:-2]}{t!r},{'1' if e else '0'}{lead}{','.join(map(repr, feats))}\r\n"
+        for sid, t, e, feats in zip(ids, ds.times.tolist(), ds.events.tolist(),
                                     map(np.ndarray.tolist, ds.features))
     )
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([ID_COL, TIME_COL, EVENT_COL, *ds.feature_names])
-        writer.writerows(rows)
+        csv.writer(fh).writerow([ID_COL, TIME_COL, EVENT_COL, *ds.feature_names])
+        fh.writelines(lines)
 
 
 def filter_patients(ds: SurvivalDataset) -> tuple[SurvivalDataset, int]:

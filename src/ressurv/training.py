@@ -345,6 +345,7 @@ def train(
 
     best_val = np.inf
     best_epoch = 0
+    # the one snapshot network of the fit, written over on each improving epoch
     best_snapshot = net.copy()
     stopped_early = False
     records: list[EpochRecord] = []
@@ -384,7 +385,9 @@ def train(
             if val_loss <= best_val - EARLY_STOP_MIN_IMPROVEMENT:
                 best_val = float(val_loss)
                 best_epoch = epoch
-                best_snapshot = net.copy()
+                best_snapshot.flat[...] = net.flat
+                best_snapshot.stats[...] = net.stats
+                best_snapshot.n_updates = net.n_updates
             elif epoch - best_epoch >= hp.patience:
                 stopped_early = True
                 break

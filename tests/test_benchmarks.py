@@ -55,16 +55,20 @@ def test_bench_epoch_runs_epochs_and_traces_their_memory(monkeypatch):
 
     assert bench.STAGES == ("forward_train", "cox", "backward", "step", "forward_eval",
                             "val_c_index", "other")
+    assert bench.PARTS == ("mask",)
+    assert (bench.model.DropoutStream, "mask", "mask") in bench.WRAPPED   # unwrapped after
     clock = bench.run_train(TINY, 3)
     assert unwrapped()
     assert len(clock.epochs) == len(clock.walls) == 3
     for epoch, wall in zip(clock.epochs, clock.walls):
-        assert tuple(epoch) == bench.STAGES
+        assert tuple(epoch) == bench.STAGES + bench.PARTS
         assert min(epoch.values()) >= 0 and epoch["forward_train"] > 0
-        assert sum(s for stage, s in epoch.items() if stage != "other") <= wall
-        assert sum(epoch.values()) == pytest.approx(wall)   # `other` closes the sum
+        assert sum(epoch[stage] for stage in bench.STAGES if stage != "other") <= wall
+        # `other` closes the sum; the masks are drawn within forward_train
+        assert sum(epoch[stage] for stage in bench.STAGES) == pytest.approx(wall)
+        assert 0 < epoch["mask"] <= epoch["forward_train"]
     times, walls, faults, dtype = bench.time_epochs(TINY, 2)
-    assert set(times) == set(bench.STAGES) and len(walls) == 2 and faults >= 0
+    assert set(times) == {*bench.STAGES, *bench.PARTS} and len(walls) == 2 and faults >= 0
     assert dtype == "float32" == clock.dtype
     assert all(len(seconds) == 2 for seconds in times.values())
     assert bench.traced_peak_mb(TINY) > 0

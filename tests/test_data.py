@@ -1,3 +1,5 @@
+import csv
+import io
 import os
 import tempfile
 import tracemalloc
@@ -288,6 +290,29 @@ def test_write_csv_refuses_or_reads_back_identical(args):
         path = os.path.join(tmp, "any.csv")
         write_csv(ds, path)
         _assert_reads_back(ds, load_csv(path))
+
+
+def _csv_writer_bytes(ds: SurvivalDataset) -> bytes:
+    """The reference bytes of `ds`: every row, header and data alike,
+    through `csv.writer` with the default dialect."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow([data.ID_COL, data.TIME_COL, data.EVENT_COL, *ds.feature_names])
+    writer.writerows([sid, repr(t), "1" if e else "0", *map(repr, feats)]
+                     for sid, t, e, feats in zip(ds.sample_ids, ds.times.tolist(),
+                                                 ds.events.tolist(), ds.features.tolist()))
+    return buf.getvalue().encode("utf-8")
+
+
+@settings(max_examples=200, deadline=None)
+@given(_csv_datasets(valid=True))
+def test_write_csv_bytes_are_the_csv_writer_bytes(args):
+    ds = SurvivalDataset(*args)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "w.csv")
+        write_csv(ds, path)
+        with open(path, "rb") as fh:
+            assert fh.read() == _csv_writer_bytes(ds)
 
 
 def test_write_csv_bytes_quote_what_needs_it():

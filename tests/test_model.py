@@ -278,6 +278,79 @@ def test_dropout_mask_keyed_deterministically():
         assert not np.array_equal(a, other)
 
 
+# rates anywhere in [0, 1], near 0, near 1, and at the edges of float32's
+# 24-bit and float64's 53-bit draw grids: 1 - 2**-26 rounds to 1.0 in float32
+_MASK_RATES = st.one_of(
+    st.floats(0.0, 1.0),
+    st.floats(0.0, 1e-6),
+    st.floats(1.0 - 1e-6, 1.0),
+    st.sampled_from([0.0, 2.0**-53, 2.0**-24, 0.2, 1 - 2.0**-24, 1 - 2.0**-26,
+                     1 - 2.0**-53, 1.0]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), key=st.tuples(*[st.integers(0, 20)] * 3),
+       shape=st.tuples(st.integers(1, 9), st.integers(1, 9)), rate=_MASK_RATES,
+       dtype=st.sampled_from([np.float32, np.float64]))
+@example(seed=3, key=(1, 0, 2), shape=(1280, 64), rate=0.2, dtype=np.float32)
+@example(seed=3, key=(1, 0, 2), shape=(1280, 64), rate=0.2, dtype=np.float64)
+@example(seed=0, key=(0, 0, 0), shape=(1, 1), rate=1 - 2.0**-26, dtype=np.float32)
+def test_dropout_mask_is_the_float_draw_mask(seed, key, shape, rate, dtype):
+    # the integer thresholds on the generator's raw words keep exactly the
+    # units a float draw of the mask's dtype keeps, into `out` or not
+    rng = np.random.default_rng(np.random.SeedSequence([seed, *key]))
+    expected = rng.random(shape, dtype=dtype) >= rate
+    mask = DropoutStream(seed).mask(shape, rate, *key, dtype=dtype)
+    assert mask.dtype == np.bool_ and np.array_equal(mask, expected)
+    out = ~expected
+    assert DropoutStream(seed).mask(shape, rate, *key, out=out, dtype=dtype) is out
+    assert np.array_equal(out, expected)
+
+
+class _Words:
+    """A stand-in bit generator that hands out the raw words `raw`."""
+
+    def __init__(self, raw):
+        self.raw = raw
+
+    def random_raw(self, size):
+        return self.raw[:size]
+
+
+@settings(max_examples=200, deadline=None)
+@given(rate=_MASK_RATES)
+def test_dropout_mask_keeps_the_words_whose_draws_reach_the_rate(rate):
+    # random words almost never fall within 2**11 of float64's threshold, so
+    # the generator hands out every word around it (and around float32's),
+    # and the mask must keep those whose draws by numpy's conversion,
+    # (u64 >> 11) * 2**-53 and (u32 >> 8) * 2**-24, reach the rate
+    for dtype, mantissa, word_bits in ((np.float64, 53, 64), (np.float32, 24, 32)):
+        shift = word_bits - mantissa
+        near = int(dtype(rate) * 2**mantissa) << shift
+        words = np.array([w for w in range(near - (3 << shift), near + (3 << shift))
+                          if 0 <= w < 2**word_bits], f"<u{word_bits // 8}")
+        raw = np.zeros(-(-words.nbytes // 8), "<u8")
+        raw.view(words.dtype)[:words.size] = words
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(np.random, "PCG64", lambda key: _Words(raw))
+            mask = DropoutStream(0).mask(words.shape, rate, 0, 0, 0, dtype=dtype)
+        draws = (words >> shift).astype(dtype) * dtype(2.0**-mantissa)
+        assert np.array_equal(mask, draws >= rate)
+
+
+def test_float32_network_draws_float32_masks():
+    X = np.random.default_rng(2).normal(size=(33, 3))
+    params = init_params(3, [8, 8], 2, "tanh", 0.3, seed=2).copy(np.float32)
+    _, cache = model_forward(X, params, mode="train", stream=DropoutStream(4), epoch=2)
+    for bi, block in enumerate(cache.blocks):
+        for li, layer in enumerate(block.layers):
+            rng = np.random.default_rng(np.random.SeedSequence([4, 2, bi, li]))
+            assert np.array_equal(layer.mask, rng.random((33, 8), dtype=np.float32) >= 0.3)
+    with pytest.raises(TypeError, match="float32 or float64"):
+        DropoutStream(4).mask((2, 2), 0.3, 0, 0, 0, dtype=np.float16)
+
+
 def test_dropout_applies_mask():
     x = np.ones((40, 40))
     stream = DropoutStream(0)
@@ -672,8 +745,8 @@ class _Float64Draws(DropoutStream):
     """Draws every mask in float64, as a float64 network does, so that a
     float32 network drops the same units."""
 
-    def mask(self, shape, rate, epoch, block, layer, out=None, draws=None):
-        return super().mask(shape, rate, epoch, block, layer, out=out)
+    def mask(self, shape, rate, epoch, block, layer, out=None, dtype=np.float64):
+        return super().mask(shape, rate, epoch, block, layer, out=out, dtype=np.float64)
 
 
 @pytest.mark.parametrize("kind", ["tanh", "selu"])
