@@ -52,7 +52,7 @@ from .training import (
     cross_validate_configs,
     early_stop_split,
     enumerate_grid,
-    fold_summary,
+    fold_unit,
     grid_search,
     held_out_fields,
     plan_folds,
@@ -136,7 +136,7 @@ def write_json_report(path: str, content: dict) -> None:
 
 def write_meta(path: str, wall_time_s: float, argv: list[str], pool: UnitPool) -> None:
     """The only report file allowed to differ between reruns. Records the
-    parallel setup: the processes that trained units (the pool's `workers`,
+    parallel setup: the processes that ran units (the pool's `workers`,
     1 in-process), usable cores, the OpenBLAS thread count the units ran
     under (in-process too), and per pool worker that ran a unit the seconds
     from the command's start to the start of its first unit and to the end
@@ -312,8 +312,7 @@ def cmd_cv(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     hp = load_hyperparameters(args.hp)
     pool = UnitPool(args.workers)
-    result = cross_validate(_load_dataset(args.data), hp, k=args.k, seed=args.seed,
-                            pool=pool)
+    result = cross_validate(_load_dataset(args.data), hp, k=args.k, seed=args.seed, pool=pool)
 
     write_reports(args, t0, "folds", [dataclasses.asdict(r) for r in result.folds], {
         "command": "cv",
@@ -358,45 +357,47 @@ def cmd_gridsearch(args) -> int:
     return EXIT_OK
 
 
+@dataclasses.dataclass
+class LinearCoxRecord:
+    fold: int
+    n_train: int
+    n_test: int
+    n_test_events: int
+    c_index: float
+    newton_converged: bool
+    newton_iterations: int
+
+
+def linear_cox_unit(plan, f: int) -> LinearCoxRecord:
+    """The linear Cox oracle on fold `f` of `plan`: a Newton fit, looked up in
+    this module (perfbench/tracer.py patches it here), scored held out."""
+    complement, test_fold = plan.fold_data(f)
+    fit = fit_linear_cox_newton(complement)
+    return LinearCoxRecord(**held_out_fields(f, complement, test_fold,
+                                             test_fold.features @ fit.beta),
+                           newton_converged=fit.converged, newton_iterations=fit.iterations)
+
+
 def cmd_compare(args) -> int:
-    """ResSurv vs the no-shortcut ablation vs the linear Cox oracle, all
-    evaluated on one shared fold assignment. The two networks' folds share
-    one --workers pool; the oracle runs in this process, under the units'
-    OpenBLAS thread count."""
+    """ResSurv vs the no-shortcut ablation vs the linear Cox oracle on one
+    fold assignment: every model's folds are units of one --workers pool pass."""
     t0 = time.perf_counter()
     os.makedirs(args.out, exist_ok=True)
     hp = load_hyperparameters(args.hp)
-    networks = (("ressurv", True), ("mlp_ablation", False))
+    models = {"ressurv": (fold_unit, hp, True), "mlp_ablation": (fold_unit, hp, False),
+              "linear_cox": (linear_cox_unit,)}
     pool = UnitPool(args.workers)
     plan = plan_folds(_load_dataset(args.data), args.k, args.seed)
-    cvs = cross_validate_configs(plan, [(hp, shortcut) for _, shortcut in networks], pool)
-
-    records = [{"model": model_name, **dataclasses.asdict(rec)}
-               for (model_name, _), cv in zip(networks, cvs) for rec in cv.folds]
-    with pool.unit_blas():
-        for f in range(plan.folds.k):
-            complement, test_fold = plan.fold_data(f)
-            fit = fit_linear_cox_newton(complement)
-            records.append({
-                "model": "linear_cox",
-                **held_out_fields(f, complement, test_fold, test_fold.features @ fit.beta),
-                "newton_converged": fit.converged,
-                "newton_iterations": fit.iterations,
-            })
-    summaries = {}
-    for model_name in [name for name, _ in networks] + ["linear_cox"]:
-        mean, std = fold_summary([r["c_index"] for r in records if r["model"] == model_name])
-        summaries[model_name] = {"mean_c_index": mean, "std_c_index": std}
-
-    write_reports(args, t0, "models", records, {
+    cvs = dict(zip(models, cross_validate_configs(plan, list(models.values()), pool)))
+    write_reports(args, t0, "models", [{"model": name, **dataclasses.asdict(rec)}
+                                       for name, cv in cvs.items() for rec in cv.folds], {
         "command": "compare",
-        **_fold_fields(cvs[0]),
+        **_fold_fields(cvs["ressurv"]),
         "hp": dataclasses.asdict(hp),
-        "models": summaries,
+        "models": {name: {"mean_c_index": cv.mean_c_index, "std_c_index": cv.std_c_index}
+                   for name, cv in cvs.items()},
     }, pool)
-    line = "  ".join(
-        f"{name}={summaries[name]['mean_c_index']:.4f}" for name in sorted(summaries)
-    )
+    line = "  ".join(f"{name}={cvs[name].mean_c_index:.4f}" for name in sorted(cvs))
     print(f"compare: {line} -> {args.out}")
     return EXIT_OK
 
@@ -427,10 +428,9 @@ def build_parser() -> argparse.ArgumentParser:
     _flag(hp, "hp", "hyperparameter JSON file (defaults if omitted)")
     folds = argparse.ArgumentParser(add_help=False)
     _flag(folds, "k", "number of folds (default 5)", int, 5)
-    _flag(folds, "workers", "worker processes training (configuration, fold) units, "
-          "at most one per unit; 1 trains them in-process (default: one per unit when "
-          "the units do not divide evenly over the usable cores and are fewer than "
-          "three per core, else one per usable core)", int)
+    _flag(folds, "workers", "processes running units (a fold of a model or grid point), "
+          "at most one per unit; 1 runs them in-process (default: one per unit if they split "
+          "unevenly over the usable cores and are under three per core, else one per core)", int)
 
     def command(name, func, help_text, *parents):
         p = sub.add_parser(name, help=help_text, parents=[*parents, out])

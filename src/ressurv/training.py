@@ -434,21 +434,17 @@ def held_out_fields(f: int, complement: SurvivalDataset, test_fold: SurvivalData
     }
 
 
-def fold_summary(c_indexes: list[float]) -> tuple[float, float]:
-    """(mean, population standard deviation with ddof=0) of fold C-indexes:
-    the summary every cross-validated model reports."""
-    values = np.array(c_indexes)
-    return float(values.mean()), float(values.std())
-
-
 @dataclass
 class CVResult:
-    """Held-out C-index across k folds, summarized by `fold_summary`."""
+    """One model's k fold records (`FoldRecord`s of a network, or what
+    another unit function such as the linear-Cox oracle's returns) and the
+    mean and population standard deviation (ddof=0) of their held-out
+    C-indexes."""
 
     k: int
     seed: int
     fold_hash: str
-    folds: list[FoldRecord]
+    folds: list
     mean_c_index: float
     std_c_index: float
 
@@ -476,9 +472,13 @@ class FoldPlan:
     def fold_data(self, f: int) -> tuple[SurvivalDataset, SurvivalDataset]:
         """Fold `f`'s (training complement, held-out fold): low-variance
         features dropped and standardization fit on the complement only, so
-        nothing leaks from the held-out rows."""
-        complement, test_fold, _ = prepare_fold(self.data.subset(self.folds.train_indices(f)),
-                                                self.data.subset(self.folds.test_indices(f)))
+        nothing leaks from the held-out rows. An `UnusableDatasetError` of
+        that preparation is raised again naming the fold."""
+        try:
+            complement, test_fold, _ = prepare_fold(self.data.subset(self.folds.train_indices(f)),
+                                                    self.data.subset(self.folds.test_indices(f)))
+        except UnusableDatasetError as err:
+            raise UnusableDatasetError(f"fold {f}: {err}") from None
         return complement, test_fold
 
 
@@ -554,18 +554,19 @@ def fold_unit(
                       stopped_early=report.stopped_early, best_val_loss=report.best_val_loss)
 
 
-# The plan whose units `UnitPool.map_units` runs in forked workers: set in
-# this process while they run, so that each worker inherits the plan from
-# memory instead of receiving it pickled.
-_worker_plan: FoldPlan | None = None
+# The units `UnitPool.map_units` runs in forked workers: set in this
+# process while they run, so that each worker inherits them, and every plan
+# they name, from memory; only a unit's index crosses the pipe.
+_worker_units: list | None = None
 
 
-def _pooled_fold_unit(hp: Hyperparameters, with_shortcut: bool, f: int):
-    """`fold_unit` of the plan this worker was forked with, beside the
-    worker's pid and the wall clock (Unix seconds) at which the unit
-    started and ended."""
+def _pooled_unit(i: int):
+    """Unit `i` of the units this worker was forked with, called, beside the
+    worker's pid and the wall clock (Unix seconds) at which the unit started
+    and ended."""
+    fn, *args = _worker_units[i]
     started = time.time()
-    outcome = fold_unit(_worker_plan, hp, with_shortcut, f)
+    outcome = fn(*args)
     return os.getpid(), started, time.time(), outcome
 
 
@@ -600,9 +601,10 @@ def default_workers(units: int, cores: int) -> int:
 
 
 class UnitPool:
-    """What runs (configuration, fold) units: per `map_units` call, up to
-    `size` forked worker processes, at most one per unit, or without a
-    `size` `default_workers` for the call's units and the usable cores. A
+    """What runs units. A unit is a call, a tuple `(fn, *args)`; the pool
+    knows nothing of what it computes. Per `map_units` call, up to `size`
+    forked worker processes run the units, at most one per unit, or without
+    a `size` `default_workers` for the call's units and the usable cores. A
     call that comes to one worker runs its units in this process, one after
     another. Neither makes a file, and a pool starts no process until it
     has units to map. `workers` is the count the latest call used (1 before
@@ -615,11 +617,12 @@ class UnitPool:
     is); in-process units run under it, and pool workers are forked under
     it, so they inherit it.
 
-    A pool's workers are forked once the plan exists, so each inherits the
-    imported package and the plan from this process's memory: nothing is
-    re-imported, pickled or written. Forking needs this process to hold no
-    other thread at that moment; OpenBLAS stops its own threads before a
-    fork.
+    A call's workers are forked once its units exist, so each inherits the
+    imported package, the units and every plan they name from this
+    process's memory: nothing is re-imported, pickled or written, and only
+    unit indexes and outcomes cross the pipes. Forking needs this process
+    to hold no other thread at that moment; OpenBLAS stops its own threads
+    before a fork.
     """
 
     def __init__(self, size: int | None = None):
@@ -645,36 +648,35 @@ class UnitPool:
         finally:
             _openblas("scipy_openblas_set_num_threads")(before)
 
-    def map_units(self, plan: FoldPlan, units: list):
-        """`fold_unit` outcomes of `plan` for each (hp, with_shortcut, fold)
-        of `units`, in order; without units, none, and no process starts.
-        The workers, forked for this call, exit when the units are done or
-        the generator closes; closing it early cancels the units not yet
-        started."""
-        global _worker_plan
+    def map_units(self, units: list):
+        """`fn(*args)` for each unit `(fn, *args)` of `units`, in order;
+        without units, none, and no process starts. The workers, forked for
+        this call, exit when the units are done or the generator closes;
+        closing it early cancels the units not yet started."""
+        global _worker_units
         if not units:
             return
         self.workers = (default_workers(len(units), usable_cores()) if self.size is None
                         else min(self.size, len(units)))
         if self.workers == 1:
             with self.unit_blas():
-                for unit in units:
-                    yield fold_unit(plan, *unit)
+                for fn, *args in units:
+                    yield fn(*args)
             return
         executor = ProcessPoolExecutor(self.workers, mp_context=get_context("fork"))
-        _worker_plan = plan
+        _worker_units = units
         try:
             # a fork executor forks every worker at the first submit, so all
             # of them inherit the units' OpenBLAS count
             with self.unit_blas():
-                outcomes = executor.map(_pooled_fold_unit, *zip(*units))
+                outcomes = executor.map(_pooled_unit, range(len(units)))
             for pid, started, ended, outcome in outcomes:
                 # a worker takes its units in submission order
                 self.first_unit_unix.setdefault(pid, started)
                 self.last_unit_end_unix[pid] = ended
                 yield outcome
         finally:
-            _worker_plan = None
+            _worker_units = None
             executor.shutdown(cancel_futures=True)
 
 
@@ -684,26 +686,27 @@ IN_PROCESS = UnitPool(1)
 
 def cross_validate_configs(
     plan: FoldPlan,
-    configs: list[tuple[Hyperparameters, bool]],
+    configs: list[tuple],
     pool: UnitPool = IN_PROCESS,
     raise_divergence: bool = True,
 ) -> list[CVResult | DivergenceError]:
-    """Cross-validate each (hp, with_shortcut) configuration on the plan's
-    folds; results in configuration order.
+    """Cross-validate each configuration on the plan's folds; results in
+    configuration order.
 
-    The unit of work is one (configuration, fold) pair, run by `fold_unit`
-    in enumeration order through `pool`: in-process by default, else in
-    the pool's workers, under the same BLAS thread count. Every number
-    depends only on the unit, never on which process ran it or when, so
-    results are identical across pools.
+    A configuration is a call prefix `(fn, *args)`: `(fold_unit, hp,
+    with_shortcut)` trains a network, `(linear_cox_unit,)` (in the CLI)
+    fits the oracle. Its unit for fold `f` is the call `(fn, plan, *args,
+    f)`; `pool` runs every configuration's units in one pass, in this
+    order: in-process by default, else in the pool's workers, under the
+    same BLAS thread count. Every number depends only on the unit, never on
+    which process ran it or when, so results are identical across pools.
 
     A configuration with a diverging fold gets the `DivergenceError` of its
     lowest-index diverging fold: raised at once when `raise_divergence`
     (units not started yet are then cancelled), else returned in its place.
     """
     k = plan.folds.k
-    outcomes = pool.map_units(plan, [(hp, with_shortcut, f)
-                                     for hp, with_shortcut in configs for f in range(k)])
+    outcomes = pool.map_units([(fn, plan, *args, f) for fn, *args in configs for f in range(k)])
     results = []
     try:
         for _ in configs:
@@ -713,9 +716,12 @@ def cross_validate_configs(
                     raise outcome
                 fold_outcomes.append(outcome)
             errors = [o for o in fold_outcomes if isinstance(o, DivergenceError)]
-            results.append(errors[0] if errors else CVResult(
-                k, plan.folds.seed, plan.folds.content_hash(), fold_outcomes,
-                *fold_summary([r.c_index for r in fold_outcomes])))
+            if errors:
+                results.append(errors[0])
+                continue
+            c_index = np.array([o.c_index for o in fold_outcomes])
+            results.append(CVResult(k, plan.folds.seed, plan.folds.content_hash(), fold_outcomes,
+                                    float(c_index.mean()), float(c_index.std())))
     finally:
         outcomes.close()   # cancels the units not started when a divergence raised
     return results
@@ -746,7 +752,7 @@ def cross_validate(
     the fold index attached.
     """
     plan = plan_folds(ds, k, seed)
-    [result] = cross_validate_configs(plan, [(hp, True)], pool)
+    [result] = cross_validate_configs(plan, [(fold_unit, hp, True)], pool)
     return result
 
 
@@ -822,7 +828,7 @@ def grid_search(
 
     plan = plan_folds(ds, k, seed)
     hps = [hp.replaced(seed=stable_seed(seed, 17, i)) for i, hp in enumerate(all_points)]
-    outcomes = cross_validate_configs(plan, [(hp, True) for hp in hps], pool,
+    outcomes = cross_validate_configs(plan, [(fold_unit, hp, True) for hp in hps], pool,
                                       raise_divergence=False)
     points = []
     for index, (hp, cv) in enumerate(zip(hps, outcomes)):

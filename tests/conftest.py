@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from ressurv.data import SurvivalDataset
+from ressurv.training import plan_folds
 
 
 def random_survival_arrays(n, seed, censor_frac=0.3, tie_frac=0.15):
@@ -35,6 +36,17 @@ def make_dataset(n=40, p=3, seed=0, censor_frac=0.3) -> SurvivalDataset:
     ids = [f"s{i:04d}" for i in range(n)]
     names = [f"x{j}" for j in range(p)]
     return SurvivalDataset(ids, X, names, times, events)
+
+
+def fold_1_feature_dataset() -> SurvivalDataset:
+    """40 rows of one feature that is nonzero only on the rows fold 1 holds
+    out at k=2, seed 0: fold 0's complement keeps it, fold 1's retains no
+    feature."""
+    ds = make_dataset(n=40, p=1, seed=0)
+    held_out = plan_folds(ds, 2, 0).folds.test_indices(1)
+    features = np.zeros_like(ds.features)
+    features[held_out] = ds.features[held_out]
+    return SurvivalDataset(ds.sample_ids, features, ds.feature_names, ds.times, ds.events)
 
 
 @pytest.fixture

@@ -43,6 +43,7 @@ from ressurv.training import (
     UnitPool,
     cross_validate_configs,
     decay_learning_rate,
+    fold_unit,
     init_optimizer_state,
     plan_folds,
     sgd_step,
@@ -242,7 +243,8 @@ def test_shortcut_blocks_hold_up_at_depth(capsys):
         # the 10 (configuration, fold) units of both CVs share one pool
         plan = plan_folds(ds, k=5, seed=777)
         pool = UnitPool(min(len(os.sched_getaffinity(0)), 10))
-        cv_res, cv_abl = cross_validate_configs(plan, [(hp6, True), (hp6, False)], pool)
+        cv_res, cv_abl = cross_validate_configs(
+            plan, [(fold_unit, hp6, True), (fold_unit, hp6, False)], pool)
         assert cv_res.mean_c_index >= cv_abl.mean_c_index - 0.01, (
             f"shortcut {cv_res.mean_c_index:.4f} vs ablation {cv_abl.mean_c_index:.4f}"
         )

@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 import ressurv
-from conftest import make_dataset
-from ressurv import data, training
+from conftest import fold_1_feature_dataset, make_dataset
+from ressurv import cli, data, training
 from ressurv.cli import REPORT_SCHEMA, TRUTH_SCHEMA, main
 from ressurv.data import SurvivalDataset, load_csv, write_csv
 from ressurv.model import load_checkpoint, model_forward
@@ -499,6 +499,41 @@ def test_compare_three_models_share_folds(tmp_path, data_csv, hp_file):
         assert stats["mean_c_index"] == values.mean(), model
         assert stats["std_c_index"] == values.std(), model
         assert 0.0 <= stats["mean_c_index"] <= 1.0
+
+
+def test_pooled_compare_fits_the_oracle_in_the_workers(tmp_path, data_csv, hp_file,
+                                                      monkeypatch):
+    # every Newton fit is a unit of the pool's one pass, none is left to the
+    # command's own process
+    pids = tmp_path / "newton_pids"
+    real_fit = cli.fit_linear_cox_newton
+
+    def fit(*args, **kwargs):
+        with open(pids, "a", encoding="ascii") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return real_fit(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "fit_linear_cox_newton", fit)
+    outs = {}
+    for workers in ("2", "1"):
+        outs[workers] = tmp_path / f"w{workers}"
+        assert main(["compare", "--data", data_csv, "--hp", hp_file, "--k", "3",
+                     "--seed", "4", "--workers", workers, "--out", str(outs[workers])]) == 0
+        if workers == "2":
+            pooled = pids.read_text().split()
+    assert len(pooled) == 3 and str(os.getpid()) not in pooled
+    assert pids.read_text().split()[3:] == [str(os.getpid())] * 3
+    for name in ("models.jsonl", "summary.json"):
+        assert (outs["1"] / name).read_bytes() == (outs["2"] / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("command", ["cv", "compare"])
+def test_a_fold_left_without_features_exits_2_naming_it(tmp_path, hp_file, capsys, command):
+    path = tmp_path / "fold_1_feature.csv"
+    write_csv(fold_1_feature_dataset(), path)
+    assert main([command, "--data", str(path), "--hp", hp_file, "--k", "2", "--seed", "0",
+                 "--out", str(tmp_path / "out")]) == 2
+    assert "error: fold 1: no features retained" in capsys.readouterr().err
 
 
 def test_compare_worker_count_does_not_change_reports(tmp_path, data_csv, hp_file):

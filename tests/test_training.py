@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import make_dataset
+from conftest import fold_1_feature_dataset, make_dataset
 from ressurv import training
 from ressurv.cox import build_risk_index, neg_log_partial_likelihood
 from ressurv.data import (
@@ -551,6 +551,15 @@ def test_grid_search_degenerate_fold_fails_before_training(monkeypatch, workers)
     assert calls == []
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_fold_left_without_features_is_named(workers):
+    # fold 1's complement has no feature with variance, which the fold's
+    # preparation finds only when its unit runs, in-process or in a worker
+    with pytest.raises(UnusableDatasetError, match=r"^fold 1: no features retained at "):
+        cross_validate(fold_1_feature_dataset(), TINY.replaced(max_epochs=2), k=2, seed=0,
+                       pool=UnitPool(workers))
+
+
 # ---------------------------------------------------------------------------
 # grid search
 # ---------------------------------------------------------------------------
@@ -664,10 +673,9 @@ def test_pool_restores_the_blas_environment(monkeypatch):
     get_threads = training._openblas("scipy_openblas_get_num_threads")
     if get_threads() is None:
         pytest.skip("numpy bundles no OpenBLAS with a thread-count getter")
-    # forked workers see this patch
-    monkeypatch.setattr(training, "fold_unit", lambda *args: get_threads())
-    plan = training.plan_folds(make_dataset(n=60, p=3, seed=1), 2, 0)
-    units = [(TINY, True, f) for f in range(2)]
+    # a unit is a call; forked workers inherit this lambda, which no pipe
+    # could carry pickled
+    units = [(lambda f: get_threads(), f) for f in range(2)]
     monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
     for user_set in (None, "2"):   # a user-set value wins
         if user_set is not None:
@@ -677,7 +685,7 @@ def test_pool_restores_the_blas_environment(monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(os, "putenv", _environment_written)
             m.setattr(os, "unsetenv", _environment_written)
-            assert list(pool.map_units(plan, units)) == [int(pool.blas_threads)] * 2
+            assert list(pool.map_units(units)) == [int(pool.blas_threads)] * 2
         assert os.environ.get("OPENBLAS_NUM_THREADS") == user_set
 
 
@@ -700,21 +708,20 @@ def test_in_process_units_run_under_the_workers_blas_count(monkeypatch):
         return real_unit(*args)
 
     real_unit = training.fold_unit
-    monkeypatch.setattr(training, "fold_unit", unit)
     plan = training.plan_folds(make_dataset(n=60, p=3, seed=1), 2, 0)
-    units = [(TINY.replaced(max_epochs=2), True, f) for f in range(2)]
+    units = [(unit, plan, TINY.replaced(max_epochs=2), True, f) for f in range(2)]
     set_threads(2)   # a count other than the workers'
     try:
         monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
-        outcomes = UnitPool(1).map_units(plan, units)
+        outcomes = UnitPool(1).map_units(units)
         next(outcomes)
         outcomes.close()
         assert seen == [1] and get_threads() == 2
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")   # a user-set value wins
-        list(UnitPool(1).map_units(plan, units))
+        list(UnitPool(1).map_units(units))
         assert seen == [1, 3, 3] and get_threads() == 2
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "many")   # not a count: no change
-        list(UnitPool(1).map_units(plan, units))
+        list(UnitPool(1).map_units(units))
         assert seen == [1, 3, 3, 2, 2] and get_threads() == 2
     finally:
         set_threads(before)
@@ -782,7 +789,6 @@ def test_a_default_pool_sizes_each_call_from_its_units(monkeypatch):
     # default_workers for the units of each call: 5 units on 2 cores get a
     # worker each, 2 units one per core
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    monkeypatch.setattr(training, "fold_unit", lambda plan, hp, with_shortcut, f: f)
     opened = []
     real_executor = training.ProcessPoolExecutor
 
@@ -791,11 +797,9 @@ def test_a_default_pool_sizes_each_call_from_its_units(monkeypatch):
         return real_executor(workers, **kwargs)
 
     monkeypatch.setattr(training, "ProcessPoolExecutor", executor)
-    plan = training.plan_folds(make_dataset(n=60, p=3, seed=1), 2, 0)
     pool = UnitPool()
     for units, workers in ((5, 5), (2, 2)):
-        assert list(pool.map_units(plan, [(TINY, True, f) for f in range(units)])) == list(
-            range(units))
+        assert list(pool.map_units([(abs, f) for f in range(units)])) == list(range(units))
         assert pool.workers == workers
     assert opened == [5, 2]
     assert multiprocessing.active_children() == []
@@ -805,8 +809,8 @@ def test_a_default_pool_sizes_each_call_from_its_units(monkeypatch):
 def test_no_units_map_to_nothing_and_write_no_plan(monkeypatch, size):
     # a pool would otherwise ask for an executor of min(size, 0) workers
     monkeypatch.setattr(training, "ProcessPoolExecutor", _forbidden)
-    plan = training.plan_folds(make_dataset(n=60, p=3, seed=1), 2, 0)
-    assert list(UnitPool(size).map_units(plan, [])) == []
+    assert list(UnitPool(size).map_units([])) == []
+    assert training._worker_units is None
 
 
 def test_in_process_pool_starts_no_process_and_makes_no_file(monkeypatch):
