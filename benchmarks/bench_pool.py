@@ -19,8 +19,16 @@ worker's end) and of the peak summed PSS and RSS; then the pairs the
 second side won, and whether every run wrote the same record and summary
 bytes. It exits 1 if the bytes differ.
 
+With ``--unit-memory`` it measures the memory of fold units on the same
+input instead, in two fresh processes: the peak MB that tracemalloc traces
+while one `fold_unit` (fold 0, the plan made before tracing) runs, and a
+`cv --workers 2` run, for which it prints the command process's RSS when
+it forks its workers (which every worker starts with), the largest
+worker's ``ru_maxrss`` and the command's own:
+
     python benchmarks/bench_pool.py
     python benchmarks/bench_pool.py --k 7 --against 7 --pairs 4 --seed 3
+    python benchmarks/bench_pool.py --unit-memory --n 500 --p 5000
 """
 
 import argparse
@@ -40,6 +48,42 @@ from run import ROOT, WORKLOADS, Tally, child_env, cli_args, setup  # noqa: E402
 
 REPORTS = ("folds.jsonl", "summary.json")
 SAMPLE_S = 0.05
+MB = 1e6
+UNIT_MEMORY_WORKERS = 2
+
+# `python -c UNIT_PEAK data.csv hp.json k seed`: the traced peak MB of fold
+# 0's unit, its plan made before tracing starts
+UNIT_PEAK = """
+import json, sys, tracemalloc
+from ressurv.data import load_csv
+from ressurv.training import Hyperparameters, fold_unit, plan_folds
+data, hp, k, seed = sys.argv[1:]
+plan = plan_folds(load_csv(data), int(k), int(seed))
+with open(hp) as fh:
+    hp = Hyperparameters.from_dict(json.load(fh))
+tracemalloc.start()
+fold_unit(plan, hp, True, 0)
+print(tracemalloc.get_traced_memory()[1] / 1e6)
+"""
+
+# `python -c FORK_PROBE out.json <cli args>`: the CLI command, writing to
+# out.json the command process's VmRSS (kB) before each fork, and at its
+# end the largest ru_maxrss (kB) of the workers it waited for and its own
+FORK_PROBE = """
+import json, os, resource, sys
+from ressurv.cli import main
+def vm_rss():
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith("VmRSS:"))
+at_fork = []
+os.register_at_fork(before=lambda: at_fork.append(vm_rss()))
+code = main(sys.argv[2:])
+with open(sys.argv[1], "w") as fh:
+    json.dump({"at_fork": at_fork,
+               "workers": resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss,
+               "command": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss}, fh)
+sys.exit(code)
+"""
 
 
 def _kb(path: str, field: str) -> int:
@@ -115,6 +159,27 @@ def run_cv(w, seed: int, work: Path, out: Path, workers: int | None) -> dict:
             "reports": [(out / name).read_bytes() for name in REPORTS]}
 
 
+def unit_memory(w, seed: int, work: Path) -> None:
+    """Print one fold unit's traced peak and a pooled `cv` run's RSS at the
+    fork and peak RSS on the input in `work`."""
+    data, hp = work / "data.csv", work / "hp.json"
+    peak = subprocess.run([sys.executable, "-c", UNIT_PEAK, str(data), str(hp), str(w.k),
+                           str(seed)], cwd=ROOT, env=child_env(), check=True,
+                          capture_output=True, text=True).stdout
+    probe, out = work / "fork.json", work / "out"
+    args = cli_args(w, seed, work, out, 0) + ["--workers", str(UNIT_MEMORY_WORKERS)]
+    subprocess.run([sys.executable, "-c", FORK_PROBE, str(probe), *args], cwd=ROOT,
+                   env=child_env(), check=True, stdin=subprocess.DEVNULL,
+                   stdout=subprocess.DEVNULL)
+    rss = json.loads(probe.read_text())
+    print(f"cv --k {w.k} on {w.n} x {w.p}, {w.epochs} epochs, seed {seed}")
+    print(f"one fold unit, traced in-process: peak {float(peak):.2f} MB")
+    print(f"cv --workers {UNIT_MEMORY_WORKERS}: command RSS at the fork "
+          f"{max(rss['at_fork']) * 1024 / MB:.2f} MB, largest worker ru_maxrss "
+          f"{rss['workers'] * 1024 / MB:.2f} MB, command ru_maxrss "
+          f"{rss['command'] * 1024 / MB:.2f} MB")
+
+
 def quartiles(values: list[float]) -> tuple[float, float]:
     if len(values) < 2:
         return values[0], values[0]
@@ -133,9 +198,16 @@ def main(argv: list[str] | None = None) -> int:
                         "(default: no --workers, the default pool)")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--unit-memory", action="store_true",
+                        help="measure fold units' memory instead of timing pool sizes")
     args = parser.parse_args(argv)
     w = dataclasses.replace(paper, n=args.n, p=args.p, k=args.k, epochs=args.epochs,
                             coefficients=paper.coefficients[:args.p])
+    if args.unit_memory:
+        with tempfile.TemporaryDirectory() as tmp:
+            setup(w, args.seed, Path(tmp), 1, Tally())
+            unit_memory(w, args.seed, Path(tmp))
+        return 0
 
     cores = len(os.sched_getaffinity(0))
     second = "default" if args.against is None else f"--workers {args.against}"

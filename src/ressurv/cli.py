@@ -373,7 +373,7 @@ def linear_cox_unit(plan, f: int) -> LinearCoxRecord:
     this module (perfbench/tracer.py patches it here), scored held out."""
     complement, test_fold = plan.fold_data(f)
     fit = fit_linear_cox_newton(complement)
-    return LinearCoxRecord(**held_out_fields(f, complement, test_fold,
+    return LinearCoxRecord(**held_out_fields(f, complement.n, test_fold,
                                              test_fold.features @ fit.beta),
                            newton_converged=fit.converged, newton_iterations=fit.iterations)
 

@@ -167,12 +167,18 @@ def loss_and_gradient(h, idx: RiskSetIndex) -> tuple[float, np.ndarray]:
     return _loss(hs, log_denom, idx), _gradient(hs, _log_risk_weights(log_denom, idx), idx)
 
 
+# the L2 penalty adds its gradient this many entries at a time, so that its
+# temporary is one chunk (128 KB), not a copy of the weights
+L2_CHUNK = 1 << 14
+
+
 def l2_penalty(weights: np.ndarray, lam: float, grad: np.ndarray) -> float:
-    """Quadratic weight penalty lam * sum(w^2) over `weights`; its gradient
-    2*lam*w is added into `grad`, of the same shape, in place (nothing at
-    all when lam is 0). The model's weight matrices lead its parameter
-    vector, so the caller passes `flat[:n_decayed]` and the same slice of
-    the gradient: biases and batch-norm scale/shift are never penalized.
+    """Quadratic weight penalty lam * sum(w^2) over the vector `weights`;
+    its gradient 2*lam*w is added into `grad`, of the same shape, in place
+    (nothing at all when lam is 0), `L2_CHUNK` entries at a time. The
+    model's weight matrices lead its parameter vector, so the caller passes
+    `flat[:n_decayed]` and the same slice of the gradient: biases and
+    batch-norm scale/shift are never penalized.
     """
     if lam < 0:
         raise ValueError("lambda must be >= 0")
@@ -180,7 +186,9 @@ def l2_penalty(weights: np.ndarray, lam: float, grad: np.ndarray) -> float:
         raise ValueError("grad must match the weights' shape")
     if lam == 0:
         return 0.0
-    grad += 2.0 * lam * weights
+    scale = 2.0 * lam
+    for start in range(0, weights.size, L2_CHUNK):
+        grad[start:start + L2_CHUNK] += scale * weights[start:start + L2_CHUNK]
     return float(lam * np.dot(weights, weights))
 
 

@@ -30,6 +30,12 @@ HAZARD_KINDS = ("linear", "interaction", "deep")
 # Feature columns whose variance falls at or below this are dropped.
 MIN_VARIANCE = 1e-8
 
+# The column variances and deviations are reduced a block of columns of
+# about this many bytes at a time, so that their temporaries stay small;
+# a block of fewer columns would make short, slow inner loops.
+STATS_BLOCK_BYTES = 1 << 17
+STATS_MIN_COLUMNS = 16
+
 
 def _finite_number(value) -> bool:
     """A real number, not a bool, that float64 holds as a finite value."""
@@ -160,8 +166,11 @@ class SurvivalDataset:
                             self.times, self.events)
 
     def sorted_by_id(self) -> "SurvivalDataset":
-        """Rows reordered into canonical (lexicographic sample id) order."""
+        """Rows reordered into canonical (lexicographic sample id) order: the
+        dataset itself, not a copy, when its rows are in that order already."""
         order = sorted(range(self.n), key=self.sample_ids.__getitem__)
+        if order == list(range(self.n)):
+            return self
         return self.subset(order)
 
     def require_trainable(self) -> None:
@@ -532,6 +541,21 @@ def filter_patients(ds: SurvivalDataset) -> tuple[SurvivalDataset, int]:
     return ds, 0
 
 
+def _column_stat(X: np.ndarray, stat: str) -> np.ndarray:
+    """`X.var(axis=0)` or `X.std(axis=0)` bit for bit, reduced over blocks
+    of about `STATS_BLOCK_BYTES`, at least `STATS_MIN_COLUMNS` wide: numpy's
+    axis-0 reduce adds the rows one after another for any block at least
+    two columns wide (at width 1 it sums pairwise, so no block is one
+    column wide unless `X` is)."""
+    n, p = X.shape
+    width = max(STATS_MIN_COLUMNS, STATS_BLOCK_BYTES // (8 * max(n, 1)))
+    starts = list(range(0, p, width)) or [0]
+    if len(starts) > 1 and p - starts[-1] == 1:
+        starts.pop()   # the last column joins the block before
+    return np.concatenate([getattr(X[:, a:b], stat)(axis=0)
+                           for a, b in zip(starts, starts[1:] + [p])])
+
+
 def filter_features(ds: SurvivalDataset) -> tuple[SurvivalDataset, list[str]]:
     """Drop feature columns whose population variance is <= MIN_VARIANCE.
 
@@ -540,7 +564,7 @@ def filter_features(ds: SurvivalDataset) -> tuple[SurvivalDataset, list[str]]:
     """
     # an overflowing column reads var inf, which standardize_fit then names
     with np.errstate(over="ignore"):
-        keep = ds.features.var(axis=0) > MIN_VARIANCE
+        keep = _column_stat(ds.features, "var") > MIN_VARIANCE
     retained = [name for name, k in zip(ds.feature_names, keep) if k]
     if not retained:
         raise UnusableDatasetError(
@@ -561,7 +585,7 @@ def standardize_fit(ds: SurvivalDataset) -> StandardizationParams:
     # an overflow is reported below, naming the feature, not as a warning
     with np.errstate(over="ignore"):
         means = ds.features.mean(axis=0)
-        stds = ds.features.std(axis=0)   # population convention
+        stds = _column_stat(ds.features, "std")   # population convention
     bad = np.flatnonzero(stds == 0)
     if bad.size:
         raise UnusableDatasetError(
@@ -585,7 +609,8 @@ def standardize_apply(ds: SurvivalDataset, params: StandardizationParams) -> Sur
         raise ValueError(
             f"standardization params have {params.means.shape[0]} features, dataset has {ds.p}"
         )
-    scaled = (ds.features - params.means) / params.stddevs
+    scaled = np.subtract(ds.features, params.means)
+    scaled /= params.stddevs
     # the scaling can overflow; nothing else changes
     _check_features(scaled, ds.feature_names)
     return ds._derive(list(ds.sample_ids), scaled, list(ds.feature_names),

@@ -420,6 +420,11 @@ def batchnorm_backward(
 # Dropout
 # ---------------------------------------------------------------------------
 
+# a dropout mask reads its generator's raw 64-bit words this many at a time,
+# so that a mask of any size allocates one chunk of words (128 KB)
+MASK_CHUNK_WORDS = 1 << 14
+
+
 class DropoutStream:
     """Counter-based deterministic dropout masks.
 
@@ -430,7 +435,8 @@ class DropoutStream:
     A mask thresholds, as integers, the raw words of the PCG64 generator
     seeded with its key, and equals the float-draw mask
     `np.random.default_rng(SeedSequence(key)).random(shape, dtype) >= rate`
-    bit for bit, at half its cost.
+    bit for bit, at half its cost. It reads the words in chunks of
+    `MASK_CHUNK_WORDS`, straight into the mask's entries in order.
     """
 
     def __init__(self, seed: int):
@@ -462,13 +468,20 @@ class DropoutStream:
         threshold = math.ceil(max(rate, 0.0) * 2**mantissa) << (word_bits - mantissa)
         bits = np.random.PCG64(
             np.random.SeedSequence([self.seed, int(epoch), int(block), int(layer)]))
-        if word_bits == 32:
-            # little-endian 64-bit words read as 32-bit ones put each low half first
-            words = bits.random_raw(-(-out.size // 2)).astype("<u8", copy=False)
-            words = words.view("<u4")[:out.size]
-        else:
-            words = bits.random_raw(out.size)
-        return np.greater_equal(words.reshape(out.shape), threshold, out=out)
+        # a view of a C-contiguous `out`; any other is filled from a copy
+        flat = out.reshape(-1)
+        per_word = 64 // word_bits   # mask entries one raw word gives
+        chunk = MASK_CHUNK_WORDS * per_word
+        for start in range(0, flat.size, chunk):
+            part = flat[start:start + chunk]
+            words = bits.random_raw(-(-part.size // per_word))
+            if per_word == 2:
+                # little-endian 64-bit words read as 32-bit ones put each low half first
+                words = words.astype("<u8", copy=False).view("<u4")[:part.size]
+            np.greater_equal(words, threshold, out=part)
+        if not np.may_share_memory(flat, out):
+            out[...] = flat.reshape(out.shape)
+        return out
 
 
 def _apply_keep(x: np.ndarray, keep: np.ndarray, rate: float,
@@ -634,7 +647,11 @@ def model_backward(
     grad_h: np.ndarray, params: ResSurvParams, cache: ModelCache
 ) -> np.ndarray:
     """Exact chain rule from per-sample score gradients down to every
-    learnable tensor; returns the gradient in flat-view layout.
+    learnable tensor; returns the gradient in flat-view layout, in float64,
+    the optimizer's precision, whatever the network's dtype: each tensor's
+    gradient, computed in the network's dtype, is written straight into the
+    float64 vector, exactly. The vector belongs to the workspace of `cache`,
+    so the next backward pass with that cache writes over it.
 
     Backpropagation meets the tensors in reverse traversal order (head b
     and W; then per block from the last: the shortcut W, and per layer from
@@ -646,7 +663,7 @@ def model_backward(
     computed.
     """
     grad_h = np.asarray(grad_h, dtype=params.flat.dtype).reshape(-1, 1)
-    grads = np.empty_like(params.flat)
+    grads = cache.array("grads", params.flat.shape, np.float64)
     ends = [grads.size, params.n_decayed]   # other tensors, weight matrices
     n = grad_h.shape[0]
     kind, rate = params.activation_kind, params.dropout_rate

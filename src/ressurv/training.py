@@ -24,16 +24,19 @@ from multiprocessing import get_context
 import numpy as np
 
 from . import cox
+# the fold preparation looks its data functions up here, where
+# perfbench/tracer.py patches them
 from .data import (
     FoldAssignment,
+    StandardizationParams,
     SurvivalDataset,
     check_field_types,
+    filter_features,
     kfold_split,
-    prepare_fold,
+    standardize_apply,
+    standardize_fit,
     stratified_holdout,
 )
-# imported only so that perfbench/tracer.py can patch them here
-from .data import filter_features, standardize_apply, standardize_fit  # noqa: F401
 from .errors import DivergenceError, UnusableDatasetError
 from .metrics import concordance_fast
 from .model import (
@@ -314,6 +317,12 @@ def train(
     validation loss are float64. The report's `params` is that float32
     network. Non-finite scores, training or validation, or a non-finite
     training loss abort with the offending epoch.
+
+    The epochs read float32 copies of the two feature matrices and the
+    splits' times and events, nothing else of the datasets: `train` lets go
+    of both datasets before the network is made, so that a caller that
+    hands them over without keeping them (as `fold_unit` does) holds no
+    float64 copy of the rows while the epochs run.
     """
     for split, split_ds in (("training", train_ds), ("validation", val_ds)):
         if split_ds.n < 2 or split_ds.n_events < 1:
@@ -321,9 +330,16 @@ def train(
     if val_ds.p != train_ds.p:
         raise UnusableDatasetError("train and validation feature counts differ")
 
+    n_features = train_ds.p
+    train_X, val_X = (ds.features.astype(np.float32) for ds in (train_ds, val_ds))
+    train_index = cox.build_risk_index(train_ds.times, train_ds.events)
+    val_index = cox.build_risk_index(val_ds.times, val_ds.events)
+    val_times, val_events = val_ds.times, val_ds.events
+    del train_ds, val_ds, split_ds   # the check loop's variable holds val_ds
+
     run_seed = hp.seed if seed is None else seed
     master = init_params(
-        n_features=train_ds.p,
+        n_features=n_features,
         block_widths=[hp.nodes] * hp.n_blocks,
         dense_layers_per_block=hp.dense_layers_per_block,
         activation_kind=hp.activation_kind,
@@ -332,16 +348,12 @@ def train(
         with_shortcut=with_shortcut,
     )
     net = master.copy(np.float32)
-    train_X, val_X = (ds.features.astype(np.float32) for ds in (train_ds, val_ds))
     state = init_optimizer_state(hp, master.flat.size, master.n_decayed)
     weights = master.flat[:master.n_decayed]
     step_fn = _STEP_FUNCTIONS[hp.optimizer_kind]
     # AdamW carries l2_lambda as decoupled decay; everyone else as a loss term
     loss_lambda = 0.0 if hp.optimizer_kind == "adamw" else hp.l2_lambda
-
-    train_index = cox.build_risk_index(train_ds.times, train_ds.events)
     stream = DropoutStream(stable_seed(run_seed, 1, 0))
-    val_index = cox.build_risk_index(val_ds.times, val_ds.events)
 
     best_val = np.inf
     best_epoch = 0
@@ -362,7 +374,7 @@ def train(
             if not np.isfinite(h).all():
                 raise DivergenceError(epoch, "training loss")
             nll, grad_h = cox.loss_and_gradient(h, train_index)
-            grads = model_backward(grad_h, net, cache).astype(np.float64)
+            grads = model_backward(grad_h, net, cache)
             # the penalty's gradient goes into grads in place
             train_loss = nll + cox.l2_penalty(weights, loss_lambda, grads[:weights.size])
             if not np.isfinite(train_loss):
@@ -376,7 +388,7 @@ def train(
                 raise DivergenceError(epoch, "validation loss")
             # finite float32 scores give a finite float64 loss
             val_loss = cox.neg_log_partial_likelihood(h_val, val_index)
-            val_c = (concordance_fast(val_ds.times, val_ds.events, h_val).c_index
+            val_c = (concordance_fast(val_times, val_events, h_val).c_index
                      if score_val_c_index else np.nan)
 
             records.append(EpochRecord(epoch, lr_used, float(train_loss),
@@ -420,14 +432,14 @@ class FoldRecord:
     best_val_loss: float
 
 
-def held_out_fields(f: int, complement: SurvivalDataset, test_fold: SurvivalDataset,
+def held_out_fields(f: int, n_train: int, test_fold: SurvivalDataset,
                     scores: np.ndarray) -> dict:
-    """The held-out fields of fold `f`'s record, for a model fit on
-    `complement` that gave the held-out fold `test_fold` the risk `scores`:
-    the fold, the row counts and the held-out C-index."""
+    """The held-out fields of fold `f`'s record, for a model fit on its
+    complement of `n_train` rows that gave the held-out fold `test_fold` the
+    risk `scores`: the fold, the row counts and the held-out C-index."""
     return {
         "fold": f,
-        "n_train": complement.n,
+        "n_train": n_train,
         "n_test": test_fold.n,
         "n_test_events": test_fold.n_events,
         "c_index": float(concordance_fast(test_fold.times, test_fold.events, scores).c_index),
@@ -463,23 +475,28 @@ class FoldPlan:
     trains: the dataset in canonical (id-sorted) order, the fold assignment
     (which holds the run seed and gives each fold's rows of `data`), and per
     fold the (early-stop train, early-stop validation) positions into the
-    fold's training side."""
+    fold's training side, the names of the features its complement retains
+    and the standardization fit on the complement's retained features."""
 
     data: SurvivalDataset
     folds: FoldAssignment
     splits: tuple[tuple[np.ndarray, np.ndarray], ...]
+    retained: tuple[list[str], ...]
+    standardizations: tuple[StandardizationParams, ...]
+
+    def prepared(self, f: int, rows: np.ndarray) -> SurvivalDataset:
+        """The rows `rows` of `data` as fold `f`'s models see them: the
+        fold's retained features, standardized by its complement's
+        statistics, so nothing leaks from the held-out rows."""
+        ds = self.data.subset(rows)
+        if len(self.retained[f]) < ds.p:
+            ds = ds.select_features(self.retained[f])
+        return standardize_apply(ds, self.standardizations[f])
 
     def fold_data(self, f: int) -> tuple[SurvivalDataset, SurvivalDataset]:
-        """Fold `f`'s (training complement, held-out fold): low-variance
-        features dropped and standardization fit on the complement only, so
-        nothing leaks from the held-out rows. An `UnusableDatasetError` of
-        that preparation is raised again naming the fold."""
-        try:
-            complement, test_fold, _ = prepare_fold(self.data.subset(self.folds.train_indices(f)),
-                                                    self.data.subset(self.folds.test_indices(f)))
-        except UnusableDatasetError as err:
-            raise UnusableDatasetError(f"fold {f}: {err}") from None
-        return complement, test_fold
+        """Fold `f`'s prepared (training complement, held-out fold)."""
+        return (self.prepared(f, self.folds.train_indices(f)),
+                self.prepared(f, self.folds.test_indices(f)))
 
 
 def require_comparable_pair(ds: SurvivalDataset, rows: np.ndarray, split: str) -> None:
@@ -507,24 +524,57 @@ def early_stop_split(ds: SurvivalDataset, rows: np.ndarray, seed: int,
     return train_pos, val_pos
 
 
+def _fold_preparation(canon: SurvivalDataset, rows: np.ndarray, lows: np.ndarray,
+                      highs: np.ndarray) -> tuple[list[str], StandardizationParams]:
+    """The features the complement `rows` of `canon` retains and their
+    standardization fit on it. Raises `UnusableDatasetError` when none is
+    retained, when the fit overflows, and when the standardization takes a
+    value of `canon` out of float64's range: a column's values scale to
+    values between its scaled extremes, `lows` and `highs`."""
+    complement, retained = filter_features(canon.subset(rows))
+    std = standardize_fit(complement)
+    column = {name: j for j, name in enumerate(canon.feature_names)}
+    cols = [column[name] for name in retained]
+    with np.errstate(over="ignore"):
+        extremes = (np.stack([lows[cols], highs[cols]]) - std.means) / std.stddevs
+    bad = np.flatnonzero(~np.isfinite(extremes).all(axis=0))
+    if bad.size:
+        j = bad[0]
+        raise UnusableDatasetError(
+            f"feature {retained[j]!r} standardizes by mean {std.means[j]} and standard "
+            f"deviation {std.stddevs[j]} to values beyond float64's range"
+        )
+    return retained, std
+
+
 def plan_folds(ds: SurvivalDataset, k: int, seed: int) -> FoldPlan:
-    """Canonicalize rows by sample id, assign folds from `seed` and carve
-    each fold's 80/20 stratified early-stop split.
+    """Canonicalize rows by sample id, assign folds from `seed`, carve each
+    fold's 80/20 stratified early-stop split and prepare its features.
 
     Every held-out fold and both sides of every early-stop split are checked
     for at least one comparable pair (an event followed by a strictly later
-    time); a split without one raises `UnusableDatasetError` naming the fold
-    and the split, before anything trains.
+    time). Each fold's complement drops its low-variance features and fits
+    the standardization of the rest; a complement that retains no feature,
+    or a standardization that overflows, on the complement or on any row,
+    is refused too. Each refusal raises `UnusableDatasetError` naming the
+    fold (and the split), before anything trains.
     """
     canon = ds.sorted_by_id()
     folds = kfold_split(canon, k, seed)
+    lows, highs = canon.features.min(axis=0), canon.features.max(axis=0)
 
-    splits = []
+    splits, retained, standardizations = [], [], []
     for f in range(folds.k):
         require_comparable_pair(canon, folds.test_indices(f), f"fold {f}: the held-out split")
         splits.append(early_stop_split(canon, folds.train_indices(f), stable_seed(seed, 11, f),
                                        where=f"fold {f}: "))
-    return FoldPlan(canon, folds, tuple(splits))
+        try:
+            names, std = _fold_preparation(canon, folds.train_indices(f), lows, highs)
+        except UnusableDatasetError as err:
+            raise UnusableDatasetError(f"fold {f}: {err}") from None
+        retained.append(names)
+        standardizations.append(std)
+    return FoldPlan(canon, folds, tuple(splits), tuple(retained), tuple(standardizations))
 
 
 def fold_unit(
@@ -532,24 +582,28 @@ def fold_unit(
 ) -> FoldRecord | DivergenceError:
     """Train fold `f` of `plan` under `hp` and measure its held-out C-index.
 
-    The model trains on the early-stop split of the fold's prepared
-    complement (`FoldPlan.fold_data`) with a fold-specific sub-seed, without
-    the per-epoch validation C-index, which no fold record holds. A
-    diverging fold returns its `DivergenceError`, naming the fold, instead of
-    raising it, so that the caller decides which fold's error to report.
+    The model trains on the early-stop split of the fold's complement,
+    prepared by the plan (`FoldPlan.prepared`), with a fold-specific
+    sub-seed, without the per-epoch validation C-index, which no fold record
+    holds. Only the two early-stop sides are prepared before the fit, and
+    `train` is their only holder, so the epochs run on their float32 copies
+    alone; the held-out rows are prepared once the fit is done. A diverging
+    fold returns its `DivergenceError`, naming the fold, instead of raising
+    it, so that the caller decides which fold's error to report.
     """
-    complement, test_fold = plan.fold_data(f)
+    complement = plan.folds.train_indices(f)
     inner_train_idx, inner_val_idx = plan.splits[f]
     try:
-        report = train(complement.subset(inner_train_idx),
-                       complement.subset(inner_val_idx), hp,
+        report = train(plan.prepared(f, complement[inner_train_idx]),
+                       plan.prepared(f, complement[inner_val_idx]), hp,
                        with_shortcut=with_shortcut, seed=stable_seed(hp.seed, 13, f),
                        score_val_c_index=False)
     except DivergenceError as err:
         return DivergenceError(err.epoch, f"fold {f}: {err.message}")
 
+    test_fold = plan.prepared(f, plan.folds.test_indices(f))
     h_test, _ = model_forward(test_fold.features, report.params, mode="eval")
-    return FoldRecord(**held_out_fields(f, complement, test_fold, h_test),
+    return FoldRecord(**held_out_fields(f, complement.size, test_fold, h_test),
                       best_epoch=report.best_epoch, epochs_run=report.epochs_run,
                       stopped_early=report.stopped_early, best_val_loss=report.best_val_loss)
 
@@ -752,6 +806,9 @@ def cross_validate(
     the fold index attached.
     """
     plan = plan_folds(ds, k, seed)
+    # the plan holds the canonical rows; a caller that handed `ds` over
+    # leaves the pool's workers one copy of them to inherit
+    del ds
     [result] = cross_validate_configs(plan, [(fold_unit, hp, True)], pool)
     return result
 
@@ -827,6 +884,7 @@ def grid_search(
     all_points = enumerate_grid(grid, base_hp, budget)
 
     plan = plan_folds(ds, k, seed)
+    del ds   # as in `cross_validate`
     hps = [hp.replaced(seed=stable_seed(seed, 17, i)) for i, hp in enumerate(all_points)]
     outcomes = cross_validate_configs(plan, [(fold_unit, hp, True) for hp in hps], pool,
                                       raise_divergence=False)

@@ -5,13 +5,15 @@ wrapping the callees `train` looks up, `benchmarks/bench_concordance.py`
 checks the concordance sweep's counts against the pairwise scan before it
 times them, `benchmarks/bench_csv.py` times the CSV writer and reader, and
 `benchmarks/bench_pool.py` times `cv` at one worker per core against the
-default pool, and `benchmarks/compare_reports.py` diffs the report bytes of
+default pool (or measures a fold unit's memory), and
+`benchmarks/compare_reports.py` diffs the report bytes of
 two source trees. Nothing else runs them, so these tests run all five on
 tiny shapes: a change to the training, model, metrics, data or CLI API that
 breaks a script fails here.
 """
 
 import importlib.util
+import re
 import sys
 from pathlib import Path
 
@@ -104,6 +106,17 @@ def test_bench_pool_runs_a_pair_and_compares_the_report_bytes(capsys):
                        "--pairs", "1"]) == 0
     out = capsys.readouterr().out
     assert "report bytes identical" in out and "/1 pairs" in out
+
+
+def test_bench_pool_measures_a_units_memory(capsys):
+    bench = _load("bench_pool")
+    assert bench.main(["--unit-memory", "--n", "120", "--p", "30", "--k", "3",
+                       "--epochs", "2"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("cv --k 3 on 120 x 30, 2 epochs, seed 1\n")
+    # the unit's traced peak, and the RSS at the fork, the worker's and the command's
+    figures = [float(mb) for mb in re.findall(r"(\d+\.\d+) MB", out)]
+    assert len(figures) == 4 and all(mb > 0 for mb in figures)
 
 
 def test_compare_reports_finds_the_tree_the_same_as_itself(capsys):

@@ -692,6 +692,23 @@ def test_standardize_overflowing_feature_names_it():
                 prepare_fold(ds, ds)
 
 
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 80), p=st.integers(0, 50), seed=st.integers(0, 2**32 - 1),
+       block_bytes=st.sampled_from([1, 100, 1000, data.STATS_BLOCK_BYTES]),
+       min_columns=st.sampled_from([2, 3, data.STATS_MIN_COLUMNS]))
+def test_blocked_column_statistics_have_numpys_bits(n, p, seed, block_bytes, min_columns):
+    # the feature filter and the standardization reduce their variances and
+    # deviations a block of columns at a time; each has the bits of numpy's
+    # reduce over the whole array, whose blocks of one column differ
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, p)) * rng.choice([1e-3, 1.0, 1e6]) + rng.normal() * 100
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(data, "STATS_BLOCK_BYTES", block_bytes)
+        mp.setattr(data, "STATS_MIN_COLUMNS", min_columns)
+        for stat in ("var", "std"):
+            assert data._column_stat(X, stat).tobytes() == getattr(X, stat)(axis=0).tobytes()
+
+
 @pytest.mark.parametrize("means, stddevs", [
     ([np.nan, 0.0], [1.0, 1.0]),
     ([0.0, -np.inf], [1.0, 1.0]),

@@ -13,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ressurv.cox import build_risk_index, nll_gradient
+from ressurv import model
 from ressurv.data import StandardizationParams
 from ressurv.model import (
     ACTIVATION_KINDS,
@@ -292,30 +293,51 @@ _MASK_RATES = st.one_of(
 @settings(max_examples=300, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), key=st.tuples(*[st.integers(0, 20)] * 3),
        shape=st.tuples(st.integers(1, 9), st.integers(1, 9)), rate=_MASK_RATES,
-       dtype=st.sampled_from([np.float32, np.float64]))
-@example(seed=3, key=(1, 0, 2), shape=(1280, 64), rate=0.2, dtype=np.float32)
-@example(seed=3, key=(1, 0, 2), shape=(1280, 64), rate=0.2, dtype=np.float64)
-@example(seed=0, key=(0, 0, 0), shape=(1, 1), rate=1 - 2.0**-26, dtype=np.float32)
-def test_dropout_mask_is_the_float_draw_mask(seed, key, shape, rate, dtype):
-    # the integer thresholds on the generator's raw words keep exactly the
-    # units a float draw of the mask's dtype keeps, into `out` or not
+       dtype=st.sampled_from([np.float32, np.float64]),
+       chunk_words=st.sampled_from([1, 2, 3, 7, model.MASK_CHUNK_WORDS]))
+@example(seed=3, key=(1, 0, 2), shape=(1280, 64), rate=0.2, dtype=np.float32,
+         chunk_words=model.MASK_CHUNK_WORDS)
+@example(seed=3, key=(1, 0, 2), shape=(1280, 64), rate=0.2, dtype=np.float64,
+         chunk_words=model.MASK_CHUNK_WORDS)
+@example(seed=0, key=(0, 0, 0), shape=(1, 1), rate=1 - 2.0**-26, dtype=np.float32,
+         chunk_words=1)
+# odd and even sizes over several whole chunks and a partial last one
+@example(seed=5, key=(2, 1, 0), shape=(3 * model.MASK_CHUNK_WORDS + 1, 1), rate=0.3,
+         dtype=np.float32, chunk_words=model.MASK_CHUNK_WORDS)
+@example(seed=5, key=(2, 1, 0), shape=(3 * model.MASK_CHUNK_WORDS + 1, 1), rate=0.3,
+         dtype=np.float64, chunk_words=model.MASK_CHUNK_WORDS)
+@example(seed=5, key=(2, 1, 0), shape=(2, 3 * model.MASK_CHUNK_WORDS + 1), rate=0.3,
+         dtype=np.float32, chunk_words=model.MASK_CHUNK_WORDS)
+@example(seed=5, key=(2, 1, 0), shape=(2, 3 * model.MASK_CHUNK_WORDS + 1), rate=0.3,
+         dtype=np.float64, chunk_words=model.MASK_CHUNK_WORDS)
+def test_dropout_mask_is_the_float_draw_mask(seed, key, shape, rate, dtype, chunk_words):
+    # the integer thresholds on the generator's raw words, read in chunks of
+    # `chunk_words`, keep exactly the units a float draw of the mask's dtype
+    # keeps, into `out` (contiguous or not) or not
     rng = np.random.default_rng(np.random.SeedSequence([seed, *key]))
     expected = rng.random(shape, dtype=dtype) >= rate
-    mask = DropoutStream(seed).mask(shape, rate, *key, dtype=dtype)
-    assert mask.dtype == np.bool_ and np.array_equal(mask, expected)
-    out = ~expected
-    assert DropoutStream(seed).mask(shape, rate, *key, out=out, dtype=dtype) is out
-    assert np.array_equal(out, expected)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(model, "MASK_CHUNK_WORDS", chunk_words)
+        mask = DropoutStream(seed).mask(shape, rate, *key, dtype=dtype)
+        assert mask.dtype == np.bool_ and np.array_equal(mask, expected)
+        out = ~expected
+        assert DropoutStream(seed).mask(shape, rate, *key, out=out, dtype=dtype) is out
+        assert np.array_equal(out, expected)
+        strided = np.ones(shape[::-1], bool).T
+        assert DropoutStream(seed).mask(shape, rate, *key, out=strided, dtype=dtype) is strided
+        assert np.array_equal(strided, expected)
 
 
 class _Words:
-    """A stand-in bit generator that hands out the raw words `raw`."""
+    """A stand-in bit generator that hands out the raw words `raw`, each
+    once, in order."""
 
     def __init__(self, raw):
         self.raw = raw
 
     def random_raw(self, size):
-        return self.raw[:size]
+        words, self.raw = self.raw[:size], self.raw[size:]
+        return words
 
 
 @settings(max_examples=200, deadline=None)
@@ -654,7 +676,7 @@ def model_backward_reference(grad_h, params, cache):
         grad = grad_y
         for dense, lc in zip(reversed(block.dense_layers), reversed(bc.layers)):
             if lc.mask is not None:
-                grad = grad * (lc.mask / (1.0 - params.dropout_rate))
+                grad = grad * (lc.mask / (1.0 - params.dropout_rate)).astype(grad.dtype)
             grad = activation_backward_reference(grad, lc.act, params.activation_kind)
             grad, g_gamma, g_beta = batchnorm_backward_reference(
                 grad, lc.bn.xhat, lc.bn.inv_std, lc.bn.gamma)
@@ -675,14 +697,17 @@ def model_backward_reference(grad_h, params, cache):
 @pytest.mark.parametrize("kind", ACTIVATION_KINDS)
 def test_backward_skips_the_input_gradient_bit_for_bit(kind, with_shortcut):
     # the reference also computes the (n, p) input gradient; the parameter
-    # gradient does not depend on it
+    # gradient does not depend on it. A float32 network's gradient, computed
+    # in float32, comes back as the float64 vector of the same values
     rng = np.random.default_rng(31)
     X, v = rng.normal(size=(17, 9)), rng.normal(size=17)
-    params = init_params(9, [5, 7], 2, kind, 0.2, seed=31, with_shortcut=with_shortcut)
-    _, cache = model_forward(X, params, mode="train", stream=DropoutStream(31), epoch=1)
-    want, grad_input = model_backward_reference(v, params, cache)
-    assert grad_input.shape == X.shape
-    assert _same_bytes(model_backward(v, params, cache), want)
+    for dtype in (np.float64, np.float32):
+        params = init_params(9, [5, 7], 2, kind, 0.2, seed=31,
+                             with_shortcut=with_shortcut).copy(dtype)
+        _, cache = model_forward(X, params, mode="train", stream=DropoutStream(31), epoch=1)
+        want, grad_input = model_backward_reference(v.astype(dtype), params, cache)
+        assert grad_input.shape == X.shape and want.dtype == dtype
+        assert _same_bytes(model_backward(v, params, cache), want.astype(np.float64))
 
 
 def _cache_arrays(cache):
@@ -770,8 +795,11 @@ def test_float32_gradient_is_the_float64_one_to_float32_precision(kind, seed):
     for params in (wide, narrow):
         h, cache = model_forward(X, params, mode="train", stream=_Float64Draws(seed), epoch=1)
         grads.append(model_backward(nll_gradient(h, idx), params, cache))
-        assert h.dtype == grads[-1].dtype == params.flat.dtype
-        assert {a.dtype for a in cache.arrays.values()} == {params.flat.dtype, np.dtype(bool)}
+        # the gradient goes straight into the workspace's float64 vector
+        assert h.dtype == params.flat.dtype and grads[-1].dtype == np.float64
+        assert cache.arrays["grads"] is grads[-1]
+        assert ({a.dtype for key, a in cache.arrays.items() if key != "grads"}
+                == {params.flat.dtype, np.dtype(bool)})
     want, got = grads
     assert np.linalg.norm(got - want) / np.linalg.norm(want) < 1e-5
 

@@ -2,8 +2,10 @@ import dataclasses
 import functools
 import multiprocessing
 import os
+import sys
 import tempfile
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from ressurv.data import (
     SurvivalDataset,
     SyntheticSpec,
     generate_synthetic,
+    prepare_fold,
     stratified_holdout,
 )
 from ressurv.errors import DivergenceError, UnusableDatasetError
@@ -552,12 +555,143 @@ def test_grid_search_degenerate_fold_fails_before_training(monkeypatch, workers)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_a_fold_left_without_features_is_named(workers):
-    # fold 1's complement has no feature with variance, which the fold's
-    # preparation finds only when its unit runs, in-process or in a worker
+def test_a_fold_left_without_features_is_named(monkeypatch, workers):
+    # fold 1's complement has no feature with variance, which the plan finds
+    # while it prepares the folds, before any unit trains
+    calls = []
+    monkeypatch.setattr(training, "train", lambda *a, **kw: calls.append(1))
     with pytest.raises(UnusableDatasetError, match=r"^fold 1: no features retained at "):
         cross_validate(fold_1_feature_dataset(), TINY.replaced(max_epochs=2), k=2, seed=0,
                        pool=UnitPool(workers))
+    assert calls == []
+
+
+def _with_column(ds, j, values):
+    X = ds.features.copy()
+    X[:, j] = values
+    return SurvivalDataset(ds.sample_ids, X, ds.feature_names, ds.times, ds.events)
+
+
+def test_a_fold_whose_standardization_overflows_is_named_before_training(monkeypatch):
+    calls = []
+    monkeypatch.setattr(training, "train", lambda *a, **kw: calls.append(1))
+    ds = make_dataset(n=40, p=2, seed=0)
+    # the fit overflows on every complement
+    with pytest.raises(UnusableDatasetError, match=r"^fold 0: feature 'x1' has mean inf and "
+                                                   r"standard deviation inf; its values overflow"):
+        cross_validate(_with_column(ds, 1, 1e308), TINY, k=2, seed=0)
+    # the fit holds on fold 0's complement, but scaling a row fold 0 holds
+    # out by its deviation of about 1e-3 goes past float64's range
+    small = np.random.default_rng(1).normal(scale=1e-3, size=ds.n)
+    small[training.plan_folds(ds, 2, 0).folds.test_indices(0)[0]] = 1e306
+    with pytest.raises(UnusableDatasetError, match=r"^fold 0: feature 'x0' standardizes by "
+                                                   r"mean \S+ and standard deviation \S+ to "
+                                                   r"values beyond float64's range$"):
+        cross_validate(_with_column(ds, 0, small), TINY, k=2, seed=0)
+    assert calls == []
+
+
+def _reference_fold_record(plan, hp, with_shortcut, f):
+    """Fold `f`'s record the long way round: `prepare_fold` on the whole
+    complement and held-out fold, `train` on the complement's early-stop
+    subsets, then the held-out scores."""
+    complement, test_fold, _ = prepare_fold(plan.data.subset(plan.folds.train_indices(f)),
+                                            plan.data.subset(plan.folds.test_indices(f)))
+    inner_train, inner_val = plan.splits[f]
+    report = train(complement.subset(inner_train), complement.subset(inner_val), hp,
+                   with_shortcut=with_shortcut, seed=stable_seed(hp.seed, 13, f),
+                   score_val_c_index=False)
+    h_test, _ = model_forward(test_fold.features, report.params, mode="eval")
+    return training.FoldRecord(
+        **training.held_out_fields(f, complement.n, test_fold, h_test),
+        best_epoch=report.best_epoch, epochs_run=report.epochs_run,
+        stopped_early=report.stopped_early, best_val_loss=report.best_val_loss)
+
+
+@pytest.mark.parametrize("with_shortcut", [True, False])
+def test_fold_unit_is_the_reference_path_bit_for_bit(with_shortcut):
+    # x2 is constant, so every fold drops it; x3 varies only on the rows
+    # fold 0 holds out, so fold 0's complement drops it and the others keep it
+    ds = make_dataset(n=90, p=4, seed=2)
+    held_out = training.plan_folds(ds, 3, 5).folds.test_indices(0)
+    x3 = np.zeros(ds.n)
+    x3[held_out] = ds.features[held_out, 3]
+    plan = training.plan_folds(_with_column(_with_column(ds, 2, 1.5), 3, x3), 3, 5)
+    assert plan.retained == (["x0", "x1"], ["x0", "x1", "x3"], ["x0", "x1", "x3"])
+    hp = TINY.replaced(dropout_rate=0.2, max_epochs=8)
+    for f in range(3):
+        want = _reference_fold_record(plan, hp, with_shortcut, f)
+        assert repr(training.fold_unit(plan, hp, with_shortcut, f)) == repr(want)
+        wanted = prepare_fold(plan.data.subset(plan.folds.train_indices(f)),
+                              plan.data.subset(plan.folds.test_indices(f)))
+        for got, side in zip(plan.fold_data(f), wanted):
+            assert got.feature_names == side.feature_names
+            assert got.sample_ids == side.sample_ids
+            assert got.features.tobytes() == side.features.tobytes()
+
+
+# On Python 3.10 a caller's evaluation stack keeps a call's arguments until
+# the call returns, so `train` cannot let go of the datasets it is handed
+RELEASES_ARGUMENTS = pytest.mark.skipif(
+    sys.version_info < (3, 11), reason="the caller holds a call's arguments before 3.11")
+
+
+@RELEASES_ARGUMENTS
+def test_the_epochs_hold_no_float64_copy_of_the_rows(monkeypatch):
+    # fold_unit hands its two prepared early-stop sides to `train`, which
+    # keeps their float32 copies only, and cross_validate lets go of the
+    # dataset it is handed once the plan holds the canonical rows
+    refs, alive = [], []
+    real_prepared, real_forward = training.FoldPlan.prepared, training.model_forward
+
+    def prepared(plan, f, rows):
+        ds = real_prepared(plan, f, rows)
+        refs.append(weakref.ref(ds))
+        return ds
+
+    def forward(X, params, mode="eval", **kwargs):
+        if mode == "train":
+            alive.append(sum(ref() is not None for ref in refs))
+        return real_forward(X, params, mode, **kwargs)
+
+    def loaded():
+        ds = make_dataset(n=60, p=3, seed=1)
+        # ids out of canonical order, so that the plan holds a sorted copy
+        ds = SurvivalDataset(ds.sample_ids[::-1], ds.features, ds.feature_names, ds.times,
+                             ds.events)
+        refs.append(weakref.ref(ds))
+        return ds
+
+    monkeypatch.setattr(training.FoldPlan, "prepared", prepared)
+    monkeypatch.setattr(training, "model_forward", forward)
+    cross_validate(loaded(), TINY.replaced(max_epochs=3), k=2, seed=0)
+    assert len(alive) == 6 and alive == [0] * 6
+    assert len(refs) == 1 + 2 * 3   # the loaded dataset, per fold three prepared sides
+
+
+@RELEASES_ARGUMENTS
+def test_a_fold_unit_at_a_genomics_shape_keeps_its_memory_bound():
+    # 300 patients x 2,000 genes, a small net, so that the rows dominate:
+    # one unit's traced peak is the standardization of its early-stop
+    # training rows (two float64 copies, 6.1 MB); its epochs hold their
+    # float32 copies (1.9 MB with the validation rows) and the network.
+    # Measured 6.55 MB; a float64 copy of the rows kept through the epochs
+    # would take it to about 9 MB, and the parent's one unit took 15.2 MB
+    beta = (1.0, -0.8, 0.7, -0.6, 0.5) + (0.0,) * 1995
+    ds, _ = generate_synthetic(SyntheticSpec(n=300, p=2000, true_coefficients=beta,
+                                             target_censor_rate=0.3, seed=1))
+    plan = training.plan_folds(ds, 5, 1)
+    del ds
+    hp = Hyperparameters(n_blocks=1, dense_layers_per_block=2, nodes=16, max_epochs=3,
+                         patience=4, seed=1)
+    tracemalloc.start()
+    try:
+        record = training.fold_unit(plan, hp, True, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert record.epochs_run == 3
+    assert peak <= 7.0e6, f"one fold unit's traced peak {peak / 1e6:.2f} MB"
 
 
 # ---------------------------------------------------------------------------
