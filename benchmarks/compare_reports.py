@@ -8,7 +8,9 @@ own setup (the CSV from this checkout's ``ressurv synth``), then runs, as
 * each workload's command (``cv``, ``gridsearch``, ``compare``) under
   ``--workers 1``, ``--workers 2`` and the default pool size;
 * ``train`` and ``cv`` on the ``cv-paper`` input under sgd, adam and
-  adamw, each with a nonzero ``l2_lambda``.
+  adamw, each with a nonzero ``l2_lambda``;
+* ``train`` and ``cv`` on a copy of the ``cv-paper`` input whose last
+  feature is a constant, which every preparation drops.
 
 Every file of each run's output directory but ``meta.json`` (the only file
 allowed to vary between runs) must hold the same bytes on both sides, and
@@ -21,6 +23,7 @@ workload, and ``--workers`` picks the pool sizes:
 """
 
 import argparse
+import csv
 import dataclasses
 import json
 import subprocess
@@ -67,6 +70,16 @@ def runs(workloads: dict, seed: int, work: Path, workers: list[int | None]):
             yield f"{command} {kind} l2 {l2}", lambda out, c=command, hp=hp: [
                 c, "--data", str(paper / "data.csv"), "--hp", str(hp),
                 "--seed", str(seed), "--out", str(out)]
+    constant = paper / "constant.csv"
+    with open(paper / "data.csv", newline="") as src, open(constant, "w", newline="") as dst:
+        rows, copy = csv.reader(src), csv.writer(dst)
+        header = next(rows)
+        copy.writerow(header)
+        copy.writerows(row[:-1] + ["1.0"] for row in rows)
+    for command in ("train", "cv"):
+        yield f"{command} {header[-1]} constant", lambda out, c=command: [
+            c, "--data", str(constant), "--hp", str(paper / "hp.json"),
+            "--seed", str(seed), "--out", str(out)]
 
 
 def main(argv: list[str] | None = None) -> int:

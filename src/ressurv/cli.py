@@ -17,6 +17,7 @@ divergence during training.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import os
@@ -32,7 +33,6 @@ from .data import (
     SyntheticSpec,
     generate_synthetic,
     load_csv,
-    prepare_fold,
     write_csv,
 )
 # imported only so that perfbench/tracer.py can patch them here
@@ -47,6 +47,7 @@ from .errors import DivergenceError, RessurvError
 from .model import save_checkpoint
 from .training import (
     Hyperparameters,
+    Preparation,
     UnitPool,
     cross_validate,
     cross_validate_configs,
@@ -85,6 +86,14 @@ def _flag(parser, name: str, help_text: str, type=None, default=None,
     parser.add_argument(f"--{name}", type=type, default=default,
                         required=required and default is None,
                         help=f"{help_text} [env {env}]")
+
+
+def _seed(v: str) -> int:
+    # refused here, naming --seed, rather than by numpy's seeding
+    with contextlib.suppress(ValueError):
+        if int(v) >= 0:
+            return int(v)
+    raise argparse.ArgumentTypeError(f"must be a non-negative integer, not {v!r}")
 
 
 def _fmt(v: str) -> str:
@@ -274,26 +283,26 @@ def cmd_train(args) -> int:
     hp = load_hyperparameters(args.hp)
     ds = _load_dataset(args.data)
 
-    # leakage-free: standardization is fit on the training side only
+    # leakage-free: fit on the training side only; `train` alone holds the prepared sides
     train_idx, val_idx = early_stop_split(ds, np.arange(ds.n), stable_seed(seed, 1))
-    train_ds, val_ds, std = prepare_fold(ds.subset(train_idx), ds.subset(val_idx))
+    prep = Preparation.fit(ds, train_idx)
 
     pool = UnitPool(1)
     with pool.unit_blas():
-        report = train(train_ds, val_ds, hp, seed=seed)
+        report = train(prep.apply(train_idx), prep.apply(val_idx), hp, seed=seed)
 
-    save_checkpoint(os.path.join(args.out, "model.ckpt"), report.params,
-                    standardization=std, extra={"hp": dataclasses.asdict(hp), "seed": seed})
+    save_checkpoint(os.path.join(args.out, "model.ckpt"), report.params, prep.standardization,
+                    extra={"hp": dataclasses.asdict(hp), "seed": seed})
 
     write_reports(args, t0, "epochs", [dataclasses.asdict(r) for r in report.epochs], {
         "command": "train",
         "checkpoint": "model.ckpt",
         "seed": seed,
         "hp": dataclasses.asdict(hp),
-        "n_train": train_ds.n,
-        "n_val": val_ds.n,
-        "n_features": train_ds.p,
-        "feature_names": list(train_ds.feature_names),
+        "n_train": train_idx.size,
+        "n_val": val_idx.size,
+        "n_features": len(prep.retained),
+        "feature_names": list(prep.retained),
         "best_epoch": report.best_epoch,
         "best_val_loss": report.best_val_loss,
         "best_val_c_index": report.best_val_c_index,
@@ -371,7 +380,8 @@ class LinearCoxRecord:
 def linear_cox_unit(plan, f: int) -> LinearCoxRecord:
     """The linear Cox oracle on fold `f` of `plan`: a Newton fit, looked up in
     this module (perfbench/tracer.py patches it here), scored held out."""
-    complement, test_fold = plan.fold_data(f)
+    prep, folds = plan.preparations[f], plan.folds
+    complement, test_fold = prep.apply(folds.train_indices(f)), prep.apply(folds.test_indices(f))
     fit = fit_linear_cox_newton(complement)
     return LinearCoxRecord(**held_out_fields(f, complement.n, test_fold,
                                              test_fold.features @ fit.beta),
@@ -422,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     _flag(out, "out", "output path (synth: CSV path; otherwise directory)", required=True)
     run = argparse.ArgumentParser(add_help=False)
     _flag(run, "data", "survival CSV (sample_id,time,event,features...)", required=True)
-    _flag(run, "seed", "run seed (default 0)", int, 0)
+    _flag(run, "seed", "run seed (default 0)", _seed, 0)
     _flag(run, "format", "record format: jsonl (default) or tsv", _fmt, "jsonl")
     hp = argparse.ArgumentParser(add_help=False)
     _flag(hp, "hp", "hyperparameter JSON file (defaults if omitted)")

@@ -313,6 +313,8 @@ class SyntheticSpec:
             raise ValueError("target_censor_rate must lie in [0, 1)")
         if self.weibull_shape <= 0 or self.baseline_scale <= 0:
             raise ValueError("weibull_shape and baseline_scale must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
         coefs = self.true_coefficients
         if isinstance(coefs, np.ndarray):
             coefs = coefs.tolist()   # a 0-d array becomes a number
@@ -615,18 +617,6 @@ def standardize_apply(ds: SurvivalDataset, params: StandardizationParams) -> Sur
     _check_features(scaled, ds.feature_names)
     return ds._derive(list(ds.sample_ids), scaled, list(ds.feature_names),
                       ds.times, ds.events)
-
-
-def prepare_fold(
-    train: SurvivalDataset, test: SurvivalDataset
-) -> tuple[SurvivalDataset, SurvivalDataset, StandardizationParams]:
-    """Leakage-free fold preparation: drop low-variance features and fit
-    standardization on the training side only, then apply both to each side.
-    Returns (train, test, standardization)."""
-    train, retained = filter_features(train)
-    test = test.select_features(retained)
-    std = standardize_fit(train)
-    return standardize_apply(train, std), standardize_apply(test, std), std
 
 
 def _dealt_assignment(events: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:

@@ -279,6 +279,16 @@ class TrainReport:
     params: ResSurvParams = field(repr=False)
 
 
+def require_comparable_pair(ds: SurvivalDataset, rows: np.ndarray, split: str) -> None:
+    """Raise `UnusableDatasetError` naming `split` unless the rows `rows` of
+    `ds` hold a comparable pair: an event followed by a strictly later time."""
+    times, events = ds.times[rows], ds.events[rows]
+    if not (events.any() and times[events].min() < times.max()):
+        raise UnusableDatasetError(
+            f"{split} has no comparable pair (an event followed by a strictly later time)"
+        )
+
+
 def train(
     train_ds: SurvivalDataset,
     val_ds: SurvivalDataset,
@@ -289,10 +299,10 @@ def train(
 ) -> TrainReport:
     """Run the epoch loop and return the report with best-epoch parameters.
 
-    Both splits must be nonempty with at least one event each, and features
-    must already be standardized with training-split statistics. Training is
-    full-batch: the Cox partial likelihood couples samples through risk sets,
-    so only the full-batch gradient is the exact one.
+    Each split must hold a comparable pair, checked before the network is
+    made, with features standardized by training-split statistics. Training
+    is full-batch: the Cox partial likelihood couples samples through risk
+    sets, so only the full-batch gradient is the exact one.
 
     Each epoch: forward in train mode, the Cox NLL and its gradient from one
     pass over the sorted scores (`cox.loss_and_gradient`) plus the L2
@@ -325,8 +335,7 @@ def train(
     float64 copy of the rows while the epochs run.
     """
     for split, split_ds in (("training", train_ds), ("validation", val_ds)):
-        if split_ds.n < 2 or split_ds.n_events < 1:
-            raise UnusableDatasetError(f"{split} split needs >= 2 samples and >= 1 event")
+        require_comparable_pair(split_ds, np.arange(split_ds.n), f"the {split} split")
     if val_ds.p != train_ds.p:
         raise UnusableDatasetError("train and validation feature counts differ")
 
@@ -470,43 +479,59 @@ WORKER_BLAS_THREADS = "1"
 
 
 @dataclass(frozen=True)
+class Preparation:
+    """How a model sees the rows of `data`: the features that the rows it
+    was fit on retain, standardized by those rows' statistics, so nothing
+    leaks from the other rows. `fit` makes one, `apply` uses it."""
+
+    data: SurvivalDataset
+    retained: list[str]
+    standardization: StandardizationParams
+
+    @classmethod
+    def fit(cls, ds: SurvivalDataset, rows: np.ndarray) -> "Preparation":
+        """Drop the features with low variance on the rows `rows` of `ds`
+        and fit the standardization of the rest on them. Raises
+        `UnusableDatasetError` when no feature is retained, when the fit
+        overflows, and when the standardization takes any row of `ds` out
+        of float64's range: a column's values scale to values between its
+        scaled extremes."""
+        fitted, retained = filter_features(ds.subset(rows))
+        std = standardize_fit(fitted)
+        column = {name: j for j, name in enumerate(ds.feature_names)}
+        cols = [column[name] for name in retained]
+        with np.errstate(over="ignore"):
+            extremes = (np.stack([ds.features.min(axis=0)[cols], ds.features.max(axis=0)[cols]])
+                        - std.means) / std.stddevs
+        bad = np.flatnonzero(~np.isfinite(extremes).all(axis=0))
+        if bad.size:
+            j = bad[0]
+            raise UnusableDatasetError(
+                f"feature {retained[j]!r} standardizes by mean {std.means[j]} and standard "
+                f"deviation {std.stddevs[j]} to values beyond float64's range"
+            )
+        return cls(ds, retained, std)
+
+    def apply(self, rows: np.ndarray) -> SurvivalDataset:
+        """The rows `rows` of `data`, prepared."""
+        ds = self.data.subset(rows)
+        if len(self.retained) < ds.p:
+            ds = ds.select_features(self.retained)
+        return standardize_apply(ds, self.standardization)
+
+
+@dataclass(frozen=True)
 class FoldPlan:
     """Everything the folds of one run share, decided before any fold
     trains: the dataset in canonical (id-sorted) order, the fold assignment
     (which holds the run seed and gives each fold's rows of `data`), and per
     fold the (early-stop train, early-stop validation) positions into the
-    fold's training side, the names of the features its complement retains
-    and the standardization fit on the complement's retained features."""
+    fold's training side and the `Preparation` fit on the fold's complement."""
 
     data: SurvivalDataset
     folds: FoldAssignment
     splits: tuple[tuple[np.ndarray, np.ndarray], ...]
-    retained: tuple[list[str], ...]
-    standardizations: tuple[StandardizationParams, ...]
-
-    def prepared(self, f: int, rows: np.ndarray) -> SurvivalDataset:
-        """The rows `rows` of `data` as fold `f`'s models see them: the
-        fold's retained features, standardized by its complement's
-        statistics, so nothing leaks from the held-out rows."""
-        ds = self.data.subset(rows)
-        if len(self.retained[f]) < ds.p:
-            ds = ds.select_features(self.retained[f])
-        return standardize_apply(ds, self.standardizations[f])
-
-    def fold_data(self, f: int) -> tuple[SurvivalDataset, SurvivalDataset]:
-        """Fold `f`'s prepared (training complement, held-out fold)."""
-        return (self.prepared(f, self.folds.train_indices(f)),
-                self.prepared(f, self.folds.test_indices(f)))
-
-
-def require_comparable_pair(ds: SurvivalDataset, rows: np.ndarray, split: str) -> None:
-    """Raise `UnusableDatasetError` naming `split` unless the rows `rows` of
-    `ds` hold a comparable pair: an event followed by a strictly later time."""
-    times, events = ds.times[rows], ds.events[rows]
-    if not (events.any() and times[events].min() < times.max()):
-        raise UnusableDatasetError(
-            f"{split} has no comparable pair (an event followed by a strictly later time)"
-        )
+    preparations: tuple[Preparation, ...]
 
 
 HOLDOUT_FRACTION = 0.2
@@ -524,29 +549,6 @@ def early_stop_split(ds: SurvivalDataset, rows: np.ndarray, seed: int,
     return train_pos, val_pos
 
 
-def _fold_preparation(canon: SurvivalDataset, rows: np.ndarray, lows: np.ndarray,
-                      highs: np.ndarray) -> tuple[list[str], StandardizationParams]:
-    """The features the complement `rows` of `canon` retains and their
-    standardization fit on it. Raises `UnusableDatasetError` when none is
-    retained, when the fit overflows, and when the standardization takes a
-    value of `canon` out of float64's range: a column's values scale to
-    values between its scaled extremes, `lows` and `highs`."""
-    complement, retained = filter_features(canon.subset(rows))
-    std = standardize_fit(complement)
-    column = {name: j for j, name in enumerate(canon.feature_names)}
-    cols = [column[name] for name in retained]
-    with np.errstate(over="ignore"):
-        extremes = (np.stack([lows[cols], highs[cols]]) - std.means) / std.stddevs
-    bad = np.flatnonzero(~np.isfinite(extremes).all(axis=0))
-    if bad.size:
-        j = bad[0]
-        raise UnusableDatasetError(
-            f"feature {retained[j]!r} standardizes by mean {std.means[j]} and standard "
-            f"deviation {std.stddevs[j]} to values beyond float64's range"
-        )
-    return retained, std
-
-
 def plan_folds(ds: SurvivalDataset, k: int, seed: int) -> FoldPlan:
     """Canonicalize rows by sample id, assign folds from `seed`, carve each
     fold's 80/20 stratified early-stop split and prepare its features.
@@ -561,20 +563,17 @@ def plan_folds(ds: SurvivalDataset, k: int, seed: int) -> FoldPlan:
     """
     canon = ds.sorted_by_id()
     folds = kfold_split(canon, k, seed)
-    lows, highs = canon.features.min(axis=0), canon.features.max(axis=0)
 
-    splits, retained, standardizations = [], [], []
+    splits, preparations = [], []
     for f in range(folds.k):
         require_comparable_pair(canon, folds.test_indices(f), f"fold {f}: the held-out split")
         splits.append(early_stop_split(canon, folds.train_indices(f), stable_seed(seed, 11, f),
                                        where=f"fold {f}: "))
         try:
-            names, std = _fold_preparation(canon, folds.train_indices(f), lows, highs)
+            preparations.append(Preparation.fit(canon, folds.train_indices(f)))
         except UnusableDatasetError as err:
             raise UnusableDatasetError(f"fold {f}: {err}") from None
-        retained.append(names)
-        standardizations.append(std)
-    return FoldPlan(canon, folds, tuple(splits), tuple(retained), tuple(standardizations))
+    return FoldPlan(canon, folds, tuple(splits), tuple(preparations))
 
 
 def fold_unit(
@@ -583,7 +582,7 @@ def fold_unit(
     """Train fold `f` of `plan` under `hp` and measure its held-out C-index.
 
     The model trains on the early-stop split of the fold's complement,
-    prepared by the plan (`FoldPlan.prepared`), with a fold-specific
+    prepared by the fold's `Preparation`, with a fold-specific
     sub-seed, without the per-epoch validation C-index, which no fold record
     holds. Only the two early-stop sides are prepared before the fit, and
     `train` is their only holder, so the epochs run on their float32 copies
@@ -591,17 +590,17 @@ def fold_unit(
     fold returns its `DivergenceError`, naming the fold, instead of raising
     it, so that the caller decides which fold's error to report.
     """
-    complement = plan.folds.train_indices(f)
+    complement, prep = plan.folds.train_indices(f), plan.preparations[f]
     inner_train_idx, inner_val_idx = plan.splits[f]
     try:
-        report = train(plan.prepared(f, complement[inner_train_idx]),
-                       plan.prepared(f, complement[inner_val_idx]), hp,
+        report = train(prep.apply(complement[inner_train_idx]),
+                       prep.apply(complement[inner_val_idx]), hp,
                        with_shortcut=with_shortcut, seed=stable_seed(hp.seed, 13, f),
                        score_val_c_index=False)
     except DivergenceError as err:
         return DivergenceError(err.epoch, f"fold {f}: {err.message}")
 
-    test_fold = plan.prepared(f, plan.folds.test_indices(f))
+    test_fold = prep.apply(plan.folds.test_indices(f))
     h_test, _ = model_forward(test_fold.features, report.params, mode="eval")
     return FoldRecord(**held_out_fields(f, complement.size, test_fold, h_test),
                       best_epoch=report.best_epoch, epochs_run=report.epochs_run,

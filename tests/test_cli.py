@@ -2,6 +2,7 @@ import hashlib
 import json
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 from unittest import mock
@@ -124,12 +125,14 @@ def test_synth_rejects_bad_spec(tmp_path):
     pytest.param("weibull_shape", 10**400, id="weibull_shape-int-beyond-float64"),
     pytest.param("true_coefficients", [10**400, 1.0, 0.5],
                  id="true_coefficients-int-beyond-float64"),
+    ("seed", -1),
 ])
 def test_synth_mistyped_spec_field_exits_2_naming_it(tmp_path, capsys, field, value):
     # n = 2.5 ended in a TypeError traceback (exit 1); n = true made 1 row;
     # true_coefficients 5 was an "incomplete" spec, "ab" named no field,
     # ["1", 2, 3] and [true, 1.0, 0.5] were accepted, NaN failed as a bad time,
-    # and an integer beyond float64 ended in an OverflowError traceback (exit 1)
+    # an integer beyond float64 ended in an OverflowError traceback (exit 1),
+    # and a negative seed in numpy's "expected non-negative integer"
     spec = _write_json(tmp_path / "spec.json", dict(SYNTH_SPEC, **{field: value}))
     out = tmp_path / "x.csv"
     assert main(["synth", "--spec", spec, "--out", str(out)]) == 2
@@ -269,6 +272,42 @@ def test_train_checks_its_early_stop_split_before_training(tmp_path, hp_file, ca
             in capsys.readouterr().err)
     for name in ("model.ckpt", "epochs.jsonl", "summary.json"):
         assert not (out / name).exists(), name
+
+
+def test_train_refuses_a_standardization_beyond_float64_before_training(
+        tmp_path, hp_file, capsys, monkeypatch):
+    # x0 alternates 0 and 1e-3, so its deviation is about 5e-4, and data
+    # row 8 holds 1e305, which seed 3 puts on the validation side: scaled
+    # by the training side's deviation it goes past float64's range. The
+    # error named a validation row and a value the file does not hold
+    ds = make_dataset(n=40, p=2, seed=1)
+    x0 = np.tile([0.0, 1e-3], 20)
+    x0[7] = 1e305
+    path = tmp_path / "huge.csv"
+    write_csv(SurvivalDataset(ds.sample_ids, np.column_stack([x0, ds.features[:, 1]]),
+                              ds.feature_names, ds.times, ds.events), path)
+    monkeypatch.setattr("ressurv.cli.train", lambda *a, **kw: pytest.fail("train ran"))
+    out = tmp_path / "run"
+    assert main(["train", "--data", str(path), "--hp", hp_file, "--seed", "3",
+                 "--out", str(out)]) == 2
+    assert re.fullmatch(r"error: feature 'x0' standardizes by mean \S+ and standard "
+                        r"deviation \S+ to values beyond float64's range\n",
+                        capsys.readouterr().err)
+    assert not (out / "summary.json").exists()
+
+
+@pytest.mark.parametrize("command, argv, env", [("train", ["--seed", "-1"], {}),
+                                               ("cv", [], {"RESSURV_SEED": "-1"})])
+def test_a_negative_seed_exits_2_naming_the_flag(tmp_path, data_csv, hp_file, capsys,
+                                                 monkeypatch, command, argv, env):
+    # numpy's seeding refused it, with "error: expected non-negative integer"
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    out = tmp_path / "run"
+    assert main([command, "--data", data_csv, "--hp", hp_file, *argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.endswith(
+        "error: argument --seed: must be a non-negative integer, not '-1'\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["cv", "compare"])

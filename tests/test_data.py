@@ -21,7 +21,6 @@ from ressurv.data import (
     generate_synthetic,
     kfold_split,
     load_csv,
-    prepare_fold,
     standardize_apply,
     standardize_fit,
     stratified_holdout,
@@ -676,9 +675,9 @@ def test_standardize_zero_variance_names_feature():
 
 
 def test_standardize_overflowing_feature_names_it():
-    # stddev inf: prepare_fold scaled the column to zeros on both sides. The
-    # named error is all the caller sees: numpy's overflow warning, which
-    # the "error" filter would raise ahead of it, stays silent
+    # stddev inf: the fold preparation scaled the column to zeros on both
+    # sides. The named error is all the caller sees: numpy's overflow
+    # warning, which the "error" filter would raise ahead of it, stays silent
     for huge, mean in (([1e308, -1e308, 1e308, -1e308], "0.0"), ([1e308] * 4, "inf")):
         X = np.column_stack([np.arange(4.0), huge])
         ds = SurvivalDataset([f"s{i}" for i in range(4)], X, ["ok", "huge"],
@@ -689,7 +688,7 @@ def test_standardize_overflowing_feature_names_it():
                                                            "and standard deviation inf"):
                 standardize_fit(ds)
             with pytest.raises(UnusableDatasetError, match="feature 'huge'"):
-                prepare_fold(ds, ds)
+                standardize_fit(filter_features(ds)[0])
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import json
 import multiprocessing
 import os
 import sys
@@ -11,14 +12,17 @@ import numpy as np
 import pytest
 
 from conftest import fold_1_feature_dataset, make_dataset
-from ressurv import training
+from ressurv import cli, training
 from ressurv.cox import build_risk_index, neg_log_partial_likelihood
 from ressurv.data import (
     SurvivalDataset,
     SyntheticSpec,
+    filter_features,
     generate_synthetic,
-    prepare_fold,
+    standardize_apply,
+    standardize_fit,
     stratified_holdout,
+    write_csv,
 )
 from ressurv.errors import DivergenceError, UnusableDatasetError
 from ressurv.model import model_forward, to_flat
@@ -414,13 +418,28 @@ def test_train_validates_splits():
         ds.times, np.zeros(ds.n, dtype=bool),
     )
     tr, va = _split(ds)
-    with pytest.raises(UnusableDatasetError):
+    with pytest.raises(UnusableDatasetError, match="^the training split has no comparable "):
         train(censored, va, TINY)
-    with pytest.raises(UnusableDatasetError):
+    with pytest.raises(UnusableDatasetError, match="^the validation split has no comparable "):
         train(tr, censored, TINY)
     narrower = va.select_features(va.feature_names[:2])
     with pytest.raises(UnusableDatasetError):
         train(tr, narrower, TINY)
+
+
+def test_train_refuses_a_split_without_a_comparable_pair_before_the_network(monkeypatch):
+    # every validation event at the latest validation time: no pair to
+    # score, which the validation C-index found only after a full epoch
+    ds = make_dataset(n=60, p=3, seed=2)
+    tr, va = _split(ds)
+    times = va.times.copy()
+    times[va.events] = times.max()
+    late = SurvivalDataset(va.sample_ids, va.features, va.feature_names, times, va.events)
+    monkeypatch.setattr(training, "init_params", lambda **kw: pytest.fail("network made"))
+    with pytest.raises(UnusableDatasetError, match=r"^the validation split has no comparable "
+                                                   r"pair \(an event followed by a strictly "
+                                                   r"later time\)$"):
+        train(tr, late, TINY)
 
 
 # ---------------------------------------------------------------------------
@@ -591,12 +610,20 @@ def test_a_fold_whose_standardization_overflows_is_named_before_training(monkeyp
     assert calls == []
 
 
+def _reference_fold_data(plan, f):
+    """Fold `f`'s (complement, held-out fold) the long way round: the
+    complement's features filtered, the held-out fold's selected to match,
+    and both standardized by the complement's statistics."""
+    complement, retained = filter_features(plan.data.subset(plan.folds.train_indices(f)))
+    test_fold = plan.data.subset(plan.folds.test_indices(f)).select_features(retained)
+    std = standardize_fit(complement)
+    return standardize_apply(complement, std), standardize_apply(test_fold, std)
+
+
 def _reference_fold_record(plan, hp, with_shortcut, f):
-    """Fold `f`'s record the long way round: `prepare_fold` on the whole
-    complement and held-out fold, `train` on the complement's early-stop
-    subsets, then the held-out scores."""
-    complement, test_fold, _ = prepare_fold(plan.data.subset(plan.folds.train_indices(f)),
-                                            plan.data.subset(plan.folds.test_indices(f)))
+    """Fold `f`'s record the long way round: `train` on the early-stop
+    subsets of the reference complement, then the held-out scores."""
+    complement, test_fold = _reference_fold_data(plan, f)
     inner_train, inner_val = plan.splits[f]
     report = train(complement.subset(inner_train), complement.subset(inner_val), hp,
                    with_shortcut=with_shortcut, seed=stable_seed(hp.seed, 13, f),
@@ -617,14 +644,15 @@ def test_fold_unit_is_the_reference_path_bit_for_bit(with_shortcut):
     x3 = np.zeros(ds.n)
     x3[held_out] = ds.features[held_out, 3]
     plan = training.plan_folds(_with_column(_with_column(ds, 2, 1.5), 3, x3), 3, 5)
-    assert plan.retained == (["x0", "x1"], ["x0", "x1", "x3"], ["x0", "x1", "x3"])
+    assert ([prep.retained for prep in plan.preparations]
+            == [["x0", "x1"], ["x0", "x1", "x3"], ["x0", "x1", "x3"]])
     hp = TINY.replaced(dropout_rate=0.2, max_epochs=8)
     for f in range(3):
         want = _reference_fold_record(plan, hp, with_shortcut, f)
         assert repr(training.fold_unit(plan, hp, with_shortcut, f)) == repr(want)
-        wanted = prepare_fold(plan.data.subset(plan.folds.train_indices(f)),
-                              plan.data.subset(plan.folds.test_indices(f)))
-        for got, side in zip(plan.fold_data(f), wanted):
+        prep = plan.preparations[f]
+        got = prep.apply(plan.folds.train_indices(f)), prep.apply(plan.folds.test_indices(f))
+        for got, side in zip(got, _reference_fold_data(plan, f)):
             assert got.feature_names == side.feature_names
             assert got.sample_ids == side.sample_ids
             assert got.features.tobytes() == side.features.tobytes()
@@ -636,16 +664,15 @@ RELEASES_ARGUMENTS = pytest.mark.skipif(
     sys.version_info < (3, 11), reason="the caller holds a call's arguments before 3.11")
 
 
-@RELEASES_ARGUMENTS
-def test_the_epochs_hold_no_float64_copy_of_the_rows(monkeypatch):
-    # fold_unit hands its two prepared early-stop sides to `train`, which
-    # keeps their float32 copies only, and cross_validate lets go of the
-    # dataset it is handed once the plan holds the canonical rows
+def _watch_prepared_rows(monkeypatch) -> tuple[list, list]:
+    """(refs, alive), filled as the code runs: a weak reference to each
+    dataset `Preparation.apply` gives, and per train-mode forward pass the
+    count of the referenced datasets still alive."""
     refs, alive = [], []
-    real_prepared, real_forward = training.FoldPlan.prepared, training.model_forward
+    real_apply, real_forward = training.Preparation.apply, training.model_forward
 
-    def prepared(plan, f, rows):
-        ds = real_prepared(plan, f, rows)
+    def apply(prep, rows):
+        ds = real_apply(prep, rows)
         refs.append(weakref.ref(ds))
         return ds
 
@@ -653,6 +680,18 @@ def test_the_epochs_hold_no_float64_copy_of_the_rows(monkeypatch):
         if mode == "train":
             alive.append(sum(ref() is not None for ref in refs))
         return real_forward(X, params, mode, **kwargs)
+
+    monkeypatch.setattr(training.Preparation, "apply", apply)
+    monkeypatch.setattr(training, "model_forward", forward)
+    return refs, alive
+
+
+@RELEASES_ARGUMENTS
+def test_the_epochs_hold_no_float64_copy_of_the_rows(monkeypatch):
+    # fold_unit hands its two prepared early-stop sides to `train`, which
+    # keeps their float32 copies only, and cross_validate lets go of the
+    # dataset it is handed once the plan holds the canonical rows
+    refs, alive = _watch_prepared_rows(monkeypatch)
 
     def loaded():
         ds = make_dataset(n=60, p=3, seed=1)
@@ -662,11 +701,28 @@ def test_the_epochs_hold_no_float64_copy_of_the_rows(monkeypatch):
         refs.append(weakref.ref(ds))
         return ds
 
-    monkeypatch.setattr(training.FoldPlan, "prepared", prepared)
-    monkeypatch.setattr(training, "model_forward", forward)
     cross_validate(loaded(), TINY.replaced(max_epochs=3), k=2, seed=0)
     assert len(alive) == 6 and alive == [0] * 6
     assert len(refs) == 1 + 2 * 3   # the loaded dataset, per fold three prepared sides
+
+
+@RELEASES_ARGUMENTS
+def test_the_train_command_holds_no_prepared_float64_rows_through_the_epochs(tmp_path,
+                                                                            monkeypatch):
+    # cmd_train hands its two prepared sides to `train` as call temporaries
+    # and reads its summary's sizes and names from the split and the
+    # preparation
+    path = tmp_path / "data.csv"
+    write_csv(make_dataset(n=60, p=3, seed=1), path)
+    hp = tmp_path / "hp.json"
+    hp.write_text(json.dumps(dataclasses.asdict(TINY.replaced(max_epochs=3, patience=5))))
+    refs, alive = _watch_prepared_rows(monkeypatch)
+    out = tmp_path / "run"
+    assert cli.main(["train", "--data", str(path), "--hp", str(hp), "--out", str(out)]) == 0
+    assert len(refs) == 2 and alive == [0] * 3
+    summary = json.loads((out / "summary.json").read_text())
+    assert (summary["n_train"], summary["n_val"], summary["feature_names"]) == (
+        48, 12, ["x0", "x1", "x2"])
 
 
 @RELEASES_ARGUMENTS
