@@ -180,12 +180,12 @@ class EpochClock:
 def run_train(shape: dict, epochs: int, seed: int = 0) -> EpochClock:
     """The clock of one `train` run of `epochs` epochs on `shape`."""
     train_ds, val_ds = datasets(shape, seed)
-    hp = Hyperparameters(**shape["net"], max_epochs=epochs, patience=epochs + 1)
+    hp = Hyperparameters(**shape["net"], max_epochs=epochs, patience=epochs + 1, seed=seed)
     clock = EpochClock()
     with contextlib.ExitStack() as patched:
         for patch in clock.patches(hp.optimizer_kind):
             patched.enter_context(patch)
-        training.train(train_ds, val_ds, hp, seed=seed)
+        training.train(train_ds, val_ds, hp)
         clock.close()
     return clock
 

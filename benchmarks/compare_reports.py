@@ -10,7 +10,10 @@ own setup (the CSV from this checkout's ``ressurv synth``), then runs, as
 * ``train`` and ``cv`` on the ``cv-paper`` input under sgd, adam and
   adamw, each with a nonzero ``l2_lambda``;
 * ``train`` and ``cv`` on a copy of the ``cv-paper`` input whose last
-  feature is a constant, which every preparation drops.
+  feature is a constant, which every preparation drops;
+* ``cv`` and ``compare`` on the ``cv-paper`` input with an hp file whose
+  ``seed`` is not ``--seed``, so that a fold seeded from the wrong one
+  shows (every workload's hp file holds ``--seed``).
 
 Every file of each run's output directory but ``meta.json`` (the only file
 allowed to vary between runs) must hold the same bytes on both sides, and
@@ -79,6 +82,12 @@ def runs(workloads: dict, seed: int, work: Path, workers: list[int | None]):
     for command in ("train", "cv"):
         yield f"{command} {header[-1]} constant", lambda out, c=command: [
             c, "--data", str(constant), "--hp", str(paper / "hp.json"),
+            "--seed", str(seed), "--out", str(out)]
+    other_seed = paper / "hp-other-seed.json"
+    other_seed.write_text(json.dumps({**base, "seed": seed + 6}))
+    for command in ("cv", "compare"):
+        yield f"{command} hp seed {seed + 6}", lambda out, c=command: [
+            c, "--data", str(paper / "data.csv"), "--hp", str(other_seed),
             "--seed", str(seed), "--out", str(out)]
 
 

@@ -254,7 +254,7 @@ def fit_linear_cox_newton(ds: SurvivalDataset) -> LinearCoxFit:
     converged=False rather than raising. Each iteration costs O(n p^2) time
     and O(n p + p^2) memory. Expects standardized features.
     """
-    ds.require_trainable()
+    ds.require_comparable_pair(slice(None), "the linear Cox fit's data")
     X = ds.features
     idx = build_risk_index(ds.times, ds.events)
     beta = np.zeros(ds.p)

@@ -173,12 +173,14 @@ class SurvivalDataset:
             return self
         return self.subset(order)
 
-    def require_trainable(self) -> None:
-        """Check the invariants training relies on; raise if violated."""
-        if self.n < 2:
-            raise UnusableDatasetError(f"need at least 2 samples, got {self.n}")
-        if self.n_events < 1:
-            raise UnusableDatasetError("dataset contains no observed events")
+    def require_comparable_pair(self, rows, what: str) -> None:
+        """The one trainability rule: raise `UnusableDatasetError` naming
+        `what` unless the rows `rows` (an index array or a slice) hold a
+        comparable pair, an event followed by a strictly later time."""
+        times, events = self.times[rows], self.events[rows]
+        if not (events.any() and times.min(where=events, initial=np.inf) < times.max()):
+            raise UnusableDatasetError(f"{what} has no comparable pair (an event followed "
+                                       "by a strictly later time)")
 
 
 def _check_columns(columns: list[str]) -> None:
@@ -534,12 +536,11 @@ def write_csv(ds: SurvivalDataset, path) -> None:
 
 
 def filter_patients(ds: SurvivalDataset) -> tuple[SurvivalDataset, int]:
-    """Check that the dataset has an observed event, else raise
+    """Check that the dataset holds a comparable pair, else raise
     `UnusableDatasetError`. Returns the dataset unchanged and 0 removed
     samples: the constructor refuses nonpositive and non-finite times, so
     no patient is left to drop."""
-    if ds.n_events == 0:
-        raise UnusableDatasetError("dataset contains no observed events")
+    ds.require_comparable_pair(slice(None), "the dataset")
     return ds, 0
 
 

@@ -279,30 +279,20 @@ class TrainReport:
     params: ResSurvParams = field(repr=False)
 
 
-def require_comparable_pair(ds: SurvivalDataset, rows: np.ndarray, split: str) -> None:
-    """Raise `UnusableDatasetError` naming `split` unless the rows `rows` of
-    `ds` hold a comparable pair: an event followed by a strictly later time."""
-    times, events = ds.times[rows], ds.events[rows]
-    if not (events.any() and times[events].min() < times.max()):
-        raise UnusableDatasetError(
-            f"{split} has no comparable pair (an event followed by a strictly later time)"
-        )
-
-
 def train(
     train_ds: SurvivalDataset,
     val_ds: SurvivalDataset,
     hp: Hyperparameters,
     with_shortcut: bool = True,
-    seed: int | None = None,
     score_val_c_index: bool = True,
 ) -> TrainReport:
     """Run the epoch loop and return the report with best-epoch parameters.
 
     Each split must hold a comparable pair, checked before the network is
-    made, with features standardized by training-split statistics. Training
-    is full-batch: the Cox partial likelihood couples samples through risk
-    sets, so only the full-batch gradient is the exact one.
+    made, with features standardized by training-split statistics; `hp.seed`
+    alone seeds the initialization and the dropout masks. Training is
+    full-batch: the Cox partial likelihood couples samples through risk sets,
+    so only the full-batch gradient is the exact one.
 
     Each epoch: forward in train mode, the Cox NLL and its gradient from one
     pass over the sorted scores (`cox.loss_and_gradient`) plus the L2
@@ -335,7 +325,7 @@ def train(
     float64 copy of the rows while the epochs run.
     """
     for split, split_ds in (("training", train_ds), ("validation", val_ds)):
-        require_comparable_pair(split_ds, np.arange(split_ds.n), f"the {split} split")
+        split_ds.require_comparable_pair(slice(None), f"the {split} split")
     if val_ds.p != train_ds.p:
         raise UnusableDatasetError("train and validation feature counts differ")
 
@@ -346,14 +336,13 @@ def train(
     val_times, val_events = val_ds.times, val_ds.events
     del train_ds, val_ds, split_ds   # the check loop's variable holds val_ds
 
-    run_seed = hp.seed if seed is None else seed
     master = init_params(
         n_features=n_features,
         block_widths=[hp.nodes] * hp.n_blocks,
         dense_layers_per_block=hp.dense_layers_per_block,
         activation_kind=hp.activation_kind,
         dropout_rate=hp.dropout_rate,
-        seed=stable_seed(run_seed, 0),
+        seed=stable_seed(hp.seed, 0),
         with_shortcut=with_shortcut,
     )
     net = master.copy(np.float32)
@@ -362,7 +351,7 @@ def train(
     step_fn = _STEP_FUNCTIONS[hp.optimizer_kind]
     # AdamW carries l2_lambda as decoupled decay; everyone else as a loss term
     loss_lambda = 0.0 if hp.optimizer_kind == "adamw" else hp.l2_lambda
-    stream = DropoutStream(stable_seed(run_seed, 1, 0))
+    stream = DropoutStream(stable_seed(hp.seed, 1, 0))
 
     best_val = np.inf
     best_epoch = 0
@@ -525,8 +514,8 @@ class FoldPlan:
     """Everything the folds of one run share, decided before any fold
     trains: the dataset in canonical (id-sorted) order, the fold assignment
     (which holds the run seed and gives each fold's rows of `data`), and per
-    fold the (early-stop train, early-stop validation) positions into the
-    fold's training side and the `Preparation` fit on the fold's complement."""
+    fold the (early-stop train, early-stop validation) rows of `data`, which
+    split the fold's complement, and the `Preparation` fit on the complement."""
 
     data: SurvivalDataset
     folds: FoldAssignment
@@ -540,13 +529,14 @@ HOLDOUT_FRACTION = 0.2
 def early_stop_split(ds: SurvivalDataset, rows: np.ndarray, seed: int,
                      where: str = "") -> tuple[np.ndarray, np.ndarray]:
     """The 80/20 early-stop split of the rows `rows` of `ds`, stratified by
-    event status: (training, validation) positions into `rows`. Each side
-    must hold a comparable pair; a side without one raises
+    event status: (training, validation) rows of `ds`, which partition
+    `rows`. Each side must hold a comparable pair; a side without one raises
     `UnusableDatasetError` naming `where` and the side."""
-    train_pos, val_pos = stratified_holdout(ds.events[rows], HOLDOUT_FRACTION, seed=seed)
-    for split, pos in (("training", train_pos), ("validation", val_pos)):
-        require_comparable_pair(ds, rows[pos], f"{where}the early-stop {split} split")
-    return train_pos, val_pos
+    train_rows, val_rows = (rows[pos] for pos in
+                            stratified_holdout(ds.events[rows], HOLDOUT_FRACTION, seed=seed))
+    for split, side in (("training", train_rows), ("validation", val_rows)):
+        ds.require_comparable_pair(side, f"{where}the early-stop {split} split")
+    return train_rows, val_rows
 
 
 def plan_folds(ds: SurvivalDataset, k: int, seed: int) -> FoldPlan:
@@ -566,7 +556,7 @@ def plan_folds(ds: SurvivalDataset, k: int, seed: int) -> FoldPlan:
 
     splits, preparations = [], []
     for f in range(folds.k):
-        require_comparable_pair(canon, folds.test_indices(f), f"fold {f}: the held-out split")
+        canon.require_comparable_pair(folds.test_indices(f), f"fold {f}: the held-out split")
         splits.append(early_stop_split(canon, folds.train_indices(f), stable_seed(seed, 11, f),
                                        where=f"fold {f}: "))
         try:
@@ -582,27 +572,26 @@ def fold_unit(
     """Train fold `f` of `plan` under `hp` and measure its held-out C-index.
 
     The model trains on the early-stop split of the fold's complement,
-    prepared by the fold's `Preparation`, with a fold-specific
-    sub-seed, without the per-epoch validation C-index, which no fold record
-    holds. Only the two early-stop sides are prepared before the fit, and
-    `train` is their only holder, so the epochs run on their float32 copies
-    alone; the held-out rows are prepared once the fit is done. A diverging
-    fold returns its `DivergenceError`, naming the fold, instead of raising
-    it, so that the caller decides which fold's error to report.
+    prepared by the fold's `Preparation`, under a fold-specific sub-seed of
+    `hp.seed`, without the per-epoch validation C-index, which no fold
+    record holds. Only the two early-stop sides are prepared before the fit,
+    and `train` is their only holder, so the epochs run on their float32
+    copies alone; the held-out rows are prepared once the fit is done. A
+    diverging fold returns its `DivergenceError`, naming the fold, instead
+    of raising it, so that the caller decides which fold's error to report.
     """
-    complement, prep = plan.folds.train_indices(f), plan.preparations[f]
-    inner_train_idx, inner_val_idx = plan.splits[f]
+    (inner_train, inner_val), prep = plan.splits[f], plan.preparations[f]
     try:
-        report = train(prep.apply(complement[inner_train_idx]),
-                       prep.apply(complement[inner_val_idx]), hp,
-                       with_shortcut=with_shortcut, seed=stable_seed(hp.seed, 13, f),
-                       score_val_c_index=False)
+        report = train(prep.apply(inner_train), prep.apply(inner_val),
+                       hp.replaced(seed=stable_seed(hp.seed, 13, f)),
+                       with_shortcut=with_shortcut, score_val_c_index=False)
     except DivergenceError as err:
         return DivergenceError(err.epoch, f"fold {f}: {err.message}")
 
     test_fold = prep.apply(plan.folds.test_indices(f))
     h_test, _ = model_forward(test_fold.features, report.params, mode="eval")
-    return FoldRecord(**held_out_fields(f, complement.size, test_fold, h_test),
+    n_train = inner_train.size + inner_val.size   # the complement's rows
+    return FoldRecord(**held_out_fields(f, n_train, test_fold, h_test),
                       best_epoch=report.best_epoch, epochs_run=report.epochs_run,
                       stopped_early=report.stopped_early, best_val_loss=report.best_val_loss)
 

@@ -124,6 +124,7 @@ def test_compare_reports_finds_the_tree_the_same_as_itself(capsys):
     assert bench.main(["--against", str(ROOT / "src"), "--n", "120", "--p", "3",
                        "--epochs", "2", "--workers", "1", "default"]) == 0
     out = capsys.readouterr().out
-    assert "0 of 14 runs differ or failed" in out
+    assert "0 of 16 runs differ or failed" in out
     assert "train adamw l2 4.0" in out and "same (epochs.jsonl, model.ckpt, summary.json)" in out
     assert "train x2 constant" in out and "cv x2 constant" in out
+    assert "cv hp seed 7" in out and "compare hp seed 7" in out

@@ -206,6 +206,25 @@ def test_train_reports_are_rerun_identical(tmp_path, data_csv, hp_file):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
 
 
+def test_train_seeds_the_fit_from_the_seed_flag_alone(tmp_path, data_csv):
+    # an hp file's seed gives way to --seed: the run trains the same bits as
+    # the one whose hp file holds that seed, and its summary and checkpoint
+    # record the seed the fit used
+    runs = {}
+    for hp_seed in (7, 3):
+        hp = _write_json(tmp_path / f"hp{hp_seed}.json",
+                         {**FAST_HP, "dropout_rate": 0.2, "seed": hp_seed})
+        runs[hp_seed] = tmp_path / f"hp-seed-{hp_seed}"
+        assert main(["train", "--data", data_csv, "--hp", hp, "--seed", "3",
+                     "--out", str(runs[hp_seed])]) == 0
+    for name in ("epochs.jsonl", "summary.json", "model.ckpt"):
+        assert (runs[7] / name).read_bytes() == (runs[3] / name).read_bytes(), name
+    summary = json.loads((runs[7] / "summary.json").read_text())
+    assert summary["seed"] == summary["hp"]["seed"] == 3
+    _, _, extra = load_checkpoint(runs[7] / "model.ckpt")
+    assert extra["seed"] == extra["hp"]["seed"] == 3
+
+
 def test_train_corrupt_csv_exits_2_naming_the_row(tmp_path, hp_file, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("sample_id,time,event,f0\ns1,5.0,1,0.3\ns2,-2.0,0,0.1\n")
@@ -221,7 +240,7 @@ def test_train_without_events_exits_2(tmp_path, hp_file, capsys):
     censored.write_text("sample_id,time,event,f0\ns1,5.0,0,0.3\ns2,2.0,0,0.1\n")
     assert main(["train", "--data", str(censored), "--hp", hp_file,
                  "--out", str(tmp_path / "run")]) == 2
-    assert "error: dataset contains no observed events" in capsys.readouterr().err
+    assert f"error: the dataset {censored} has no comparable pair" in capsys.readouterr().err
 
 
 def test_train_divergence_exits_3(tmp_path, data_csv):
@@ -255,23 +274,53 @@ def test_train_bad_hp_key_exits_2(tmp_path, data_csv):
                  "--out", str(tmp_path / "run")]) == 2
 
 
-def test_train_checks_its_early_stop_split_before_training(tmp_path, hp_file, capsys,
-                                                           monkeypatch):
-    # all 6 events sit at the latest time: no event is followed by a later time
+def _late_events_csv(path, late_rows, early_rows=()):
+    """A CSV whose events are the rows `late_rows`, moved to the latest
+    time, and the rows `early_rows`, at their own times."""
     ds = make_dataset(n=40, p=3, seed=0)
     times, events = ds.times.copy(), np.zeros(ds.n, dtype=bool)
-    events[[0, 7, 14, 21, 28, 35]] = True
-    times[events] = times.max()
-    path = tmp_path / "late_events.csv"
+    events[[*late_rows, *early_rows]] = True
+    times[late_rows] = times.max()
     write_csv(SurvivalDataset(ds.sample_ids, ds.features, ds.feature_names, times, events),
               path)
-    monkeypatch.setattr("ressurv.cli.train", lambda *a, **kw: pytest.fail("train ran"))
+    return str(path)
+
+
+def test_train_checks_its_early_stop_split_before_training(tmp_path, hp_file, capsys,
+                                                           monkeypatch):
+    # two events, the second at the latest time: the dataset holds a
+    # comparable pair, but the side of the split that --seed 1 gives the
+    # second event has none
+    path = _late_events_csv(tmp_path / "late_event.csv", [17], early_rows=[3])
+    monkeypatch.setattr(training, "train", lambda *a, **kw: pytest.fail("train ran"))
     out = tmp_path / "run"
-    assert main(["train", "--data", str(path), "--hp", hp_file, "--out", str(out)]) == 2
-    assert ("error: the early-stop training split has no comparable pair"
-            in capsys.readouterr().err)
+    assert main(["train", "--data", path, "--hp", hp_file, "--seed", "1",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == ("error: the early-stop validation split has no "
+                                       "comparable pair (an event followed by a strictly "
+                                       "later time)\n")
     for name in ("model.ckpt", "epochs.jsonl", "summary.json"):
         assert not (out / name).exists(), name
+
+
+@pytest.mark.parametrize("command", ["train", "cv", "gridsearch", "compare"])
+def test_a_dataset_without_a_comparable_pair_exits_2_naming_it(tmp_path, hp_file, capsys,
+                                                              monkeypatch, command):
+    # all 6 events sit at the latest time: no event is followed by a later
+    # time, so the load check refuses the dataset before any split or fold
+    path = _late_events_csv(tmp_path / "late_events.csv", [0, 7, 14, 21, 28, 35])
+    calls = []
+    monkeypatch.setattr(training, "train", lambda *a, **kw: calls.append(1))
+    monkeypatch.setattr(training, "ProcessPoolExecutor", _no_pool)
+    extra = (["--grid", _write_json(tmp_path / "grid.json", {"learning_rate": [1e-2]})]
+             if command == "gridsearch" else ["--hp", hp_file])
+    extra += [] if command == "train" else ["--workers", "1"]
+    out = tmp_path / "run"
+    assert main([command, "--data", path, *extra, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (f"error: the dataset {path} has no comparable pair "
+                                       "(an event followed by a strictly later time)\n")
+    assert calls == []
+    assert not (out / "summary.json").exists()
 
 
 def test_train_refuses_a_standardization_beyond_float64_before_training(
@@ -286,7 +335,7 @@ def test_train_refuses_a_standardization_beyond_float64_before_training(
     path = tmp_path / "huge.csv"
     write_csv(SurvivalDataset(ds.sample_ids, np.column_stack([x0, ds.features[:, 1]]),
                               ds.feature_names, ds.times, ds.events), path)
-    monkeypatch.setattr("ressurv.cli.train", lambda *a, **kw: pytest.fail("train ran"))
+    monkeypatch.setattr(training, "train", lambda *a, **kw: pytest.fail("train ran"))
     out = tmp_path / "run"
     assert main(["train", "--data", str(path), "--hp", hp_file, "--seed", "3",
                  "--out", str(out)]) == 2

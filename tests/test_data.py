@@ -84,15 +84,46 @@ def test_sorted_by_id_canonicalizes(small_ds):
     np.testing.assert_array_equal(a.events, b.events)
 
 
-def test_require_trainable():
+def test_require_comparable_pair():
+    # the one trainability rule: an event followed by a strictly later time,
+    # among the rows asked about; it implies two rows and an event
     ds = make_dataset(n=10)
-    ds.require_trainable()
-    no_events = SurvivalDataset(
-        ds.sample_ids, ds.features, ds.feature_names,
-        ds.times, np.zeros(ds.n, dtype=bool),
-    )
-    with pytest.raises(UnusableDatasetError):
-        no_events.require_trainable()
+    ds.require_comparable_pair(slice(None), "the dataset")
+    first, last = np.argmin(ds.times), np.argmax(ds.times)
+    times, events = ds.times.copy(), np.zeros(ds.n, dtype=bool)
+    events[[first, last]] = True
+    ds = SurvivalDataset(ds.sample_ids, ds.features, ds.feature_names, times, events)
+    ds.require_comparable_pair(np.array([first, last]), "two rows")
+    for rows in ([first], [last], [last, np.argsort(ds.times)[1]]):
+        with pytest.raises(UnusableDatasetError, match=r"^the split has no comparable pair "
+                                                       r"\(an event followed by a strictly "
+                                                       r"later time\)$"):
+            ds.require_comparable_pair(np.array(rows), "the split")
+    times[last] = times[first]   # tied with the other event: no strictly later time
+    tied = SurvivalDataset(ds.sample_ids, ds.features, ds.feature_names, times, events)
+    with pytest.raises(UnusableDatasetError, match="^the dataset has no comparable pair"):
+        tied.require_comparable_pair(np.array([first, last]), "the dataset")
+    no_events = SurvivalDataset(ds.sample_ids, ds.features, ds.feature_names, ds.times,
+                                np.zeros(ds.n, dtype=bool))
+    with pytest.raises(UnusableDatasetError, match="^the dataset has no comparable pair"):
+        no_events.require_comparable_pair(slice(None), "the dataset")
+
+
+@given(cells=st.lists(st.tuples(st.integers(1, 4), st.booleans()), min_size=1, max_size=8),
+       picks=st.lists(st.integers(0, 7), max_size=8))
+def test_require_comparable_pair_matches_the_pairwise_definition(cells, picks):
+    # tied times and any subset of rows, against a scan of every pair
+    times, events = (np.array(col) for col in zip(*cells))
+    ds = SurvivalDataset([f"s{i}" for i in range(len(cells))], np.zeros((len(cells), 0)), [],
+                         times.astype(float), events)
+    rows = np.unique([i for i in picks if i < ds.n]).astype(np.intp)
+    pair = any(events[i] and times[j] > times[i] for i in rows for j in rows)
+    try:
+        ds.require_comparable_pair(rows, "the rows")
+    except UnusableDatasetError:
+        assert not pair
+    else:
+        assert pair
 
 
 # ---------------------------------------------------------------------------

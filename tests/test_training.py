@@ -291,8 +291,8 @@ def test_train_is_deterministic():
 def test_train_seed_changes_the_run():
     ds = make_dataset(n=120, p=3, seed=8)
     tr, va = _split(ds)
-    a = train(tr, va, TINY, seed=0)
-    b = train(tr, va, TINY, seed=1)
+    a = train(tr, va, TINY.replaced(seed=0))
+    b = train(tr, va, TINY.replaced(seed=1))
     assert not np.array_equal(to_flat(a.params), to_flat(b.params))
 
 
@@ -547,6 +547,21 @@ def test_cv_divergence_message_is_the_same_under_a_pool():
     assert messages == [DIVERGED_FOLD_0] * 2
 
 
+def test_early_stop_split_gives_rows_that_partition_the_rows_it_splits():
+    # rows of the dataset, not positions into `rows`, on rows other than arange(n)
+    ds = make_dataset(n=60, p=3, seed=3)
+    rows = np.flatnonzero(np.arange(ds.n) % 3 != 1)
+    train_rows, val_rows = training.early_stop_split(ds, rows, 4)
+    assert np.array_equal(np.sort(np.concatenate([train_rows, val_rows])), rows)
+    assert np.intersect1d(train_rows, val_rows).size == 0
+    holdout = stratified_holdout(ds.events[rows], training.HOLDOUT_FRACTION, seed=4)
+    assert [side.tolist() for side in (train_rows, val_rows)] == [rows[pos].tolist()
+                                                                  for pos in holdout]
+    plan = training.plan_folds(ds, 3, 0)
+    for f, sides in enumerate(plan.splits):
+        assert np.array_equal(np.sort(np.concatenate(sides)), plan.folds.train_indices(f))
+
+
 def _four_event_dataset():
     # events at rows 0, 5, 10, 15 only: with k=5 the held-out fold 4 gets none
     ds = make_dataset(n=40, p=3, seed=0)
@@ -624,10 +639,13 @@ def _reference_fold_record(plan, hp, with_shortcut, f):
     """Fold `f`'s record the long way round: `train` on the early-stop
     subsets of the reference complement, then the held-out scores."""
     complement, test_fold = _reference_fold_data(plan, f)
-    inner_train, inner_val = plan.splits[f]
-    report = train(complement.subset(inner_train), complement.subset(inner_val), hp,
-                   with_shortcut=with_shortcut, seed=stable_seed(hp.seed, 13, f),
-                   score_val_c_index=False)
+    # the early-stop sides are rows of `plan.data`; the complement holds
+    # its rows in ascending order
+    inner_train, inner_val = (np.searchsorted(plan.folds.train_indices(f), side)
+                              for side in plan.splits[f])
+    report = train(complement.subset(inner_train), complement.subset(inner_val),
+                   hp.replaced(seed=stable_seed(hp.seed, 13, f)),
+                   with_shortcut=with_shortcut, score_val_c_index=False)
     h_test, _ = model_forward(test_fold.features, report.params, mode="eval")
     return training.FoldRecord(
         **training.held_out_fields(f, complement.n, test_fold, h_test),
