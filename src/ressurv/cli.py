@@ -185,7 +185,7 @@ def write_reports(args, t0: float, name: str, records: list[dict], summary: dict
 
 def _read_json_file(path: str, what: str) -> dict:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             raw = json.load(fh)
     except OSError as err:
         raise ValueError(f"cannot read {what} file {path}: {err}") from err
@@ -292,12 +292,11 @@ def cmd_train(args) -> int:
         report = training.train(prep.apply(train_idx), prep.apply(val_idx), hp)
 
     save_checkpoint(os.path.join(args.out, "model.ckpt"), report.params, prep.standardization,
-                    extra={"hp": dataclasses.asdict(hp), "seed": hp.seed})
+                    extra={"hp": dataclasses.asdict(hp)})
 
     write_reports(args, t0, "epochs", [dataclasses.asdict(r) for r in report.epochs], {
         "command": "train",
         "checkpoint": "model.ckpt",
-        "seed": hp.seed,
         "hp": dataclasses.asdict(hp),
         "n_train": train_idx.size,
         "n_val": val_idx.size,

@@ -372,16 +372,17 @@ def load_csv(path) -> SurvivalDataset:
     feature. Parsing is fail-fast: a wrong cell count, a missing or
     non-numeric time or feature, or a bad event token raises `DataRowError`
     naming the 1-based data row. The values are then checked by the
-    `SurvivalDataset` constructor, which names the row too. A file that is
-    not UTF-8 text raises `SchemaError` naming the file, and so does a
-    header that `csv.reader` refuses (a cell longer than
+    `SurvivalDataset` constructor, which names the row too. A UTF-8
+    byte-order mark, which Excel's "CSV UTF-8" export writes, is skipped. A
+    file that is not UTF-8 text raises `SchemaError` naming the file, and so
+    does a header that `csv.reader` refuses (a cell longer than
     `csv.field_size_limit()`); in a data row, that is a `DataRowError`.
 
     numpy parses a plain file (see `_plain_rows`); every other file, and
     every file numpy refuses, goes through the row scan, which alone words
     the parse errors. Both routes give the same dataset.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(_utf8_lines(fh, path))
         try:
             header = next(reader)

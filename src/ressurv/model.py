@@ -40,7 +40,7 @@ BN_EPSILON = 1e-5
 BN_MOMENTUM = 0.1
 
 CHECKPOINT_MAGIC = b"RESSURVCKPT1\n"
-CHECKPOINT_FORMAT = "ressurv-checkpoint-v1"
+CHECKPOINT_FORMAT = "ressurv-checkpoint-v2"
 
 
 # ---------------------------------------------------------------------------
@@ -434,8 +434,9 @@ class DropoutStream:
 
     A mask thresholds, as integers, the raw words of the PCG64 generator
     seeded with its key, and equals the float-draw mask
-    `np.random.default_rng(SeedSequence(key)).random(shape, dtype) >= rate`
-    bit for bit, at half its cost. It reads the words in chunks of
+    `np.random.default_rng(SeedSequence(key)).random(shape, np.float32) >=
+    np.float32(rate)` bit for bit, at half its cost, whatever the precision
+    of the network it drops units of. It reads the words in chunks of
     `MASK_CHUNK_WORDS`, straight into the mask's entries in order.
     """
 
@@ -443,42 +444,29 @@ class DropoutStream:
         self.seed = int(seed)
 
     def mask(self, shape, rate: float, epoch: int, block: int, layer: int,
-             out: np.ndarray | None = None, dtype=np.float64) -> np.ndarray:
+             out: np.ndarray | None = None) -> np.ndarray:
         """Boolean keep mask: True where a unit survives (probability 1 - rate),
-        in `out` (allocated when None). It is `rng.random(shape, dtype=dtype)
-        >= rate` for the key's generator `rng`, at the precision of `dtype`:
-        numpy draws a float32 from one 32-bit half of a 64-bit word, low half
-        first, as (u32 >> 8) * 2**-24, and a float64 from a whole word as
-        (u64 >> 11) * 2**-53, so the draw is >= rate exactly when the word is
-        >= ceil(rate * 2**24) << 8, respectively ceil(rate * 2**53) << 11,
-        with rate rounded to `dtype` first."""
-        dtype = np.dtype(dtype)
-        if dtype == np.float32:
-            mantissa, word_bits = 24, 32
-        elif dtype == np.float64:
-            mantissa, word_bits = 53, 64
-        else:
-            raise TypeError(f"dropout draws are float32 or float64, not {dtype}")
+        in `out` (allocated when None). It is `rng.random(shape, np.float32)
+        >= np.float32(rate)` for the key's generator `rng`: numpy draws a
+        float32 from one 32-bit half of a 64-bit word, low half first, as
+        (u32 >> 8) * 2**-24, so the draw is >= the rate exactly when the
+        half is >= ceil(rate * 2**24) << 8."""
         if out is None:
             out = np.empty(shape, bool)
-        rate = float(dtype.type(rate))
+        rate = float(np.float32(rate))
         if not rate < 1.0:   # no draw reaches 1.0, nor a rate that rounds to it
             out[...] = False
             return out
-        threshold = math.ceil(max(rate, 0.0) * 2**mantissa) << (word_bits - mantissa)
+        threshold = math.ceil(max(rate, 0.0) * 2**24) << 8
         bits = np.random.PCG64(
             np.random.SeedSequence([self.seed, int(epoch), int(block), int(layer)]))
         # a view of a C-contiguous `out`; any other is filled from a copy
         flat = out.reshape(-1)
-        per_word = 64 // word_bits   # mask entries one raw word gives
-        chunk = MASK_CHUNK_WORDS * per_word
-        for start in range(0, flat.size, chunk):
-            part = flat[start:start + chunk]
-            words = bits.random_raw(-(-part.size // per_word))
-            if per_word == 2:
-                # little-endian 64-bit words read as 32-bit ones put each low half first
-                words = words.astype("<u8", copy=False).view("<u4")[:part.size]
-            np.greater_equal(words, threshold, out=part)
+        for start in range(0, flat.size, 2 * MASK_CHUNK_WORDS):
+            part = flat[start:start + 2 * MASK_CHUNK_WORDS]
+            # little-endian 64-bit words read as 32-bit ones put each low half first
+            halves = bits.random_raw(-(-part.size // 2)).astype("<u8", copy=False).view("<u4")
+            np.greater_equal(halves[:part.size], threshold, out=part)
         if not np.may_share_memory(flat, out):
             out[...] = flat.reshape(out.shape)
         return out
@@ -622,7 +610,7 @@ def model_forward(
             act_out = bn_out if kind == "tanh" else scratch(width, out) if drop else out
             act, act_cache = activation_forward(bn_out, kind, out=act_out)
             mask = (stream.mask(act.shape, rate, epoch, bi, li,
-                                out=kept(("mask", bi, li), width, bool), dtype=X.dtype)
+                                out=kept(("mask", bi, li), width, bool))
                     if drop else None)
             if train:
                 layer_caches.append(LayerCache(a, bn_cache, act_cache, mask))
@@ -714,15 +702,16 @@ def save_checkpoint(
     """Write a single self-describing checkpoint file.
 
     The format is deliberately bespoke: a magic line, a JSON header (layout,
-    batch-norm state, the standardization applied at training time, `extra`,
-    an array manifest), then the raw row-major float64 little-endian tensor data.
-    A float32 network's values are stored exactly, so it loads back as a
-    float64 network of the same values. Unlike a zip-based container it
-    embeds no timestamps, so identical state produces identical bytes. `extra` is written as its JSON round trip
-    (string keys, lists for tuples), which is what `load_checkpoint` gives
-    back. A standardization of another width than the network's input, or
-    `extra` keys that are equal as JSON strings (1 and "1"), raise
-    ValueError before the file is opened.
+    the batch-norm constants and update count, the standardization applied
+    at training time, `extra`, an array manifest), then the raw row-major
+    float64 little-endian tensor data. A float32 network's values are
+    stored exactly, so it loads back as a float64 network of the same
+    values. Unlike a zip-based container it embeds no timestamps, so
+    identical state produces identical bytes. `extra` is written as its
+    JSON round trip (string keys, lists for tuples), which is what
+    `load_checkpoint` gives back. A standardization of another width than
+    the network's input, or `extra` keys that are equal as JSON strings (1
+    and "1"), raise ValueError before the file is opened.
     """
     text = json.dumps(extra)
     extra = json.loads(text)
@@ -750,17 +739,8 @@ def _header(params: ResSurvParams, standardization: StandardizationParams | None
         "block_widths": params.block_widths,
         "dense_layers_per_block": params.dense_layers_per_block,
         "with_shortcut": params.with_shortcut,
-        "batch_norm": [
-            {
-                "block": bi,
-                "layer": li,
-                "epsilon": BN_EPSILON,
-                "momentum": BN_MOMENTUM,
-                "n_updates": params.n_updates,
-            }
-            for bi in range(len(params.block_widths))
-            for li in range(params.dense_layers_per_block)
-        ],
+        "batch_norm": {"epsilon": BN_EPSILON, "momentum": BN_MOMENTUM,
+                       "n_updates": params.n_updates},
         "standardization": (
             None
             if standardization is None
@@ -843,10 +823,10 @@ def _network_of(header: dict, text: str, data_bytes: int):
         data_bytes -= size
     if data_bytes:
         raise _ArrayBytesError(f"unexpected bytes after the last array {name!r}")
-    norms = header["batch_norm"]   # an empty list fails the comparison below
+    norms = header["batch_norm"]   # any other shape fails the comparison below
+    n_updates = norms.get("n_updates", 0) if isinstance(norms, dict) else 0
     params = ResSurvParams(n_features, widths, depth, header["activation_kind"],
-                           header["dropout_rate"], shortcut,
-                           n_updates=norms[0]["n_updates"] if norms else 0)
+                           header["dropout_rate"], shortcut, n_updates=n_updates)
     std = header["standardization"]
     if std is not None:
         std = StandardizationParams(np.array(std["means"]), np.array(std["stddevs"]))

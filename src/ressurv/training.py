@@ -526,16 +526,16 @@ class FoldPlan:
 HOLDOUT_FRACTION = 0.2
 
 
-def early_stop_split(ds: SurvivalDataset, rows: np.ndarray, seed: int,
-                     where: str = "") -> tuple[np.ndarray, np.ndarray]:
+def early_stop_split(ds: SurvivalDataset, rows: np.ndarray,
+                     seed: int) -> tuple[np.ndarray, np.ndarray]:
     """The 80/20 early-stop split of the rows `rows` of `ds`, stratified by
     event status: (training, validation) rows of `ds`, which partition
     `rows`. Each side must hold a comparable pair; a side without one raises
-    `UnusableDatasetError` naming `where` and the side."""
+    `UnusableDatasetError` naming the side."""
     train_rows, val_rows = (rows[pos] for pos in
                             stratified_holdout(ds.events[rows], HOLDOUT_FRACTION, seed=seed))
     for split, side in (("training", train_rows), ("validation", val_rows)):
-        ds.require_comparable_pair(side, f"{where}the early-stop {split} split")
+        ds.require_comparable_pair(side, f"the early-stop {split} split")
     return train_rows, val_rows
 
 
@@ -556,10 +556,10 @@ def plan_folds(ds: SurvivalDataset, k: int, seed: int) -> FoldPlan:
 
     splits, preparations = [], []
     for f in range(folds.k):
-        canon.require_comparable_pair(folds.test_indices(f), f"fold {f}: the held-out split")
-        splits.append(early_stop_split(canon, folds.train_indices(f), stable_seed(seed, 11, f),
-                                       where=f"fold {f}: "))
         try:
+            canon.require_comparable_pair(folds.test_indices(f), "the held-out split")
+            splits.append(early_stop_split(canon, folds.train_indices(f),
+                                           stable_seed(seed, 11, f)))
             preparations.append(Preparation.fit(canon, folds.train_indices(f)))
         except UnusableDatasetError as err:
             raise UnusableDatasetError(f"fold {f}: {err}") from None

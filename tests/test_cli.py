@@ -168,13 +168,13 @@ def test_train_writes_reports_and_checkpoint(tmp_path, data_csv, hp_file):
         assert (out / name).exists(), name
 
     summary = json.loads((out / "summary.json").read_text())
-    assert set(summary) == {"schema", "command", "checkpoint", "seed", "hp", "n_train",
+    assert set(summary) == {"schema", "command", "checkpoint", "hp", "n_train",
                             "n_val", "n_features", "feature_names", "best_epoch",
                             "best_val_loss", "best_val_c_index", "stopped_early",
                             "epochs_run"}
     assert summary["schema"] == REPORT_SCHEMA
     assert summary["command"] == "train"
-    assert summary["seed"] == 3
+    assert summary["hp"]["seed"] == 3
     assert summary["best_epoch"] >= 1
     assert summary["checkpoint"] == "model.ckpt"
 
@@ -187,9 +187,10 @@ def test_train_writes_reports_and_checkpoint(tmp_path, data_csv, hp_file):
     best = min(r["val_loss"] for r in records)
     assert abs(best - summary["best_val_loss"]) < 1e-12
 
-    # the checkpoint carries hp, seed, and the training-side standardization
+    # the checkpoint carries hp, which holds the seed, and the training-side
+    # standardization
     params, std, extra = load_checkpoint(out / "model.ckpt")
-    assert extra["seed"] == 3
+    assert extra == {"hp": summary["hp"]}
     assert extra["hp"]["nodes"] == 8
     ds = load_csv(data_csv)
     scaled = (ds.features - std.means) / std.stddevs
@@ -220,9 +221,9 @@ def test_train_seeds_the_fit_from_the_seed_flag_alone(tmp_path, data_csv):
     for name in ("epochs.jsonl", "summary.json", "model.ckpt"):
         assert (runs[7] / name).read_bytes() == (runs[3] / name).read_bytes(), name
     summary = json.loads((runs[7] / "summary.json").read_text())
-    assert summary["seed"] == summary["hp"]["seed"] == 3
+    assert summary["hp"]["seed"] == 3
     _, _, extra = load_checkpoint(runs[7] / "model.ckpt")
-    assert extra["seed"] == extra["hp"]["seed"] == 3
+    assert extra["hp"]["seed"] == 3
 
 
 def test_train_corrupt_csv_exits_2_naming_the_row(tmp_path, hp_file, capsys):
@@ -457,6 +458,13 @@ def test_non_utf8_input_exits_2_naming_the_file(tmp_path, data_csv, hp_file, cap
                  "--out", str(tmp_path / "cv")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and f"{broken}" in err and "not UTF-8 text" in err
+
+
+def test_hp_file_with_a_utf8_byte_order_mark_loads(tmp_path, hp_file):
+    # it failed as "is not valid JSON: Unexpected UTF-8 BOM"
+    marked = tmp_path / "marked.json"
+    marked.write_bytes(b"\xef\xbb\xbf" + open(hp_file, "rb").read())
+    assert cli.load_hyperparameters(str(marked)) == cli.load_hyperparameters(hp_file)
 
 
 @pytest.mark.parametrize("line, where", [(0, "{path}: header row: "), (3, "row 3: ")])

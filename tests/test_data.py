@@ -469,6 +469,17 @@ def test_load_csv_numpy_parse_matches_the_row_scan(tmp_path, text, route):
     assert scanned == (route == "row scan")
 
 
+def test_load_csv_skips_a_utf8_byte_order_mark(tmp_path):
+    # Excel's "CSV UTF-8" export starts with one: it failed as a missing
+    # 'sample_id' column, on both routes
+    text = b"sample_id,time,event,g1\r\na,1.5,1,0.1\r\nb,2.5,0,-0.3\r\n"
+    bare, marked = tmp_path / "bare.csv", tmp_path / "marked.csv"
+    bare.write_bytes(text)
+    marked.write_bytes(b"\xef\xbb\xbf" + text)
+    got, scanned, want = _both_routes(marked)
+    assert not scanned and got == want == _outcome(bare)
+
+
 # Cells the row scan and the constructor accept, per column kind (numpy
 # refuses `1_0` and non-ASCII digits in a feature; an id gets its row number
 # appended, so ids repeat only by a defect), and cells that one of them refuses.
