@@ -13,12 +13,17 @@ own setup (the CSV from this checkout's ``ressurv synth``), then runs, as
   feature is a constant, which every preparation drops;
 * ``cv`` and ``compare`` on the ``cv-paper`` input with an hp file whose
   ``seed`` is not ``--seed``, so that a fold seeded from the wrong one
-  shows (every workload's hp file holds ``--seed``).
+  shows (every workload's hp file holds ``--seed``);
+* ``gridsearch`` on the ``cv-paper`` input over two learning rates, of
+  which the first diverges, so that a failed point's record shows.
 
 Every file of each run's output directory but ``meta.json`` (the only file
 allowed to vary between runs) must hold the same bytes on both sides, and
 both sides must exit 0. It prints one line per run and exits 1 on any
-difference or failure. ``--n``, ``--p`` and ``--epochs`` shrink every
+difference or failure, keeping its temporary directory then, with every
+input, both sides' outputs (``<run>-this`` and ``<run>-other``, numbered
+in the printed order) and their logs, and printing its path; when every
+run is the same it deletes it. ``--n``, ``--p`` and ``--epochs`` shrink every
 workload, and ``--workers`` picks the pool sizes:
 
     python benchmarks/compare_reports.py --against ../parent/src
@@ -29,6 +34,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -40,6 +46,13 @@ from run import ROOT, SRC, WORKLOADS, Tally, child_env, cli_args, setup  # noqa:
 # l2_lambda of the train and cv runs under each optimizer: a loss penalty
 # under sgd and adam, decoupled decay under adamw
 OPTIMIZER_L2 = {"sgd": 0.5, "adam": 4.0, "adamw": 4.0}
+
+# the base of the diverging grid: at learning rate 0.1 the loss-side L2
+# gradient alone multiplies every weight matrix by -99 each sgd step, and
+# patience outlasts the epochs the scores stay finite
+DIVERGING_BASE = {"optimizer_kind": "sgd", "l2_lambda": 500.0, "n_blocks": 1, "nodes": 8,
+                  "dense_layers_per_block": 1, "dropout_rate": 0.0, "lr_decay": 0.0,
+                  "max_epochs": 100, "patience": 100}
 
 
 def run_side(src: Path, args: list[str], out: Path) -> tuple[int, dict[str, bytes]]:
@@ -89,6 +102,12 @@ def runs(workloads: dict, seed: int, work: Path, workers: list[int | None]):
         yield f"{command} hp seed {seed + 6}", lambda out, c=command: [
             c, "--data", str(paper / "data.csv"), "--hp", str(other_seed),
             "--seed", str(seed), "--out", str(out)]
+    diverging = paper / "grid-diverging.json"
+    diverging.write_text(json.dumps({"sweep": {"learning_rate": [0.1, 1e-4]},
+                                     "base": DIVERGING_BASE}))
+    yield "gridsearch diverging point", lambda out: [
+        "gridsearch", "--data", str(paper / "data.csv"), "--grid", str(diverging),
+        "--seed", str(seed), "--out", str(out)]
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -113,8 +132,8 @@ def main(argv: list[str] | None = None) -> int:
 
     sides = {"this": SRC, "other": args.against.resolve()}
     problems = 0
-    with tempfile.TemporaryDirectory() as tmp:
-        work = Path(tmp)
+    work = Path(tempfile.mkdtemp(prefix="compare_reports-"))
+    try:
         for name, w in workloads.items():
             (work / name).mkdir()
             setup(w, args.seed, work / name, 1, Tally())
@@ -132,6 +151,11 @@ def main(argv: list[str] | None = None) -> int:
                 verdict = f"same ({', '.join(results[0][1])})"
             problems += not verdict.startswith("same")
             print(f"{label:<30} {verdict}", flush=True)
+    finally:
+        if problems:
+            print(f"inputs, outputs and logs kept in {work}")
+        else:
+            shutil.rmtree(work)
     print(f"{problems} of {i + 1} runs differ or failed; other side: {sides['other']}")
     return 1 if problems else 0
 

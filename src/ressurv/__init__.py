@@ -59,6 +59,7 @@ from .training import (
     TrainReport,
     UnitPool,
     cross_validate,
+    enumerate_grid,
     grid_search,
     train,
 )
@@ -91,6 +92,7 @@ __all__ = [
     "concordance_fast",
     "concordance_index",
     "cross_validate",
+    "enumerate_grid",
     "filter_features",
     "filter_patients",
     "fit_linear_cox_newton",

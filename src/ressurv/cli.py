@@ -207,7 +207,8 @@ def load_hyperparameters(path: str | None) -> Hyperparameters:
 def load_grid_file(path: str) -> tuple[dict, Hyperparameters]:
     """Grid file: either a flat {field: [values...]} mapping, or
     {"sweep": {...}, "base": {hp overrides}} when non-swept fields such as
-    max_epochs need pinning."""
+    max_epochs need pinning. The base may not set `seed`, which each point
+    takes from --seed and its index."""
     raw = _read_json_file(path, "grid")
     if "sweep" in raw:
         extra = set(raw) - {"sweep", "base"}
@@ -216,6 +217,9 @@ def load_grid_file(path: str) -> tuple[dict, Hyperparameters]:
         for key, value in raw.items():
             if not isinstance(value, dict):
                 raise ValueError(f"grid file {key!r} must be an object")
+        if "seed" in raw.get("base", {}):
+            raise ValueError("grid file 'base' sets seed, but each grid point's seed comes "
+                             "from --seed and the point's index")
         return raw["sweep"], Hyperparameters.from_dict(raw.get("base", {}))
     return raw, Hyperparameters()
 
@@ -339,29 +343,31 @@ def cmd_cv(args) -> int:
 def cmd_gridsearch(args) -> int:
     t0 = time.perf_counter()
     os.makedirs(args.out, exist_ok=True)
-    grid, base_hp = load_grid_file(args.grid)
-    enumerate_grid(grid, base_hp, args.budget)   # a bad point fails before the CSV is read
+    # a bad point fails before the CSV is read
+    points = enumerate_grid(*load_grid_file(args.grid), args.budget)
     pool = UnitPool(args.workers)
-    result = grid_search(_load_dataset(args.data), grid, k=args.k, seed=args.seed,
-                         budget=args.budget, pool=pool, base_hp=base_hp)
+    result = grid_search(_load_dataset(args.data), points, k=args.k, seed=args.seed, pool=pool)
 
-    best = result.best_point
-    write_reports(args, t0, "points", [dataclasses.asdict(p) for p in result.points], {
+    records = []
+    for index, (hp, cv) in enumerate(zip(result.hps, result.outcomes)):
+        failed = isinstance(cv, DivergenceError)
+        records.append({"index": index, "hp": dataclasses.asdict(hp), "failed": failed,
+                        "mean_c_index": None if failed else cv.mean_c_index,
+                        "std_c_index": None if failed else cv.std_c_index,
+                        "fold_c_indexes": [] if failed else [r.c_index for r in cv.folds],
+                        "error": str(cv) if failed else None})
+    best = None if result.best_index is None else records[result.best_index]
+    write_reports(args, t0, "points", records, {
         "command": "gridsearch",
         **_fold_fields(result),
-        "total_runs": result.total_runs,
+        "total_runs": len(records),
         "best_index": result.best_index,
-        "best_hp": None if best is None else best.hp,
-        "best_mean_c_index": None if best is None else best.mean_c_index,
+        "best_hp": None if best is None else best["hp"],
+        "best_mean_c_index": None if best is None else best["mean_c_index"],
     }, pool)
-    if best is None:
-        print(f"gridsearch: all {result.total_runs} points failed -> {args.out}")
-    else:
-        print(
-            f"gridsearch: best point #{best.index} "
-            f"mean C-index {best.mean_c_index:.4f} "
-            f"({result.total_runs} points) -> {args.out}"
-        )
+    print(f"gridsearch: all {len(records)} points failed -> {args.out}" if best is None else
+          f"gridsearch: best point #{best['index']} mean C-index {best['mean_c_index']:.4f} "
+          f"({len(records)} points) -> {args.out}")
     return EXIT_OK
 
 

@@ -17,7 +17,7 @@ import glob
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from itertools import islice, product
 from multiprocessing import get_context
 
@@ -160,9 +160,9 @@ class Hyperparameters:
 class OptimizerState:
     """Mutable per-run optimizer state: step counter, current learning rate,
     `n_decayed`, the length of the parameter vector's leading slice that
-    weight decay touches (the weight matrices), rows of the vector's size
-    that a step computes in (so that a step allocates nothing), and (for
-    Adam/AdamW) first/second moment accumulators."""
+    weight decay touches (the weight matrices), rows of `STEP_CHUNK` entries
+    that a step computes in, chunk by chunk (so that a step allocates
+    nothing), and (for Adam/AdamW) first/second moment accumulators."""
 
     t: int
     lr: float
@@ -170,6 +170,10 @@ class OptimizerState:
     work: np.ndarray = field(repr=False)
     m: np.ndarray | None = None
     v: np.ndarray | None = None
+
+
+# entries a step computes at a time: its work rows are 128 KB, not vector-sized
+STEP_CHUNK = 1 << 14
 
 
 def init_optimizer_state(hp: Hyperparameters, size: int, n_decayed: int) -> OptimizerState:
@@ -180,21 +184,31 @@ def init_optimizer_state(hp: Hyperparameters, size: int, n_decayed: int) -> Opti
         t=0,
         lr=hp.learning_rate,
         n_decayed=n_decayed,
-        work=np.empty((2 if adam else 1, size)),
+        work=np.empty((2 if adam else 1, min(size, STEP_CHUNK))),
         m=np.zeros(size) if adam else None,
         v=np.zeros(size) if adam else None,
     )
 
 
-# The steps compute in `state.work` with the operations of their formulas,
-# in order, so they are bit-identical to the formulas written out.
+def _chunks(state: OptimizerState, size: int):
+    """(slice, work rows cut to its length) per chunk of a vector's first `size` entries."""
+    for start in range(0, size, STEP_CHUNK):
+        stop = min(start + STEP_CHUNK, size)
+        yield slice(start, stop), state.work[:, :stop - start]
+
+
+# The steps compute chunk by chunk in `state.work` with the operations of
+# their formulas, in order; every operation is elementwise, so they are
+# bit-identical to the formulas written out over the whole vector.
 
 def sgd_step(
     params: np.ndarray, grads: np.ndarray, state: OptimizerState, hp: Hyperparameters
 ) -> np.ndarray:
     """w <- w - lr g. Mutates params in place and returns it."""
     state.t += 1
-    params -= np.multiply(grads, state.lr, out=state.work[0])
+    for s, (step,) in _chunks(state, params.size):
+        w = params[s]
+        w -= np.multiply(grads[s], state.lr, out=step)
     return params
 
 
@@ -206,20 +220,21 @@ def adam_step(
     w <- w - lr m_hat / (sqrt(v_hat) + eps) with the bias-corrected m_hat
     and v_hat. Mutates params in place and returns it."""
     state.t += 1
-    denom, step = state.work
-    state.m *= ADAM_BETA1
-    state.m += np.multiply(grads, 1.0 - ADAM_BETA1, out=step)
-    state.v *= ADAM_BETA2
-    np.multiply(grads, 1.0 - ADAM_BETA2, out=step)
-    step *= grads
-    state.v += step
-    np.divide(state.v, 1.0 - ADAM_BETA2 ** state.t, out=denom)
-    np.sqrt(denom, out=denom)
-    denom += ADAM_EPS
-    np.divide(state.m, 1.0 - ADAM_BETA1 ** state.t, out=step)
-    step *= state.lr
-    step /= denom
-    params -= step
+    for s, (denom, step) in _chunks(state, params.size):
+        w, m, v, g = params[s], state.m[s], state.v[s], grads[s]
+        m *= ADAM_BETA1
+        m += np.multiply(g, 1.0 - ADAM_BETA1, out=step)
+        v *= ADAM_BETA2
+        np.multiply(g, 1.0 - ADAM_BETA2, out=step)
+        step *= g
+        v += step
+        np.divide(v, 1.0 - ADAM_BETA2 ** state.t, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += ADAM_EPS
+        np.divide(m, 1.0 - ADAM_BETA1 ** state.t, out=step)
+        step *= state.lr
+        step /= denom
+        w -= step
     return params
 
 
@@ -234,8 +249,9 @@ def adamw_step(
     """
     wd = hp.l2_lambda * ADAMW_DECAY_SCALE
     if wd > 0.0:
-        weights = params[:state.n_decayed]
-        weights -= np.multiply(weights, state.lr * wd, out=state.work[0, :state.n_decayed])
+        for s, (step, _) in _chunks(state, state.n_decayed):
+            w = params[s]
+            w -= np.multiply(w, state.lr * wd, out=step)
     return adam_step(params, grads, state, hp)
 
 
@@ -806,28 +822,18 @@ def cross_validate(
 # ---------------------------------------------------------------------------
 
 @dataclass
-class GridPointResult:
-    index: int
-    hp: dict
-    mean_c_index: float | None
-    std_c_index: float | None
-    fold_c_indexes: list[float]
-    failed: bool = False
-    error: str | None = None
-
-
-@dataclass
 class GridSearchResult:
-    points: list[GridPointResult]
+    """Per grid point in enumeration order, the hp it trained under (its
+    seed included) and its outcome, a `CVResult` or the `DivergenceError` of
+    its lowest-index diverging fold; the best point among those that did
+    not diverge (None if all did); the fold assignment all points share."""
+
+    hps: list[Hyperparameters]
+    outcomes: list[CVResult | DivergenceError]
     best_index: int | None
-    total_runs: int
     k: int
     seed: int
     fold_hash: str
-
-    @property
-    def best_point(self) -> GridPointResult | None:
-        return None if self.best_index is None else self.points[self.best_index]
 
 
 def enumerate_grid(grid: dict, base_hp: Hyperparameters,
@@ -853,50 +859,27 @@ def enumerate_grid(grid: dict, base_hp: Hyperparameters,
 
 def grid_search(
     ds: SurvivalDataset,
-    grid: dict,
+    points: list[Hyperparameters],
     k: int = 5,
     seed: int = 0,
-    budget: int | None = None,
     pool: UnitPool = IN_PROCESS,
-    base_hp: Hyperparameters = Hyperparameters(),
 ) -> GridSearchResult:
-    """Evaluate grid points by cross-validation and pick the argmax.
+    """Cross-validate each of the grid points `points` (as `enumerate_grid`
+    lists them) and pick the argmax.
 
-    All points share one fold assignment (built from `seed`), and each point
-    trains under a sub-seed derived from its enumeration index, so the result
-    is a pure function of (dataset, grid, k, seed, budget) whatever `pool`
-    runs the units. A point whose training diverges is recorded with a
-    failure flag instead of aborting the search; ties on mean C-index
-    resolve to the earliest enumerated point.
+    All points share one fold assignment (built from `seed`), and point i
+    trains under the sub-seed `stable_seed(seed, 17, i)` in place of its own
+    seed, so the result is a pure function of (dataset, points, k, seed)
+    whatever `pool` runs the units. A point whose training diverges keeps
+    its error as its outcome instead of aborting the search; ties on mean
+    C-index resolve to the earliest point.
     """
-    all_points = enumerate_grid(grid, base_hp, budget)
-
     plan = plan_folds(ds, k, seed)
     del ds   # as in `cross_validate`
-    hps = [hp.replaced(seed=stable_seed(seed, 17, i)) for i, hp in enumerate(all_points)]
+    hps = [hp.replaced(seed=stable_seed(seed, 17, i)) for i, hp in enumerate(points)]
     outcomes = cross_validate_configs(plan, [(fold_unit, hp, True) for hp in hps], pool,
                                       raise_divergence=False)
-    points = []
-    for index, (hp, cv) in enumerate(zip(hps, outcomes)):
-        failed = isinstance(cv, DivergenceError)
-        points.append(GridPointResult(
-            index=index,
-            hp=asdict(hp),
-            mean_c_index=None if failed else cv.mean_c_index,
-            std_c_index=None if failed else cv.std_c_index,
-            fold_c_indexes=[] if failed else [r.c_index for r in cv.folds],
-            failed=failed,
-            error=str(cv) if failed else None,
-        ))
     # max keeps the first of equal means: ties go to the earliest point
-    best = max((p for p in points if not p.failed), key=lambda p: p.mean_c_index,
-               default=None)
-
-    return GridSearchResult(
-        points=points,
-        best_index=None if best is None else best.index,
-        total_runs=len(points),
-        k=k,
-        seed=seed,
-        fold_hash=plan.folds.content_hash(),
-    )
+    best = max((i for i, cv in enumerate(outcomes) if isinstance(cv, CVResult)),
+               key=lambda i: outcomes[i].mean_c_index, default=None)
+    return GridSearchResult(hps, outcomes, best, k, seed, plan.folds.content_hash())

@@ -119,12 +119,38 @@ def test_bench_pool_measures_a_units_memory(capsys):
     assert len(figures) == 4 and all(mb > 0 for mb in figures)
 
 
-def test_compare_reports_finds_the_tree_the_same_as_itself(capsys):
+def _made_dirs(bench, monkeypatch) -> list[Path]:
+    """Record every temporary directory the loaded script makes."""
+    made, mkdtemp = [], bench.tempfile.mkdtemp
+    monkeypatch.setattr(bench.tempfile, "mkdtemp",
+                        lambda **kw: made.append(Path(mkdtemp(**kw))) or str(made[-1]))
+    return made
+
+
+def test_compare_reports_finds_the_tree_the_same_as_itself(capsys, monkeypatch):
     bench = _load("compare_reports")
+    made = _made_dirs(bench, monkeypatch)
     assert bench.main(["--against", str(ROOT / "src"), "--n", "120", "--p", "3",
                        "--epochs", "2", "--workers", "1", "default"]) == 0
     out = capsys.readouterr().out
-    assert "0 of 16 runs differ or failed" in out
+    assert "0 of 17 runs differ or failed" in out
     assert "train adamw l2 4.0" in out and "same (epochs.jsonl, model.ckpt, summary.json)" in out
     assert "train x2 constant" in out and "cv x2 constant" in out
     assert "cv hp seed 7" in out and "compare hp seed 7" in out
+    assert "gridsearch diverging point" in out
+    # nothing differed, so nothing is kept
+    assert len(made) == 1 and not made[0].exists() and "kept in" not in out
+
+
+def test_compare_reports_keeps_the_outputs_when_a_run_fails(capsys, monkeypatch, tmp_path):
+    bench = _load("compare_reports")
+    made = _made_dirs(bench, monkeypatch)
+    # the other side has no package, so each of its runs exits 1
+    assert bench.main(["--against", str(tmp_path), "--n", "120", "--p", "3",
+                       "--epochs", "2", "--workers", "1"]) == 1
+    out = capsys.readouterr().out
+    assert "14 of 14 runs differ or failed" in out
+    assert f"inputs, outputs and logs kept in {made[0]}" in out
+    assert (made[0] / "0-this" / "summary.json").is_file()
+    assert "No module named" in (made[0] / "0-other.log").read_text()
+    bench.shutil.rmtree(made[0])

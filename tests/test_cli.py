@@ -548,6 +548,38 @@ def test_grid_file_base_that_is_not_an_object_exits_2(tmp_path, data_csv, capsys
     assert "Traceback" not in err
 
 
+def test_gridsearch_records_a_diverged_point(tmp_path, data_csv):
+    base = {k: v for k, v in DIVERGENT_HP.items() if k != "learning_rate"}
+    grid = _grid_file(tmp_path, {"learning_rate": [0.1, 1e-3]}, base)
+    out = tmp_path / "gs"
+    assert main(["gridsearch", "--data", data_csv, "--grid", grid, "--k", "2",
+                 "--workers", "1", "--out", str(out)]) == 0
+    failed, survivor = [json.loads(line) for line in
+                        (out / "points.jsonl").read_text().splitlines()]
+    assert {k: v for k, v in failed.items() if k != "hp"} == {
+        "index": 0, "failed": True, "mean_c_index": None, "std_c_index": None,
+        "fold_c_indexes": [],
+        "error": ("non-finite loss at epoch 20 (fold 0: validation loss); "
+                  "the learning rate is likely too high"),
+    }
+    assert failed["hp"]["learning_rate"] == 0.1
+    assert not survivor["failed"] and survivor["error"] is None
+    assert len(survivor["fold_c_indexes"]) == 2
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["best_index"] == 1 and summary["total_runs"] == 2
+
+
+def test_grid_file_base_seed_exits_2_before_the_csv_is_read(tmp_path, capsys):
+    # every point's seed comes from --seed and its index, so a base seed
+    # would be ignored
+    grid = _grid_file(tmp_path, {"learning_rate": [1e-2]}, {**FAST_HP, "seed": 5})
+    assert main(["gridsearch", "--data", str(tmp_path / "missing.csv"), "--grid", grid,
+                 "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: grid file 'base' sets seed") and "--seed" in err
+    assert "missing.csv" not in err
+
+
 def test_gridsearch_flat_grid_file_without_base(tmp_path, data_csv):
     # a bare sweep mapping is accepted; base hp stay at defaults except
     # the file's swept fields, so keep the net small via the sweep itself

@@ -29,6 +29,8 @@ from ressurv.model import model_forward, to_flat
 from ressurv.training import (
     GRID_DOMAINS,
     GRID_FIELDS,
+    STEP_CHUNK,
+    CVResult,
     Hyperparameters,
     UnitPool,
     adam_step,
@@ -201,21 +203,33 @@ def _step_reference(kind, w, g, ref, hp):
 
 @pytest.mark.parametrize("kind", ["sgd", "adam", "adamw"])
 def test_steps_match_the_formulas_bit_for_bit(kind):
-    # the steps compute in the state's work rows, allocating nothing
+    # the steps compute chunk by chunk in the state's work rows, allocating
+    # nothing; the long vector spans four chunks, its decayed part ending
+    # inside the third
     rng = np.random.default_rng(3)
     hp = Hyperparameters(optimizer_kind=kind, learning_rate=0.05, l2_lambda=4.0)
-    state = init_optimizer_state(hp, 50, 30)
-    ref = {"t": 0, "lr": hp.learning_rate, "n_decayed": 30,
-           "m": np.zeros(50), "v": np.zeros(50)}
-    w = rng.normal(size=50)
-    want = w.copy()
     step = training._STEP_FUNCTIONS[kind]
-    for _ in range(4):
-        g = rng.normal(size=50) * 3.0
-        assert step(w, g, state, hp) is w
-        want = _step_reference(kind, want, g, ref, hp)
-        assert w.tobytes() == want.tobytes()
-        state.lr = ref["lr"] = state.lr * 0.9
+    for size, n_decayed in ((50, 30), (3 * STEP_CHUNK + 123, 2 * STEP_CHUNK + 77)):
+        state = init_optimizer_state(hp, size, n_decayed)
+        ref = {"t": 0, "lr": hp.learning_rate, "n_decayed": n_decayed,
+               "m": np.zeros(size), "v": np.zeros(size)}
+        w = rng.normal(size=size)
+        want = w.copy()
+        for _ in range(4):
+            g = rng.normal(size=size) * 3.0
+            assert step(w, g, state, hp) is w
+            want = _step_reference(kind, want, g, ref, hp)
+            assert w.tobytes() == want.tobytes()
+            state.lr = ref["lr"] = state.lr * 0.9
+
+
+@pytest.mark.parametrize("kind", ["sgd", "adam"])
+def test_optimizer_work_rows_do_not_grow_with_the_parameter_count(kind):
+    hp = Hyperparameters(optimizer_kind=kind)
+    rows = 1 if kind == "sgd" else 2
+    assert init_optimizer_state(hp, 50, 30).work.nbytes == rows * 50 * 8
+    for size in (STEP_CHUNK, 3 * STEP_CHUNK + 123, 40 * STEP_CHUNK):
+        assert init_optimizer_state(hp, size, size // 2).work.nbytes == rows * STEP_CHUNK * 8
 
 
 def test_decay_learning_rate_hand_value():
@@ -583,8 +597,8 @@ def test_grid_search_degenerate_fold_fails_before_training(monkeypatch, workers)
     calls = []
     monkeypatch.setattr(training, "train", lambda *a, **kw: calls.append(1))
     with pytest.raises(UnusableDatasetError, match="fold 4: the held-out split"):
-        grid_search(_four_event_dataset(), {"learning_rate": [1e-2, 1e-3]}, k=5,
-                    seed=0, base_hp=TINY, pool=UnitPool(workers))
+        grid_search(_four_event_dataset(), enumerate_grid({"learning_rate": [1e-2, 1e-3]}, TINY),
+                    k=5, seed=0, pool=UnitPool(workers))
     assert calls == []
 
 
@@ -830,9 +844,9 @@ def test_enumerate_grid_builds_only_the_budget(monkeypatch):
 def test_grid_search_single_point_matches_direct_cv():
     ds = make_dataset(n=80, p=3, seed=6)
     base = TINY.replaced(max_epochs=15)
-    result = grid_search(ds, {"learning_rate": [1e-2]}, k=3, seed=9, base_hp=base)
-    assert result.total_runs == 1 and result.best_index == 0
-    point = result.points[0]
+    result = grid_search(ds, [base.replaced(learning_rate=1e-2)], k=3, seed=9)
+    assert len(result.outcomes) == 1 and result.best_index == 0
+    point = result.outcomes[0]
     direct = cross_validate(
         ds, base.replaced(learning_rate=1e-2, seed=stable_seed(9, 17, 0)),
         k=3, seed=9,
@@ -841,37 +855,50 @@ def test_grid_search_single_point_matches_direct_cv():
     assert result.fold_hash == direct.fold_hash
 
 
+def test_grid_search_outcomes_are_the_cross_validations_of_the_seeded_points():
+    # point i's outcome is `cross_validate` of it under the seed
+    # stable_seed(seed, 17, i), which replaces the point's own seed, fold
+    # records included
+    ds = make_dataset(n=70, p=3, seed=1)
+    points = enumerate_grid({"learning_rate": [1e-2, 1e-3], "dropout_rate": [0.0, 0.2]},
+                            TINY.replaced(max_epochs=6, seed=5))
+    result = grid_search(ds, points, k=2, seed=3)
+    assert result.hps == [hp.replaced(seed=stable_seed(3, 17, i))
+                          for i, hp in enumerate(points)]
+    assert result.outcomes == [cross_validate(ds, hp, k=2, seed=3) for hp in result.hps]
+    assert (result.k, result.seed, result.fold_hash) == (2, 3, result.outcomes[0].fold_hash)
+
+
 def test_grid_search_flags_divergent_point_and_picks_survivor():
     ds = make_dataset(n=80, p=3, seed=0)
     base = DIVERGENT
     grid = {"learning_rate": [1e-1, 1e-3]}
-    result = grid_search(ds, grid, k=2, seed=0, base_hp=base)
-    failed = result.points[0]
-    assert failed.failed and failed.mean_c_index is None and failed.error
-    survivor = result.points[1]
-    assert not survivor.failed
+    result = grid_search(ds, enumerate_grid(grid, base), k=2, seed=0)
+    failed, survivor = result.outcomes
+    assert isinstance(failed, DivergenceError) and str(failed)
+    assert isinstance(survivor, CVResult)
     assert result.best_index == 1
 
 
 def test_grid_search_worker_count_is_invisible():
     ds = make_dataset(n=70, p=3, seed=3)
     base = TINY.replaced(max_epochs=10)
-    grid = {"learning_rate": [1e-2, 1e-3], "dropout_rate": [0.0, 0.2]}
-    a = grid_search(ds, grid, k=2, seed=4, base_hp=base)
-    b = grid_search(ds, grid, k=2, seed=4, base_hp=base, pool=UnitPool(4))
+    points = enumerate_grid({"learning_rate": [1e-2, 1e-3], "dropout_rate": [0.0, 0.2]}, base)
+    a = grid_search(ds, points, k=2, seed=4)
+    b = grid_search(ds, points, k=2, seed=4, pool=UnitPool(4))
     assert a.best_index == b.best_index
-    assert a.points == b.points
+    assert a.outcomes == b.outcomes
 
 
 def test_grid_search_divergent_point_error_is_the_same_under_a_pool():
     ds = make_dataset(n=80, p=3, seed=0)
-    grid = {"learning_rate": [1e-1, 1e-3]}
+    points = enumerate_grid({"learning_rate": [1e-1, 1e-3]}, DIVERGENT)
     errors = []
     for workers in (1, 2):
-        result = grid_search(ds, grid, k=2, seed=0, base_hp=DIVERGENT,
-                             pool=UnitPool(workers))
-        assert result.points[0].failed and not result.points[1].failed
-        errors.append(result.points[0].error)
+        result = grid_search(ds, points, k=2, seed=0, pool=UnitPool(workers))
+        failed, survivor = result.outcomes
+        assert isinstance(failed, DivergenceError) and isinstance(survivor, CVResult)
+        errors.append(str(failed))
     assert errors == [DIVERGED_FOLD_0] * 2
 
 
@@ -1037,17 +1064,6 @@ def _forbidden(*args, **kwargs):
     raise AssertionError("a process was started or a file made")
 
 
-def test_grid_search_budget_caps_enumeration():
-    ds = make_dataset(n=70, p=3, seed=3)
-    base = TINY.replaced(max_epochs=8)
-    grid = {"learning_rate": [1e-2, 1e-3, 1e-4], "dropout_rate": [0.0, 0.2]}
-    result = grid_search(ds, grid, k=2, seed=1, base_hp=base, budget=2)
-    assert result.total_runs == 2
-    assert [p.index for p in result.points] == [0, 1]
-    # budget keeps the enumeration prefix: both points are learning_rate=1e-2
-    assert all(p.hp["learning_rate"] == 1e-2 for p in result.points)
-
-
 def test_grid_search_ties_resolve_to_first_point():
     ds = make_dataset(n=60, p=3, seed=2)
     base = TINY.replaced(optimizer_kind="sgd", learning_rate=1e-300,
@@ -1055,8 +1071,8 @@ def test_grid_search_ties_resolve_to_first_point():
     # frozen weights: both points leave initialization untouched and the
     # sub-seeds differ, but identical hp values often tie on tiny folds;
     # equality of means is not guaranteed, so pin the semantics directly
-    result = grid_search(ds, {"l2_lambda": [0.0, 0.0]}, k=2, seed=5, base_hp=base)
-    means = [p.mean_c_index for p in result.points]
+    result = grid_search(ds, enumerate_grid({"l2_lambda": [0.0, 0.0]}, base), k=2, seed=5)
+    means = [cv.mean_c_index for cv in result.outcomes]
     expected = int(np.argmax(means))
     assert result.best_index == expected
     if means[0] == means[1]:
@@ -1065,7 +1081,7 @@ def test_grid_search_ties_resolve_to_first_point():
 
 def test_grid_search_validation():
     ds = make_dataset(n=60, p=3, seed=2)
-    with pytest.raises(ValueError):
-        grid_search(ds, {"learning_rate": [1e-2]}, k=2, seed=0, budget=0)
+    with pytest.raises(ValueError, match="k must be >= 2"):
+        grid_search(ds, [TINY], k=1, seed=0)
     with pytest.raises(ValueError, match="workers must be >= 1"):
         UnitPool(0)
