@@ -11,8 +11,13 @@ to a temporary directory, as `ressurv synth` does:
 It checks once that `load_csv` reads back the written dataset bit for bit,
 then prints per shape the median milliseconds of each call over
 ``--repeats`` calls, the peak MB that tracemalloc traces during one further
-call of each, and the feature matrix's MB. It uses only the public data
-API, so the same script times any checkout's ``src``:
+call of each, and the feature matrix's MB. Last comes the growth of VmHWM
+(the peak resident set) over one `load_csv` call in a fresh process that
+has imported what a command imports (`ressurv.cli`): memory that
+tracemalloc cannot see, such as freed heap that stays resident and
+Python's own allocator's arenas. It uses only the public data API and the
+CLI module, and the fresh process imports the same package, so the same
+script times any checkout's ``src``:
 
     PYTHONPATH=src python benchmarks/bench_csv.py
     PYTHONPATH=/path/to/other/src python benchmarks/bench_csv.py \\
@@ -22,6 +27,7 @@ API, so the same script times any checkout's ``src``:
 import argparse
 import os
 import statistics
+import subprocess
 import sys
 import tempfile
 import time
@@ -29,6 +35,7 @@ import tracemalloc
 
 import numpy as np
 
+import ressurv
 from ressurv.data import SyntheticSpec, generate_synthetic, load_csv, write_csv
 
 SHAPES = {
@@ -38,6 +45,20 @@ SHAPES = {
     "genomics": (500, 5000),
 }
 CALLS = ("write_csv", "load_csv")
+
+# `python -c FRESH_LOAD data.csv`: the growth of the process's VmHWM (kB)
+# over one `load_csv` call, after the imports a command makes
+FRESH_LOAD = """
+import sys
+import ressurv.cli
+from ressurv.data import load_csv
+def vm_hwm():
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+before = vm_hwm()
+load_csv(sys.argv[1])
+print(vm_hwm() - before)
+"""
 
 
 def synth(n: int, p: int):
@@ -54,6 +75,17 @@ def traced_peak_mb(call) -> float:
         return tracemalloc.get_traced_memory()[1] / 1e6
     finally:
         tracemalloc.stop()
+
+
+def fresh_load_mb(path) -> float:
+    """VmHWM growth (MB) of a fresh process over one `load_csv` of `path`,
+    with the package this script imported."""
+    package_root = os.path.dirname(os.path.dirname(ressurv.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", FRESH_LOAD, str(path)], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    return int(out) * 1024 / 1e6
 
 
 def measure(ds, path, repeats: int) -> dict[str, tuple[float, float]]:
@@ -84,16 +116,20 @@ def main() -> int:
     args = parser.parse_args()
 
     print(f"usable cores {len(os.sched_getaffinity(0))}, numpy {np.__version__}; "
-          f"median ms over {args.repeats} calls, traced peak MB of one")
+          f"median ms over {args.repeats} calls, traced peak MB of one, "
+          "VmHWM growth MB of a fresh process's load")
     print(f"{'shape':<13} {'n x p':>12} {'matrix MB':>10} "
-          + " ".join(f"{c + ' ms':>13} {c + ' MB':>13}" for c in CALLS))
+          + " ".join(f"{c + ' ms':>13} {c + ' MB':>13}" for c in CALLS)
+          + f" {'fresh load HWM MB':>18}")
     with tempfile.TemporaryDirectory() as tmp:
         for name in args.shapes:
             n, p = SHAPES[name]
             ds = synth(n, p)
-            cells = measure(ds, os.path.join(tmp, f"{name}.csv"), args.repeats)
+            path = os.path.join(tmp, f"{name}.csv")
+            cells = measure(ds, path, args.repeats)
             print(f"{name:<13} {f'{n} x {p}':>12} {ds.features.nbytes / 1e6:>10.1f} "
-                  + " ".join(f"{cells[c][0]:>13.1f} {cells[c][1]:>13.1f}" for c in CALLS))
+                  + " ".join(f"{cells[c][0]:>13.1f} {cells[c][1]:>13.1f}" for c in CALLS)
+                  + f" {fresh_load_mb(path):>18.1f}")
     return 0
 
 

@@ -8,110 +8,38 @@ manual backpropagation (`model`), the training/CV/grid-search protocol
 command-line tool (`cli`).
 """
 
-from .cox import (
-    LinearCoxFit,
-    RiskSetIndex,
-    build_risk_index,
-    fit_linear_cox_newton,
-    l2_penalty,
-    loss_and_gradient,
-    neg_log_partial_likelihood,
-    nll_gradient,
-)
-from .data import (
-    FoldAssignment,
-    StandardizationParams,
-    SurvivalDataset,
-    SyntheticSpec,
-    filter_features,
-    filter_patients,
-    generate_synthetic,
-    kfold_split,
-    load_csv,
-    standardize_apply,
-    standardize_fit,
-    stratified_holdout,
-    write_csv,
-)
-from .errors import (
-    DataRowError,
-    DivergenceError,
-    RessurvError,
-    SchemaError,
-    StratificationError,
-    UndefinedMetricError,
-    UnusableDatasetError,
-)
-from .metrics import ConcordanceResult, concordance_fast, concordance_index
-from .model import (
-    ResSurvParams,
-    init_params,
-    load_checkpoint,
-    model_backward,
-    model_forward,
-    save_checkpoint,
-)
-from .training import (
-    CVResult,
-    GridSearchResult,
-    GRID_DOMAINS,
-    Hyperparameters,
-    TrainReport,
-    UnitPool,
-    cross_validate,
-    enumerate_grid,
-    grid_search,
-    train,
-)
+import importlib
+
+# each public name and the module that defines it; the package imports a
+# module on first use of one of its names, so that `import ressurv` loads no
+# numpy and `ressurv.cli` can set OpenBLAS's thread count before numpy loads
+_SOURCES = {
+    "cox": ("LinearCoxFit", "RiskSetIndex", "build_risk_index", "fit_linear_cox_newton",
+            "l2_penalty", "loss_and_gradient", "neg_log_partial_likelihood",
+            "nll_gradient"),
+    "data": ("FoldAssignment", "StandardizationParams", "SurvivalDataset", "SyntheticSpec",
+             "filter_features", "filter_patients", "generate_synthetic", "kfold_split",
+             "load_csv", "standardize_apply", "standardize_fit", "stratified_holdout",
+             "write_csv"),
+    "errors": ("DataRowError", "DivergenceError", "RessurvError", "SchemaError",
+               "StratificationError", "UndefinedMetricError", "UnusableDatasetError"),
+    "metrics": ("ConcordanceResult", "concordance_fast", "concordance_index"),
+    "model": ("ResSurvParams", "init_params", "load_checkpoint", "model_backward",
+              "model_forward", "save_checkpoint"),
+    "training": ("CVResult", "GridSearchResult", "GRID_DOMAINS", "Hyperparameters",
+                 "TrainReport", "UnitPool", "cross_validate", "enumerate_grid",
+                 "grid_search", "train"),
+}
+_SOURCE_OF = {name: module for module, names in _SOURCES.items() for name in names}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CVResult",
-    "ConcordanceResult",
-    "DataRowError",
-    "DivergenceError",
-    "FoldAssignment",
-    "GRID_DOMAINS",
-    "GridSearchResult",
-    "Hyperparameters",
-    "LinearCoxFit",
-    "ResSurvParams",
-    "RessurvError",
-    "RiskSetIndex",
-    "SchemaError",
-    "StandardizationParams",
-    "StratificationError",
-    "SurvivalDataset",
-    "SyntheticSpec",
-    "TrainReport",
-    "UndefinedMetricError",
-    "UnitPool",
-    "UnusableDatasetError",
-    "build_risk_index",
-    "concordance_fast",
-    "concordance_index",
-    "cross_validate",
-    "enumerate_grid",
-    "filter_features",
-    "filter_patients",
-    "fit_linear_cox_newton",
-    "generate_synthetic",
-    "grid_search",
-    "init_params",
-    "kfold_split",
-    "l2_penalty",
-    "load_checkpoint",
-    "load_csv",
-    "loss_and_gradient",
-    "model_backward",
-    "model_forward",
-    "neg_log_partial_likelihood",
-    "nll_gradient",
-    "save_checkpoint",
-    "standardize_apply",
-    "standardize_fit",
-    "stratified_holdout",
-    "train",
-    "write_csv",
-]
+__all__ = sorted(_SOURCE_OF)
+
+
+def __getattr__(name: str):
+    if name not in _SOURCE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_SOURCE_OF[name]}", __name__), name)
+    globals()[name] = value
+    return value

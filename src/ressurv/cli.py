@@ -25,6 +25,13 @@ import sys
 import time
 from concurrent.futures.process import BrokenProcessPool
 
+# Every unit computes under one OpenBLAS thread unless the user set
+# OPENBLAS_NUM_THREADS (training.BLAS_THREADS_ENV, default
+# training.WORKER_BLAS_THREADS), and OpenBLAS reads the variable when numpy
+# loads it: set here, before the package imports numpy, a command starts no
+# BLAS thread it never uses, and `synth` runs under the units' count too.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import numpy as np
 
 from . import training

@@ -642,6 +642,18 @@ def _openblas(name: str):
     return lambda *args: None
 
 
+@functools.cache
+def _malloc_trim():
+    """glibc's `int malloc_trim(size_t pad)`, which hands the heap's free
+    pages back to the system; where the C library has none, a function
+    that does nothing. Looked up on first use."""
+    trim = getattr(ctypes.CDLL(None), "malloc_trim", None)
+    if trim is None:
+        return lambda pad: 0
+    trim.argtypes, trim.restype = [ctypes.c_size_t], ctypes.c_int
+    return trim
+
+
 def usable_cores() -> int:
     """The cores this process may run on."""
     return len(os.sched_getaffinity(0))
@@ -673,14 +685,16 @@ class UnitPool:
     that count for the body of a `with` and restores the previous count
     after (where numpy's OpenBLAS exports no setter, the count stays as it
     is); in-process units run under it, and pool workers are forked under
-    it, so they inherit it.
+    it, so they inherit it. A CLI process loads OpenBLAS at that count
+    already (see `ressurv.cli`), so there it changes nothing.
 
     A call's workers are forked once its units exist, so each inherits the
     imported package, the units and every plan they name from this
     process's memory: nothing is re-imported, pickled or written, and only
-    unit indexes and outcomes cross the pipes. Forking needs this process
-    to hold no other thread at that moment; OpenBLAS stops its own threads
-    before a fork.
+    unit indexes and outcomes cross the pipes. Before it forks, the heap
+    hands its free pages back to the system, so that no worker starts with
+    them. Forking needs this process to hold no other thread at that
+    moment; OpenBLAS stops its own threads before a fork.
     """
 
     def __init__(self, size: int | None = None):
@@ -721,6 +735,10 @@ class UnitPool:
                 for fn, *args in units:
                     yield fn(*args)
             return
+        # every worker starts with this process's resident pages: hand the
+        # heap's free pages back first (the plan's preparation frees most
+        # of what it made, and glibc keeps it)
+        _malloc_trim()(0)
         executor = ProcessPoolExecutor(self.workers, mp_context=get_context("fork"))
         _worker_units = units
         try:

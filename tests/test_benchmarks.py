@@ -14,6 +14,7 @@ breaks a script fails here.
 
 import importlib.util
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -98,6 +99,10 @@ def test_bench_csv_writes_reads_back_and_traces_both(tmp_path):
     cells = bench.measure(bench.synth(30, 4), tmp_path / "tiny.csv", repeats=2)
     assert set(cells) == set(bench.CALLS)
     assert all(ms >= 0 and mb > 0 for ms, mb in cells.values())
+    # a fresh process's load: its peak resident set may not grow at all
+    assert bench.fresh_load_mb(tmp_path / "tiny.csv") >= 0
+    with pytest.raises(subprocess.CalledProcessError):
+        bench.fresh_load_mb(tmp_path / "missing.csv")
 
 
 def test_bench_pool_runs_a_pair_and_compares_the_report_bytes(capsys):

@@ -674,17 +674,70 @@ def test_compare_worker_count_does_not_change_reports(tmp_path, data_csv, hp_fil
         assert (outs["1"] / name).read_bytes() == (outs["2"] / name).read_bytes(), name
 
 
-def _cli_process(cwd, *argv, blas_threads=None):
-    """Run the CLI as a fresh process, with OPENBLAS_NUM_THREADS set to
-    `blas_threads`, or unset for None, so that OpenBLAS starts as it would
-    for a user."""
+def _fresh_python(cwd, *args, blas_threads=None) -> str:
+    """Run Python with `args` as a fresh process, with OPENBLAS_NUM_THREADS
+    set to `blas_threads`, or unset for None, so that OpenBLAS starts as it
+    would for a user; its standard output, stripped."""
     env = {k: v for k, v in os.environ.items()
            if k != "OPENBLAS_NUM_THREADS" and not k.startswith("RESSURV_")}
     env["PYTHONPATH"] = os.path.dirname(os.path.dirname(ressurv.__file__))
     if blas_threads is not None:
         env["OPENBLAS_NUM_THREADS"] = blas_threads
-    subprocess.run([sys.executable, "-m", "ressurv.cli", *argv], env=env, check=True,
-                   capture_output=True, cwd=cwd, timeout=300)
+    return subprocess.run([sys.executable, *args], env=env, check=True, capture_output=True,
+                          text=True, cwd=cwd, timeout=300).stdout.strip()
+
+
+def _cli_process(cwd, *argv, blas_threads=None):
+    """Run the CLI as a fresh process (see `_fresh_python`)."""
+    _fresh_python(cwd, "-m", "ressurv.cli", *argv, blas_threads=blas_threads)
+
+
+def test_importing_the_package_loads_no_numpy(tmp_path):
+    # `python -m ressurv.cli` imports the package before the CLI module, and
+    # the CLI must set OPENBLAS_NUM_THREADS before numpy loads
+    out = _fresh_python(tmp_path, "-c", "import sys, ressurv\n"
+                        "print('numpy' in sys.modules)\n"
+                        "names = {}\n"
+                        "exec('from ressurv import *', names)\n"
+                        "print(sorted(set(ressurv.__all__) - set(names)))")
+    assert out.splitlines() == ["False", "[]"]
+
+
+@pytest.mark.parametrize("blas_threads", [None, "3"])
+def test_the_cli_loads_openblas_at_the_units_count(tmp_path, blas_threads):
+    # OpenBLAS reads OPENBLAS_NUM_THREADS once, when numpy loads it: the CLI
+    # sets the units' default count unless the user set a count, which wins
+    # (OpenBLAS caps it at the cores, as it does without the CLI)
+    read = "print(ressurv.training._openblas('scipy_openblas_get_num_threads')())"
+    cli_count = _fresh_python(tmp_path, "-c", f"import ressurv.cli\n{read}",
+                              blas_threads=blas_threads)
+    if cli_count == "None":
+        pytest.skip("numpy bundles no OpenBLAS with a thread-count getter")
+    user_count = _fresh_python(tmp_path, "-c", f"import numpy, ressurv.training\n{read}",
+                               blas_threads=blas_threads)
+    units_count = int(training.WORKER_BLAS_THREADS)
+    assert int(cli_count) == (units_count if blas_threads is None else int(user_count))
+
+
+@pytest.mark.parametrize("n, p, informative", [
+    # perfbench/run.py's three inputs (cv-paper, grid-cohort, compare-wide)
+    (2000, 20, [1.0, -0.8, 0.7, -0.6, 0.5, -0.4, 0.3, -0.2, 0.2, -0.1]),
+    (20000, 8, [1.0, -0.8, 0.6, -0.4, 0.3, -0.2, 0.1]),
+    (1000, 120, [1.0, -0.8, 0.6, -0.5, 0.4]),
+    # wide and long enough that OpenBLAS threads `X @ beta` where it may
+    (20000, 120, [1.0, -0.8, 0.6, -0.5, 0.4]),
+])
+def test_synth_writes_the_same_bytes_under_the_units_blas_count(tmp_path, n, p, informative):
+    # synth runs under the CLI's default count, one thread, like every unit
+    spec = {"n": n, "p": p, "hazard_kind": "linear", "target_censor_rate": 0.3, "seed": 1,
+            "true_coefficients": informative + [0.0] * (p - len(informative))}
+    spec_path = _write_json(tmp_path / "spec.json", spec)
+    for blas in (None, "1"):
+        _cli_process(tmp_path, "synth", "--spec", spec_path, "--out",
+                     str(tmp_path / f"{blas}.csv"), blas_threads=blas)
+    for suffix in (".csv", ".csv.truth.json"):
+        assert ((tmp_path / f"None{suffix}").read_bytes()
+                == (tmp_path / f"1{suffix}").read_bytes())
 
 
 def test_in_process_units_compute_the_bits_pool_workers_do(tmp_path):

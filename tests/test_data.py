@@ -393,7 +393,7 @@ _HEAD = "sample_id,time,event,g1,g2\n"
 _NBSP, _EMSP, _ARABIC_12 = "\u00a0", "\u2003", "\u0661\u0662"
 
 
-@pytest.mark.parametrize("text, route", [
+_ROUTES = [
     pytest.param(_HEAD + "a,1.5,1,0.1,2\nb,2.5,0,-3,1e-2\n", "numpy", id="lf"),
     pytest.param(_HEAD.replace("\n", "\r\n") + "a,1.5,1,0.1,2\r\nb,2.5,0,-3,1e-2\r\n",
                  "numpy", id="crlf"),
@@ -460,13 +460,41 @@ _NBSP, _EMSP, _ARABIC_12 = "\u00a0", "\u2003", "\u0661\u0662"
     pytest.param("sample_id,time,event," + ",".join(f"g{j}" for j in range(30_000)) + "\n"
                  + "a,1,1," + ",".join(["1.5"] * 30_000) + "\n", "numpy",
                  id="long-line-of-short-cells"),
-])
+]
+
+
+@pytest.mark.parametrize("text, route", _ROUTES)
 def test_load_csv_numpy_parse_matches_the_row_scan(tmp_path, text, route):
     path = tmp_path / "data.csv"
     path.write_bytes(text.encode("utf-8", "surrogateescape"))
     got, scanned, want = _both_routes(path)
     assert got == want
     assert scanned == (route == "row scan")
+
+
+@pytest.mark.parametrize("text, route", _ROUTES)
+def test_load_csv_routes_do_not_depend_on_the_block_size(tmp_path, monkeypatch, text, route):
+    # the plain check reads a file in blocks of whole lines: at 3 bytes a
+    # read, every line, and every cell over the field size limit, spans
+    # several reads
+    monkeypatch.setattr(data, "PLAIN_BLOCK_BYTES", 3)
+    test_load_csv_numpy_parse_matches_the_row_scan(tmp_path, text, route)
+
+
+@pytest.mark.parametrize("text, cut", [
+    pytest.param(_HEAD + "a,1,1,0,0\r\nb,2,0,1,1\r\n", len(_HEAD) + 10, id="crlf"),
+    pytest.param(_HEAD + "\u00fca,1,1,0,0\nb,2,0,1,1\n", len(_HEAD) + 1, id="utf8-id"),
+])
+def test_load_csv_reads_a_line_split_by_a_block_boundary(tmp_path, monkeypatch, text, cut):
+    # the first read ends between a CR and its LF, or inside the two bytes
+    # of an id's u-umlaut
+    raw = text.encode("utf-8")
+    assert raw[cut - 1:cut + 1] in (b"\r\n", "\u00fc".encode("utf-8"))
+    path = tmp_path / "data.csv"
+    path.write_bytes(raw)
+    monkeypatch.setattr(data, "PLAIN_BLOCK_BYTES", cut)
+    got, scanned, want = _both_routes(path)
+    assert not scanned and got == want
 
 
 def test_load_csv_skips_a_utf8_byte_order_mark(tmp_path):

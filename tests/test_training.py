@@ -7,6 +7,7 @@ import sys
 import tempfile
 import tracemalloc
 import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -926,6 +927,29 @@ def test_pool_restores_the_blas_environment(monkeypatch):
 
 def _environment_written(*args):
     raise AssertionError("the environment was written")
+
+
+def test_a_pool_trims_the_heap_before_it_forks_where_the_c_library_can(monkeypatch):
+    # every worker starts with the parent's resident pages, so the pool
+    # hands the heap's free pages back first, through glibc's malloc_trim; a
+    # C library without it skips that step
+    trims, real_cdll = [], training.ctypes.CDLL
+
+    def malloc_trim(pad):
+        trims.append(pad)
+        return 1
+
+    try:
+        for libc in (SimpleNamespace(malloc_trim=malloc_trim), SimpleNamespace()):
+            monkeypatch.setattr(training.ctypes, "CDLL",
+                                lambda name, *args: libc if name is None
+                                else real_cdll(name, *args))
+            training._malloc_trim.cache_clear()
+            assert list(UnitPool(2).map_units([(abs, -1), (abs, -2)])) == [1, 2]
+            assert list(UnitPool(1).map_units([(abs, -3)])) == [3]
+    finally:
+        training._malloc_trim.cache_clear()
+    assert trims == [0]
 
 
 def test_in_process_units_run_under_the_workers_blas_count(monkeypatch):
