@@ -200,8 +200,12 @@ def _check_columns(columns: list[str]) -> None:
 # looked for only when one fails. The constructor runs them in this order.
 
 def _check_ids(ids: list[str]) -> None:
-    # cheap when all pass: str.strip returns an unchanged id as the same object
-    if len(set(ids)) == len(ids) and all(ids) and list(map(str.strip, ids)) == ids:
+    # cheap when all pass: ids in strictly increasing order (a synth CSV's,
+    # any in canonical order) are unique without a set to show it, and
+    # str.strip returns an unchanged id as the same object
+    if (all(ids) and all(map(str.__eq__, map(str.strip, ids), ids))
+            and (all(map(str.__lt__, ids, islice(ids, 1, None)))
+                 or len(set(ids)) == len(ids))):
         return
     seen: set[str] = set()
     for row, sid in enumerate(ids, start=1):

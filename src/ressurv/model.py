@@ -494,7 +494,13 @@ def _apply_keep(x: np.ndarray, keep: np.ndarray, rate: float,
 
 @dataclass
 class LayerCache:
-    a_in: np.ndarray
+    """A dense layer's record for the backward pass. `a_in`, the layer's
+    input, is kept only where it is an array the pass keeps anyway (a
+    block's input, or the previous layer's tanh output when nothing drops
+    it); elsewhere it is None, and the backward pass rebuilds it from the
+    previous layer's `act` and `mask`."""
+
+    a_in: np.ndarray | None
     bn: BatchNormCache
     act: np.ndarray
     mask: np.ndarray | None
@@ -513,7 +519,9 @@ class ModelCache:
 
     `blocks` and `head_in` are the arrays the backward pass reads. `arrays`
     holds, by name, every array the two passes write into: those kept for
-    backward and a few rotating scratch arrays for temporaries. A forward
+    backward (per dense layer its batch-norm `xhat`, its activation cache
+    and its dropout mask; per block its output) and a few rotating scratch
+    arrays for temporaries, the inner layers' outputs among them. A forward
     pass handed this cache writes the next epoch into the same arrays, and
     the backward pass takes its temporaries from them too, so a fit holds
     one epoch of activations and reuses their memory every epoch."""
@@ -592,7 +600,7 @@ def model_forward(
     x = X
     for bi, block in enumerate(params.blocks):
         layer_caches: list[LayerCache] = []
-        a = x
+        a = a_in = x
         last = len(block.dense_layers) - 1
         for li, (dense, bn) in enumerate(zip(block.dense_layers, block.batch_norms)):
             width = dense.W.shape[0]
@@ -600,12 +608,13 @@ def model_forward(
             z += dense.b
             bn_out, bn_cache = batchnorm_forward(z, bn, mode, first, xhat=z,
                                                  out=kept(("act", bi, li), width))
-            # the layer's output: the next layer's input, or a temporary the
-            # shortcut sum reads; tanh without dropout outputs its cache
+            # the layer's output: a temporary that the next layer or the
+            # shortcut sum reads, kept only as the next block's input; tanh
+            # without dropout outputs its cache
             out = None
             if drop or kind != "tanh":
-                out = (scratch(width) if li == last and block.shortcut is not None
-                       else kept(("out", bi, li), width))
+                out = (kept(("out", bi, li), width) if li == last and block.shortcut is None
+                       else scratch(width))
             # tanh's backward reads its output, relu's and selu's their input
             act_out = bn_out if kind == "tanh" else scratch(width, out) if drop else out
             act, act_cache = activation_forward(bn_out, kind, out=act_out)
@@ -613,8 +622,11 @@ def model_forward(
                                 out=kept(("mask", bi, li), width, bool))
                     if drop else None)
             if train:
-                layer_caches.append(LayerCache(a, bn_cache, act_cache, mask))
+                layer_caches.append(LayerCache(a_in, bn_cache, act_cache, mask))
             a = _apply_keep(act, mask, rate, out=out) if drop else act
+            # the next layer keeps its input only if it is not a temporary;
+            # model_backward rebuilds a temporary one
+            a_in = a if out is None else None
         if train:
             block_caches.append(BlockCache(x, layer_caches))
         if block.shortcut is not None:
@@ -646,9 +658,12 @@ def model_backward(
     the last: beta, gamma, b, W), so each gradient is written just below
     the previous one of its group: the weight matrices' down from
     `params.n_decayed`, the others' down from the vector's end. The (n,
-    width) gradients rotate through the scratch arrays of `cache`. Nothing
-    reads the gradient with respect to the network input, so it is not
-    computed.
+    width) gradients rotate through the scratch arrays of `cache`. A layer
+    input the forward pass did not keep is rebuilt there, just before the
+    layer's weight gradient, with the forward pass's own calls on the
+    previous layer's activation cache and mask, so it has the bytes the
+    forward pass fed the layer. Nothing reads the gradient with respect to
+    the network input, so it is not computed.
     """
     grad_h = np.asarray(grad_h, dtype=params.flat.dtype).reshape(-1, 1)
     grads = cache.array("grads", params.flat.shape, np.float64)
@@ -678,7 +693,17 @@ def model_backward(
                                        out=cache.scratch(grad.shape, grad_y, grad))
             grad, g_gamma, g_beta = batchnorm_backward(
                 grad, lc.bn, out=grad, scratch=cache.scratch(grad.shape, grad_y, grad))
-            put(g_beta, g_gamma, _column_sums(grad), grad.T @ lc.a_in)
+            a_in = lc.a_in
+            if a_in is None:
+                prev = bc.layers[li - 1]
+                a_in = prev.act
+                if kind != "tanh":   # the cache is the activation's input
+                    a_in, _ = activation_forward(
+                        a_in, kind, out=cache.scratch(a_in.shape, grad_y, grad))
+                if prev.mask is not None:
+                    a_in = _apply_keep(a_in, prev.mask, rate,
+                                       out=cache.scratch(a_in.shape, grad_y, grad, a_in))
+            put(g_beta, g_gamma, _column_sums(grad), grad.T @ a_in)
             if bi or li:   # not down to the network input
                 grad = np.matmul(grad, dense.W,
                                  out=cache.scratch((n, dense.W.shape[1]), grad_y, grad))

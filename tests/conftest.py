@@ -1,3 +1,13 @@
+import os
+
+# OpenBLAS reads OPENBLAS_NUM_THREADS once, when numpy loads it. Set here,
+# before numpy loads, the in-process fits of the suite (the linear and
+# interaction gates, the depth check, the gradient checks) compute under
+# the one BLAS thread of a pool unit, and two numpy processes beside each
+# other do not oversubscribe the cores. A count the user sets stands.
+USER_BLAS_THREADS = os.environ.get("OPENBLAS_NUM_THREADS")
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import numpy as np
 import pytest
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import ressurv
-from conftest import fold_1_feature_dataset, make_dataset
+from conftest import USER_BLAS_THREADS, fold_1_feature_dataset, make_dataset
 from ressurv import cli, data, training
 from ressurv.cli import REPORT_SCHEMA, TRUTH_SCHEMA, main
 from ressurv.data import SurvivalDataset, load_csv, write_csv
@@ -717,6 +717,19 @@ def test_the_cli_loads_openblas_at_the_units_count(tmp_path, blas_threads):
                                blas_threads=blas_threads)
     units_count = int(training.WORKER_BLAS_THREADS)
     assert int(cli_count) == (units_count if blas_threads is None else int(user_count))
+
+
+def test_the_suite_computes_under_the_units_blas_count():
+    # conftest.py sets the units' count before numpy loads, so the suite's
+    # in-process fits run under the BLAS thread count of a pool unit, unless
+    # the user set a count, which stands
+    assert os.environ["OPENBLAS_NUM_THREADS"] == (
+        training.WORKER_BLAS_THREADS if USER_BLAS_THREADS is None else USER_BLAS_THREADS)
+    count = training._openblas("scipy_openblas_get_num_threads")()
+    if count is None:
+        pytest.skip("numpy bundles no OpenBLAS with a thread-count getter")
+    if USER_BLAS_THREADS is None:
+        assert count == int(training.WORKER_BLAS_THREADS)
 
 
 @pytest.mark.parametrize("n, p, informative", [

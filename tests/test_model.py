@@ -382,7 +382,16 @@ def test_dropout_applies_mask():
         for li, layer in enumerate(block.layers):
             assert np.array_equal(layer.mask, stream.mask((40, 8), 0.4, 5, bi, li))
         first, second = block.layers
-        assert np.array_equal(second.a_in, _apply_keep(first.act, first.mask, 0.4))
+        # the dropped output is not kept: rebuilt from the first layer's
+        # activation and mask, it is the input the forward pass fed the
+        # second layer (the batch norm it feeds normalizes it to the same bits)
+        assert second.a_in is None
+        a_in = layer_input_reference(params, block, 1)
+        assert np.array_equal(a_in, _apply_keep(first.act, first.mask, 0.4))
+        dense = params.blocks[bi].dense_layers[1]
+        _, bn_cache = batchnorm_forward(a_in @ dense.W.T + dense.b,
+                                        BatchNormParams.identity(8), "train")
+        assert _same_bytes(bn_cache.xhat, second.bn.xhat)
 
 
 # ---------------------------------------------------------------------------
@@ -653,10 +662,26 @@ def test_model_backward_matches_fd():
     assert np.max(rel) < 1e-6
 
 
+def layer_input_reference(params, block_cache, li):
+    """The input of dense layer `li` of a train-mode block cache, with a
+    fresh array per operation: the block's input for the first layer, else
+    the previous layer's output rebuilt from its activation cache (tanh's is
+    the activation's output, relu's and selu's its input) and its mask."""
+    if li == 0:
+        return block_cache.x
+    prev = block_cache.layers[li - 1]
+    kind = params.activation_kind
+    a = prev.act if kind == "tanh" else activation_forward_reference(prev.act, kind)
+    if prev.mask is not None:
+        a = a * (prev.mask / (1.0 - params.dropout_rate)).astype(a.dtype)
+    return a
+
+
 def model_backward_reference(grad_h, params, cache):
     """The backward pass with a fresh array per operation, carried down to
     the gradient with respect to the network input: (parameter gradient,
-    each tensor's at its `flat_layout` slice, input gradient)."""
+    each tensor's at its `flat_layout` slice, input gradient). Each layer's
+    input is rebuilt by `layer_input_reference`, not read from the cache."""
     grad_h = grad_h.reshape(-1, 1)
     parts = [grad_h.sum(axis=0), grad_h.T @ cache.head_in]   # reverse table order
     grad_y = grad_h @ params.output_head.W
@@ -664,13 +689,15 @@ def model_backward_reference(grad_h, params, cache):
         if block.shortcut is not None:
             parts.append(grad_y.T @ bc.x)
         grad = grad_y
-        for dense, lc in zip(reversed(block.dense_layers), reversed(bc.layers)):
+        for li in reversed(range(len(bc.layers))):
+            dense, lc = block.dense_layers[li], bc.layers[li]
             if lc.mask is not None:
                 grad = grad * (lc.mask / (1.0 - params.dropout_rate)).astype(grad.dtype)
             grad = activation_backward_reference(grad, lc.act, params.activation_kind)
             grad, g_gamma, g_beta = batchnorm_backward_reference(
                 grad, lc.bn.xhat, lc.bn.inv_std, lc.bn.gamma)
-            parts += [g_beta, g_gamma, grad.sum(axis=0), grad.T @ lc.a_in]
+            parts += [g_beta, g_gamma, grad.sum(axis=0),
+                      grad.T @ layer_input_reference(params, bc, li)]
             grad = grad @ dense.W
         if block.shortcut is not None:
             grad = grad + grad_y @ block.shortcut.W
@@ -706,9 +733,16 @@ def _cache_arrays(cache):
     for block in cache.blocks:
         arrays.append(block.x)
         for layer in block.layers:
-            arrays += [layer.a_in, layer.bn.xhat, layer.bn.inv_std, layer.bn.gamma, layer.act]
+            arrays += [] if layer.a_in is None else [layer.a_in]
+            arrays += [layer.bn.xhat, layer.bn.inv_std, layer.bn.gamma, layer.act]
             arrays += [] if layer.mask is None else [layer.mask]
     return arrays + [cache.head_in]
+
+
+def _layer_inputs(params, cache):
+    """Every dense layer's input, rebuilt where the cache does not keep it."""
+    return [layer_input_reference(params, block, li)
+            for block in cache.blocks for li in range(len(block.layers))]
 
 
 def _distinct_bytes(cache):
@@ -742,10 +776,16 @@ def test_reused_cache_matches_fresh_allocation(kind, rate, with_shortcut):
         assert _same_bytes(h, h_fresh)
         for got, want in zip(_cache_arrays(cache), _cache_arrays(cache_fresh), strict=True):
             assert _same_bytes(got, want)
+        for got, want in zip(_layer_inputs(reused, cache), _layer_inputs(fresh, cache_fresh),
+                             strict=True):
+            assert _same_bytes(got, want)
         assert _distinct_bytes(cache) == _distinct_bytes(cache_fresh)
         grad = model_backward(v, reused, cache)
         grad_fresh = model_backward(v, fresh, cache_fresh)
         assert _same_bytes(grad, grad_fresh)
+        # the reused workspace's inputs, rebuilt in its scratch arrays, are
+        # the fresh formula's
+        assert _same_bytes(grad, model_backward_reference(v, reused, cache)[0])
         reused.flat[...] -= 0.05 * grad
         fresh.flat[...] -= 0.05 * grad_fresh
         for block, block_fresh in zip(reused.blocks, fresh.blocks):
@@ -754,6 +794,35 @@ def test_reused_cache_matches_fresh_allocation(kind, rate, with_shortcut):
                 assert _same_bytes(bn.running_var, bn_fresh.running_var)
     # the third epoch wrote into the first epoch's arrays
     assert cache.blocks[1].layers[2].bn.xhat is first_xhat
+
+
+@pytest.mark.parametrize("with_shortcut", [True, False])
+@pytest.mark.parametrize("kind", ["tanh", "relu"])
+def test_train_workspace_keeps_no_inner_layer_output(kind, with_shortcut):
+    # a train-mode forward keeps, per dense layer, its batch-norm xhat, its
+    # activation cache and its dropout mask, and per block one output (the
+    # shortcut sum y, or the last layer's output without a shortcut); the
+    # other layer outputs pass through scratch arrays: one for tanh, two
+    # for relu, whose output is dropped into a second array
+    n, width, blocks, depth = 96, 16, 3, 3
+    X = np.random.default_rng(5).normal(size=(n, 5))
+    for dtype in (np.float64, np.float32):
+        params = init_params(5, [width] * blocks, depth, kind, 0.2, seed=5,
+                             with_shortcut=with_shortcut).copy(dtype)
+        _, cache = model_forward(X, params, mode="train", stream=DropoutStream(5), epoch=1)
+        row = n * width * np.dtype(dtype).itemsize   # one (n, width) float array
+        kept = blocks * depth * (2 * row + n * width) + blocks * row
+        scratch = 1 if kind == "tanh" else 2
+        assert sum(a.nbytes for a in cache.arrays.values()) == kept + scratch * row
+        # a layer's input is kept only as its block's input
+        for block in cache.blocks:
+            assert block.layers[0].a_in is block.x
+            assert all(layer.a_in is None for layer in block.layers[1:])
+        # the backward pass adds its float64 gradient vector and scratch
+        # arrays, four in all at most, whatever the depth
+        grads = model_backward(np.ones(n), params, cache)
+        extra = sum(a.nbytes for a in cache.arrays.values()) - kept - grads.nbytes
+        assert extra % row == 0 and scratch <= extra // row <= 4
 
 
 @pytest.mark.parametrize("kind", ["tanh", "selu"])
