@@ -14,6 +14,11 @@ own setup (the CSV from this checkout's ``ressurv synth``), then runs, as
 * ``cv`` and ``compare`` on the ``cv-paper`` input with an hp file whose
   ``seed`` is not ``--seed``, so that a fold seeded from the wrong one
   shows (every workload's hp file holds ``--seed``);
+* ``compare`` on the ``cv-paper`` input under each ``activation_kind``
+  (tanh, relu, selu), each at ``dropout_rate`` 0 and 0.3, so that every
+  way a fit keeps or rebuilds a layer's activation and input shows, the
+  no-shortcut ablation's block outputs among them (the workloads run tanh
+  with dropout only);
 * ``gridsearch`` on the ``cv-paper`` input over two learning rates, of
   which the first diverges, so that a failed point's record shows.
 
@@ -46,6 +51,10 @@ from run import ROOT, SRC, WORKLOADS, Tally, child_env, cli_args, setup  # noqa:
 # l2_lambda of the train and cv runs under each optimizer: a loss penalty
 # under sgd and adam, decoupled decay under adamw
 OPTIMIZER_L2 = {"sgd": 0.5, "adam": 4.0, "adamw": 4.0}
+
+# the activation runs: each kind at each dropout rate
+ACTIVATION_KINDS = ("tanh", "relu", "selu")
+DROPOUT_RATES = (0.0, 0.3)
 
 # the base of the diverging grid: at learning rate 0.1 the loss-side L2
 # gradient alone multiplies every weight matrix by -99 each sgd step, and
@@ -102,6 +111,13 @@ def runs(workloads: dict, seed: int, work: Path, workers: list[int | None]):
         yield f"{command} hp seed {seed + 6}", lambda out, c=command: [
             c, "--data", str(paper / "data.csv"), "--hp", str(other_seed),
             "--seed", str(seed), "--out", str(out)]
+    for kind in ACTIVATION_KINDS:
+        for rate in DROPOUT_RATES:
+            hp = paper / f"hp-{kind}-{rate}.json"
+            hp.write_text(json.dumps({**base, "activation_kind": kind, "dropout_rate": rate}))
+            yield f"compare {kind} dropout {rate}", lambda out, hp=hp: [
+                "compare", "--data", str(paper / "data.csv"), "--hp", str(hp),
+                "--seed", str(seed), "--out", str(out)]
     diverging = paper / "grid-diverging.json"
     diverging.write_text(json.dumps({"sweep": {"learning_rate": [0.1, 1e-4]},
                                      "base": DIVERGING_BASE}))

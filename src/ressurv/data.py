@@ -601,36 +601,71 @@ def filter_patients(ds: SurvivalDataset) -> tuple[SurvivalDataset, int]:
     return ds, 0
 
 
-def _column_stat(X: np.ndarray, stat: str) -> np.ndarray:
-    """`X.var(axis=0)` or `X.std(axis=0)` bit for bit, reduced over blocks
-    of about `STATS_BLOCK_BYTES`, at least `STATS_MIN_COLUMNS` wide: numpy's
-    axis-0 reduce adds the rows one after another for any block at least
-    two columns wide (at width 1 it sums pairwise, so no block is one
-    column wide unless `X` is)."""
-    n, p = X.shape
+def _column_moments(X: np.ndarray, rows: np.ndarray | None = None,
+                    cols: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """`Y.mean(axis=0)` and `Y.var(axis=0)` of Y = X[rows][:, cols] (every
+    row, every column where None), bit for bit: numpy's operations for
+    `var`, on a gathered copy of one block of Y's columns at a time, of
+    about `STATS_BLOCK_BYTES` and at least `STATS_MIN_COLUMNS` wide, so no
+    copy of Y is made. numpy's axis-0 reduce adds the rows one after
+    another for any block at least two columns wide (at width 1 it sums
+    pairwise, so no block is one column wide unless Y is). A column that
+    overflows reads inf or nan, which the callers name, without a warning."""
+    rows = np.arange(X.shape[0]) if rows is None else rows
+    n, p = rows.size, X.shape[1] if cols is None else cols.size
     width = max(STATS_MIN_COLUMNS, STATS_BLOCK_BYTES // (8 * max(n, 1)))
     starts = list(range(0, p, width)) or [0]
     if len(starts) > 1 and p - starts[-1] == 1:
         starts.pop()   # the last column joins the block before
-    return np.concatenate([getattr(X[:, a:b], stat)(axis=0)
-                           for a, b in zip(starts, starts[1:] + [p])])
+    means, variances = np.empty(p), np.empty(p)
+    with np.errstate(over="ignore"):
+        for a, b in zip(starts, starts[1:] + [p]):
+            # a C-contiguous copy, whose reduce adds its rows in order
+            block = X[rows, a:b] if cols is None else X[rows[:, None], cols[a:b]]
+            means[a:b] = mean = block.sum(axis=0) / n
+            block -= mean
+            block *= block
+            variances[a:b] = block.sum(axis=0) / n
+    return means, variances
+
+
+def _retained(names: list[str], variances: np.ndarray) -> list[str]:
+    retained = [name for name, v in zip(names, variances) if v > MIN_VARIANCE]
+    if not retained:
+        raise UnusableDatasetError(
+            f"no features retained at min_variance={MIN_VARIANCE!r}"
+        )
+    return retained
+
+
+def _standardization(names: list[str], means: np.ndarray,
+                     variances: np.ndarray) -> StandardizationParams:
+    stds = np.sqrt(variances)   # population convention
+    bad = np.flatnonzero(stds == 0)
+    if bad.size:
+        raise UnusableDatasetError(
+            f"feature {names[bad[0]]!r} has zero variance; "
+            "run filter_features first"
+        )
+    bad = np.flatnonzero(~(np.isfinite(means) & np.isfinite(stds)))
+    if bad.size:
+        j = bad[0]
+        raise UnusableDatasetError(
+            f"feature {names[j]!r} has mean {means[j]} and standard deviation "
+            f"{stds[j]}; its values overflow float64"
+        )
+    return StandardizationParams(means, stds)
 
 
 def filter_features(ds: SurvivalDataset) -> tuple[SurvivalDataset, list[str]]:
     """Drop feature columns whose population variance is <= MIN_VARIANCE.
 
     Returns the filtered dataset and the retained feature names. Idempotent.
-    Raises `UnusableDatasetError` if nothing survives.
+    Raises `UnusableDatasetError` if nothing survives. An overflowing
+    column reads var inf, which `standardize_fit` then names.
     """
-    # an overflowing column reads var inf, which standardize_fit then names
-    with np.errstate(over="ignore"):
-        keep = _column_stat(ds.features, "var") > MIN_VARIANCE
-    retained = [name for name, k in zip(ds.feature_names, keep) if k]
-    if not retained:
-        raise UnusableDatasetError(
-            f"no features retained at min_variance={MIN_VARIANCE!r}"
-        )
-    if keep.all():
+    retained = _retained(ds.feature_names, _column_moments(ds.features)[1])
+    if len(retained) == ds.p:
         return ds, retained
     return ds.select_features(retained), retained
 
@@ -642,24 +677,23 @@ def standardize_fit(ds: SurvivalDataset) -> StandardizationParams:
     `filter_features` first), and on features whose mean or deviation
     overflows float64 (values near ±1e308).
     """
-    # an overflow is reported below, naming the feature, not as a warning
-    with np.errstate(over="ignore"):
-        means = ds.features.mean(axis=0)
-        stds = _column_stat(ds.features, "std")   # population convention
-    bad = np.flatnonzero(stds == 0)
-    if bad.size:
-        raise UnusableDatasetError(
-            f"feature {ds.feature_names[bad[0]]!r} has zero variance; "
-            "run filter_features first"
-        )
-    bad = np.flatnonzero(~(np.isfinite(means) & np.isfinite(stds)))
-    if bad.size:
-        j = bad[0]
-        raise UnusableDatasetError(
-            f"feature {ds.feature_names[j]!r} has mean {means[j]} and standard deviation "
-            f"{stds[j]}; its values overflow float64"
-        )
-    return StandardizationParams(means, stds)
+    return _standardization(ds.feature_names, *_column_moments(ds.features))
+
+
+def fit_features(ds: SurvivalDataset, rows: np.ndarray) -> tuple[list[str], StandardizationParams]:
+    """The features that the rows `rows` of `ds` retain, and their
+    standardization on those rows: what `filter_features` and then
+    `standardize_fit` give on `ds.subset(rows)`, with the same bits and
+    errors, from the rows gathered a block of columns at a time, so
+    without the subset. Each retained column is reduced once more, on its
+    own, when some column is dropped, as `standardize_fit` reduces the
+    filtered dataset's columns."""
+    means, variances = _column_moments(ds.features, rows)
+    retained = _retained(ds.feature_names, variances)
+    if len(retained) < ds.p:
+        cols = np.flatnonzero(variances > MIN_VARIANCE)
+        means, variances = _column_moments(ds.features, rows, cols)
+    return retained, _standardization(retained, means, variances)
 
 
 def standardize_apply(ds: SurvivalDataset, params: StandardizationParams) -> SurvivalDataset:

@@ -373,9 +373,7 @@ def batchnorm_forward(
             m = BN_MOMENTUM
             params.running_mean[...] = (1.0 - m) * params.running_mean + m * mean
             params.running_var[...] = (1.0 - m) * params.running_var + m * var
-        out = np.multiply(xhat, params.gamma, out=sq)
-        out += params.beta_shift
-        return out, BatchNormCache(xhat, inv_std, params.gamma)
+        return _scale_shift(xhat, params, out=sq), BatchNormCache(xhat, inv_std, params.gamma)
     if mode == "eval":
         inv_std = 1.0 / np.sqrt(params.running_var + BN_EPSILON)
         out = inputs - params.running_mean
@@ -384,6 +382,13 @@ def batchnorm_forward(
         out += params.beta_shift
         return out, None
     raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
+
+
+def _scale_shift(xhat: np.ndarray, params: BatchNormParams, out: np.ndarray | None) -> np.ndarray:
+    """gamma * xhat + beta in `out`: batch norm's train-mode output, which
+    the backward pass rebuilds here from the kept `xhat`, bit for bit."""
+    out = np.multiply(xhat, params.gamma, out=out)
+    return np.add(out, params.beta_shift, out=out)
 
 
 def batchnorm_backward(
@@ -494,15 +499,15 @@ def _apply_keep(x: np.ndarray, keep: np.ndarray, rate: float,
 
 @dataclass
 class LayerCache:
-    """A dense layer's record for the backward pass. `a_in`, the layer's
-    input, is kept only where it is an array the pass keeps anyway (a
-    block's input, or the previous layer's tanh output when nothing drops
-    it); elsewhere it is None, and the backward pass rebuilds it from the
-    previous layer's `act` and `mask`."""
+    """A dense layer's record for the backward pass: its batch-norm cache
+    and dropout mask. It keeps no activation: `act` is None, and so is
+    `a_in`, the layer's input, but for a block's first layer (the block's
+    input). The backward pass rebuilds them from `bn.xhat`, gamma, beta
+    and the mask of the layer and of the layer below."""
 
     a_in: np.ndarray | None
     bn: BatchNormCache
-    act: np.ndarray
+    act: np.ndarray | None
     mask: np.ndarray | None
 
 
@@ -519,12 +524,12 @@ class ModelCache:
 
     `blocks` and `head_in` are the arrays the backward pass reads. `arrays`
     holds, by name, every array the two passes write into: those kept for
-    backward (per dense layer its batch-norm `xhat`, its activation cache
-    and its dropout mask; per block its output) and a few rotating scratch
-    arrays for temporaries, the inner layers' outputs among them. A forward
-    pass handed this cache writes the next epoch into the same arrays, and
-    the backward pass takes its temporaries from them too, so a fit holds
-    one epoch of activations and reuses their memory every epoch."""
+    backward (per dense layer its batch-norm `xhat` and its dropout mask;
+    per block its output) and a few rotating scratch arrays for the
+    temporaries, every activation among them. A forward pass handed this
+    cache writes the next epoch into the same arrays, and the backward
+    pass takes its temporaries from them too, so a fit holds one epoch of
+    its record and reuses its memory every epoch."""
 
     blocks: list[BlockCache] = field(default_factory=list)
     head_in: np.ndarray | None = None
@@ -576,8 +581,7 @@ def model_forward(
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
     train = mode == "train"
-    kind = params.activation_kind
-    rate = params.dropout_rate
+    kind, rate = params.activation_kind, params.dropout_rate
     drop = train and rate > 0.0
     if drop and stream is None:
         raise ValueError("train-mode dropout requires a DropoutStream")
@@ -600,39 +604,33 @@ def model_forward(
     x = X
     for bi, block in enumerate(params.blocks):
         layer_caches: list[LayerCache] = []
-        a = a_in = x
+        a = x
         last = len(block.dense_layers) - 1
         for li, (dense, bn) in enumerate(zip(block.dense_layers, block.batch_norms)):
             width = dense.W.shape[0]
             z = np.matmul(a, dense.W.T, out=kept(("xhat", bi, li), width))
             z += dense.b
-            bn_out, bn_cache = batchnorm_forward(z, bn, mode, first, xhat=z,
-                                                 out=kept(("act", bi, li), width))
             # the layer's output: a temporary that the next layer or the
-            # shortcut sum reads, kept only as the next block's input; tanh
-            # without dropout outputs its cache
-            out = None
-            if drop or kind != "tanh":
-                out = (kept(("out", bi, li), width) if li == last and block.shortcut is None
-                       else scratch(width))
-            # tanh's backward reads its output, relu's and selu's their input
-            act_out = bn_out if kind == "tanh" else scratch(width, out) if drop else out
-            act, act_cache = activation_forward(bn_out, kind, out=act_out)
+            # shortcut sum reads, kept only as the next block's input. Batch
+            # norm, the activation (tanh's in place) and dropout write in
+            # turn, the one k writes before the last into bufs[k % 2]
+            out = (kept(("out", bi, li), width) if li == last and block.shortcut is None
+                   else scratch(width))
+            writes = (kind != "tanh") + drop
+            bufs = [out, scratch(width, out) if writes else None]
+            bn_out, bn_cache = batchnorm_forward(z, bn, mode, first, xhat=z, out=bufs[writes % 2])
+            act, _ = activation_forward(bn_out, kind, out=bn_out if kind == "tanh" else bufs[drop])
             mask = (stream.mask(act.shape, rate, epoch, bi, li,
                                 out=kept(("mask", bi, li), width, bool))
                     if drop else None)
             if train:
-                layer_caches.append(LayerCache(a_in, bn_cache, act_cache, mask))
+                layer_caches.append(LayerCache(None if li else x, bn_cache, None, mask))
             a = _apply_keep(act, mask, rate, out=out) if drop else act
-            # the next layer keeps its input only if it is not a temporary;
-            # model_backward rebuilds a temporary one
-            a_in = a if out is None else None
         if train:
             block_caches.append(BlockCache(x, layer_caches))
         if block.shortcut is not None:
             y = np.matmul(x, block.shortcut.W.T, out=kept(("y", bi), width))
-            y += a
-            a = y
+            a = np.add(y, a, out=y)
         x = a
     head = params.output_head
     h = (x @ head.W.T + head.b).ravel()
@@ -658,12 +656,12 @@ def model_backward(
     the last: beta, gamma, b, W), so each gradient is written just below
     the previous one of its group: the weight matrices' down from
     `params.n_decayed`, the others' down from the vector's end. The (n,
-    width) gradients rotate through the scratch arrays of `cache`. A layer
-    input the forward pass did not keep is rebuilt there, just before the
-    layer's weight gradient, with the forward pass's own calls on the
-    previous layer's activation cache and mask, so it has the bytes the
-    forward pass fed the layer. Nothing reads the gradient with respect to
-    the network input, so it is not computed.
+    width) gradients rotate through the scratch arrays of `cache`, and so
+    does each layer's activation cache, rebuilt once, bit for bit, from its
+    `xhat`, gamma and beta by the forward pass's calls: for the weight
+    gradient of the layer above, whose input they rebuild from it and the
+    mask, or as a block's last layer's turn starts. Nothing reads the
+    gradient with respect to the network input, so it is not computed.
     """
     grad_h = np.asarray(grad_h, dtype=params.flat.dtype).reshape(-1, 1)
     grads = cache.array("grads", params.flat.shape, np.float64)
@@ -677,6 +675,11 @@ def model_backward(
             grads[ends[group] - g.size : ends[group]] = g.ravel()
             ends[group] -= g.size
 
+    def rebuilt(bn: BatchNormParams, lc: LayerCache, *busy) -> np.ndarray:
+        # tanh's backward reads its output, relu's and selu's their input
+        act = _scale_shift(lc.bn.xhat, bn, cache.scratch(lc.bn.xhat.shape, *busy))
+        return activation_forward(act, kind, out=act)[0] if kind == "tanh" else act
+
     head_W = params.output_head.W
     put(_column_sums(grad_h), grad_h.T @ cache.head_in)
     grad_y = np.matmul(grad_h, head_W, out=cache.scratch((n, head_W.shape[1])))
@@ -685,28 +688,28 @@ def model_backward(
         if block.shortcut is not None:
             put(grad_y.T @ bc.x)
         grad = grad_y
+        act = rebuilt(block.batch_norms[-1], bc.layers[-1], grad_y)
         for li, (dense, lc) in reversed(list(enumerate(zip(block.dense_layers, bc.layers)))):
             if lc.mask is not None:
                 grad = _apply_keep(grad, lc.mask, rate,
-                                   out=cache.scratch(grad.shape, grad_y, grad))
-            grad = activation_backward(grad, lc.act, kind,
-                                       out=cache.scratch(grad.shape, grad_y, grad))
+                                   out=cache.scratch(grad.shape, grad_y, grad, act))
+            grad = activation_backward(grad, act, kind,
+                                       out=cache.scratch(grad.shape, grad_y, grad, act))
             grad, g_gamma, g_beta = batchnorm_backward(
                 grad, lc.bn, out=grad, scratch=cache.scratch(grad.shape, grad_y, grad))
-            a_in = lc.a_in
-            if a_in is None:
-                prev = bc.layers[li - 1]
-                a_in = prev.act
-                if kind != "tanh":   # the cache is the activation's input
+            a_in = bc.x
+            if li:   # the layer below's output, from its activation cache, kept for its turn
+                act = a_in = rebuilt(block.batch_norms[li - 1], bc.layers[li - 1], grad_y, grad)
+                if kind != "tanh":
                     a_in, _ = activation_forward(
-                        a_in, kind, out=cache.scratch(a_in.shape, grad_y, grad))
-                if prev.mask is not None:
-                    a_in = _apply_keep(a_in, prev.mask, rate,
-                                       out=cache.scratch(a_in.shape, grad_y, grad, a_in))
+                        act, kind, out=cache.scratch(act.shape, grad_y, grad, act))
+                if bc.layers[li - 1].mask is not None:
+                    a_in = _apply_keep(a_in, bc.layers[li - 1].mask, rate,
+                                       out=cache.scratch(act.shape, grad_y, grad, act, a_in))
             put(g_beta, g_gamma, _column_sums(grad), grad.T @ a_in)
             if bi or li:   # not down to the network input
                 grad = np.matmul(grad, dense.W,
-                                 out=cache.scratch((n, dense.W.shape[1]), grad_y, grad))
+                                 out=cache.scratch((n, dense.W.shape[1]), grad_y, grad, act))
         if bi and block.shortcut is not None:
             grad += np.matmul(grad_y, block.shortcut.W,
                               out=cache.scratch(grad.shape, grad_y, grad))

@@ -31,10 +31,9 @@ from .data import (
     StandardizationParams,
     SurvivalDataset,
     check_field_types,
-    filter_features,
+    fit_features,
     kfold_split,
     standardize_apply,
-    standardize_fit,
     stratified_holdout,
 )
 from .errors import DivergenceError, UnusableDatasetError
@@ -48,6 +47,7 @@ from .model import (
     model_forward,
 )
 # imported only so that perfbench/tracer.py can patch them here
+from .data import filter_features, standardize_fit  # noqa: F401
 from .model import set_flat, to_flat  # noqa: F401
 
 OPTIMIZER_KINDS = ("sgd", "adam", "adamw")
@@ -501,8 +501,7 @@ class Preparation:
         overflows, and when the standardization takes any row of `ds` out
         of float64's range: a column's values scale to values between its
         scaled extremes."""
-        fitted, retained = filter_features(ds.subset(rows))
-        std = standardize_fit(fitted)
+        retained, std = fit_features(ds, rows)
         column = {name: j for j, name in enumerate(ds.feature_names)}
         cols = [column[name] for name in retained]
         with np.errstate(over="ignore"):

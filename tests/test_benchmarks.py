@@ -138,10 +138,13 @@ def test_compare_reports_finds_the_tree_the_same_as_itself(capsys, monkeypatch):
     assert bench.main(["--against", str(ROOT / "src"), "--n", "120", "--p", "3",
                        "--epochs", "2", "--workers", "1", "default"]) == 0
     out = capsys.readouterr().out
-    assert "0 of 17 runs differ or failed" in out
+    assert "0 of 23 runs differ or failed" in out
     assert "train adamw l2 4.0" in out and "same (epochs.jsonl, model.ckpt, summary.json)" in out
     assert "train x2 constant" in out and "cv x2 constant" in out
     assert "cv hp seed 7" in out and "compare hp seed 7" in out
+    for kind in ("tanh", "relu", "selu"):
+        for rate in ("0.0", "0.3"):
+            assert f"compare {kind} dropout {rate}" in out
     assert "gridsearch diverging point" in out
     # nothing differed, so nothing is kept
     assert len(made) == 1 and not made[0].exists() and "kept in" not in out
@@ -154,7 +157,7 @@ def test_compare_reports_keeps_the_outputs_when_a_run_fails(capsys, monkeypatch,
     assert bench.main(["--against", str(tmp_path), "--n", "120", "--p", "3",
                        "--epochs", "2", "--workers", "1"]) == 1
     out = capsys.readouterr().out
-    assert "14 of 14 runs differ or failed" in out
+    assert "20 of 20 runs differ or failed" in out
     assert f"inputs, outputs and logs kept in {made[0]}" in out
     assert (made[0] / "0-this" / "summary.json").is_file()
     assert "No module named" in (made[0] / "0-other.log").read_text()

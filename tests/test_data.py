@@ -18,6 +18,7 @@ from ressurv.data import (
     SyntheticSpec,
     filter_features,
     filter_patients,
+    fit_features,
     generate_synthetic,
     kfold_split,
     load_csv,
@@ -802,16 +803,65 @@ def test_standardize_overflowing_feature_names_it():
        block_bytes=st.sampled_from([1, 100, 1000, data.STATS_BLOCK_BYTES]),
        min_columns=st.sampled_from([2, 3, data.STATS_MIN_COLUMNS]))
 def test_blocked_column_statistics_have_numpys_bits(n, p, seed, block_bytes, min_columns):
-    # the feature filter and the standardization reduce their variances and
-    # deviations a block of columns at a time; each has the bits of numpy's
-    # reduce over the whole array, whose blocks of one column differ
+    # the feature filter and the standardization reduce their means and
+    # variances a block of columns at a time, gathered from the rows and
+    # columns they fit on; each has the bits of numpy's reduce over the
+    # whole gathered array, whose blocks of one column differ
     rng = np.random.default_rng(seed)
     X = rng.normal(size=(n, p)) * rng.choice([1e-3, 1.0, 1e6]) + rng.normal() * 100
+    rows = rng.choice(n, size=rng.integers(1, n + 1), replace=False)
+    cols = np.sort(rng.choice(p, size=rng.integers(0, p + 1), replace=False))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(data, "STATS_BLOCK_BYTES", block_bytes)
         mp.setattr(data, "STATS_MIN_COLUMNS", min_columns)
-        for stat in ("var", "std"):
-            assert data._column_stat(X, stat).tobytes() == getattr(X, stat)(axis=0).tobytes()
+        for Y, args in ((X, ()), (np.ascontiguousarray(X[rows][:, cols]), (rows, cols))):
+            means, variances = data._column_moments(X, *args)
+            assert means.tobytes() == Y.mean(axis=0).tobytes()
+            assert variances.tobytes() == Y.var(axis=0).tobytes()
+            assert np.sqrt(variances).tobytes() == Y.std(axis=0).tobytes()
+
+
+def _fit_outcome(fit, ds, rows):
+    """(retained names, means bytes, deviations bytes) of a fit, or the
+    type and text of the `UnusableDatasetError` it raises, or of the
+    numpy warning (an error in this suite) that a pairwise sum of huge
+    values of either sign meets at inf - inf."""
+    try:
+        retained, std = fit(ds, rows)
+    except (UnusableDatasetError, RuntimeWarning) as err:
+        return type(err), str(err)
+    return retained, std.means.tobytes(), std.stddevs.tobytes()
+
+
+def _fit_on_the_subset(ds, rows):
+    fitted, retained = filter_features(ds.subset(rows))
+    return retained, standardize_fit(fitted)
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(2, 60), p=st.integers(1, 40), seed=st.integers(0, 2**32 - 1),
+       flat=st.integers(0, 3), huge=st.sampled_from([None] * 4 + ["alternating", "same"]),
+       block_bytes=st.sampled_from([1, 100, data.STATS_BLOCK_BYTES]),
+       min_columns=st.sampled_from([2, 3, data.STATS_MIN_COLUMNS]))
+def test_fit_features_is_the_filter_and_fit_of_the_subset(n, p, seed, flat, huge,
+                                                          block_bytes, min_columns):
+    # the same retained features, means and deviations, bit for bit, and the
+    # same error texts, from columns constant on the rows, every column
+    # constant (no feature retained) and columns that overflow
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, p)) * rng.choice([1e-3, 1.0, 1e6]) + rng.normal() * 100
+    rows = rng.choice(n, size=rng.integers(2, n + 1), replace=False)
+    flat_cols = rng.choice(p, size=p if flat == 3 else min(flat, p), replace=False)
+    X[np.ix_(rows, flat_cols)] = rng.normal(size=flat_cols.size)
+    if huge is not None:
+        X[:, rng.integers(p)] = 1e308 if huge == "same" else 1e308 * (-1.0) ** np.arange(n)
+    ds = SurvivalDataset([f"s{i}" for i in range(n)], X, [f"x{j}" for j in range(p)],
+                         np.arange(1.0, n + 1.0), np.ones(n, dtype=bool))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(data, "STATS_BLOCK_BYTES", block_bytes)
+        mp.setattr(data, "STATS_MIN_COLUMNS", min_columns)
+        assert (_fit_outcome(fit_features, ds, rows)
+                == _fit_outcome(_fit_on_the_subset, ds, rows))
 
 
 @pytest.mark.parametrize("means, stddevs", [

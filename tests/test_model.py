@@ -1,5 +1,6 @@
 import copy
 import hashlib
+import itertools
 import json
 import os
 import pickle
@@ -241,12 +242,16 @@ def test_dropout_eval_and_rate_zero_are_identity():
     no_dropout.dropout_rate = 0.0
     # eval mode ignores the rate
     assert np.array_equal(model_forward(X, params)[0], model_forward(X, no_dropout)[0])
-    # train mode at rate 0 needs no stream and hands each activation on as is
-    # (the tanh cache is the activation output)
+    # train mode at rate 0 needs no stream and hands each activation on as
+    # is: the second layer's input is the first layer's tanh output, rebuilt
+    # from its xhat, gamma and beta, and the forward pass fed it those bytes
     _, cache = model_forward(X, no_dropout, mode="train")
     first, second = cache.blocks[0].layers
     assert first.mask is None and second.mask is None
-    assert second.a_in is first.act
+    assert first.act is None and second.a_in is None
+    a_in = layer_input_reference(no_dropout, cache, 0, 1)
+    assert _same_bytes(a_in, activation_cache_reference(no_dropout, cache, 0, 0))
+    _assert_fed_to_the_layer(no_dropout, cache, 0, 1, a_in)
 
 
 def test_dropout_train_requires_mask():
@@ -382,16 +387,23 @@ def test_dropout_applies_mask():
         for li, layer in enumerate(block.layers):
             assert np.array_equal(layer.mask, stream.mask((40, 8), 0.4, 5, bi, li))
         first, second = block.layers
-        # the dropped output is not kept: rebuilt from the first layer's
-        # activation and mask, it is the input the forward pass fed the
-        # second layer (the batch norm it feeds normalizes it to the same bits)
-        assert second.a_in is None
-        a_in = layer_input_reference(params, block, 1)
-        assert np.array_equal(a_in, _apply_keep(first.act, first.mask, 0.4))
-        dense = params.blocks[bi].dense_layers[1]
-        _, bn_cache = batchnorm_forward(a_in @ dense.W.T + dense.b,
-                                        BatchNormParams.identity(8), "train")
-        assert _same_bytes(bn_cache.xhat, second.bn.xhat)
+        # neither the activation nor the dropped output is kept: rebuilt from
+        # the first layer's xhat, gamma, beta and mask, the output is the
+        # input the forward pass fed the second layer
+        assert first.act is None and second.a_in is None
+        a_in = layer_input_reference(params, cache, bi, 1)
+        act = activation_cache_reference(params, cache, bi, 0)
+        assert np.array_equal(a_in, _apply_keep(act, first.mask, 0.4))
+        _assert_fed_to_the_layer(params, cache, bi, 1, a_in)
+
+
+def _assert_fed_to_the_layer(params, cache, bi, li, a_in):
+    """`a_in` is the input the forward pass fed dense layer `li` of block
+    `bi`: the batch norm it feeds normalizes it to the kept bits."""
+    dense = params.blocks[bi].dense_layers[li]
+    _, bn_cache = batchnorm_forward(a_in @ dense.W.T + dense.b,
+                                    BatchNormParams.identity(dense.W.shape[0]), "train")
+    assert _same_bytes(bn_cache.xhat, cache.blocks[bi].layers[li].bn.xhat)
 
 
 # ---------------------------------------------------------------------------
@@ -662,18 +674,29 @@ def test_model_backward_matches_fd():
     assert np.max(rel) < 1e-6
 
 
-def layer_input_reference(params, block_cache, li):
-    """The input of dense layer `li` of a train-mode block cache, with a
-    fresh array per operation: the block's input for the first layer, else
-    the previous layer's output rebuilt from its activation cache (tanh's is
-    the activation's output, relu's and selu's its input) and its mask."""
+def activation_cache_reference(params, cache, bi, li):
+    """The activation cache of dense layer `li` of block `bi` of a
+    train-mode cache (tanh's output, relu's and selu's input), with a fresh
+    array per operation from the layer's batch-norm xhat, gamma and beta."""
+    bn = params.blocks[bi].batch_norms[li]
+    z = bn.gamma * cache.blocks[bi].layers[li].bn.xhat + bn.beta_shift
+    return activation_forward_reference(z, "tanh") if params.activation_kind == "tanh" else z
+
+
+def layer_input_reference(params, cache, bi, li):
+    """The input of dense layer `li` of block `bi` of a train-mode cache,
+    with a fresh array per operation: the block's input for the first
+    layer, else the previous layer's output rebuilt from its activation
+    cache (tanh's is the activation's output, relu's and selu's its input)
+    and its mask."""
     if li == 0:
-        return block_cache.x
-    prev = block_cache.layers[li - 1]
+        return cache.blocks[bi].x
     kind = params.activation_kind
-    a = prev.act if kind == "tanh" else activation_forward_reference(prev.act, kind)
-    if prev.mask is not None:
-        a = a * (prev.mask / (1.0 - params.dropout_rate)).astype(a.dtype)
+    a = activation_cache_reference(params, cache, bi, li - 1)
+    a = a if kind == "tanh" else activation_forward_reference(a, kind)
+    mask = cache.blocks[bi].layers[li - 1].mask
+    if mask is not None:
+        a = a * (mask / (1.0 - params.dropout_rate)).astype(a.dtype)
     return a
 
 
@@ -681,11 +704,13 @@ def model_backward_reference(grad_h, params, cache):
     """The backward pass with a fresh array per operation, carried down to
     the gradient with respect to the network input: (parameter gradient,
     each tensor's at its `flat_layout` slice, input gradient). Each layer's
-    input is rebuilt by `layer_input_reference`, not read from the cache."""
+    activation cache and input are rebuilt by `activation_cache_reference`
+    and `layer_input_reference`, not read from the cache."""
     grad_h = grad_h.reshape(-1, 1)
     parts = [grad_h.sum(axis=0), grad_h.T @ cache.head_in]   # reverse table order
     grad_y = grad_h @ params.output_head.W
-    for block, bc in zip(reversed(params.blocks), reversed(cache.blocks)):
+    for bi in reversed(range(len(params.blocks))):
+        block, bc = params.blocks[bi], cache.blocks[bi]
         if block.shortcut is not None:
             parts.append(grad_y.T @ bc.x)
         grad = grad_y
@@ -693,11 +718,12 @@ def model_backward_reference(grad_h, params, cache):
             dense, lc = block.dense_layers[li], bc.layers[li]
             if lc.mask is not None:
                 grad = grad * (lc.mask / (1.0 - params.dropout_rate)).astype(grad.dtype)
-            grad = activation_backward_reference(grad, lc.act, params.activation_kind)
+            grad = activation_backward_reference(
+                grad, activation_cache_reference(params, cache, bi, li), params.activation_kind)
             grad, g_gamma, g_beta = batchnorm_backward_reference(
                 grad, lc.bn.xhat, lc.bn.inv_std, lc.bn.gamma)
             parts += [g_beta, g_gamma, grad.sum(axis=0),
-                      grad.T @ layer_input_reference(params, bc, li)]
+                      grad.T @ layer_input_reference(params, cache, bi, li)]
             grad = grad @ dense.W
         if block.shortcut is not None:
             grad = grad + grad_y @ block.shortcut.W
@@ -715,16 +741,23 @@ def model_backward_reference(grad_h, params, cache):
 def test_backward_skips_the_input_gradient_bit_for_bit(kind, with_shortcut):
     # the reference also computes the (n, p) input gradient; the parameter
     # gradient does not depend on it. A float32 network's gradient, computed
-    # in float32, comes back as the float64 vector of the same values
+    # in float32, comes back as the float64 vector of the same values. The
+    # second epoch writes over the first one's workspace
     rng = np.random.default_rng(31)
     X, v = rng.normal(size=(17, 9)), rng.normal(size=17)
-    for dtype in (np.float64, np.float32):
-        params = init_params(9, [5, 7], 2, kind, 0.2, seed=31,
+    for dtype, rate in itertools.product((np.float64, np.float32), (0.0, 0.2)):
+        params = init_params(9, [5, 7], 2, kind, rate, seed=31,
                              with_shortcut=with_shortcut).copy(dtype)
-        _, cache = model_forward(X, params, mode="train", stream=DropoutStream(31), epoch=1)
-        want, grad_input = model_backward_reference(v.astype(dtype), params, cache)
-        assert grad_input.shape == X.shape and want.dtype == dtype
-        assert _same_bytes(model_backward(v, params, cache), want.astype(np.float64))
+        cache = None
+        for epoch in (1, 2):
+            _, cache = model_forward(X, params, mode="train", stream=DropoutStream(31),
+                                     epoch=epoch, cache=cache)
+            assert all(layer.act is None for block in cache.blocks for layer in block.layers)
+            want, grad_input = model_backward_reference(v.astype(dtype), params, cache)
+            assert grad_input.shape == X.shape and want.dtype == dtype
+            got = model_backward(v, params, cache)
+            assert _same_bytes(got, want.astype(np.float64))
+            params.flat[...] -= (0.05 * got).astype(dtype)
 
 
 def _cache_arrays(cache):
@@ -733,16 +766,19 @@ def _cache_arrays(cache):
     for block in cache.blocks:
         arrays.append(block.x)
         for layer in block.layers:
+            assert layer.act is None
             arrays += [] if layer.a_in is None else [layer.a_in]
-            arrays += [layer.bn.xhat, layer.bn.inv_std, layer.bn.gamma, layer.act]
+            arrays += [layer.bn.xhat, layer.bn.inv_std, layer.bn.gamma]
             arrays += [] if layer.mask is None else [layer.mask]
     return arrays + [cache.head_in]
 
 
-def _layer_inputs(params, cache):
-    """Every dense layer's input, rebuilt where the cache does not keep it."""
-    return [layer_input_reference(params, block, li)
-            for block in cache.blocks for li in range(len(block.layers))]
+def _rebuilt(params, cache):
+    """Every dense layer's activation cache and input, rebuilt where the
+    cache does not keep them."""
+    return [f(params, cache, bi, li) for bi, block in enumerate(cache.blocks)
+            for li in range(len(block.layers))
+            for f in (activation_cache_reference, layer_input_reference)]
 
 
 def _distinct_bytes(cache):
@@ -755,13 +791,18 @@ def _distinct_bytes(cache):
 @pytest.mark.parametrize("rate", [0.0, 0.2])
 @pytest.mark.parametrize("kind", ACTIVATION_KINDS)
 def test_reused_cache_matches_fresh_allocation(kind, rate, with_shortcut):
+    for dtype in (np.float64, np.float32):
+        _check_reused_cache(kind, rate, with_shortcut, dtype)
+
+
+def _check_reused_cache(kind, rate, with_shortcut, dtype):
     # two identical networks take three steps, one writing each epoch over
     # the previous epoch's cache and one allocating a new cache each epoch;
     # the blocks differ in width so that the workspace meets two shapes
     rng = np.random.default_rng(23)
     X, v = rng.normal(size=(24, 5)), rng.normal(size=24)
     reused, fresh = (init_params(5, [6, 4], 3, kind, rate, seed=23,
-                                 with_shortcut=with_shortcut) for _ in range(2))
+                                 with_shortcut=with_shortcut).copy(dtype) for _ in range(2))
     stream = DropoutStream(23)
     cache = None
     for epoch in (1, 2, 3):
@@ -776,18 +817,19 @@ def test_reused_cache_matches_fresh_allocation(kind, rate, with_shortcut):
         assert _same_bytes(h, h_fresh)
         for got, want in zip(_cache_arrays(cache), _cache_arrays(cache_fresh), strict=True):
             assert _same_bytes(got, want)
-        for got, want in zip(_layer_inputs(reused, cache), _layer_inputs(fresh, cache_fresh),
+        for got, want in zip(_rebuilt(reused, cache), _rebuilt(fresh, cache_fresh),
                              strict=True):
             assert _same_bytes(got, want)
         assert _distinct_bytes(cache) == _distinct_bytes(cache_fresh)
         grad = model_backward(v, reused, cache)
         grad_fresh = model_backward(v, fresh, cache_fresh)
         assert _same_bytes(grad, grad_fresh)
-        # the reused workspace's inputs, rebuilt in its scratch arrays, are
-        # the fresh formula's
-        assert _same_bytes(grad, model_backward_reference(v, reused, cache)[0])
-        reused.flat[...] -= 0.05 * grad
-        fresh.flat[...] -= 0.05 * grad_fresh
+        # the reused workspace's activations and inputs, rebuilt in its
+        # scratch arrays, are the fresh formula's
+        want = model_backward_reference(v.astype(dtype), reused, cache)[0]
+        assert _same_bytes(grad, want.astype(np.float64))
+        reused.flat[...] -= (0.05 * grad).astype(dtype)
+        fresh.flat[...] -= (0.05 * grad_fresh).astype(dtype)
         for block, block_fresh in zip(reused.blocks, fresh.blocks):
             for bn, bn_fresh in zip(block.batch_norms, block_fresh.batch_norms):
                 assert _same_bytes(bn.running_mean, bn_fresh.running_mean)
@@ -799,30 +841,32 @@ def test_reused_cache_matches_fresh_allocation(kind, rate, with_shortcut):
 @pytest.mark.parametrize("with_shortcut", [True, False])
 @pytest.mark.parametrize("kind", ["tanh", "relu"])
 def test_train_workspace_keeps_no_inner_layer_output(kind, with_shortcut):
-    # a train-mode forward keeps, per dense layer, its batch-norm xhat, its
-    # activation cache and its dropout mask, and per block one output (the
-    # shortcut sum y, or the last layer's output without a shortcut); the
-    # other layer outputs pass through scratch arrays: one for tanh, two
-    # for relu, whose output is dropped into a second array
+    # a train-mode forward keeps, per dense layer, its batch-norm xhat and
+    # its dropout mask, and per block one output (the shortcut sum y, or the
+    # last layer's output without a shortcut); every batch-norm output,
+    # activation and other layer output passes through scratch arrays: one
+    # for tanh without dropout, which works in place, else two
     n, width, blocks, depth = 96, 16, 3, 3
     X = np.random.default_rng(5).normal(size=(n, 5))
-    for dtype in (np.float64, np.float32):
-        params = init_params(5, [width] * blocks, depth, kind, 0.2, seed=5,
+    for dtype, rate in itertools.product((np.float64, np.float32), (0.0, 0.2)):
+        params = init_params(5, [width] * blocks, depth, kind, rate, seed=5,
                              with_shortcut=with_shortcut).copy(dtype)
         _, cache = model_forward(X, params, mode="train", stream=DropoutStream(5), epoch=1)
         row = n * width * np.dtype(dtype).itemsize   # one (n, width) float array
-        kept = blocks * depth * (2 * row + n * width) + blocks * row
-        scratch = 1 if kind == "tanh" else 2
+        kept = blocks * depth * (row + (n * width if rate else 0)) + blocks * row
+        scratch = 1 if kind == "tanh" and not rate else 2
         assert sum(a.nbytes for a in cache.arrays.values()) == kept + scratch * row
-        # a layer's input is kept only as its block's input
+        # no activation is kept, and a layer's input only as its block's input
         for block in cache.blocks:
             assert block.layers[0].a_in is block.x
             assert all(layer.a_in is None for layer in block.layers[1:])
+            assert all(layer.act is None for layer in block.layers)
         # the backward pass adds its float64 gradient vector and scratch
-        # arrays, four in all at most, whatever the depth
+        # arrays, whatever the depth: four, or five where relu's rebuilt
+        # output is dropped into a further array
         grads = model_backward(np.ones(n), params, cache)
         extra = sum(a.nbytes for a in cache.arrays.values()) - kept - grads.nbytes
-        assert extra % row == 0 and scratch <= extra // row <= 4
+        assert extra == (5 if kind == "relu" and rate else 4) * row
 
 
 @pytest.mark.parametrize("kind", ["tanh", "selu"])
@@ -848,12 +892,19 @@ def test_float32_gradient_is_the_float64_one_to_float32_precision(kind, seed):
         # selu's derivative jumps at 0 (SCALE * ALPHA below, SCALE above), so
         # an input within float32 rounding of 0 may lie on the other side in
         # float32 (one of 1,228,800 at seed 2): the float64 backward reads
-        # the float32 pass's input there
-        for block, block32 in zip(passes[0][1].blocks, passes[1][1].blocks):
-            for layer, layer32 in zip(block.layers, block32.layers):
-                crossed = (layer.act > 0) != (layer32.act > 0)
-                assert crossed.sum() <= 1 and np.abs(layer.act[crossed]).max(initial=0) < 1e-6
-                np.copyto(layer.act, layer32.act, where=crossed)
+        # the float32 pass's input there. It rebuilds that input from the
+        # kept xhat, and at the fresh batch norms' gamma 1 and beta 0 the
+        # input is xhat, so the float32 pass's xhat goes there
+        (_, cache), (_, cache32) = passes
+        for bi, block in enumerate(cache.blocks):
+            for li, layer in enumerate(block.layers):
+                act = activation_cache_reference(wide, cache, bi, li)
+                act32 = activation_cache_reference(narrow, cache32, bi, li)
+                crossed = (act > 0) != (act32 > 0)
+                assert crossed.sum() <= 1 and np.abs(act[crossed]).max(initial=0) < 1e-6
+                np.copyto(layer.bn.xhat, cache32.blocks[bi].layers[li].bn.xhat, where=crossed)
+                act = activation_cache_reference(wide, cache, bi, li)
+                assert np.array_equal(act > 0, act32 > 0)
     grads = []
     for params, (h, cache) in zip((wide, narrow), passes):
         grads.append(model_backward(nll_gradient(h, idx), params, cache))
